@@ -382,10 +382,10 @@ def _emit(text: str, out_path) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters)
     schemes = _schemes_from_flag(args.scheme)
 
     try:
+        config = SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters)
         if args.sweep:
             name, start, stop, steps = _parse_sweep_flag(args.sweep)
             sweep = SweepSpec(

@@ -10,6 +10,12 @@ tier picks at current prices with a projected subgradient price update whose
 step diminishes as 1/sqrt(t).  Every candidate assignment seen is evaluated
 exactly through the per-pool closed form, and the best one is re-allocated
 exactly at the end, so the returned plan is always feasible.
+
+Before that re-allocation the best assignment is polished by single- and
+pair-move descent (`_local_search`).  The descent scores every move in closed
+form from the current pool sums, re-scores exactly only the near-best ones,
+and keeps no cache of its own: a pair pass costs O(K^2) time and memory, not
+the O(K^3) time of re-scoring every neighbour.
 """
 
 from __future__ import annotations
@@ -23,6 +29,11 @@ from .latency import TIER_INDEX, Allocation, Decision, total_delay
 from .scenario import Scheme, TIERS, TaskSet, Topology
 
 _CODE_L, _CODE_H, _CODE_C = (TIER_INDEX[t] for t in TIERS)
+
+# Relative width of the band of closed-form move scores that the polish
+# re-scores exactly.  Their rounding error is near 1e-15 of the objective, so
+# the band holds every move whose exact score could be the best.
+_RECHECK_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,8 +104,8 @@ class SolverConfig:
     local_search: bool = True
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be strictly positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and strictly positive")
         if self.max_iters < 1 or self.stability_window < 1:
             raise ValueError("max_iters and stability_window must be at least 1")
         if not self.step_scale > 0:
@@ -150,18 +161,24 @@ class _Pools:
         self.sqrt_fh_demand = np.sqrt(self.fh_demand)
         self.sqrt_mh_demand = np.sqrt(self.mh_demand)
 
-    def objective(self, codes: np.ndarray) -> float:
-        """Minimal offload cost (access excluded) for an integer assignment."""
-        topo = self.topology
+    def loads(self, codes: np.ndarray):
+        """Pool sums of sqrt demands under an integer assignment: per-RU MEC,
+        per-DU MEC, cloud (a scalar), per-RU fronthaul and per-DU midhaul."""
         mask_l = codes == _CODE_L
         mask_h = codes == _CODE_H
         mask_c = codes == _CODE_C
         mask_hc = mask_h | mask_c
         mecl = np.bincount(self.ru[mask_l], weights=self.sqrt_cycles[mask_l], minlength=self.num_rus)
         mech = np.bincount(self.du[mask_h], weights=self.sqrt_cycles[mask_h], minlength=self.num_dus)
+        cloud = self.sqrt_cycles[mask_c].sum()
         fh = np.bincount(self.ru[mask_hc], weights=self.sqrt_fh_demand[mask_hc], minlength=self.num_rus)
         mh = np.bincount(self.du[mask_c], weights=self.sqrt_mh_demand[mask_c], minlength=self.num_dus)
-        cloud = self.sqrt_cycles[mask_c].sum()
+        return mecl, mech, cloud, fh, mh
+
+    def objective(self, codes: np.ndarray) -> float:
+        """Minimal offload cost (access excluded) for an integer assignment."""
+        topo = self.topology
+        mecl, mech, cloud, fh, mh = self.loads(codes)
         return float(
             np.sum(mecl**2 / topo.mecl_capacity_hz)
             + np.sum(mech**2 / topo.mech_capacity_hz)
@@ -191,15 +208,11 @@ def allocate_given_decision(decision: Decision, tasks: TaskSet, topology: Topolo
     fronthaul_bw: dict[int, float] = {}
     midhaul_bw: dict[int, float] = {}
 
+    mecl, mech, cloud, fh, mh = pools.loads(codes)
     mask_l = codes == _CODE_L
     mask_h = codes == _CODE_H
     mask_c = codes == _CODE_C
     mask_hc = mask_h | mask_c
-    mecl = np.bincount(pools.ru[mask_l], weights=pools.sqrt_cycles[mask_l], minlength=pools.num_rus)
-    mech = np.bincount(pools.du[mask_h], weights=pools.sqrt_cycles[mask_h], minlength=pools.num_dus)
-    fh = np.bincount(pools.ru[mask_hc], weights=pools.sqrt_fh_demand[mask_hc], minlength=pools.num_rus)
-    mh = np.bincount(pools.du[mask_c], weights=pools.sqrt_mh_demand[mask_c], minlength=pools.num_dus)
-    cloud = pools.sqrt_cycles[mask_c].sum()
 
     for k in np.flatnonzero(mask_l):
         i = pools.ru[k]
@@ -465,13 +478,7 @@ def _clearing_prices(codes: np.ndarray, pools: _Pools, floors: DualState):
     """Prices that make every pool used by `codes` exactly tight (recovered
     shares equal to the exact allocation); unused pools drop to their floor."""
     topo = pools.topology
-    mask_l, mask_h, mask_c = codes == _CODE_L, codes == _CODE_H, codes == _CODE_C
-    mask_hc = mask_h | mask_c
-    w_mecl = np.bincount(pools.ru[mask_l], weights=pools.sqrt_cycles[mask_l], minlength=pools.num_rus)
-    w_mech = np.bincount(pools.du[mask_h], weights=pools.sqrt_cycles[mask_h], minlength=pools.num_dus)
-    w_cloud = pools.sqrt_cycles[mask_c].sum()
-    w_fh = np.bincount(pools.ru[mask_hc], weights=pools.sqrt_fh_demand[mask_hc], minlength=pools.num_rus)
-    w_mh = np.bincount(pools.du[mask_c], weights=pools.sqrt_mh_demand[mask_c], minlength=pools.num_dus)
+    w_mecl, w_mech, w_cloud, w_fh, w_mh = pools.loads(codes)
     mu = np.where(w_mecl > 0, (w_mecl / topo.mecl_capacity_hz) ** 2, floors.mu)
     lam = np.where(w_mech > 0, (w_mech / topo.mech_capacity_hz) ** 2, floors.lam)
     rho = (w_cloud / topo.cloud_capacity_hz) ** 2 if w_cloud > 0 else floors.rho
@@ -480,50 +487,95 @@ def _clearing_prices(codes: np.ndarray, pools: _Pools, floors: DualState):
     return mu, lam, float(rho), nu, xi
 
 
-def _local_search(codes, objective, allowed_codes, evaluate):
+def _local_search(codes: np.ndarray, objective: float, allowed_codes: list[int], pools: _Pools):
     """Deterministic best-improvement descent over tier changes.
 
     Single-task moves first; when none improves, coordinated two-task moves
     (which capture exchange-type improvements single moves cannot reach).
+
+    The cost is sum_p W_p^2 / F_p over the pool sums W of sqrt demands, so a
+    move that shifts them by d changes it by sum_p (2 W_p d_p + d_p^2) / F_p,
+    and two moves together by the sum of their changes plus
+    2 sum_p d1_p d2_p / F_p.  Every neighbour is scored that way from the
+    current pool sums.  Those scores round differently from the exact
+    objective, so the ones within _RECHECK_BAND of the best are re-scored
+    exactly in enumeration order (task, then tier in L, H, C order) and a
+    move is taken only if its exact objective is strictly below the
+    incumbent's: the descent picks the same moves as exact re-scoring of every
+    neighbour, and the returned objective is always an exact value.
     """
-    codes = codes.copy()
+    topo = pools.topology
     n = codes.size
+    n_ru, n_du = pools.num_rus, pools.num_dus
+    # Pool layout: per-RU MEC, per-DU MEC, cloud, per-RU fronthaul, per-DU midhaul.
+    inv_cap = 1.0 / np.concatenate(
+        (
+            topo.mecl_capacity_hz,
+            topo.mech_capacity_hz,
+            [topo.cloud_capacity_hz],
+            topo.fronthaul_capacity_hz,
+            topo.midhaul_capacity_hz,
+        )
+    )
+    # member[k, tier]: what task k adds to each pool sum when placed on tier.
+    member = np.zeros((n, 3, inv_cap.size))
+    k = np.arange(n)
+    fh_col = n_ru + n_du + 1 + pools.ru
+    member[k, _CODE_L, pools.ru] = pools.sqrt_cycles
+    member[k, _CODE_H, n_ru + pools.du] = pools.sqrt_cycles
+    member[k, _CODE_H, fh_col] = pools.sqrt_fh_demand
+    member[k, _CODE_C, n_ru + n_du] = pools.sqrt_cycles
+    member[k, _CODE_C, fh_col] = pools.sqrt_fh_demand
+    member[k, _CODE_C, 2 * n_ru + n_du + 1 + pools.du] = pools.sqrt_mh_demand
+
+    allowed = np.asarray(allowed_codes, dtype=np.int64)
+    codes = codes.copy()
     while True:
-        best_obj = objective
-        best_move = None
-        for k in range(n):
-            original = codes[k]
-            for code in allowed_codes:
-                if code == original:
-                    continue
-                codes[k] = code
-                value = evaluate(codes)
-                if value < best_obj:
-                    best_obj, best_move = value, ((k, code),)
-            codes[k] = original
-        if best_move is None:
-            for k1 in range(n):
-                original1 = codes[k1]
-                for code1 in allowed_codes:
-                    if code1 == original1:
-                        continue
-                    codes[k1] = code1
-                    for k2 in range(k1 + 1, n):
-                        original2 = codes[k2]
-                        for code2 in allowed_codes:
-                            if code2 == original2:
-                                continue
-                            codes[k2] = code2
-                            value = evaluate(codes)
-                            if value < best_obj:
-                                best_obj, best_move = value, ((k1, code1), (k2, code2))
-                        codes[k2] = original2
-                    codes[k1] = original1
-        if best_move is None:
-            return codes, objective
-        for k, code in best_move:
-            codes[k] = code
-        objective = best_obj
+        move_task = np.repeat(k, allowed.size)
+        move_code = np.tile(allowed, n)
+        keep = move_code != codes[move_task]
+        move_task, move_code = move_task[keep], move_code[keep]
+        delta = member[move_task, move_code] - member[move_task, codes[move_task]]
+        mecl, mech, cloud, fh, mh = pools.loads(codes)
+        load = np.concatenate((mecl, mech, [cloud], fh, mh))
+        single = delta @ (2.0 * load * inv_cap) + (delta * delta) @ inv_cap
+        m = single.size
+
+        def exact(moves: list[int]) -> float:
+            trial = codes.copy()
+            trial[move_task[moves]] = move_code[moves]
+            return pools.objective(trial)
+
+        pick, value = _recheck(single, objective, lambda i: exact([i]))
+        if pick is not None:
+            moves = [pick]
+        else:
+            pair = single[:, None] + single[None, :] + 2.0 * ((delta * inv_cap) @ delta.T)
+            pair[move_task[:, None] >= move_task[None, :]] = np.inf  # each pair once, k1 < k2
+            pick, value = _recheck(pair.ravel(), objective, lambda f: exact(list(divmod(f, m))))
+            if pick is None:
+                return codes, objective
+            moves = list(divmod(pick, m))
+        codes[move_task[moves]] = move_code[moves]
+        objective = value
+
+
+def _recheck(changes: np.ndarray, objective: float, exact):
+    """The move exact re-scoring would pick, given closed-form cost changes
+    in enumeration order: (index, exact objective), or (None, objective)
+    when no move strictly improves."""
+    if changes.size == 0:
+        return None, objective
+    best = float(changes.min())
+    slack = _RECHECK_BAND * max(objective, abs(objective + best))
+    if not best <= slack:
+        return None, objective
+    pick = None
+    for i in np.flatnonzero(changes <= best + slack).tolist():
+        value = exact(i)
+        if value < objective:
+            pick, objective = i, value
+    return pick, objective
 
 
 def _empty_result(topology: Topology, tasks: TaskSet) -> SolveResult:
@@ -570,22 +622,18 @@ def solve(
     pools = _Pools(tasks, topology)
     allowed_codes = [TIER_INDEX[t] for t in scheme.allowed_tiers]
 
+    # The price loop revisits assignments, frozen ones on every iteration:
+    # score each distinct one once.  At most max_iters + 3 entries.
     cache: dict[bytes, float] = {}
-
-    def evaluate(codes: np.ndarray) -> float:
-        key = codes.tobytes()
-        value = cache.get(key)
-        if value is None:
-            value = pools.objective(codes)
-            cache[key] = value
-        return value
-
     best_obj = math.inf
     best_codes = None
 
     def consider(codes: np.ndarray) -> float:
         nonlocal best_obj, best_codes
-        value = evaluate(codes)
+        key = codes.tobytes()
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = pools.objective(codes)
         if value < best_obj:
             best_obj = value
             best_codes = codes.copy()
@@ -698,7 +746,7 @@ def solve(
             # re-allocation); the subgradient updates then hold them there and
             # the recovered shares match the returned allocation.
             if config.local_search and not polished:
-                best_codes, best_obj = _local_search(best_codes, best_obj, allowed_codes, evaluate)
+                best_codes, best_obj = _local_search(best_codes, best_obj, allowed_codes, pools)
                 polished = True
             frozen = True
             mu, lam, rho, nu, xi = _clearing_prices(best_codes, pools, floors)
@@ -714,7 +762,7 @@ def solve(
     duals = DualState(mu=mu, lam=lam, rho=rho, nu=nu, xi=xi)
 
     if config.local_search and not polished:
-        best_codes, best_obj = _local_search(best_codes, best_obj, allowed_codes, evaluate)
+        best_codes, best_obj = _local_search(best_codes, best_obj, allowed_codes, pools)
 
     decision = Decision(tuple(TIERS[c] for c in best_codes))
     allocation = allocate_given_decision(decision, tasks, topology)

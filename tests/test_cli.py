@@ -174,6 +174,13 @@ def test_bad_sweep_flag_is_an_error(capsys):
     assert "START:STOP:STEPS" in capsys.readouterr().err
     assert main(["--sweep", "zz=1:2:2", "--users", "2"]) == 2
     assert "unknown sweep parameter" in capsys.readouterr().err
+    for flag, value, message in (
+        ("--epsilon", "nan", "epsilon"),
+        ("--epsilon", "inf", "epsilon"),
+        ("--max-iters", "0", "max_iters"),
+    ):
+        assert main(["--sweep", "fl=1e9:2e9:2", "--users", "2", flag, value]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_oracle_check_above_cap_is_an_error(capsys):

@@ -22,8 +22,12 @@ from fogplan import (
     solve,
     total_delay,
 )
+from fogplan import solver
+from fogplan.latency import TIER_INDEX
 from fogplan.scenario import TaskSet
 from fogplan.solver import (
+    _local_search,
+    _Pools,
     dual_floors,
     dual_value,
     initial_duals,
@@ -383,6 +387,169 @@ def test_returned_duals_price_the_returned_plan(random_instance):
             assert c[k] == pytest.approx(res.allocation.cloud_speed[k], rel=1e-9)
 
 
+# --- local-search polish ----------------------------------------------------
+
+
+def _reference_local_search(codes, objective, allowed_codes, evaluate):
+    """Best-improvement descent that re-scores every neighbour exactly: the
+    reference the closed-form polish must reproduce bit for bit."""
+    codes = codes.copy()
+    n = codes.size
+    while True:
+        best_obj = objective
+        best_move = None
+        for k in range(n):
+            original = codes[k]
+            for code in allowed_codes:
+                if code == original:
+                    continue
+                codes[k] = code
+                value = evaluate(codes)
+                if value < best_obj:
+                    best_obj, best_move = value, ((k, code),)
+            codes[k] = original
+        if best_move is None:
+            for k1 in range(n):
+                original1 = codes[k1]
+                for code1 in allowed_codes:
+                    if code1 == original1:
+                        continue
+                    codes[k1] = code1
+                    for k2 in range(k1 + 1, n):
+                        original2 = codes[k2]
+                        for code2 in allowed_codes:
+                            if code2 == original2:
+                                continue
+                            codes[k2] = code2
+                            value = evaluate(codes)
+                            if value < best_obj:
+                                best_obj, best_move = value, ((k1, code1), (k2, code2))
+                        codes[k2] = original2
+                    codes[k1] = original1
+        if best_move is None:
+            return codes, objective
+        for k, code in best_move:
+            codes[k] = code
+        objective = best_obj
+
+
+def _assert_polish_matches_reference(pools, rng):
+    n = pools.cycles.size
+    for scheme in Scheme:
+        allowed = [TIER_INDEX[t] for t in scheme.allowed_tiers]
+        start = rng.choice(allowed, size=n).astype(np.int64)
+        objective = pools.objective(start)
+        codes, value = _local_search(start, objective, allowed, pools)
+        ref_codes, ref_value = _reference_local_search(start, objective, allowed, pools.objective)
+        assert np.array_equal(codes, ref_codes)
+        assert value == ref_value
+        assert value == pools.objective(codes)
+
+
+@pytest.mark.parametrize(
+    "num_users, num_rus, num_dus, seeds, spec_kw",
+    [
+        (6, 2, 1, range(6), {}),
+        (8, 4, 2, range(4), {}),
+        (8, 4, 2, range(2), {"mecl_capacity_hz": (1e9, 5e9), "mech_capacity_hz": (1e10, 5e10)}),
+        (40, 10, 4, range(1), {}),
+    ],
+)
+def test_polish_matches_exact_reference(random_instance, num_users, num_rus, num_dus, seeds, spec_kw):
+    rng = np.random.default_rng(num_users)
+    for seed in seeds:
+        scenario, _ = random_instance(seed=seed, num_users=num_users, num_rus=num_rus, num_dus=num_dus, **spec_kw)
+        _assert_polish_matches_reference(_Pools(scenario.tasks, scenario.topology), rng)
+
+
+def test_polish_matches_exact_reference_on_tied_tasks(make_topology, make_tasks):
+    # identical tasks on one RU tie every move between them; exchanges and
+    # rounding in the exact scores must resolve as in the reference
+    topo = make_topology(num_users=8, num_rus=2, user_to_ru=[0, 0, 0, 0, 1, 1, 1, 1],
+                         mecl_capacity_hz=4e9, mech_capacity_hz=8e9, cloud_capacity_hz=2e10,
+                         fronthaul_capacity_hz=5e7, midhaul_capacity_hz=5e7)
+    tasks = make_tasks([1e7, 1e7, 2e7, 2e7, 1e7, 1e7, 3e7, 3e7], [5.0, 5.0, 1.0, 1.0, 5.0, 5.0, 0.5, 0.5])
+    rng = np.random.default_rng(0)
+    pools = _Pools(tasks, topo)
+    for _ in range(10):
+        _assert_polish_matches_reference(pools, rng)
+
+
+def test_pair_move_delta_identity(random_instance):
+    # two moves that shift the pool sums W by d1 and d2 change sum W^2/F by
+    # D1 + D2 + 2 sum d1 d2 / F, where Di is each move's own change
+    scenario, _ = random_instance(seed=3, num_users=6, num_rus=2, num_dus=2)
+    topo, tasks = scenario.topology, scenario.tasks
+    pools = _Pools(tasks, topo)
+    inv_cap = 1.0 / np.concatenate(
+        (topo.mecl_capacity_hz, topo.mech_capacity_hz, [topo.cloud_capacity_hz],
+         topo.fronthaul_capacity_hz, topo.midhaul_capacity_hz)
+    )
+
+    def pool_sums(codes):
+        mecl, mech, cloud, fh, mh = pools.loads(codes)
+        return np.concatenate((mecl, mech, [cloud], fh, mh))
+
+    def moved(codes, *moves):
+        out = codes.copy()
+        for k, code in moves:
+            out[k] = code
+        return out
+
+    ru, du = topo.user_to_ru, topo.user_du
+    apart = [(k1, k2) for k1 in range(6) for k2 in range(k1 + 1, 6) if ru[k1] != ru[k2] and du[k1] != du[k2]]
+    together = [(k1, k2) for k1 in range(6) for k2 in range(k1 + 1, 6) if ru[k1] == ru[k2]]
+    assert apart and together
+    rng = np.random.default_rng(5)
+    L, H, C = (TIER_INDEX[t] for t in "LHC")
+    cases = [((k1, L, H), (k2, L, H), False) for k1, k2 in apart]  # disjoint MEC and fronthaul pools
+    cases += [((k1, L, C), (k2, H, C), True) for k1, k2 in together]  # shared cloud and fronthaul
+    cases += [((k1, L, H), (k2, L, C), True) for k1, k2 in together]
+    for (k1, from1, to1), (k2, from2, to2), shared in cases:
+        codes = rng.choice([L, H, C], size=6).astype(np.int64)
+        codes[k1], codes[k2] = from1, from2
+        w = pool_sums(codes)
+        d1 = pool_sums(moved(codes, (k1, to1))) - w
+        d2 = pool_sums(moved(codes, (k2, to2))) - w
+        delta1 = (2 * w * d1 + d1 * d1) @ inv_cap
+        delta2 = (2 * w * d2 + d2 * d2) @ inv_cap
+        cross = 2 * (d1 * d2) @ inv_cap
+        assert (cross != 0) == shared
+        exact = pools.objective(moved(codes, (k1, to1), (k2, to2))) - pools.objective(codes)
+        assert delta1 + delta2 + cross == pytest.approx(exact, rel=1e-12)
+
+
+def test_polish_work_stays_small_at_k200(random_instance, monkeypatch):
+    # the polish scores neighbours in closed form and re-scores only near-best
+    # candidates exactly; re-scoring every neighbour would take ~80k evaluations
+    # per pair pass at this size
+    num_users = 200
+    scenario, rates = random_instance(seed=0, num_users=num_users, num_rus=10, num_dus=4)
+    counts = {"loop": 0, "polish": 0}
+    in_polish = False
+    original_objective = _Pools.objective
+    original_search = solver._local_search
+
+    def counting_objective(self, codes):
+        counts["polish" if in_polish else "loop"] += 1
+        return original_objective(self, codes)
+
+    def flagged_search(*args):
+        nonlocal in_polish
+        in_polish = True
+        try:
+            return original_search(*args)
+        finally:
+            in_polish = False
+
+    monkeypatch.setattr(_Pools, "objective", counting_objective)
+    monkeypatch.setattr(solver, "_local_search", flagged_search)
+    res = solve(scenario.topology, scenario.tasks, rates, Scheme.FOG)
+    assert check_feasibility(scenario.topology, scenario.tasks, res.decision, res.allocation) == []
+    assert counts["loop"] <= res.iterations + 3
+    assert 1 <= counts["polish"] <= num_users
+
+
 # --- relaxed objective, weak duality, convexity ------------------------------
 
 
@@ -498,8 +665,9 @@ def test_dual_values_stay_below_independent_relaxed_optimum(random_instance):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=0.0)
+    for epsilon in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            SolverConfig(epsilon=epsilon)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
