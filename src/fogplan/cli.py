@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,6 +147,8 @@ def run_sweep(
     Infeasible realizations (a user with zero rate) are counted and excluded
     from the mean.  Output row order and content are deterministic.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     config = config or SolverConfig()
     base = dataclasses.replace(base, **sweep.overrides) if sweep.overrides else base
     values = sweep.values()
@@ -157,6 +158,10 @@ def run_sweep(
         for r in range(sweep.realizations)
     ]
     if workers > 1:
+        # Imported here: multiprocessing costs every importer of this module
+        # memory that serial runs never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_cell, cells, chunksize=1))
     else:
@@ -209,6 +214,8 @@ def compare_oracle(
 ) -> tuple[list[dict], list[dict]]:
     """Relative solver-vs-exhaustive gap per realization, plus per-scheme
     median/p95/max summary rows."""
+    if realizations < 1:
+        raise ValueError(f"realizations must be at least 1, got {realizations}")
     config = config or SolverConfig()
     rows = []
     for r in range(realizations):
@@ -315,6 +322,8 @@ def _parse_set_flag(entries: list[str]) -> dict:
         if key not in fields:
             raise ValueError(f"--set expects one of {sorted(fields)}, got {key!r}")
         parts = [float(tok) for tok in value.split(",")]
+        if len(parts) > 2:
+            raise ValueError(f"--set {key} expects VALUE or LO,HI, got {value!r}")
         overrides[fields[key]] = parts[0] if len(parts) == 1 else (parts[0], parts[1])
     return overrides
 

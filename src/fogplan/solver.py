@@ -11,6 +11,15 @@ step diminishes as 1/sqrt(t).  Every candidate assignment seen is evaluated
 exactly through the per-pool closed form, and the best one is re-allocated
 exactly at the end, so the returned plan is always feasible.
 
+The loop's tuning is fixed, not configurable: step 0.25/sqrt(t) in units of
+each price's initial value per capacity of excess load, excess clipped at 1
+capacity, price floor 1e-12 of the initial price, tier-change hysteresis 1e-3,
+freeze after 150 iterations without a material improvement, and a stability
+window of 25 identical decisions.  `SolverConfig` holds only the stopping
+rule: `epsilon` and `max_iters`.  Each formula the loop uses (marginal prices,
+share loads, peak overload, dual value, price step) is one private kernel
+that the loop and its exported wrapper both call.
+
 Before that re-allocation the best assignment is polished by single- and
 pair-move descent (`_local_search`).  The descent scores every move in closed
 form from the current pool sums, re-scores exactly only the near-best ones,
@@ -34,6 +43,14 @@ _CODE_L, _CODE_H, _CODE_C = (TIER_INDEX[t] for t in TIERS)
 # re-scores exactly.  Their rounding error is near 1e-15 of the objective, so
 # the band holds every move whose exact score could be the best.
 _RECHECK_BAND = 1e-9
+
+# Fixed tuning of the price loop.
+_STEP_SCALE = 0.25  # price move per capacity of excess, relative to its initial value
+_SUBGRADIENT_CLIP = 1.0  # excess load is clipped at this many capacities
+_DUAL_FLOOR_SCALE = 1e-12  # price floor relative to the initial price
+_DECISION_HYSTERESIS = 1e-3  # relative margin by which a new tier must be cheaper
+_FREEZE_AFTER = 150  # iterations without a material improvement before freezing
+_STABILITY_WINDOW = 25  # identical consecutive decisions needed to converge
 
 
 @dataclass(frozen=True)
@@ -92,34 +109,20 @@ class RelaxedPoint:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Stopping rule of the price loop: it converges once the decisions have
+    been identical for 25 iterations and the peak relative overload of the
+    recovered shares is below `epsilon`, and stops after `max_iters`.  The
+    rest of the loop is fixed: step 0.25/sqrt(t), clip 1 capacity, floor
+    1e-12, hysteresis 1e-3, freeze after 150 stalled iterations."""
+
     epsilon: float = 1e-4
     max_iters: int = 2000
-    step_scale: float = 0.25
-    stability_window: int = 25
-    tie_break: str = "lhc"
-    dual_floor_scale: float = 1e-12
-    subgradient_clip: float = 1.0
-    decision_hysteresis: float = 1e-3
-    freeze_after: int = 150
-    local_search: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be finite and strictly positive")
-        if self.max_iters < 1 or self.stability_window < 1:
-            raise ValueError("max_iters and stability_window must be at least 1")
-        if not self.step_scale > 0:
-            raise ValueError("step_scale must be strictly positive")
-        if self.tie_break != "lhc":
-            raise ValueError("the only supported tie_break policy is 'lhc'")
-        if not 0 < self.dual_floor_scale < 1:
-            raise ValueError("dual_floor_scale must lie in (0, 1)")
-        if not self.subgradient_clip > 0:
-            raise ValueError("subgradient_clip must be strictly positive")
-        if not 0 <= self.decision_hysteresis < 1:
-            raise ValueError("decision_hysteresis must lie in [0, 1)")
-        if self.freeze_after < 1:
-            raise ValueError("freeze_after must be at least 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -188,6 +191,22 @@ class _Pools:
         )
 
 
+def _capacities(topology: Topology):
+    """Pool capacities in `_Pools.loads` order."""
+    return (
+        topology.mecl_capacity_hz,
+        topology.mech_capacity_hz,
+        topology.cloud_capacity_hz,
+        topology.fronthaul_capacity_hz,
+        topology.midhaul_capacity_hz,
+    )
+
+
+def _price_tuple(duals: DualState):
+    """Prices in `_Pools.loads` order: (mu, lam, rho, nu, xi)."""
+    return duals.mu, duals.lam, duals.rho, duals.nu, duals.xi
+
+
 def offload_objective(decision: Decision, tasks: TaskSet, topology: Topology) -> float:
     """Exact minimal transport+compute cost of an integer assignment (seconds,
     access excluded); equals total_delay of allocate_given_decision minus the
@@ -246,17 +265,10 @@ def initial_duals(topology: Topology, tasks: TaskSet) -> DualState:
     """Prices that would make each pool exactly tight if every task used it;
     the right order of magnitude wherever the pool could possibly be active."""
     pools = _Pools(tasks, topology)
-    mecl = np.bincount(pools.ru, weights=pools.sqrt_cycles, minlength=pools.num_rus)
-    mech = np.bincount(pools.du, weights=pools.sqrt_cycles, minlength=pools.num_dus)
-    fh = np.bincount(pools.ru, weights=pools.sqrt_fh_demand, minlength=pools.num_rus)
-    mh = np.bincount(pools.du, weights=pools.sqrt_mh_demand, minlength=pools.num_dus)
-    return DualState(
-        mu=(mecl / topology.mecl_capacity_hz) ** 2,
-        lam=(mech / topology.mech_capacity_hz) ** 2,
-        rho=float((pools.sqrt_cycles.sum() / topology.cloud_capacity_hz) ** 2),
-        nu=(fh / topology.fronthaul_capacity_hz) ** 2,
-        xi=(mh / topology.midhaul_capacity_hz) ** 2,
-    )
+    # A pool's all-members sum is its load under a uniform plan that uses it.
+    on_l, on_h, on_c = (pools.loads(np.full(tasks.num_tasks, code)) for code in (_CODE_L, _CODE_H, _CODE_C))
+    sums = on_l[0], on_h[1], on_c[2], on_c[3], on_c[4]
+    return DualState(*((w / cap) ** 2 for w, cap in zip(sums, _capacities(topology))))
 
 
 def subgradient_steps(init: DualState, topology: Topology, step_scale: float) -> DualState:
@@ -312,53 +324,78 @@ def primal_bandwidth_from_duals(
     """Stationary bandwidth shares at the given prices (fronthaul for MEC-DU
     tasks, midhaul plus fronthaul for cloud tasks)."""
     x = np.asarray(x, dtype=np.float64)
-    ru, du = topology.user_to_ru, topology.user_du
-    fh_demand = tasks.data_bits / topology.fronthaul_se[ru]
-    mh_demand = tasks.data_bits / topology.midhaul_se[du]
-    alpha = _masked_sqrt_share(x[:, _CODE_H], fh_demand, duals.nu[ru], "nu")
-    beta = _masked_sqrt_share(x[:, _CODE_C], mh_demand, duals.xi[du], "xi")
-    gamma = _masked_sqrt_share(x[:, _CODE_C], fh_demand, duals.nu[ru], "nu")
+    pools = _Pools(tasks, topology)
+    alpha = _masked_sqrt_share(x[:, _CODE_H], pools.fh_demand, duals.nu[pools.ru], "nu")
+    beta = _masked_sqrt_share(x[:, _CODE_C], pools.mh_demand, duals.xi[pools.du], "xi")
+    gamma = _masked_sqrt_share(x[:, _CODE_C], pools.fh_demand, duals.nu[pools.ru], "nu")
     return alpha, beta, gamma
+
+
+def _marginals(pools: _Pools, mu_k, lam_k, rho, nu_k, xi_k) -> np.ndarray:
+    """Per-task tier prices, (K, 3) in L, H, C order, at per-task prices."""
+    fh_term = 2.0 * np.sqrt(pools.fh_demand * nu_k)
+    marg = np.empty((fh_term.size, 3))
+    marg[:, _CODE_L] = 2.0 * np.sqrt(pools.cycles * mu_k)
+    marg[:, _CODE_H] = 2.0 * np.sqrt(pools.cycles * lam_k) + fh_term
+    marg[:, _CODE_C] = 2.0 * np.sqrt(pools.cycles * rho) + fh_term + 2.0 * np.sqrt(pools.mh_demand * xi_k)
+    return marg
 
 
 def marginal_costs(duals: DualState, tasks: TaskSet, topology: Topology) -> np.ndarray:
     """Per-task price of each tier at the current multipliers, shape (K, 3) in
     L, H, C column order.  Each entry is what one unit of tier weight adds to
     the Lagrangian once the shares take their closed-form values."""
-    ru, du = topology.user_to_ru, topology.user_du
-    mu_k = duals.mu[ru]
-    lam_k = duals.lam[du]
-    nu_k = duals.nu[ru]
-    xi_k = duals.xi[du]
-    if len(ru) and not (
+    pools = _Pools(tasks, topology)
+    mu_k, lam_k = duals.mu[pools.ru], duals.lam[pools.du]
+    nu_k, xi_k = duals.nu[pools.ru], duals.xi[pools.du]
+    if len(pools.ru) and not (
         mu_k.min() > 0 and lam_k.min() > 0 and duals.rho > 0 and nu_k.min() > 0 and xi_k.min() > 0
     ):
         raise ValueError("all multipliers mapped to tasks must be strictly positive")
-    cycles = tasks.compute_cycles
-    fh_demand = tasks.data_bits / topology.fronthaul_se[ru]
-    mh_demand = tasks.data_bits / topology.midhaul_se[du]
-    fh_term = 2.0 * np.sqrt(fh_demand * nu_k)
-    cost_l = 2.0 * np.sqrt(cycles * mu_k)
-    cost_h = 2.0 * np.sqrt(cycles * lam_k) + fh_term
-    cost_c = 2.0 * np.sqrt(cycles * duals.rho) + fh_term + 2.0 * np.sqrt(mh_demand * xi_k)
-    return np.column_stack((cost_l, cost_h, cost_c))
+    return _marginals(pools, mu_k, lam_k, duals.rho, nu_k, xi_k)
 
 
-def _argmin_codes(marginals: np.ndarray, allowed_codes: list[int]) -> np.ndarray:
-    sub = marginals[:, allowed_codes]
+def extract_decision(marginals: np.ndarray, scheme: Scheme) -> Decision:
+    """Cheapest allowed tier per task; ties resolve in fixed L, H, C order."""
+    sub = np.asarray(marginals, dtype=np.float64)[:, [TIER_INDEX[t] for t in scheme.allowed_tiers]]
     if not np.all(np.isfinite(sub)):
         raise ValueError("marginal costs must be finite")
     picks = np.argmin(sub, axis=1)  # first minimum wins: the L < H < C tie order
-    return np.asarray(allowed_codes, dtype=np.int64)[picks]
+    return Decision(tuple(scheme.allowed_tiers[i] for i in picks))
 
 
-def extract_decision(marginals: np.ndarray, scheme: Scheme, tie_break: str = "lhc") -> Decision:
-    """Cheapest allowed tier per task; ties resolve in fixed L, H, C order."""
-    if tie_break != "lhc":
-        raise ValueError("the only supported tie_break policy is 'lhc'")
-    allowed_codes = [TIER_INDEX[t] for t in scheme.allowed_tiers]
-    codes = _argmin_codes(np.asarray(marginals, dtype=np.float64), allowed_codes)
-    return Decision(tuple(TIERS[c] for c in codes))
+def _share_loads(topology: Topology, ru, du, a, b, c, alpha, beta, gamma):
+    """Pool loads of recovered shares, in `_Pools.loads` order: per-RU MEC,
+    per-DU MEC, cloud, per-RU fronthaul and per-DU midhaul."""
+    return (
+        np.bincount(ru, weights=a, minlength=topology.num_rus),
+        np.bincount(du, weights=b, minlength=topology.num_dus),
+        c.sum(),
+        np.bincount(ru, weights=alpha + gamma, minlength=topology.num_rus),
+        np.bincount(du, weights=beta, minlength=topology.num_dus),
+    )
+
+
+def _point_loads(primal: RelaxedPoint, topology: Topology):
+    return _share_loads(
+        topology, topology.user_to_ru, topology.user_du,
+        primal.a, primal.b, primal.c, primal.alpha, primal.beta, primal.gamma,
+    )
+
+
+def _price_step(prices, loads, t: int, s0: DualState, floors: DualState, topology: Topology, clip: float):
+    """One projected subgradient step on the price tuple (mu, lam, rho, nu, xi)."""
+    mu, lam, rho, nu, xi = prices
+    mecl, mech, cloud, fh, mh = loads
+    cap_mecl, cap_mech, cap_cloud, cap_fh, cap_mh = _capacities(topology)
+    step = 1.0 / math.sqrt(t)
+    return (
+        np.maximum(floors.mu, mu + step * s0.mu * np.minimum(mecl - cap_mecl, clip * cap_mecl)),
+        np.maximum(floors.lam, lam + step * s0.lam * np.minimum(mech - cap_mech, clip * cap_mech)),
+        max(floors.rho, rho + step * s0.rho * min(cloud - cap_cloud, clip * cap_cloud)),
+        np.maximum(floors.nu, nu + step * s0.nu * np.minimum(fh - cap_fh, clip * cap_fh)),
+        np.maximum(floors.xi, xi + step * s0.xi * np.minimum(mh - cap_mh, clip * cap_mh)),
+    )
 
 
 def dual_update(
@@ -368,7 +405,7 @@ def dual_update(
     t: int,
     s0: DualState,
     floors: DualState,
-    clip: float = 1.0,
+    clip: float = _SUBGRADIENT_CLIP,
 ) -> DualState:
     """Projected subgradient ascent: price += (s0/sqrt(t)) * excess load,
     clipped at the floor.  Slack pools see negative excess and drift down.
@@ -380,56 +417,35 @@ def dual_update(
     """
     if t < 1:
         raise ValueError("iteration index must start at 1")
-    ru, du = topology.user_to_ru, topology.user_du
-    n_ru, n_du = topology.num_rus, topology.num_dus
-    step = 1.0 / math.sqrt(t)
+    loads = _point_loads(primal, topology)
+    return DualState(*_price_step(_price_tuple(duals), loads, t, s0, floors, topology, clip))
 
-    def excess(load, capacity):
-        return np.minimum(load - capacity, clip * capacity)
 
-    g_mu = excess(np.bincount(ru, weights=primal.a, minlength=n_ru), topology.mecl_capacity_hz)
-    g_lam = excess(np.bincount(du, weights=primal.b, minlength=n_du), topology.mech_capacity_hz)
-    g_rho = excess(primal.c.sum(), topology.cloud_capacity_hz)
-    g_nu = excess(
-        np.bincount(ru, weights=primal.alpha + primal.gamma, minlength=n_ru),
-        topology.fronthaul_capacity_hz,
-    )
-    g_xi = excess(np.bincount(du, weights=primal.beta, minlength=n_du), topology.midhaul_capacity_hz)
-
-    return DualState(
-        mu=np.maximum(floors.mu, duals.mu + step * s0.mu * g_mu),
-        lam=np.maximum(floors.lam, duals.lam + step * s0.lam * g_lam),
-        rho=max(floors.rho, duals.rho + step * s0.rho * float(g_rho)),
-        nu=np.maximum(floors.nu, duals.nu + step * s0.nu * g_nu),
-        xi=np.maximum(floors.xi, duals.xi + step * s0.xi * g_xi),
+def _peak_overload(loads, topology: Topology) -> float:
+    """max(load/capacity) - 1 over all pools, for loads in `_Pools.loads` order."""
+    mecl, mech, cloud, fh, mh = loads
+    return float(
+        max(
+            (mecl / topology.mecl_capacity_hz).max() - 1.0,
+            (mech / topology.mech_capacity_hz).max() - 1.0,
+            cloud / topology.cloud_capacity_hz - 1.0,
+            (fh / topology.fronthaul_capacity_hz).max() - 1.0,
+            (mh / topology.midhaul_capacity_hz).max() - 1.0,
+        )
     )
 
 
 def max_relative_violation(primal: RelaxedPoint, topology: Topology) -> float:
     """Largest (load - capacity)/capacity over all pools; negative when every
     pool is slack."""
-    ru, du = topology.user_to_ru, topology.user_du
-    rel = [
-        np.max(np.bincount(ru, weights=primal.a, minlength=topology.num_rus) / topology.mecl_capacity_hz - 1.0),
-        np.max(np.bincount(du, weights=primal.b, minlength=topology.num_dus) / topology.mech_capacity_hz - 1.0),
-        primal.c.sum() / topology.cloud_capacity_hz - 1.0,
-        np.max(
-            np.bincount(ru, weights=primal.alpha + primal.gamma, minlength=topology.num_rus)
-            / topology.fronthaul_capacity_hz
-            - 1.0
-        ),
-        np.max(np.bincount(du, weights=primal.beta, minlength=topology.num_dus) / topology.midhaul_capacity_hz - 1.0),
-    ]
-    return float(max(rel))
+    return _peak_overload(_point_loads(primal, topology), topology)
 
 
 def relaxed_objective(topology: Topology, tasks: TaskSet, primal: RelaxedPoint) -> float:
     """Relaxed transport+compute cost of an arbitrary point, with the
     perspective convention 0^2/0 = 0 (and +inf when weight > 0 but share = 0)."""
-    ru, du = topology.user_to_ru, topology.user_du
-    cycles = tasks.compute_cycles
-    fh_demand = tasks.data_bits / topology.fronthaul_se[ru]
-    mh_demand = tasks.data_bits / topology.midhaul_se[du]
+    pools = _Pools(tasks, topology)
+    cycles, fh_demand, mh_demand = pools.cycles, pools.fh_demand, pools.mh_demand
 
     def persp(weight, demand, share):
         total = 0.0
@@ -452,38 +468,34 @@ def relaxed_objective(topology: Topology, tasks: TaskSet, primal: RelaxedPoint) 
     )
 
 
+def _dual_value(marg: np.ndarray, allowed_codes, prices, topology: Topology) -> float:
+    """Cheapest allowed marginals summed over tasks minus the priced capacities."""
+    mu, lam, rho, nu, xi = prices
+    priced = (
+        mu @ topology.mecl_capacity_hz
+        + lam @ topology.mech_capacity_hz
+        + rho * topology.cloud_capacity_hz
+        + nu @ topology.fronthaul_capacity_hz
+        + xi @ topology.midhaul_capacity_hz
+    )
+    return float(marg[:, allowed_codes].min(axis=1).sum() - priced)
+
+
 def dual_value(duals: DualState, tasks: TaskSet, topology: Topology, scheme: Scheme) -> float:
     """Lagrangian dual function: cheapest-tier marginals summed over tasks
     minus the priced capacities.  A lower bound on the relaxed optimum."""
     marg = marginal_costs(duals, tasks, topology)
     allowed_codes = [TIER_INDEX[t] for t in scheme.allowed_tiers]
-    inner = float(marg[:, allowed_codes].min(axis=1).sum())
-    priced = (
-        float(duals.mu @ topology.mecl_capacity_hz)
-        + float(duals.lam @ topology.mech_capacity_hz)
-        + duals.rho * topology.cloud_capacity_hz
-        + float(duals.nu @ topology.fronthaul_capacity_hz)
-        + float(duals.xi @ topology.midhaul_capacity_hz)
-    )
-    return inner - priced
-
-
-def _one_hot(codes: np.ndarray) -> np.ndarray:
-    x = np.zeros((codes.size, 3))
-    x[np.arange(codes.size), codes] = 1.0
-    return x
+    return _dual_value(marg, allowed_codes, _price_tuple(duals), topology)
 
 
 def _clearing_prices(codes: np.ndarray, pools: _Pools, floors: DualState):
     """Prices that make every pool used by `codes` exactly tight (recovered
     shares equal to the exact allocation); unused pools drop to their floor."""
-    topo = pools.topology
-    w_mecl, w_mech, w_cloud, w_fh, w_mh = pools.loads(codes)
-    mu = np.where(w_mecl > 0, (w_mecl / topo.mecl_capacity_hz) ** 2, floors.mu)
-    lam = np.where(w_mech > 0, (w_mech / topo.mech_capacity_hz) ** 2, floors.lam)
-    rho = (w_cloud / topo.cloud_capacity_hz) ** 2 if w_cloud > 0 else floors.rho
-    nu = np.where(w_fh > 0, (w_fh / topo.fronthaul_capacity_hz) ** 2, floors.nu)
-    xi = np.where(w_mh > 0, (w_mh / topo.midhaul_capacity_hz) ** 2, floors.xi)
+    mu, lam, rho, nu, xi = (
+        np.where(w > 0, (w / cap) ** 2, floor)
+        for w, cap, floor in zip(pools.loads(codes), _capacities(pools.topology), _price_tuple(floors))
+    )
     return mu, lam, float(rho), nu, xi
 
 
@@ -504,19 +516,10 @@ def _local_search(codes: np.ndarray, objective: float, allowed_codes: list[int],
     incumbent's: the descent picks the same moves as exact re-scoring of every
     neighbour, and the returned objective is always an exact value.
     """
-    topo = pools.topology
     n = codes.size
     n_ru, n_du = pools.num_rus, pools.num_dus
     # Pool layout: per-RU MEC, per-DU MEC, cloud, per-RU fronthaul, per-DU midhaul.
-    inv_cap = 1.0 / np.concatenate(
-        (
-            topo.mecl_capacity_hz,
-            topo.mech_capacity_hz,
-            [topo.cloud_capacity_hz],
-            topo.fronthaul_capacity_hz,
-            topo.midhaul_capacity_hz,
-        )
-    )
+    inv_cap = 1.0 / np.hstack(_capacities(pools.topology))
     # member[k, tier]: what task k adds to each pool sum when placed on tier.
     member = np.zeros((n, 3, inv_cap.size))
     k = np.arange(n)
@@ -536,8 +539,7 @@ def _local_search(codes: np.ndarray, objective: float, allowed_codes: list[int],
         keep = move_code != codes[move_task]
         move_task, move_code = move_task[keep], move_code[keep]
         delta = member[move_task, move_code] - member[move_task, codes[move_task]]
-        mecl, mech, cloud, fh, mh = pools.loads(codes)
-        load = np.concatenate((mecl, mech, [cloud], fh, mh))
+        load = np.hstack(pools.loads(codes))
         single = delta @ (2.0 * load * inv_cap) + (delta * delta) @ inv_cap
         m = single.size
 
@@ -643,24 +645,15 @@ def solve(
         consider(np.full(tasks.num_tasks, code, dtype=np.int64))
 
     init = initial_duals(topology, tasks)
-    s0 = subgradient_steps(init, topology, config.step_scale)
-    floors = dual_floors(init, config.dual_floor_scale)
+    s0 = subgradient_steps(init, topology, _STEP_SCALE)
+    floors = dual_floors(init, _DUAL_FLOOR_SCALE)
 
-    # Hot loop state as raw arrays; DualState/RelaxedPoint wrap them only at
-    # the public boundaries.
-    mu, lam, rho = init.mu.copy(), init.lam.copy(), init.rho
-    nu, xi = init.nu.copy(), init.xi.copy()
+    # Hot loop state is a raw price tuple; DualState/RelaxedPoint wrap it only
+    # at the public boundaries.
+    prices = _price_tuple(init)
     ru, du = pools.ru, pools.du
-    n_ru, n_du = pools.num_rus, pools.num_dus
-    cap_mecl, cap_mech = topology.mecl_capacity_hz, topology.mech_capacity_hz
-    cap_cloud = topology.cloud_capacity_hz
-    cap_fh, cap_mh = topology.fronthaul_capacity_hz, topology.midhaul_capacity_hz
-    priced_caps = lambda: (  # noqa: E731 - tiny local closure
-        mu @ cap_mecl + lam @ cap_mech + rho * cap_cloud + nu @ cap_fh + xi @ cap_mh
-    )
     allowed_arr = np.asarray(allowed_codes, dtype=np.int64)
     rows = np.arange(tasks.num_tasks)
-    clip = config.subgradient_clip
 
     dual_trace: list[float] = []
     cand_trace: list[float] = []
@@ -672,72 +665,55 @@ def solve(
     stable = 0
     since_improve = 0
     frozen = False
-    polished = False
     converged = False
     iterations = 0
 
     for t in range(1, config.max_iters + 1):
         iterations = t
+        mu, lam, rho, nu, xi = prices
         mu_k, lam_k, nu_k, xi_k = mu[ru], lam[du], nu[ru], xi[du]
-        fh_term = 2.0 * np.sqrt(pools.fh_demand * nu_k)
-        marg = np.column_stack(
-            (
-                2.0 * np.sqrt(pools.cycles * mu_k),
-                2.0 * np.sqrt(pools.cycles * lam_k) + fh_term,
-                2.0 * np.sqrt(pools.cycles * rho) + fh_term + 2.0 * np.sqrt(pools.mh_demand * xi_k),
-            )
-        )
+        marg = _marginals(pools, mu_k, lam_k, rho, nu_k, xi_k)
         if frozen:
             codes = best_codes
         else:
             codes = allowed_arr[np.argmin(marg[:, allowed_arr], axis=1)]
-            if prev_codes is not None and config.decision_hysteresis > 0:
+            if prev_codes is not None:
                 # A task only moves when the cheapest tier beats its current
                 # one by a clear relative margin; marginal near-ties otherwise
                 # make tasks flap between tiers forever as prices dither.
-                keep = marg[rows, codes] >= (1.0 - config.decision_hysteresis) * marg[rows, prev_codes]
+                keep = marg[rows, codes] >= (1.0 - _DECISION_HYSTERESIS) * marg[rows, prev_codes]
                 codes = np.where(keep, prev_codes, codes)
             prev_codes = codes
 
         mask_l, mask_h, mask_c = codes == _CODE_L, codes == _CODE_H, codes == _CODE_C
-        a = np.where(mask_l, np.sqrt(pools.cycles / mu_k), 0.0)
-        b = np.where(mask_h, np.sqrt(pools.cycles / lam_k), 0.0)
-        c = np.where(mask_c, np.sqrt(pools.cycles / rho), 0.0)
         fh_share = np.sqrt(pools.fh_demand / nu_k)
-        alpha = np.where(mask_h, fh_share, 0.0)
-        gamma = np.where(mask_c, fh_share, 0.0)
-        beta = np.where(mask_c, np.sqrt(pools.mh_demand / xi_k), 0.0)
-
-        load_mecl = np.bincount(ru, weights=a, minlength=n_ru)
-        load_mech = np.bincount(du, weights=b, minlength=n_du)
-        load_cloud = c.sum()
-        load_fh = np.bincount(ru, weights=alpha + gamma, minlength=n_ru)
-        load_mh = np.bincount(du, weights=beta, minlength=n_du)
-
-        violation = max(
-            np.max(load_mecl / cap_mecl) - 1.0,
-            np.max(load_mech / cap_mech) - 1.0,
-            load_cloud / cap_cloud - 1.0,
-            np.max(load_fh / cap_fh) - 1.0,
-            np.max(load_mh / cap_mh) - 1.0,
+        loads = _share_loads(
+            topology, ru, du,
+            np.where(mask_l, np.sqrt(pools.cycles / mu_k), 0.0),
+            np.where(mask_h, np.sqrt(pools.cycles / lam_k), 0.0),
+            np.where(mask_c, np.sqrt(pools.cycles / rho), 0.0),
+            np.where(mask_h, fh_share, 0.0),
+            np.where(mask_c, np.sqrt(pools.mh_demand / xi_k), 0.0),
+            np.where(mask_c, fh_share, 0.0),
         )
+        violation = _peak_overload(loads, topology)
         previous_best = best_obj
         cand_trace.append(consider(codes))
         # Only a materially better plan resets the stall clock; float-noise
         # improvements would defer the pricing phase forever.
         since_improve = 0 if best_obj < previous_best * (1.0 - 1e-9) else since_improve + 1
         best_trace.append(best_obj)
-        dual_trace.append(float(marg[:, allowed_arr].min(axis=1).sum() - priced_caps()))
-        viol_trace.append(float(violation))
+        dual_trace.append(_dual_value(marg, allowed_arr, prices, topology))
+        viol_trace.append(violation)
 
         key = codes.tobytes()
         stable = stable + 1 if key == prev_key else 1
         prev_key = key
-        if stable >= config.stability_window and violation < config.epsilon:
+        if stable >= _STABILITY_WINDOW and violation < config.epsilon:
             converged = True
             break
 
-        if not frozen and since_improve >= config.freeze_after:
+        if not frozen and since_improve >= _FREEZE_AFTER:
             # Exploration has stalled: the winner-take-all iterates rarely
             # settle on their own, because the relaxed optimum splits marginal
             # tasks across tiers.  Polish the incumbent by single-swap
@@ -745,23 +721,16 @@ def solve(
             # clearing values (the dual counterpart of the final exact
             # re-allocation); the subgradient updates then hold them there and
             # the recovered shares match the returned allocation.
-            if config.local_search and not polished:
-                best_codes, best_obj = _local_search(best_codes, best_obj, allowed_codes, pools)
-                polished = True
+            best_codes, best_obj = _local_search(best_codes, best_obj, allowed_codes, pools)
             frozen = True
-            mu, lam, rho, nu, xi = _clearing_prices(best_codes, pools, floors)
+            prices = _clearing_prices(best_codes, pools, floors)
             continue  # this iterate's loads predate the re-initialized prices
 
-        step = 1.0 / math.sqrt(t)
-        mu = np.maximum(floors.mu, mu + step * s0.mu * np.minimum(load_mecl - cap_mecl, clip * cap_mecl))
-        lam = np.maximum(floors.lam, lam + step * s0.lam * np.minimum(load_mech - cap_mech, clip * cap_mech))
-        rho = max(floors.rho, rho + step * s0.rho * min(load_cloud - cap_cloud, clip * cap_cloud))
-        nu = np.maximum(floors.nu, nu + step * s0.nu * np.minimum(load_fh - cap_fh, clip * cap_fh))
-        xi = np.maximum(floors.xi, xi + step * s0.xi * np.minimum(load_mh - cap_mh, clip * cap_mh))
+        prices = _price_step(prices, loads, t, s0, floors, topology, _SUBGRADIENT_CLIP)
 
-    duals = DualState(mu=mu, lam=lam, rho=rho, nu=nu, xi=xi)
+    duals = DualState(*prices)
 
-    if config.local_search and not polished:
+    if not frozen:  # a frozen incumbent was polished when it froze
         best_codes, best_obj = _local_search(best_codes, best_obj, allowed_codes, pools)
 
     decision = Decision(tuple(TIERS[c] for c in best_codes))

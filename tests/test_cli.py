@@ -178,6 +178,8 @@ def test_bad_sweep_flag_is_an_error(capsys):
         ("--epsilon", "nan", "epsilon"),
         ("--epsilon", "inf", "epsilon"),
         ("--max-iters", "0", "max_iters"),
+        ("--workers", "0", "workers"),
+        ("--workers", "-2", "workers"),
     ):
         assert main(["--sweep", "fl=1e9:2e9:2", "--users", "2", flag, value]) == 2
         assert message in capsys.readouterr().err
@@ -186,6 +188,8 @@ def test_bad_sweep_flag_is_an_error(capsys):
 def test_oracle_check_above_cap_is_an_error(capsys):
     assert main(["--oracle-check", "--users", "8", "--rus", "2", "--dus", "1", "--scheme", "fog"]) == 2
     assert "enumeration cap" in capsys.readouterr().err
+    assert main(["--oracle-check", "--users", "4", "--realizations", "0"]) == 2
+    assert "realizations" in capsys.readouterr().err
 
 
 def test_broken_scenario_file_is_an_error(tmp_path, capsys):
@@ -203,6 +207,9 @@ def test_set_overrides_apply(capsys):
     assert main(args) == 0
     assert "scheme=cloud" in capsys.readouterr().out
     assert main(["--seed", "2", "--users", "3", "--set", "oops=1"]) == 2
+    capsys.readouterr()
+    assert main(["--seed", "2", "--users", "3", "--set", "fl=1e9,2e9,3e9"]) == 2
+    assert "LO,HI" in capsys.readouterr().err
 
 
 def test_sweepspec_validation():
