@@ -112,6 +112,8 @@ def generate_channels(
     """Draw each user's serving-RU channel: sqrt(path loss) times a vector of
     independent zero-mean unit-variance complex normal entries.  Deterministic
     per seed."""
+    if num_antennas < 1:
+        raise ValueError(f"num_antennas must be at least 1, got {num_antennas}")
     ru_pos = np.asarray(ru_positions_m, dtype=np.float64)
     user_pos = np.asarray(user_positions_m, dtype=np.float64)
     n_user = topology.num_users

@@ -17,8 +17,15 @@ capacity, price floor 1e-12 of the initial price, tier-change hysteresis 1e-3,
 freeze after 150 iterations without a material improvement, and a stability
 window of 25 identical decisions.  `SolverConfig` holds only the stopping
 rule: `epsilon` and `max_iters`.  Each formula the loop uses (marginal prices,
-share loads, peak overload, dual value, price step) is one private kernel
-that the loop and its exported wrapper both call.
+tier pick, share loads, peak overload, dual value, price step) is one private
+kernel that the loop and its exported wrapper both call.
+
+Outside the price loop the pools are one vector, in the order per-RU MEC,
+per-DU MEC, cloud, per-RU fronthaul, per-DU midhaul.  `_Pools` owns that
+layout: its `member[k, tier, p]` holds the square root of task k's demand on
+pool p under `tier` (0 where the tier does not use the pool), so the pool
+loads, the exact objective sum_p W_p^2 / F_p, the polish and the exact
+allocation (share = F_p sqrt(demand) / W_p) all read the same matrix.
 
 Before that re-allocation the best assignment is polished by single- and
 pair-move descent (`_local_search`).  The descent scores every move in closed
@@ -145,54 +152,55 @@ class SolveResult:
 
 
 class _Pools:
-    """Pool bookkeeping shared by exact evaluation and closed-form allocation.
+    """The capacity pools of one problem and the tasks' sqrt demands on them.
 
     Within one capacity pool the optimal split of capacity F over demands w is
     proportional to sqrt(w), which gives the pool cost (sum sqrt(w))^2 / F.
+
+    Pool vectors are in one order: per-RU MEC, per-DU MEC, cloud, per-RU
+    fronthaul, per-DU midhaul.  `capacity` holds each pool's capacity in that
+    order, and `member[k, tier, p]` is the square root of task k's demand on
+    pool p when it runs on `tier` (0 for pools that tier does not use).
     """
 
     def __init__(self, tasks: TaskSet, topology: Topology):
-        self.topology = topology
         self.ru = topology.user_to_ru
         self.du = topology.user_du
-        self.num_rus = topology.num_rus
-        self.num_dus = topology.num_dus
         self.cycles = tasks.compute_cycles
         self.fh_demand = tasks.data_bits / topology.fronthaul_se[self.ru]
         self.mh_demand = tasks.data_bits / topology.midhaul_se[self.du]
-        self.sqrt_cycles = np.sqrt(self.cycles)
-        self.sqrt_fh_demand = np.sqrt(self.fh_demand)
-        self.sqrt_mh_demand = np.sqrt(self.mh_demand)
+        caps = _capacities(topology)
+        self.capacity = np.hstack(caps)
+        # index of each pool family's first pool in the pool vector
+        self.starts = np.cumsum([0] + [np.size(cap) for cap in caps[:-1]])
+        mecl, mech, cloud, fh, mh = self.starts
+        self.rows = np.arange(tasks.num_tasks)
+        k, sqrt_cycles, sqrt_fh = self.rows, np.sqrt(self.cycles), np.sqrt(self.fh_demand)
+        self.member = np.zeros((k.size, 3, self.capacity.size))
+        self.member[k, _CODE_L, mecl + self.ru] = sqrt_cycles
+        self.member[k, _CODE_H, mech + self.du] = sqrt_cycles
+        self.member[k, _CODE_H, fh + self.ru] = sqrt_fh
+        self.member[k, _CODE_C, cloud] = sqrt_cycles
+        self.member[k, _CODE_C, fh + self.ru] = sqrt_fh
+        self.member[k, _CODE_C, mh + self.du] = np.sqrt(self.mh_demand)
 
-    def loads(self, codes: np.ndarray):
-        """Pool sums of sqrt demands under an integer assignment: per-RU MEC,
-        per-DU MEC, cloud (a scalar), per-RU fronthaul and per-DU midhaul."""
-        mask_l = codes == _CODE_L
-        mask_h = codes == _CODE_H
-        mask_c = codes == _CODE_C
-        mask_hc = mask_h | mask_c
-        mecl = np.bincount(self.ru[mask_l], weights=self.sqrt_cycles[mask_l], minlength=self.num_rus)
-        mech = np.bincount(self.du[mask_h], weights=self.sqrt_cycles[mask_h], minlength=self.num_dus)
-        cloud = self.sqrt_cycles[mask_c].sum()
-        fh = np.bincount(self.ru[mask_hc], weights=self.sqrt_fh_demand[mask_hc], minlength=self.num_rus)
-        mh = np.bincount(self.du[mask_c], weights=self.sqrt_mh_demand[mask_c], minlength=self.num_dus)
-        return mecl, mech, cloud, fh, mh
+    def loads(self, codes: np.ndarray) -> np.ndarray:
+        """Pool sums of sqrt demands under an integer assignment."""
+        return self.member[self.rows, codes].sum(axis=0)
 
     def objective(self, codes: np.ndarray) -> float:
         """Minimal offload cost (access excluded) for an integer assignment."""
-        topo = self.topology
-        mecl, mech, cloud, fh, mh = self.loads(codes)
-        return float(
-            np.sum(mecl**2 / topo.mecl_capacity_hz)
-            + np.sum(mech**2 / topo.mech_capacity_hz)
-            + cloud**2 / topo.cloud_capacity_hz
-            + np.sum(fh**2 / topo.fronthaul_capacity_hz)
-            + np.sum(mh**2 / topo.midhaul_capacity_hz)
-        )
+        return float((self.loads(codes) ** 2 / self.capacity).sum())
+
+    def split(self, pool_vector: np.ndarray):
+        """A pool vector as (per-RU MEC, per-DU MEC, cloud scalar, per-RU
+        fronthaul, per-DU midhaul), the `DualState` order."""
+        mecl, mech, cloud, fh, mh = np.split(pool_vector, self.starts[1:])
+        return mecl, mech, float(cloud[0]), fh, mh
 
 
 def _capacities(topology: Topology):
-    """Pool capacities in `_Pools.loads` order."""
+    """Pool capacities in `DualState` order."""
     return (
         topology.mecl_capacity_hz,
         topology.mech_capacity_hz,
@@ -203,7 +211,7 @@ def _capacities(topology: Topology):
 
 
 def _price_tuple(duals: DualState):
-    """Prices in `_Pools.loads` order: (mu, lam, rho, nu, xi)."""
+    """Prices as a tuple in `DualState` order: (mu, lam, rho, nu, xi)."""
     return duals.mu, duals.lam, duals.rho, duals.nu, duals.xi
 
 
@@ -219,56 +227,22 @@ def allocate_given_decision(decision: Decision, tasks: TaskSet, topology: Topolo
     proportionally to the square root of each member's demand."""
     if len(decision) != tasks.num_tasks:
         raise ValueError("decision and task set sizes differ")
-    codes = decision.codes
     pools = _Pools(tasks, topology)
-    mecl_speed: dict[int, float] = {}
-    mech_speed: dict[int, float] = {}
-    cloud_speed: dict[int, float] = {}
-    fronthaul_bw: dict[int, float] = {}
-    midhaul_bw: dict[int, float] = {}
-
-    mecl, mech, cloud, fh, mh = pools.loads(codes)
-    mask_l = codes == _CODE_L
-    mask_h = codes == _CODE_H
-    mask_c = codes == _CODE_C
-    mask_hc = mask_h | mask_c
-
-    for k in np.flatnonzero(mask_l):
-        i = pools.ru[k]
-        mecl_speed[int(k)] = float(
-            topology.mecl_capacity_hz[i] * pools.sqrt_cycles[k] / mecl[i]
-        )
-    for k in np.flatnonzero(mask_h):
-        j = pools.du[k]
-        mech_speed[int(k)] = float(topology.mech_capacity_hz[j] * pools.sqrt_cycles[k] / mech[j])
-    for k in np.flatnonzero(mask_c):
-        cloud_speed[int(k)] = float(topology.cloud_capacity_hz * pools.sqrt_cycles[k] / cloud)
-    for k in np.flatnonzero(mask_hc):
-        i = pools.ru[k]
-        fronthaul_bw[int(k)] = float(
-            topology.fronthaul_capacity_hz[i] * pools.sqrt_fh_demand[k] / fh[i]
-        )
-    for k in np.flatnonzero(mask_c):
-        j = pools.du[k]
-        midhaul_bw[int(k)] = float(topology.midhaul_capacity_hz[j] * pools.sqrt_mh_demand[k] / mh[j])
-
-    return Allocation(
-        mecl_speed=mecl_speed,
-        mech_speed=mech_speed,
-        cloud_speed=cloud_speed,
-        fronthaul_bw=fronthaul_bw,
-        midhaul_bw=midhaul_bw,
-    )
+    sqrt_demand = pools.member[pools.rows, decision.codes]
+    k, p = np.nonzero(sqrt_demand)  # task-major, so each map fills in task order
+    share = pools.capacity[p] * sqrt_demand[k, p] / pools.loads(decision.codes)[p]
+    family = np.searchsorted(pools.starts, p, side="right") - 1
+    return Allocation(*(dict(zip(k[family == f].tolist(), share[family == f].tolist())) for f in range(5)))
 
 
 def initial_duals(topology: Topology, tasks: TaskSet) -> DualState:
     """Prices that would make each pool exactly tight if every task used it;
     the right order of magnitude wherever the pool could possibly be active."""
     pools = _Pools(tasks, topology)
-    # A pool's all-members sum is its load under a uniform plan that uses it.
-    on_l, on_h, on_c = (pools.loads(np.full(tasks.num_tasks, code)) for code in (_CODE_L, _CODE_H, _CODE_C))
-    sums = on_l[0], on_h[1], on_c[2], on_c[3], on_c[4]
-    return DualState(*((w / cap) ** 2 for w, cap in zip(sums, _capacities(topology))))
+    # A pool's all-members sum is its load under a uniform plan that uses it;
+    # the fronthaul sums under H and under C are the same.
+    all_members = pools.member.sum(axis=0).max(axis=0)
+    return DualState(*pools.split((all_members / pools.capacity) ** 2))
 
 
 def subgradient_steps(init: DualState, topology: Topology, step_scale: float) -> DualState:
@@ -355,17 +329,23 @@ def marginal_costs(duals: DualState, tasks: TaskSet, topology: Topology) -> np.n
     return _marginals(pools, mu_k, lam_k, duals.rho, nu_k, xi_k)
 
 
+def _pick_tiers(marg: np.ndarray, allowed_codes: np.ndarray) -> np.ndarray:
+    """Code of the cheapest allowed tier per task; the first minimum wins, so
+    ties resolve in L, H, C order."""
+    return allowed_codes[np.argmin(marg[:, allowed_codes], axis=1)]
+
+
 def extract_decision(marginals: np.ndarray, scheme: Scheme) -> Decision:
     """Cheapest allowed tier per task; ties resolve in fixed L, H, C order."""
-    sub = np.asarray(marginals, dtype=np.float64)[:, [TIER_INDEX[t] for t in scheme.allowed_tiers]]
-    if not np.all(np.isfinite(sub)):
+    marg = np.asarray(marginals, dtype=np.float64)
+    allowed_codes = np.array([TIER_INDEX[t] for t in scheme.allowed_tiers])
+    if not np.all(np.isfinite(marg[:, allowed_codes])):
         raise ValueError("marginal costs must be finite")
-    picks = np.argmin(sub, axis=1)  # first minimum wins: the L < H < C tie order
-    return Decision(tuple(scheme.allowed_tiers[i] for i in picks))
+    return Decision(tuple(TIERS[c] for c in _pick_tiers(marg, allowed_codes)))
 
 
 def _share_loads(topology: Topology, ru, du, a, b, c, alpha, beta, gamma):
-    """Pool loads of recovered shares, in `_Pools.loads` order: per-RU MEC,
+    """Pool loads of recovered shares, in `DualState` order: per-RU MEC,
     per-DU MEC, cloud, per-RU fronthaul and per-DU midhaul."""
     return (
         np.bincount(ru, weights=a, minlength=topology.num_rus),
@@ -422,7 +402,7 @@ def dual_update(
 
 
 def _peak_overload(loads, topology: Topology) -> float:
-    """max(load/capacity) - 1 over all pools, for loads in `_Pools.loads` order."""
+    """max(load/capacity) - 1 over all pools, for loads in `DualState` order."""
     mecl, mech, cloud, fh, mh = loads
     return float(
         max(
@@ -492,11 +472,8 @@ def dual_value(duals: DualState, tasks: TaskSet, topology: Topology, scheme: Sch
 def _clearing_prices(codes: np.ndarray, pools: _Pools, floors: DualState):
     """Prices that make every pool used by `codes` exactly tight (recovered
     shares equal to the exact allocation); unused pools drop to their floor."""
-    mu, lam, rho, nu, xi = (
-        np.where(w > 0, (w / cap) ** 2, floor)
-        for w, cap, floor in zip(pools.loads(codes), _capacities(pools.topology), _price_tuple(floors))
-    )
-    return mu, lam, float(rho), nu, xi
+    w = pools.loads(codes)
+    return pools.split(np.where(w > 0, (w / pools.capacity) ** 2, np.hstack(_price_tuple(floors))))
 
 
 def _local_search(codes: np.ndarray, objective: float, allowed_codes: list[int], pools: _Pools):
@@ -516,30 +493,16 @@ def _local_search(codes: np.ndarray, objective: float, allowed_codes: list[int],
     incumbent's: the descent picks the same moves as exact re-scoring of every
     neighbour, and the returned objective is always an exact value.
     """
-    n = codes.size
-    n_ru, n_du = pools.num_rus, pools.num_dus
-    # Pool layout: per-RU MEC, per-DU MEC, cloud, per-RU fronthaul, per-DU midhaul.
-    inv_cap = 1.0 / np.hstack(_capacities(pools.topology))
-    # member[k, tier]: what task k adds to each pool sum when placed on tier.
-    member = np.zeros((n, 3, inv_cap.size))
-    k = np.arange(n)
-    fh_col = n_ru + n_du + 1 + pools.ru
-    member[k, _CODE_L, pools.ru] = pools.sqrt_cycles
-    member[k, _CODE_H, n_ru + pools.du] = pools.sqrt_cycles
-    member[k, _CODE_H, fh_col] = pools.sqrt_fh_demand
-    member[k, _CODE_C, n_ru + n_du] = pools.sqrt_cycles
-    member[k, _CODE_C, fh_col] = pools.sqrt_fh_demand
-    member[k, _CODE_C, 2 * n_ru + n_du + 1 + pools.du] = pools.sqrt_mh_demand
-
+    member, inv_cap = pools.member, 1.0 / pools.capacity
     allowed = np.asarray(allowed_codes, dtype=np.int64)
     codes = codes.copy()
     while True:
-        move_task = np.repeat(k, allowed.size)
-        move_code = np.tile(allowed, n)
+        move_task = np.repeat(pools.rows, allowed.size)
+        move_code = np.tile(allowed, codes.size)
         keep = move_code != codes[move_task]
         move_task, move_code = move_task[keep], move_code[keep]
         delta = member[move_task, move_code] - member[move_task, codes[move_task]]
-        load = np.hstack(pools.loads(codes))
+        load = pools.loads(codes)
         single = delta @ (2.0 * load * inv_cap) + (delta * delta) @ inv_cap
         m = single.size
 
@@ -676,7 +639,7 @@ def solve(
         if frozen:
             codes = best_codes
         else:
-            codes = allowed_arr[np.argmin(marg[:, allowed_arr], axis=1)]
+            codes = _pick_tiers(marg, allowed_arr)
             if prev_codes is not None:
                 # A task only moves when the cheapest tier beats its current
                 # one by a clear relative margin; marginal near-ties otherwise

@@ -180,6 +180,8 @@ def test_bad_sweep_flag_is_an_error(capsys):
         ("--max-iters", "0", "max_iters"),
         ("--workers", "0", "workers"),
         ("--workers", "-2", "workers"),
+        ("--antennas", "0", "num_antennas"),
+        ("--antennas", "-1", "num_antennas"),
     ):
         assert main(["--sweep", "fl=1e9:2e9:2", "--users", "2", flag, value]) == 2
         assert message in capsys.readouterr().err

@@ -292,17 +292,35 @@ def test_equal_demands_split_equally(make_topology, make_tasks):
 
 
 def test_offload_objective_matches_allocation_total(make_topology, make_tasks, random_instance):
-    scenario, rates = random_instance(seed=5, num_users=6, num_rus=3, num_dus=2)
-    topo, tasks = scenario.topology, scenario.tasks
+    # besides matching the objective, every pool a plan uses is split exactly:
+    # shares go to just the tasks whose tier draws on it and sum to its capacity
     rng = np.random.default_rng(1)
     from fogplan.phy import access_delay
-    access = sum(access_delay(float(tasks.data_bits[k]), rates[k]) for k in range(6))
-    for _ in range(20):
-        decision = Decision(tuple(rng.choice(["L", "H", "C"], size=6)))
-        alloc = allocate_given_decision(decision, tasks, topo)
-        exact = total_delay(topo, tasks, decision, alloc, rates)
-        assert offload_objective(decision, tasks, topo) + access == pytest.approx(exact, rel=1e-12)
-        assert check_feasibility(topo, tasks, decision, alloc) == []
+    for num_users, num_rus in ((6, 3), (12, 4)):
+        scenario, rates = random_instance(seed=5, num_users=num_users, num_rus=num_rus, num_dus=2)
+        topo, tasks = scenario.topology, scenario.tasks
+        access = sum(access_delay(float(tasks.data_bits[k]), rates[k]) for k in range(num_users))
+        families = (  # allocation map, tiers that use it, each task's pool, pool capacities
+            ("mecl_speed", "L", topo.user_to_ru, topo.mecl_capacity_hz),
+            ("mech_speed", "H", topo.user_du, topo.mech_capacity_hz),
+            ("cloud_speed", "C", np.zeros(num_users, dtype=int), np.array([topo.cloud_capacity_hz])),
+            ("fronthaul_bw", "HC", topo.user_to_ru, topo.fronthaul_capacity_hz),
+            ("midhaul_bw", "C", topo.user_du, topo.midhaul_capacity_hz),
+        )
+        for scheme in Scheme:
+            for _ in range(10):
+                decision = Decision(tuple(rng.choice(scheme.allowed_tiers, size=num_users)))
+                alloc = allocate_given_decision(decision, tasks, topo)
+                exact = total_delay(topo, tasks, decision, alloc, rates)
+                assert offload_objective(decision, tasks, topo) + access == pytest.approx(exact, rel=1e-12)
+                assert check_feasibility(topo, tasks, decision, alloc) == []
+                for name, tiers, pool_of, capacity in families:
+                    shares = getattr(alloc, name)
+                    members = [k for k, tier in enumerate(decision.tiers) if tier in tiers]
+                    assert sorted(shares) == members, name
+                    used = np.unique(pool_of[members]).astype(int)
+                    totals = np.bincount(pool_of[members], weights=[shares[k] for k in members], minlength=capacity.size)
+                    np.testing.assert_allclose(totals[used], capacity[used], rtol=1e-12, err_msg=name)
 
 
 # --- solve -------------------------------------------------------------------
@@ -508,10 +526,6 @@ def test_pair_move_delta_identity(random_instance):
          topo.fronthaul_capacity_hz, topo.midhaul_capacity_hz)
     )
 
-    def pool_sums(codes):
-        mecl, mech, cloud, fh, mh = pools.loads(codes)
-        return np.concatenate((mecl, mech, [cloud], fh, mh))
-
     def moved(codes, *moves):
         out = codes.copy()
         for k, code in moves:
@@ -530,9 +544,9 @@ def test_pair_move_delta_identity(random_instance):
     for (k1, from1, to1), (k2, from2, to2), shared in cases:
         codes = rng.choice([L, H, C], size=6).astype(np.int64)
         codes[k1], codes[k2] = from1, from2
-        w = pool_sums(codes)
-        d1 = pool_sums(moved(codes, (k1, to1))) - w
-        d2 = pool_sums(moved(codes, (k2, to2))) - w
+        w = pools.loads(codes)
+        d1 = pools.loads(moved(codes, (k1, to1))) - w
+        d2 = pools.loads(moved(codes, (k2, to2))) - w
         delta1 = (2 * w * d1 + d1 * d1) @ inv_cap
         delta2 = (2 * w * d2 + d2 * d2) @ inv_cap
         cross = 2 * (d1 * d2) @ inv_cap
