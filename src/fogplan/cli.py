@@ -84,6 +84,8 @@ class SweepSpec:
             raise ValueError("realizations must be at least 1")
         if not (self.start > 0 and self.stop > 0):
             raise ValueError("sweep range must be strictly positive")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"sweep range of {name} must be finite")
 
     def values(self) -> list[float]:
         grid = np.linspace(self.start, self.stop, self.steps)

@@ -155,7 +155,7 @@ def mmse_beamformer(channels: ChannelSet, ru: int) -> Beamformer:
 def mmse_beamformers(channels: ChannelSet) -> Beamformer:
     """MMSE vectors for all users, ordered by user index."""
     u = np.zeros((channels.num_users, channels.num_antennas), dtype=np.complex128)
-    for ru in np.unique(channels.user_to_ru):
+    for ru in np.flatnonzero(np.bincount(channels.user_to_ru)):
         bf = mmse_beamformer(channels, int(ru))
         u[bf.users] = bf.u
     return Beamformer(users=np.arange(channels.num_users), u=u)
@@ -196,7 +196,7 @@ def uplink_rates(topology: Topology, channels: ChannelSet) -> np.ndarray:
     if not np.array_equal(topology.user_to_ru, channels.user_to_ru):
         raise ValueError("topology and channels disagree on user-to-RU assignment")
     rates = np.zeros(channels.num_users)
-    for ru in np.unique(channels.user_to_ru):
+    for ru in np.flatnonzero(np.bincount(channels.user_to_ru)):
         bf = mmse_beamformer(channels, int(ru))
         band = topology.uplink_bandwidth_hz[int(ru)]
         for k in bf.users:

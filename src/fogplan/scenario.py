@@ -224,6 +224,8 @@ def _draw(rng: np.random.Generator, name: str, value, n: int) -> np.ndarray:
         if len(value) != 2:
             raise ValueError(f"{name} range must be a (low, high) pair")
         lo, hi = float(value[0]), float(value[1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{name} range must be finite: ({lo}, {hi})")
         if lo > hi:
             raise ValueError(f"{name} range is inverted: ({lo}, {hi})")
         return rng.uniform(lo, hi, size=n)
@@ -240,6 +242,8 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
         raise ValueError("num_users, num_rus and num_dus must all be strictly positive")
     for name in ("data_bits_range", "cycles_per_bit_range"):
         lo, hi = getattr(spec, name)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{name} must be finite: ({lo}, {hi})")
         if lo > hi:
             raise ValueError(f"{name} is inverted: ({lo}, {hi})")
         if lo <= 0:

@@ -20,18 +20,24 @@ rule: `epsilon` and `max_iters`.  Each formula the loop uses (marginal prices,
 tier pick, share loads, peak overload, dual value, price step) is one private
 kernel that the loop and its exported wrapper both call.
 
-Outside the price loop the pools are one vector, in the order per-RU MEC,
-per-DU MEC, cloud, per-RU fronthaul, per-DU midhaul.  `_Pools` owns that
-layout: its `member[k, tier, p]` holds the square root of task k's demand on
-pool p under `tier` (0 where the tier does not use the pool), so the pool
-loads, the exact objective sum_p W_p^2 / F_p, the polish and the exact
-allocation (share = F_p sqrt(demand) / W_p) all read the same matrix.
+The pools are one vector everywhere, in the order per-RU MEC, per-DU MEC,
+cloud, per-RU fronthaul, per-DU midhaul, and `_Pools` owns that layout.  Each
+task and tier draws on at most three pools (compute, fronthaul, midhaul), so
+the price loop works on a (K, 3, 3) pool-index array and the matching raw
+demands: one gather of the prices gives every marginal, and one scatter of the
+picked tiers' shares gives every pool load.  Prices, steps and floors are pool
+vectors; `DualState` splits one into its five families only at the public
+boundary.  `_Pools.member[k, tier, p]` spreads the same square-root demands
+over the whole pool vector, so the exact pool loads, the objective
+sum_p W_p^2 / F_p, the polish and the exact allocation
+(share = F_p sqrt(demand) / W_p) all read one matrix.
 
 Before that re-allocation the best assignment is polished by single- and
 pair-move descent (`_local_search`).  The descent scores every move in closed
 form from the current pool sums, re-scores exactly only the near-best ones,
-and keeps no cache of its own: a pair pass costs O(K^2) time and memory, not
-the O(K^3) time of re-scoring every neighbour.
+and keeps no cache of its own: a pair pass costs O(K^2) time, not the O(K^3)
+time of re-scoring every neighbour, and it scores the pairs in row blocks, so
+it holds O(K) pair scores at a time, not O(K^2).
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ _CODE_L, _CODE_H, _CODE_C = (TIER_INDEX[t] for t in TIERS)
 # re-scores exactly.  Their rounding error is near 1e-15 of the objective, so
 # the band holds every move whose exact score could be the best.
 _RECHECK_BAND = 1e-9
+# First moves whose pair scores the polish holds at once.
+_PAIR_BLOCK_ROWS = 64
 
 # Fixed tuning of the price loop.
 _STEP_SCALE = 0.25  # price move per capacity of excess, relative to its initial value
@@ -152,15 +160,19 @@ class SolveResult:
 
 
 class _Pools:
-    """The capacity pools of one problem and the tasks' sqrt demands on them.
+    """The capacity pools of one problem and the tasks' demands on them.
 
     Within one capacity pool the optimal split of capacity F over demands w is
     proportional to sqrt(w), which gives the pool cost (sum sqrt(w))^2 / F.
 
     Pool vectors are in one order: per-RU MEC, per-DU MEC, cloud, per-RU
     fronthaul, per-DU midhaul.  `capacity` holds each pool's capacity in that
-    order, and `member[k, tier, p]` is the square root of task k's demand on
-    pool p when it runs on `tier` (0 for pools that tier does not use).
+    order.  Each task and tier draws on at most three pools, its compute,
+    fronthaul and midhaul terms: `index[k, tier, term]` is that pool and
+    `demand[k, tier, term]` the raw demand on it (0 for a term the tier does
+    not use).  `member[k, tier, p]` is the square root of task k's demand on
+    pool p when it runs on `tier`, the same numbers spread over the whole pool
+    vector.
     """
 
     def __init__(self, tasks: TaskSet, topology: Topology):
@@ -169,20 +181,14 @@ class _Pools:
         self.cycles = tasks.compute_cycles
         self.fh_demand = tasks.data_bits / topology.fronthaul_se[self.ru]
         self.mh_demand = tasks.data_bits / topology.midhaul_se[self.du]
-        caps = _capacities(topology)
-        self.capacity = np.hstack(caps)
-        # index of each pool family's first pool in the pool vector
-        self.starts = np.cumsum([0] + [np.size(cap) for cap in caps[:-1]])
-        mecl, mech, cloud, fh, mh = self.starts
+        self.capacity, self.starts, self.index = _pool_layout(topology)
+        self.demand = np.zeros(self.index.shape)
+        self.demand[:, :, 0] = self.cycles[:, None]
+        self.demand[:, (_CODE_H, _CODE_C), 1] = self.fh_demand[:, None]
+        self.demand[:, _CODE_C, 2] = self.mh_demand
         self.rows = np.arange(tasks.num_tasks)
-        k, sqrt_cycles, sqrt_fh = self.rows, np.sqrt(self.cycles), np.sqrt(self.fh_demand)
-        self.member = np.zeros((k.size, 3, self.capacity.size))
-        self.member[k, _CODE_L, mecl + self.ru] = sqrt_cycles
-        self.member[k, _CODE_H, mech + self.du] = sqrt_cycles
-        self.member[k, _CODE_H, fh + self.ru] = sqrt_fh
-        self.member[k, _CODE_C, cloud] = sqrt_cycles
-        self.member[k, _CODE_C, fh + self.ru] = sqrt_fh
-        self.member[k, _CODE_C, mh + self.du] = np.sqrt(self.mh_demand)
+        self.member = np.zeros(self.index.shape[:2] + self.capacity.shape)
+        self.member[self.rows[:, None, None], np.arange(3)[:, None], self.index] = np.sqrt(self.demand)
 
     def loads(self, codes: np.ndarray) -> np.ndarray:
         """Pool sums of sqrt demands under an integer assignment."""
@@ -192,27 +198,53 @@ class _Pools:
         """Minimal offload cost (access excluded) for an integer assignment."""
         return float((self.loads(codes) ** 2 / self.capacity).sum())
 
-    def split(self, pool_vector: np.ndarray):
-        """A pool vector as (per-RU MEC, per-DU MEC, cloud scalar, per-RU
-        fronthaul, per-DU midhaul), the `DualState` order."""
-        mecl, mech, cloud, fh, mh = np.split(pool_vector, self.starts[1:])
-        return mecl, mech, float(cloud[0]), fh, mh
 
-
-def _capacities(topology: Topology):
-    """Pool capacities in `DualState` order."""
-    return (
+def _pool_layout(topology: Topology):
+    """The pool vector of a topology: capacities, the index of each family's
+    first pool, and each task's (tier, term) pool index (see `_Pools`)."""
+    caps = (
         topology.mecl_capacity_hz,
         topology.mech_capacity_hz,
         topology.cloud_capacity_hz,
         topology.fronthaul_capacity_hz,
         topology.midhaul_capacity_hz,
     )
+    starts = np.cumsum([0] + [np.size(cap) for cap in caps[:-1]])
+    mecl, mech, cloud, fh, mh = starts
+    ru, du = topology.user_to_ru, topology.user_du
+    index = np.empty((ru.size, 3, 3), dtype=np.int64)
+    index[:, _CODE_L, 0] = mecl + ru
+    index[:, _CODE_H, 0] = mech + du
+    index[:, _CODE_C, 0] = cloud
+    index[:, :, 1] = (fh + ru)[:, None]
+    index[:, :, 2] = (mh + du)[:, None]
+    return np.hstack(caps), starts, index
 
 
-def _price_tuple(duals: DualState):
-    """Prices as a tuple in `DualState` order: (mu, lam, rho, nu, xi)."""
-    return duals.mu, duals.lam, duals.rho, duals.nu, duals.xi
+def _price_vector(duals: DualState, topology: Topology) -> np.ndarray:
+    """Prices as one pool vector in the topology's layout."""
+    sizes = (duals.mu.size, duals.lam.size, duals.nu.size, duals.xi.size)
+    if sizes != (topology.num_rus, topology.num_dus, topology.num_rus, topology.num_dus):
+        raise ValueError("prices need one entry per RU (mu, nu) and per DU (lam, xi) of the topology")
+    return np.hstack((duals.mu, duals.lam, duals.rho, duals.nu, duals.xi))
+
+
+def _dual_state(prices: np.ndarray, starts: np.ndarray) -> DualState:
+    """A pool vector of prices as a `DualState`."""
+    mu, lam, rho, nu, xi = np.split(prices, starts[1:])
+    return DualState(mu, lam, float(rho[0]), nu, xi)
+
+
+def _point_shares(primal: RelaxedPoint) -> np.ndarray:
+    """A relaxed point's shares laid out like `_Pools.index`."""
+    shares = np.zeros((primal.x.shape[0], 3, 3))
+    shares[:, _CODE_L, 0] = primal.a
+    shares[:, _CODE_H, 0] = primal.b
+    shares[:, _CODE_C, 0] = primal.c
+    shares[:, _CODE_H, 1] = primal.alpha
+    shares[:, _CODE_C, 1] = primal.gamma
+    shares[:, _CODE_C, 2] = primal.beta
+    return shares
 
 
 def offload_objective(decision: Decision, tasks: TaskSet, topology: Topology) -> float:
@@ -235,26 +267,30 @@ def allocate_given_decision(decision: Decision, tasks: TaskSet, topology: Topolo
     return Allocation(*(dict(zip(k[family == f].tolist(), share[family == f].tolist())) for f in range(5)))
 
 
+def _initial_prices(pools: _Pools) -> np.ndarray:
+    """Prices that would make each pool exactly tight if every task used it."""
+    # A pool's all-members sum is its load under a uniform plan that uses it;
+    # the fronthaul sums under H and under C are the same.
+    all_members = pools.member.sum(axis=0).max(axis=0)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        prices = (all_members / pools.capacity) ** 2
+    if not np.all(np.isfinite(prices)):
+        raise ValueError("initial prices overflow: a pool's capacity is too small for its demand")
+    return prices
+
+
 def initial_duals(topology: Topology, tasks: TaskSet) -> DualState:
     """Prices that would make each pool exactly tight if every task used it;
     the right order of magnitude wherever the pool could possibly be active."""
     pools = _Pools(tasks, topology)
-    # A pool's all-members sum is its load under a uniform plan that uses it;
-    # the fronthaul sums under H and under C are the same.
-    all_members = pools.member.sum(axis=0).max(axis=0)
-    return DualState(*pools.split((all_members / pools.capacity) ** 2))
+    return _dual_state(_initial_prices(pools), pools.starts)
 
 
 def subgradient_steps(init: DualState, topology: Topology, step_scale: float) -> DualState:
     """Base step per multiplier, scaled so one full-capacity violation moves
     the price by step_scale times its initial magnitude."""
-    return DualState(
-        mu=step_scale * init.mu / topology.mecl_capacity_hz,
-        lam=step_scale * init.lam / topology.mech_capacity_hz,
-        rho=step_scale * init.rho / topology.cloud_capacity_hz,
-        nu=step_scale * init.nu / topology.fronthaul_capacity_hz,
-        xi=step_scale * init.xi / topology.midhaul_capacity_hz,
-    )
+    capacity, starts, _ = _pool_layout(topology)
+    return _dual_state(step_scale * _price_vector(init, topology) / capacity, starts)
 
 
 def dual_floors(init: DualState, floor_scale: float) -> DualState:
@@ -305,14 +341,10 @@ def primal_bandwidth_from_duals(
     return alpha, beta, gamma
 
 
-def _marginals(pools: _Pools, mu_k, lam_k, rho, nu_k, xi_k) -> np.ndarray:
-    """Per-task tier prices, (K, 3) in L, H, C order, at per-task prices."""
-    fh_term = 2.0 * np.sqrt(pools.fh_demand * nu_k)
-    marg = np.empty((fh_term.size, 3))
-    marg[:, _CODE_L] = 2.0 * np.sqrt(pools.cycles * mu_k)
-    marg[:, _CODE_H] = 2.0 * np.sqrt(pools.cycles * lam_k) + fh_term
-    marg[:, _CODE_C] = 2.0 * np.sqrt(pools.cycles * rho) + fh_term + 2.0 * np.sqrt(pools.mh_demand * xi_k)
-    return marg
+def _marginals(demand: np.ndarray, task_prices: np.ndarray) -> np.ndarray:
+    """Per-task tier prices, (K, 3) in L, H, C order: 2 sqrt(demand * price)
+    summed over the compute, fronthaul and midhaul terms, in that order."""
+    return (2.0 * np.sqrt(demand * task_prices)).sum(axis=2)
 
 
 def marginal_costs(duals: DualState, tasks: TaskSet, topology: Topology) -> np.ndarray:
@@ -320,62 +352,44 @@ def marginal_costs(duals: DualState, tasks: TaskSet, topology: Topology) -> np.n
     L, H, C column order.  Each entry is what one unit of tier weight adds to
     the Lagrangian once the shares take their closed-form values."""
     pools = _Pools(tasks, topology)
-    mu_k, lam_k = duals.mu[pools.ru], duals.lam[pools.du]
-    nu_k, xi_k = duals.nu[pools.ru], duals.xi[pools.du]
-    if len(pools.ru) and not (
-        mu_k.min() > 0 and lam_k.min() > 0 and duals.rho > 0 and nu_k.min() > 0 and xi_k.min() > 0
-    ):
+    task_prices = _price_vector(duals, topology)[pools.index]
+    if task_prices.size and not task_prices.min() > 0:
         raise ValueError("all multipliers mapped to tasks must be strictly positive")
-    return _marginals(pools, mu_k, lam_k, duals.rho, nu_k, xi_k)
+    return _marginals(pools.demand, task_prices)
 
 
-def _pick_tiers(marg: np.ndarray, allowed_codes: np.ndarray) -> np.ndarray:
-    """Code of the cheapest allowed tier per task; the first minimum wins, so
-    ties resolve in L, H, C order."""
-    return allowed_codes[np.argmin(marg[:, allowed_codes], axis=1)]
+def _barred(scheme: Scheme) -> np.ndarray:
+    """Whether each tier code is one the scheme does not offer."""
+    return np.array([tier not in scheme.allowed_tiers for tier in TIERS])
+
+
+def _allowed_marginals(marg: np.ndarray, barred: np.ndarray) -> np.ndarray:
+    """Marginals with the barred tiers priced at +inf: a row's argmin is the
+    task's cheapest allowed tier (the first minimum, so ties resolve in L, H,
+    C order) and its min that tier's price."""
+    return np.where(barred, np.inf, marg)
 
 
 def extract_decision(marginals: np.ndarray, scheme: Scheme) -> Decision:
     """Cheapest allowed tier per task; ties resolve in fixed L, H, C order."""
     marg = np.asarray(marginals, dtype=np.float64)
-    allowed_codes = np.array([TIER_INDEX[t] for t in scheme.allowed_tiers])
-    if not np.all(np.isfinite(marg[:, allowed_codes])):
+    barred = _barred(scheme)
+    if not np.all(np.isfinite(marg[:, ~barred])):
         raise ValueError("marginal costs must be finite")
-    return Decision(tuple(TIERS[c] for c in _pick_tiers(marg, allowed_codes)))
+    return Decision(tuple(TIERS[c] for c in _allowed_marginals(marg, barred).argmin(axis=1)))
 
 
-def _share_loads(topology: Topology, ru, du, a, b, c, alpha, beta, gamma):
-    """Pool loads of recovered shares, in `DualState` order: per-RU MEC,
-    per-DU MEC, cloud, per-RU fronthaul and per-DU midhaul."""
-    return (
-        np.bincount(ru, weights=a, minlength=topology.num_rus),
-        np.bincount(du, weights=b, minlength=topology.num_dus),
-        c.sum(),
-        np.bincount(ru, weights=alpha + gamma, minlength=topology.num_rus),
-        np.bincount(du, weights=beta, minlength=topology.num_dus),
-    )
+def _pool_loads(index: np.ndarray, shares: np.ndarray, num_pools: int) -> np.ndarray:
+    """Pool vector of summed shares, each share added to the pool `index`
+    names for it, in task order."""
+    return np.bincount(index.ravel(), weights=shares.ravel(), minlength=num_pools)
 
 
-def _point_loads(primal: RelaxedPoint, topology: Topology):
-    return _share_loads(
-        topology, topology.user_to_ru, topology.user_du,
-        primal.a, primal.b, primal.c, primal.alpha, primal.beta, primal.gamma,
-    )
-
-
-def _price_step(prices, loads, t: int, s0: DualState, floors: DualState, topology: Topology, clip: float):
-    """One projected subgradient step on the price tuple (mu, lam, rho, nu, xi)."""
-    mu, lam, rho, nu, xi = prices
-    mecl, mech, cloud, fh, mh = loads
-    cap_mecl, cap_mech, cap_cloud, cap_fh, cap_mh = _capacities(topology)
+def _price_step(prices, loads, t: int, s0, floors, capacity, clip_capacity) -> np.ndarray:
+    """One projected subgradient step on a pool vector of prices, with the
+    excess load clipped at `clip_capacity`."""
     step = 1.0 / math.sqrt(t)
-    return (
-        np.maximum(floors.mu, mu + step * s0.mu * np.minimum(mecl - cap_mecl, clip * cap_mecl)),
-        np.maximum(floors.lam, lam + step * s0.lam * np.minimum(mech - cap_mech, clip * cap_mech)),
-        max(floors.rho, rho + step * s0.rho * min(cloud - cap_cloud, clip * cap_cloud)),
-        np.maximum(floors.nu, nu + step * s0.nu * np.minimum(fh - cap_fh, clip * cap_fh)),
-        np.maximum(floors.xi, xi + step * s0.xi * np.minimum(mh - cap_mh, clip * cap_mh)),
-    )
+    return np.maximum(floors, prices + step * s0 * np.minimum(loads - capacity, clip_capacity))
 
 
 def dual_update(
@@ -397,83 +411,47 @@ def dual_update(
     """
     if t < 1:
         raise ValueError("iteration index must start at 1")
-    loads = _point_loads(primal, topology)
-    return DualState(*_price_step(_price_tuple(duals), loads, t, s0, floors, topology, clip))
+    capacity, starts, index = _pool_layout(topology)
+    loads = _pool_loads(index, _point_shares(primal), capacity.size)
+    s0_vec, floor_vec = _price_vector(s0, topology), _price_vector(floors, topology)
+    prices = _price_step(_price_vector(duals, topology), loads, t, s0_vec, floor_vec, capacity, clip * capacity)
+    return _dual_state(prices, starts)
 
 
-def _peak_overload(loads, topology: Topology) -> float:
-    """max(load/capacity) - 1 over all pools, for loads in `DualState` order."""
-    mecl, mech, cloud, fh, mh = loads
-    return float(
-        max(
-            (mecl / topology.mecl_capacity_hz).max() - 1.0,
-            (mech / topology.mech_capacity_hz).max() - 1.0,
-            cloud / topology.cloud_capacity_hz - 1.0,
-            (fh / topology.fronthaul_capacity_hz).max() - 1.0,
-            (mh / topology.midhaul_capacity_hz).max() - 1.0,
-        )
-    )
+def _peak_overload(loads: np.ndarray, capacity: np.ndarray) -> float:
+    """max(load/capacity) - 1 over all pools."""
+    return float((loads / capacity).max() - 1.0)
 
 
 def max_relative_violation(primal: RelaxedPoint, topology: Topology) -> float:
     """Largest (load - capacity)/capacity over all pools; negative when every
     pool is slack."""
-    return _peak_overload(_point_loads(primal, topology), topology)
+    capacity, _, index = _pool_layout(topology)
+    return _peak_overload(_pool_loads(index, _point_shares(primal), capacity.size), capacity)
 
 
 def relaxed_objective(topology: Topology, tasks: TaskSet, primal: RelaxedPoint) -> float:
     """Relaxed transport+compute cost of an arbitrary point, with the
     perspective convention 0^2/0 = 0 (and +inf when weight > 0 but share = 0)."""
-    pools = _Pools(tasks, topology)
-    cycles, fh_demand, mh_demand = pools.cycles, pools.fh_demand, pools.mh_demand
-
-    def persp(weight, demand, share):
-        total = 0.0
-        for w, dem, s in zip(weight, demand, share):
-            if w == 0:
-                continue
-            if s <= 0:
-                return math.inf
-            total += w * w * dem / s
-        return total
-
-    x = primal.x
-    return float(
-        persp(x[:, _CODE_L], cycles, primal.a)
-        + persp(x[:, _CODE_H], cycles, primal.b)
-        + persp(x[:, _CODE_C], cycles, primal.c)
-        + persp(x[:, _CODE_H], fh_demand, primal.alpha)
-        + persp(x[:, _CODE_C], fh_demand, primal.gamma)
-        + persp(x[:, _CODE_C], mh_demand, primal.beta)
-    )
+    demand = _Pools(tasks, topology).demand
+    weight = np.broadcast_to(primal.x[:, :, None], demand.shape)
+    shares = _point_shares(primal)
+    used = (weight != 0) & (demand > 0)
+    if np.any(shares[used] <= 0):
+        return math.inf
+    return float((weight[used] * weight[used] * demand[used] / shares[used]).sum())
 
 
-def _dual_value(marg: np.ndarray, allowed_codes, prices, topology: Topology) -> float:
+def _dual_value(allowed_marg: np.ndarray, prices: np.ndarray, capacity: np.ndarray) -> float:
     """Cheapest allowed marginals summed over tasks minus the priced capacities."""
-    mu, lam, rho, nu, xi = prices
-    priced = (
-        mu @ topology.mecl_capacity_hz
-        + lam @ topology.mech_capacity_hz
-        + rho * topology.cloud_capacity_hz
-        + nu @ topology.fronthaul_capacity_hz
-        + xi @ topology.midhaul_capacity_hz
-    )
-    return float(marg[:, allowed_codes].min(axis=1).sum() - priced)
+    return float(allowed_marg.min(axis=1).sum() - prices @ capacity)
 
 
 def dual_value(duals: DualState, tasks: TaskSet, topology: Topology, scheme: Scheme) -> float:
     """Lagrangian dual function: cheapest-tier marginals summed over tasks
     minus the priced capacities.  A lower bound on the relaxed optimum."""
-    marg = marginal_costs(duals, tasks, topology)
-    allowed_codes = [TIER_INDEX[t] for t in scheme.allowed_tiers]
-    return _dual_value(marg, allowed_codes, _price_tuple(duals), topology)
-
-
-def _clearing_prices(codes: np.ndarray, pools: _Pools, floors: DualState):
-    """Prices that make every pool used by `codes` exactly tight (recovered
-    shares equal to the exact allocation); unused pools drop to their floor."""
-    w = pools.loads(codes)
-    return pools.split(np.where(w > 0, (w / pools.capacity) ** 2, np.hstack(_price_tuple(floors))))
+    allowed_marg = _allowed_marginals(marginal_costs(duals, tasks, topology), _barred(scheme))
+    return _dual_value(allowed_marg, _price_vector(duals, topology), _pool_layout(topology)[0])
 
 
 def _local_search(codes: np.ndarray, objective: float, allowed_codes: list[int], pools: _Pools):
@@ -486,12 +464,14 @@ def _local_search(codes: np.ndarray, objective: float, allowed_codes: list[int],
     move that shifts them by d changes it by sum_p (2 W_p d_p + d_p^2) / F_p,
     and two moves together by the sum of their changes plus
     2 sum_p d1_p d2_p / F_p.  Every neighbour is scored that way from the
-    current pool sums.  Those scores round differently from the exact
-    objective, so the ones within _RECHECK_BAND of the best are re-scored
-    exactly in enumeration order (task, then tier in L, H, C order) and a
-    move is taken only if its exact objective is strictly below the
-    incumbent's: the descent picks the same moves as exact re-scoring of every
-    neighbour, and the returned objective is always an exact value.
+    current pool sums; pairs are scored _PAIR_BLOCK_ROWS first moves at a
+    time, so the pair pass holds O(K) scores, not O(K^2).  Those scores round
+    differently from the exact objective, so the ones within _RECHECK_BAND of
+    the best are re-scored exactly in enumeration order (task, then tier in
+    L, H, C order) and a move is taken only if its exact objective is
+    strictly below the incumbent's: the descent picks the same moves as exact
+    re-scoring of every neighbour, and the returned objective is always an
+    exact value.
     """
     member, inv_cap = pools.member, 1.0 / pools.capacity
     allowed = np.asarray(allowed_codes, dtype=np.int64)
@@ -511,13 +491,20 @@ def _local_search(codes: np.ndarray, objective: float, allowed_codes: list[int],
             trial[move_task[moves]] = move_code[moves]
             return pools.objective(trial)
 
-        pick, value = _recheck(single, objective, lambda i: exact([i]))
+        def pair_blocks():
+            scaled = delta * inv_cap
+            for start in range(0, m, _PAIR_BLOCK_ROWS):
+                rows = slice(start, start + _PAIR_BLOCK_ROWS)
+                block = single[rows, None] + single[None, :] + 2.0 * (scaled[rows] @ delta.T)
+                block[move_task[rows, None] >= move_task[None, :]] = np.inf  # each pair once, k1 < k2
+                yield start * m, block.ravel()
+
+        pick, value = _recheck(_near_best([(0, single)], objective), objective, lambda i: exact([i]))
         if pick is not None:
             moves = [pick]
         else:
-            pair = single[:, None] + single[None, :] + 2.0 * ((delta * inv_cap) @ delta.T)
-            pair[move_task[:, None] >= move_task[None, :]] = np.inf  # each pair once, k1 < k2
-            pick, value = _recheck(pair.ravel(), objective, lambda f: exact(list(divmod(f, m))))
+            candidates = _near_best(pair_blocks(), objective)
+            pick, value = _recheck(candidates, objective, lambda f: exact(list(divmod(f, m))))
             if pick is None:
                 return codes, objective
             moves = list(divmod(pick, m))
@@ -525,18 +512,35 @@ def _local_search(codes: np.ndarray, objective: float, allowed_codes: list[int],
         objective = value
 
 
-def _recheck(changes: np.ndarray, objective: float, exact):
-    """The move exact re-scoring would pick, given closed-form cost changes
-    in enumeration order: (index, exact objective), or (None, objective)
-    when no move strictly improves."""
-    if changes.size == 0:
-        return None, objective
-    best = float(changes.min())
-    slack = _RECHECK_BAND * max(objective, abs(objective + best))
-    if not best <= slack:
-        return None, objective
+def _near_best(blocks, objective: float) -> list[int]:
+    """Indices of the moves whose closed-form cost change is within
+    _RECHECK_BAND of the best one, in enumeration order, given the changes as
+    (offset, block) pairs in that order; empty when even the best change
+    cannot be an improvement.  A block keeps only its entries near the best
+    seen so far, a superset of those near the final best."""
+
+    def slack(best: float) -> float:
+        return _RECHECK_BAND * max(objective, abs(objective + best))
+
+    best = math.inf
+    found = []
+    for offset, changes in blocks:
+        if changes.size:
+            best = min(best, float(changes.min()))
+            near = np.flatnonzero(changes <= best + slack(best))
+            found.append((near + offset, changes[near]))
+    if not (math.isfinite(best) and best <= slack(best)):
+        return []
+    index, change = (np.concatenate(parts) for parts in zip(*found))
+    return index[change <= best + slack(best)].tolist()
+
+
+def _recheck(candidates: list[int], objective: float, exact):
+    """The candidate exact re-scoring would pick: (index, exact objective) of
+    the first strictly best one in the given order, or (None, objective) when
+    none strictly improves."""
     pick = None
-    for i in np.flatnonzero(changes <= best + slack).tolist():
+    for i in candidates:
         value = exact(i)
         if value < objective:
             pick, objective = i, value
@@ -585,6 +589,7 @@ def solve(
         raise ValueError("tasks and topology disagree on the number of users")
 
     pools = _Pools(tasks, topology)
+    prices = _initial_prices(pools)  # checked before any plan is scored
     allowed_codes = [TIER_INDEX[t] for t in scheme.allowed_tiers]
 
     # The price loop revisits assignments, frozen ones on every iteration:
@@ -607,16 +612,17 @@ def solve(
     for code in allowed_codes:
         consider(np.full(tasks.num_tasks, code, dtype=np.int64))
 
-    init = initial_duals(topology, tasks)
-    s0 = subgradient_steps(init, topology, _STEP_SCALE)
-    floors = dual_floors(init, _DUAL_FLOOR_SCALE)
-
-    # Hot loop state is a raw price tuple; DualState/RelaxedPoint wrap it only
-    # at the public boundaries.
-    prices = _price_tuple(init)
-    ru, du = pools.ru, pools.du
-    allowed_arr = np.asarray(allowed_codes, dtype=np.int64)
-    rows = np.arange(tasks.num_tasks)
+    # Prices, steps and floors are pool vectors for the whole loop; the
+    # returned DualState is built from them once, at the end.
+    capacity, index, demand = pools.capacity, pools.index, pools.demand
+    s0 = _STEP_SCALE * prices / capacity
+    floors = _DUAL_FLOOR_SCALE * prices
+    clip_capacity = _SUBGRADIENT_CLIP * capacity
+    barred = _barred(scheme)
+    # (task, tier) pairs flattened task-major: task k's tier c is row 3k + c
+    # of `terms` and entry 3k + c of a raveled (K, 3) marginal matrix.
+    terms = index.reshape(-1, 3)
+    tier_l = 3 * pools.rows
 
     dual_trace: list[float] = []
     cand_trace: list[float] = []
@@ -633,40 +639,34 @@ def solve(
 
     for t in range(1, config.max_iters + 1):
         iterations = t
-        mu, lam, rho, nu, xi = prices
-        mu_k, lam_k, nu_k, xi_k = mu[ru], lam[du], nu[ru], xi[du]
-        marg = _marginals(pools, mu_k, lam_k, rho, nu_k, xi_k)
+        task_prices = prices[index]
+        marg = _marginals(demand, task_prices)
+        allowed_marg = _allowed_marginals(marg, barred)
         if frozen:
             codes = best_codes
         else:
-            codes = _pick_tiers(marg, allowed_arr)
+            codes = allowed_marg.argmin(axis=1)
             if prev_codes is not None:
                 # A task only moves when the cheapest tier beats its current
                 # one by a clear relative margin; marginal near-ties otherwise
                 # make tasks flap between tiers forever as prices dither.
-                keep = marg[rows, codes] >= (1.0 - _DECISION_HYSTERESIS) * marg[rows, prev_codes]
+                flat = marg.ravel()
+                margin = (1.0 - _DECISION_HYSTERESIS) * flat.take(tier_l + prev_codes)
+                keep = flat.take(tier_l + codes) >= margin
                 codes = np.where(keep, prev_codes, codes)
             prev_codes = codes
 
-        mask_l, mask_h, mask_c = codes == _CODE_L, codes == _CODE_H, codes == _CODE_C
-        fh_share = np.sqrt(pools.fh_demand / nu_k)
-        loads = _share_loads(
-            topology, ru, du,
-            np.where(mask_l, np.sqrt(pools.cycles / mu_k), 0.0),
-            np.where(mask_h, np.sqrt(pools.cycles / lam_k), 0.0),
-            np.where(mask_c, np.sqrt(pools.cycles / rho), 0.0),
-            np.where(mask_h, fh_share, 0.0),
-            np.where(mask_c, np.sqrt(pools.mh_demand / xi_k), 0.0),
-            np.where(mask_c, fh_share, 0.0),
-        )
-        violation = _peak_overload(loads, topology)
+        picked = tier_l + codes
+        shares = np.sqrt(demand / task_prices).reshape(-1, 3).take(picked, axis=0)
+        loads = _pool_loads(terms.take(picked, axis=0), shares, capacity.size)
+        violation = _peak_overload(loads, capacity)
         previous_best = best_obj
         cand_trace.append(consider(codes))
         # Only a materially better plan resets the stall clock; float-noise
         # improvements would defer the pricing phase forever.
         since_improve = 0 if best_obj < previous_best * (1.0 - 1e-9) else since_improve + 1
         best_trace.append(best_obj)
-        dual_trace.append(_dual_value(marg, allowed_arr, prices, topology))
+        dual_trace.append(_dual_value(allowed_marg, prices, capacity))
         viol_trace.append(violation)
 
         key = codes.tobytes()
@@ -682,16 +682,16 @@ def solve(
             # tasks across tiers.  Polish the incumbent by single-swap
             # descent, freeze it, and re-initialize the prices at its exact
             # clearing values (the dual counterpart of the final exact
-            # re-allocation); the subgradient updates then hold them there and
-            # the recovered shares match the returned allocation.
+            # re-allocation): every pool it uses exactly tight, unused pools
+            # at their floor.  The subgradient updates then hold them there
+            # and the recovered shares match the returned allocation.
             best_codes, best_obj = _local_search(best_codes, best_obj, allowed_codes, pools)
             frozen = True
-            prices = _clearing_prices(best_codes, pools, floors)
+            w = pools.loads(best_codes)
+            prices = np.where(w > 0, (w / capacity) ** 2, floors)
             continue  # this iterate's loads predate the re-initialized prices
 
-        prices = _price_step(prices, loads, t, s0, floors, topology, _SUBGRADIENT_CLIP)
-
-    duals = DualState(*prices)
+        prices = _price_step(prices, loads, t, s0, floors, capacity, clip_capacity)
 
     if not frozen:  # a frozen incumbent was polished when it froze
         best_codes, best_obj = _local_search(best_codes, best_obj, allowed_codes, pools)
@@ -705,7 +705,7 @@ def solve(
     return SolveResult(
         decision=decision,
         allocation=allocation,
-        duals=duals,
+        duals=_dual_state(prices, pools.starts),
         iterations=iterations,
         converged=converged,
         objective_s=float(best_obj),

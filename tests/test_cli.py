@@ -174,6 +174,8 @@ def test_bad_sweep_flag_is_an_error(capsys):
     assert "START:STOP:STEPS" in capsys.readouterr().err
     assert main(["--sweep", "zz=1:2:2", "--users", "2"]) == 2
     assert "unknown sweep parameter" in capsys.readouterr().err
+    assert main(["--sweep", "fl=1e9:inf:3", "--users", "2"]) == 2
+    assert "fl must be finite" in capsys.readouterr().err
     for flag, value, message in (
         ("--epsilon", "nan", "epsilon"),
         ("--epsilon", "inf", "epsilon"),
@@ -212,6 +214,11 @@ def test_set_overrides_apply(capsys):
     capsys.readouterr()
     assert main(["--seed", "2", "--users", "3", "--set", "fl=1e9,2e9,3e9"]) == 2
     assert "LO,HI" in capsys.readouterr().err
+    for bound in ("nan", "inf"):
+        assert main(["--seed", "2", "--users", "3", "--set", f"fl=1e9,{bound}"]) == 2
+        assert "mecl_capacity_hz" in capsys.readouterr().err
+    assert main(["--seed", "2", "--users", "3", "--set", "fc=1e-300"]) == 2
+    assert "initial prices overflow" in capsys.readouterr().err
 
 
 def test_sweepspec_validation():

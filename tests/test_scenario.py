@@ -60,7 +60,9 @@ def test_task_draws_stay_in_ranges():
         {"num_dus": -1},
         {"data_bits_range": (3e7, 5e6)},
         {"cycles_per_bit_range": (10.0, 0.1)},
+        {"data_bits_range": (5e6, float("nan"))},
         {"mecl_capacity_hz": (5e9, 1e9)},
+        {"mecl_capacity_hz": (1e9, float("nan"))},
         {"ru_spacing_m": 0.0},
     ],
 )

@@ -147,6 +147,8 @@ def test_marginal_cost_example_and_fd_oracle(make_topology, make_tasks):
     fd = (f(0.5 + 1e-6) - f(0.5 - 1e-6)) / 2e-6
     marg2 = marginal_costs(_duals(mu=mu), tasks, topo)
     assert marg2[0, 0] == pytest.approx(fd, rel=1e-8)
+    with pytest.raises(ValueError, match="per RU"):
+        marginal_costs(_duals(n_ru=2), tasks, topo)  # prices sized for another topology
 
 
 def test_marginal_order_with_equal_prices(make_topology, make_tasks):
@@ -247,6 +249,72 @@ def test_exported_kernels_reproduce_the_loop_trace(random_instance):
                 assert max_relative_violation(point, topo) == res.trace["max_violation"][-1]
                 checked += 1
     assert checked >= 30
+
+
+def test_exported_kernels_match_per_family_formulas_on_many_pools(random_instance):
+    # The kernels work on one pool vector; written out here family by family,
+    # with several RUs and DUs, so each task's terms must land on its own
+    # RU's and DU's pools and the vector must split back in DualState order.
+    rng = np.random.default_rng(8)
+    scenario, _ = random_instance(seed=4, num_users=12, num_rus=4, num_dus=2)
+    topo, tasks = scenario.topology, scenario.tasks
+    ru, du = topo.user_to_ru, topo.user_du
+    assert len(set(ru.tolist())) == 4 and len(set(du.tolist())) == 2
+    cycles = tasks.compute_cycles
+    fh = tasks.data_bits / topo.fronthaul_se[ru]
+    mh = tasks.data_bits / topo.midhaul_se[du]
+    init = initial_duals(topo, tasks)
+    s0 = subgradient_steps(init, topo, 0.25)
+    floors = dual_floors(init, 1e-12)
+
+    def close(got, expected, scale):
+        assert abs(got - expected) <= 1e-12 * scale
+
+    for _ in range(10):
+        duals = DualState(
+            mu=init.mu * np.exp(rng.uniform(-2, 2, 4)),
+            lam=init.lam * np.exp(rng.uniform(-2, 2, 2)),
+            rho=init.rho * float(np.exp(rng.uniform(-2, 2))),
+            nu=init.nu * np.exp(rng.uniform(-2, 2, 4)),
+            xi=init.xi * np.exp(rng.uniform(-2, 2, 2)),
+        )
+        fh_term = 2 * np.sqrt(fh * duals.nu[ru])
+        marg = np.column_stack((
+            2 * np.sqrt(cycles * duals.mu[ru]),
+            2 * np.sqrt(cycles * duals.lam[du]) + fh_term,
+            2 * np.sqrt(cycles * duals.rho) + fh_term + 2 * np.sqrt(mh * duals.xi[du]),
+        ))
+        np.testing.assert_allclose(marginal_costs(duals, tasks, topo), marg, rtol=1e-12)
+
+        priced = (
+            duals.mu @ topo.mecl_capacity_hz + duals.lam @ topo.mech_capacity_hz
+            + duals.rho * topo.cloud_capacity_hz
+            + duals.nu @ topo.fronthaul_capacity_hz + duals.xi @ topo.midhaul_capacity_hz
+        )
+        for scheme in Scheme:
+            cheapest = marg[:, [TIER_INDEX[t] for t in scheme.allowed_tiers]].min(axis=1).sum()
+            close(dual_value(duals, tasks, topo, scheme), cheapest - priced, cheapest + priced)
+
+        x = rng.dirichlet(np.ones(3), size=12)
+        a, b, c = primal_speeds_from_duals(duals, x, tasks, topo)
+        alpha, beta, gamma = primal_bandwidth_from_duals(duals, x, tasks, topo)
+        point = RelaxedPoint(x=x, a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma)
+        families = (  # price name, load, capacity
+            ("mu", np.bincount(ru, weights=a, minlength=4), topo.mecl_capacity_hz),
+            ("lam", np.bincount(du, weights=b, minlength=2), topo.mech_capacity_hz),
+            ("rho", c.sum(), topo.cloud_capacity_hz),
+            ("nu", np.bincount(ru, weights=alpha + gamma, minlength=4), topo.fronthaul_capacity_hz),
+            ("xi", np.bincount(du, weights=beta, minlength=2), topo.midhaul_capacity_hz),
+        )
+        peak = max(float(np.max(load / cap)) for _, load, cap in families) - 1.0
+        close(max_relative_violation(point, topo), peak, max(1.0, abs(peak)))
+
+        t = int(rng.integers(1, 50))
+        out = dual_update(duals, point, topo, t=t, s0=s0, floors=floors)
+        for name, load, cap in families:
+            price, step, floor = (getattr(d, name) for d in (duals, s0, floors))
+            expected = np.maximum(floor, price + step / math.sqrt(t) * np.minimum(load - cap, cap))
+            np.testing.assert_allclose(getattr(out, name), expected, rtol=1e-12, err_msg=name)
 
 
 def test_violation_below_tolerance_after_500_iterations(random_instance):
