@@ -35,12 +35,9 @@ from .scenario import (
 )
 from .solver import (
     DualState,
-    RelaxedPoint,
     SolveResult,
     SolverConfig,
     allocate_given_decision,
-    dual_update,
-    extract_decision,
     marginal_costs,
     offload_objective,
     primal_bandwidth_from_duals,
@@ -58,7 +55,6 @@ __all__ = [
     "DelayBreakdown",
     "DualState",
     "OracleResult",
-    "RelaxedPoint",
     "Scenario",
     "ScenarioSpec",
     "Scheme",
@@ -70,9 +66,7 @@ __all__ = [
     "access_delay",
     "allocate_given_decision",
     "check_feasibility",
-    "dual_update",
     "enumerate_optimal",
-    "extract_decision",
     "generate_channels",
     "generate_scenario",
     "load_scenario",

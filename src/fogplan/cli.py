@@ -104,6 +104,25 @@ def _spec_for_point(base: ScenarioSpec, sweep: SweepSpec, value: float, seed: in
     return dataclasses.replace(base, **{field_name: value}, seed=seed)
 
 
+def _rates(scenario: Scenario, seed: int, num_antennas: int) -> np.ndarray:
+    """Uplink rates of a scenario under the channels drawn from its seed."""
+    channels = generate_channels(
+        scenario.topology,
+        scenario.ru_positions_m,
+        scenario.user_positions_m,
+        seed=channel_seed(seed),
+        num_antennas=num_antennas,
+    )
+    return uplink_rates(scenario.topology, channels)
+
+
+def _realize(spec: ScenarioSpec, num_antennas: int) -> tuple[Scenario, np.ndarray]:
+    """The scenario drawn from a spec and its uplink rates, both from the
+    spec's seed."""
+    scenario = generate_scenario(spec)
+    return scenario, _rates(scenario, spec.seed, num_antennas)
+
+
 def evaluate_realization(
     spec: ScenarioSpec,
     schemes: tuple[Scheme, ...],
@@ -112,15 +131,7 @@ def evaluate_realization(
 ) -> dict[Scheme, float]:
     """Generate scenario + channels from the spec's seed, plan under each
     scheme, and return total delays (inf marks an infeasible realization)."""
-    scenario = generate_scenario(spec)
-    channels = generate_channels(
-        scenario.topology,
-        scenario.ru_positions_m,
-        scenario.user_positions_m,
-        seed=channel_seed(spec.seed),
-        num_antennas=num_antennas,
-    )
-    rates = uplink_rates(scenario.topology, channels)
+    scenario, rates = _realize(spec, num_antennas)
     out = {}
     for scheme in schemes:
         result = solve(scenario.topology, scenario.tasks, rates, scheme, config)
@@ -222,16 +233,7 @@ def compare_oracle(
     rows = []
     for r in range(realizations):
         seed = realization_seed(base.seed, r)
-        spec = dataclasses.replace(base, seed=seed)
-        scenario = generate_scenario(spec)
-        channels = generate_channels(
-            scenario.topology,
-            scenario.ru_positions_m,
-            scenario.user_positions_m,
-            seed=channel_seed(seed),
-            num_antennas=num_antennas,
-        )
-        rates = uplink_rates(scenario.topology, channels)
+        scenario, rates = _realize(dataclasses.replace(base, seed=seed), num_antennas)
         for scheme in schemes:
             result = solve(scenario.topology, scenario.tasks, rates, scheme, config)
             truth = oracle_mod.enumerate_optimal(scenario.topology, scenario.tasks, rates, scheme, cap=cap)
@@ -248,17 +250,32 @@ def compare_oracle(
             )
     summaries = []
     for scheme in schemes:
-        gaps = np.array([row["rel_gap"] for row in rows if row["scheme"] == scheme.cli_name])
+        gaps = [row["rel_gap"] for row in rows if row["scheme"] == scheme.cli_name]
         summaries.append(
             {
                 "scheme": scheme.cli_name,
-                "median_gap": float(np.median(gaps)),
-                "p95_gap": float(np.percentile(gaps, 95)),
-                "max_gap": float(np.max(gaps)),
+                "median_gap": _percentile(gaps, 50),
+                "p95_gap": _percentile(gaps, 95),
+                "max_gap": _percentile(gaps, 100),
                 "realizations": realizations,
             }
         )
     return summaries, rows
+
+
+def _percentile(values: list[float], q: float) -> float:
+    """The q-th percentile by numpy's default linear rule, written out so a
+    summary of a few numbers does not import numpy's percentile (which loads
+    `numpy.ma`): interpolate between the sorted values around position
+    (n - 1) q / 100.  NaN if any value is NaN."""
+    ordered = sorted(values)
+    if any(math.isnan(v) for v in ordered):
+        return math.nan
+    position = (len(ordered) - 1) * (q / 100)
+    lo = min(math.floor(position), len(ordered) - 1)
+    a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
+    t = position - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def single_report(scenario: Scenario, rates, scheme: Scheme, result: SolveResult) -> str:
@@ -307,10 +324,7 @@ def _parse_sweep_flag(text: str) -> tuple[str, float, float, int]:
 
 def _parse_set_flag(entries: list[str]) -> dict:
     fields = {
-        "fl": "mecl_capacity_hz",
-        "fh": "mech_capacity_hz",
-        "bl": "fronthaul_capacity_hz",
-        "bh": "midhaul_capacity_hz",
+        **{key: name for key, name in SWEEP_PARAMETERS.items() if key != "k"},
         "fc": "cloud_capacity_hz",
         "uplink": "uplink_bandwidth_hz",
         "rl": "fronthaul_se",
@@ -431,14 +445,7 @@ def main(argv=None) -> int:
             scenario = generate_scenario(_base_spec(args))
         if args.save_scenario:
             save_scenario(args.save_scenario, scenario)
-        channels = generate_channels(
-            scenario.topology,
-            scenario.ru_positions_m,
-            scenario.user_positions_m,
-            seed=channel_seed(args.seed),
-            num_antennas=args.antennas,
-        )
-        rates = uplink_rates(scenario.topology, channels)
+        rates = _rates(scenario, args.seed, args.antennas)
         reports = []
         for scheme in schemes:
             result = solve(scenario.topology, scenario.tasks, rates, scheme, config)

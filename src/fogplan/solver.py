@@ -18,19 +18,21 @@ freeze after 150 iterations without a material improvement, and a stability
 window of 25 identical decisions.  `SolverConfig` holds only the stopping
 rule: `epsilon` and `max_iters`.  Each formula the loop uses (marginal prices,
 tier pick, share loads, peak overload, dual value, price step) is one private
-kernel that the loop and its exported wrapper both call.
+kernel.
 
 The pools are one vector everywhere, in the order per-RU MEC, per-DU MEC,
 cloud, per-RU fronthaul, per-DU midhaul, and `_Pools` owns that layout.  Each
 task and tier draws on at most three pools (compute, fronthaul, midhaul), so
 the price loop works on a (K, 3, 3) pool-index array and the matching raw
 demands: one gather of the prices gives every marginal, and one scatter of the
-picked tiers' shares gives every pool load.  Prices, steps and floors are pool
-vectors; `DualState` splits one into its five families only at the public
-boundary.  `_Pools.member[k, tier, p]` spreads the same square-root demands
-over the whole pool vector, so the exact pool loads, the objective
-sum_p W_p^2 / F_p, the polish and the exact allocation
-(share = F_p sqrt(demand) / W_p) all read one matrix.
+picked tiers' shares gives every pool load.  The closed-form shares of
+`primal_speeds_from_duals` and `primal_bandwidth_from_duals` read the same
+gather.  Prices, steps and floors are pool vectors; `DualState` splits one
+into its five families only at the public boundary.
+`_Pools.member[k, tier, p]` spreads the same square-root demands over the
+whole pool vector, so the exact pool loads, the objective sum_p W_p^2 / F_p,
+the polish and the exact allocation (share = F_p sqrt(demand) / W_p) all read
+one matrix.
 
 Before that re-allocation the best assignment is polished by single- and
 pair-move descent (`_local_search`).  The descent scores every move in closed
@@ -43,7 +45,7 @@ it holds O(K) pair scores at a time, not O(K^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,37 +91,6 @@ class DualState:
         if not math.isfinite(rho) or rho < 0:
             raise ValueError("rho must be finite and non-negative")
         object.__setattr__(self, "rho", rho)
-
-
-@dataclass(frozen=True)
-class RelaxedPoint:
-    """One relaxed iterate: tier weights `x` (rows on the simplex, columns in
-    L, H, C order) and the recovered x-weighted resource shares."""
-
-    x: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != 3:
-            raise ValueError(f"x must have shape (num_tasks, 3), got {x.shape}")
-        if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
-            raise ValueError("tier weights must lie in [0, 1]")
-        if x.size and np.max(np.abs(x.sum(axis=1) - 1.0)) > 1e-9:
-            raise ValueError("tier weights of each task must sum to 1")
-        object.__setattr__(self, "x", x)
-        for name in ("a", "b", "c", "alpha", "beta", "gamma"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (x.shape[0],):
-                raise ValueError(f"{name} must have one entry per task")
-            if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite and non-negative")
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -176,16 +147,11 @@ class _Pools:
     """
 
     def __init__(self, tasks: TaskSet, topology: Topology):
-        self.ru = topology.user_to_ru
-        self.du = topology.user_du
-        self.cycles = tasks.compute_cycles
-        self.fh_demand = tasks.data_bits / topology.fronthaul_se[self.ru]
-        self.mh_demand = tasks.data_bits / topology.midhaul_se[self.du]
         self.capacity, self.starts, self.index = _pool_layout(topology)
         self.demand = np.zeros(self.index.shape)
-        self.demand[:, :, 0] = self.cycles[:, None]
-        self.demand[:, (_CODE_H, _CODE_C), 1] = self.fh_demand[:, None]
-        self.demand[:, _CODE_C, 2] = self.mh_demand
+        self.demand[:, :, 0] = tasks.compute_cycles[:, None]
+        self.demand[:, (_CODE_H, _CODE_C), 1] = (tasks.data_bits / topology.fronthaul_se[topology.user_to_ru])[:, None]
+        self.demand[:, _CODE_C, 2] = tasks.data_bits / topology.midhaul_se[topology.user_du]
         self.rows = np.arange(tasks.num_tasks)
         self.member = np.zeros(self.index.shape[:2] + self.capacity.shape)
         self.member[self.rows[:, None, None], np.arange(3)[:, None], self.index] = np.sqrt(self.demand)
@@ -235,18 +201,6 @@ def _dual_state(prices: np.ndarray, starts: np.ndarray) -> DualState:
     return DualState(mu, lam, float(rho[0]), nu, xi)
 
 
-def _point_shares(primal: RelaxedPoint) -> np.ndarray:
-    """A relaxed point's shares laid out like `_Pools.index`."""
-    shares = np.zeros((primal.x.shape[0], 3, 3))
-    shares[:, _CODE_L, 0] = primal.a
-    shares[:, _CODE_H, 0] = primal.b
-    shares[:, _CODE_C, 0] = primal.c
-    shares[:, _CODE_H, 1] = primal.alpha
-    shares[:, _CODE_C, 1] = primal.gamma
-    shares[:, _CODE_C, 2] = primal.beta
-    return shares
-
-
 def offload_objective(decision: Decision, tasks: TaskSet, topology: Topology) -> float:
     """Exact minimal transport+compute cost of an integer assignment (seconds,
     access excluded); equals total_delay of allocate_given_decision minus the
@@ -279,66 +233,42 @@ def _initial_prices(pools: _Pools) -> np.ndarray:
     return prices
 
 
-def initial_duals(topology: Topology, tasks: TaskSet) -> DualState:
-    """Prices that would make each pool exactly tight if every task used it;
-    the right order of magnitude wherever the pool could possibly be active."""
+def _stationary_shares(duals: DualState, x, tasks: TaskSet, topology: Topology, terms) -> tuple[np.ndarray, ...]:
+    """Share = weight times sqrt(demand/price) for each (tier, term) of
+    `_Pools.index` in `terms`, zero wherever the tier weight is zero; only
+    those shares' prices must be strictly positive."""
+    x = np.asarray(x, dtype=np.float64)
     pools = _Pools(tasks, topology)
-    return _dual_state(_initial_prices(pools), pools.starts)
-
-
-def subgradient_steps(init: DualState, topology: Topology, step_scale: float) -> DualState:
-    """Base step per multiplier, scaled so one full-capacity violation moves
-    the price by step_scale times its initial magnitude."""
-    capacity, starts, _ = _pool_layout(topology)
-    return _dual_state(step_scale * _price_vector(init, topology) / capacity, starts)
-
-
-def dual_floors(init: DualState, floor_scale: float) -> DualState:
-    """Strictly positive floor per active multiplier, keeping closed forms
-    finite while staying negligible against each price's natural scale."""
-    return DualState(
-        mu=floor_scale * init.mu,
-        lam=floor_scale * init.lam,
-        rho=floor_scale * init.rho,
-        nu=floor_scale * init.nu,
-        xi=floor_scale * init.xi,
-    )
-
-
-def _masked_sqrt_share(x_col: np.ndarray, demand: np.ndarray, price: np.ndarray, name: str) -> np.ndarray:
-    mask = x_col > 0
-    if np.any(price[mask] <= 0):
-        raise ValueError(f"{name} must be strictly positive wherever the matching tier weight is")
-    out = np.zeros_like(x_col)
-    out[mask] = x_col[mask] * np.sqrt(demand[mask] / price[mask])
-    return out
+    prices = _price_vector(duals, topology)[pools.index]
+    shares = []
+    for tier, term in terms:
+        weight, price = x[:, tier], prices[:, tier, term]
+        mask = weight > 0
+        if np.any(price[mask] <= 0):
+            pool = pools.index[0, tier, term]
+            family = fields(DualState)[np.searchsorted(pools.starts, pool, side="right") - 1].name
+            raise ValueError(f"{family} must be strictly positive wherever the matching tier weight is")
+        share = np.zeros_like(weight)
+        share[mask] = weight[mask] * np.sqrt(pools.demand[mask, tier, term] / price[mask])
+        shares.append(share)
+    return tuple(shares)
 
 
 def primal_speeds_from_duals(
     duals: DualState, x: np.ndarray, tasks: TaskSet, topology: Topology
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stationary compute shares at the given prices: share = weight times
-    sqrt(demand/price), zero wherever the tier weight is zero."""
-    x = np.asarray(x, dtype=np.float64)
-    cycles = tasks.compute_cycles
-    ru, du = topology.user_to_ru, topology.user_du
-    a = _masked_sqrt_share(x[:, _CODE_L], cycles, duals.mu[ru], "mu")
-    b = _masked_sqrt_share(x[:, _CODE_H], cycles, duals.lam[du], "lam")
-    c = _masked_sqrt_share(x[:, _CODE_C], cycles, np.full(len(x), duals.rho), "rho")
-    return a, b, c
+    """Stationary compute shares (a, b, c) of the L, H and C tiers at the given
+    prices: share = weight times sqrt(demand/price), zero wherever the tier
+    weight is zero."""
+    return _stationary_shares(duals, x, tasks, topology, ((_CODE_L, 0), (_CODE_H, 0), (_CODE_C, 0)))
 
 
 def primal_bandwidth_from_duals(
     duals: DualState, x: np.ndarray, tasks: TaskSet, topology: Topology
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stationary bandwidth shares at the given prices (fronthaul for MEC-DU
-    tasks, midhaul plus fronthaul for cloud tasks)."""
-    x = np.asarray(x, dtype=np.float64)
-    pools = _Pools(tasks, topology)
-    alpha = _masked_sqrt_share(x[:, _CODE_H], pools.fh_demand, duals.nu[pools.ru], "nu")
-    beta = _masked_sqrt_share(x[:, _CODE_C], pools.mh_demand, duals.xi[pools.du], "xi")
-    gamma = _masked_sqrt_share(x[:, _CODE_C], pools.fh_demand, duals.nu[pools.ru], "nu")
-    return alpha, beta, gamma
+    """Stationary bandwidth shares at the given prices: fronthaul alpha for
+    MEC-DU tasks, midhaul beta and fronthaul gamma for cloud tasks."""
+    return _stationary_shares(duals, x, tasks, topology, ((_CODE_H, 1), (_CODE_C, 2), (_CODE_C, 1)))
 
 
 def _marginals(demand: np.ndarray, task_prices: np.ndarray) -> np.ndarray:
@@ -370,15 +300,6 @@ def _allowed_marginals(marg: np.ndarray, barred: np.ndarray) -> np.ndarray:
     return np.where(barred, np.inf, marg)
 
 
-def extract_decision(marginals: np.ndarray, scheme: Scheme) -> Decision:
-    """Cheapest allowed tier per task; ties resolve in fixed L, H, C order."""
-    marg = np.asarray(marginals, dtype=np.float64)
-    barred = _barred(scheme)
-    if not np.all(np.isfinite(marg[:, ~barred])):
-        raise ValueError("marginal costs must be finite")
-    return Decision(tuple(TIERS[c] for c in _allowed_marginals(marg, barred).argmin(axis=1)))
-
-
 def _pool_loads(index: np.ndarray, shares: np.ndarray, num_pools: int) -> np.ndarray:
     """Pool vector of summed shares, each share added to the pool `index`
     names for it, in task order."""
@@ -386,36 +307,17 @@ def _pool_loads(index: np.ndarray, shares: np.ndarray, num_pools: int) -> np.nda
 
 
 def _price_step(prices, loads, t: int, s0, floors, capacity, clip_capacity) -> np.ndarray:
-    """One projected subgradient step on a pool vector of prices, with the
-    excess load clipped at `clip_capacity`."""
+    """One projected subgradient step on a pool vector of prices: price +=
+    (s0/sqrt(t)) * excess load, projected onto the floors.  Slack pools see
+    negative excess and drift down.
+
+    The excess is clipped at `clip_capacity`: shares recovered at a floored
+    price are enormous (share ~ 1/sqrt(price)), and an unbounded ascent
+    direction would overshoot the price scale by orders of magnitude.  The
+    clip never changes the sign or a zero subgradient.
+    """
     step = 1.0 / math.sqrt(t)
     return np.maximum(floors, prices + step * s0 * np.minimum(loads - capacity, clip_capacity))
-
-
-def dual_update(
-    duals: DualState,
-    primal: RelaxedPoint,
-    topology: Topology,
-    t: int,
-    s0: DualState,
-    floors: DualState,
-    clip: float = _SUBGRADIENT_CLIP,
-) -> DualState:
-    """Projected subgradient ascent: price += (s0/sqrt(t)) * excess load,
-    clipped at the floor.  Slack pools see negative excess and drift down.
-
-    The excess load is clipped at `clip` capacities per pool: shares recovered
-    at a floored price are enormous (share ~ 1/sqrt(price)), and an unbounded
-    ascent direction would overshoot the price scale by orders of magnitude.
-    The clip never changes the sign or a zero subgradient.
-    """
-    if t < 1:
-        raise ValueError("iteration index must start at 1")
-    capacity, starts, index = _pool_layout(topology)
-    loads = _pool_loads(index, _point_shares(primal), capacity.size)
-    s0_vec, floor_vec = _price_vector(s0, topology), _price_vector(floors, topology)
-    prices = _price_step(_price_vector(duals, topology), loads, t, s0_vec, floor_vec, capacity, clip * capacity)
-    return _dual_state(prices, starts)
 
 
 def _peak_overload(loads: np.ndarray, capacity: np.ndarray) -> float:
@@ -423,35 +325,9 @@ def _peak_overload(loads: np.ndarray, capacity: np.ndarray) -> float:
     return float((loads / capacity).max() - 1.0)
 
 
-def max_relative_violation(primal: RelaxedPoint, topology: Topology) -> float:
-    """Largest (load - capacity)/capacity over all pools; negative when every
-    pool is slack."""
-    capacity, _, index = _pool_layout(topology)
-    return _peak_overload(_pool_loads(index, _point_shares(primal), capacity.size), capacity)
-
-
-def relaxed_objective(topology: Topology, tasks: TaskSet, primal: RelaxedPoint) -> float:
-    """Relaxed transport+compute cost of an arbitrary point, with the
-    perspective convention 0^2/0 = 0 (and +inf when weight > 0 but share = 0)."""
-    demand = _Pools(tasks, topology).demand
-    weight = np.broadcast_to(primal.x[:, :, None], demand.shape)
-    shares = _point_shares(primal)
-    used = (weight != 0) & (demand > 0)
-    if np.any(shares[used] <= 0):
-        return math.inf
-    return float((weight[used] * weight[used] * demand[used] / shares[used]).sum())
-
-
 def _dual_value(allowed_marg: np.ndarray, prices: np.ndarray, capacity: np.ndarray) -> float:
     """Cheapest allowed marginals summed over tasks minus the priced capacities."""
     return float(allowed_marg.min(axis=1).sum() - prices @ capacity)
-
-
-def dual_value(duals: DualState, tasks: TaskSet, topology: Topology, scheme: Scheme) -> float:
-    """Lagrangian dual function: cheapest-tier marginals summed over tasks
-    minus the priced capacities.  A lower bound on the relaxed optimum."""
-    allowed_marg = _allowed_marginals(marginal_costs(duals, tasks, topology), _barred(scheme))
-    return _dual_value(allowed_marg, _price_vector(duals, topology), _pool_layout(topology)[0])
 
 
 def _local_search(codes: np.ndarray, objective: float, allowed_codes: list[int], pools: _Pools):
@@ -547,13 +423,13 @@ def _recheck(candidates: list[int], objective: float, exact):
     return pick, objective
 
 
-def _empty_result(topology: Topology, tasks: TaskSet) -> SolveResult:
-    duals = initial_duals(topology, tasks)
+def _empty_result(topology: Topology) -> SolveResult:
+    capacity, starts, _ = _pool_layout(topology)
     trace = {name: np.array([]) for name in ("dual_value_s", "candidate_objective_s", "best_objective_s", "max_violation")}
     return SolveResult(
         decision=Decision(()),
         allocation=Allocation(),
-        duals=duals,
+        duals=_dual_state(np.zeros_like(capacity), starts),
         iterations=0,
         converged=True,
         objective_s=0.0,
@@ -584,7 +460,7 @@ def solve(
     """
     config = config or SolverConfig()
     if tasks.num_tasks == 0:
-        return _empty_result(topology, tasks)
+        return _empty_result(topology)
     if tasks.num_tasks != topology.num_users:
         raise ValueError("tasks and topology disagree on the number of users")
 

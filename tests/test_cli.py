@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fogplan
 from fogplan import ScenarioSpec, Scheme, SolverConfig
 from fogplan.cli import (
     ORACLE_CSV_COLUMNS,
@@ -107,6 +113,22 @@ def test_oracle_check_prints_gap_summary(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "median_gap=" in out and "p95_gap=" in out and "max_gap=" in out
+
+
+def test_oracle_check_does_not_load_numpy_ma():
+    # the gap summary is a handful of numbers; numpy's median and percentile
+    # would import numpy.ma (over 1 MB) into the process for them
+    script = (
+        "import sys\n"
+        "from fogplan.cli import main\n"
+        "assert main(['--oracle-check', '--users', '4', '--rus', '2', '--dus', '1', '--realizations', '2']) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(fogplan.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("median_gap=") == 4
 
 
 def test_oracle_check_csv(tmp_path, capsys):
