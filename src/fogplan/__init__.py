@@ -11,14 +11,13 @@ from .latency import (
     task_delay,
     total_delay,
 )
-from .oracle import OracleResult, enumerate_optimal, objective_of
+from .oracle import OracleResult, enumerate_optimal
 from .phy import (
     Beamformer,
     ChannelSet,
     access_delay,
     generate_channels,
     mmse_beamformer,
-    mmse_beamformers,
     sinr,
     uplink_rate,
     uplink_rates,
@@ -72,8 +71,6 @@ __all__ = [
     "load_scenario",
     "marginal_costs",
     "mmse_beamformer",
-    "mmse_beamformers",
-    "objective_of",
     "offload_objective",
     "primal_bandwidth_from_duals",
     "primal_speeds_from_duals",

@@ -18,7 +18,7 @@ from .scenario import TIER_C, TIER_H, TIER_L, TIERS, TaskSet, Topology
 
 TIER_INDEX = {tier: idx for idx, tier in enumerate(TIERS)}
 
-# Default relative slack when checking <= constraints: allocations come from
+# Relative slack when checking <= constraints: allocations come from
 # floating-point closed forms that hit capacity with equality.
 CAPACITY_REL_TOL = 1e-9
 
@@ -157,7 +157,6 @@ def check_feasibility(
     tasks: TaskSet,
     decision: Decision,
     allocation: Allocation,
-    rel_tol: float = CAPACITY_REL_TOL,
 ) -> list[Violation]:
     """Every capacity constraint violated by the allocation (empty = feasible).
 
@@ -190,7 +189,7 @@ def check_feasibility(
     violations: list[Violation] = []
 
     def check(constraint, resource, index, used, capacity):
-        if used > capacity * (1.0 + rel_tol):
+        if used > capacity * (1.0 + CAPACITY_REL_TOL):
             violations.append(Violation(constraint, resource, index, float(used), float(capacity)))
 
     for i in range(topology.num_rus):

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .latency import TIER_INDEX, Allocation, Decision, total_delay
+# perfbench/tracer.py patches `fogplan.oracle.total_delay`, so the name stays
+# bound here although the oracle no longer calls it.
+from .latency import TIER_INDEX, Allocation, Decision, total_delay  # noqa: F401
 from .phy import access_delay
 from .scenario import Scheme, TaskSet, Topology
 from .solver import _Pools, allocate_given_decision
@@ -25,12 +27,6 @@ class OracleResult:
     decision: Decision
     allocation: Allocation
     total_delay_s: float
-
-
-def objective_of(decision: Decision, topology: Topology, tasks: TaskSet, rates_bps) -> float:
-    """Exact minimal total delay achievable under a fixed assignment."""
-    allocation = allocate_given_decision(decision, tasks, topology)
-    return total_delay(topology, tasks, decision, allocation, rates_bps)
 
 
 def enumerate_optimal(

@@ -92,10 +92,11 @@ class Beamformer:
         return self.u[int(rows[0])]
 
 
-def path_loss(distance_m, exponent: float = DEFAULT_PATH_LOSS_EXPONENT, ref_distance_m: float = 1.0):
-    """Log-distance power attenuation, 0 dB at the reference distance."""
-    d = np.maximum(np.asarray(distance_m, dtype=np.float64), ref_distance_m)
-    return (d / ref_distance_m) ** (-exponent)
+def path_loss(distance_m):
+    """Log-distance power attenuation with exponent 4, 0 dB at the 1 m
+    reference distance and clamped to 0 dB below it."""
+    d = np.maximum(np.asarray(distance_m, dtype=np.float64), 1.0)
+    return d ** (-DEFAULT_PATH_LOSS_EXPONENT)
 
 
 def generate_channels(
@@ -104,10 +105,6 @@ def generate_channels(
     user_positions_m,
     seed: int,
     num_antennas: int = DEFAULT_NUM_ANTENNAS,
-    tx_power_dbm: float = DEFAULT_TX_POWER_DBM,
-    noise_density_dbm_per_hz: float = DEFAULT_NOISE_DENSITY_DBM_PER_HZ,
-    path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT,
-    ref_distance_m: float = 1.0,
 ) -> ChannelSet:
     """Draw each user's serving-RU channel: sqrt(path loss) times a vector of
     independent zero-mean unit-variance complex normal entries.  Deterministic
@@ -120,16 +117,16 @@ def generate_channels(
     rng = np.random.default_rng(seed)
 
     dists = np.linalg.norm(user_pos - ru_pos[topology.user_to_ru], axis=1)
-    gain = path_loss(dists, exponent=path_loss_exponent, ref_distance_m=ref_distance_m)
+    gain = path_loss(dists)
     parts = rng.standard_normal((n_user, num_antennas, 2))
     fading = (parts[..., 0] + 1j * parts[..., 1]) / math.sqrt(2.0)
     h = np.sqrt(gain)[:, None] * fading
 
-    noise_density_w = dbm_to_watt(noise_density_dbm_per_hz)
+    noise_density_w = dbm_to_watt(DEFAULT_NOISE_DENSITY_DBM_PER_HZ)
     return ChannelSet(
         h=h,
         user_to_ru=topology.user_to_ru,
-        tx_power_w=dbm_to_watt(tx_power_dbm),
+        tx_power_w=dbm_to_watt(DEFAULT_TX_POWER_DBM),
         noise_power_w=noise_density_w * topology.uplink_bandwidth_hz,
         num_antennas=num_antennas,
     )
@@ -152,13 +149,17 @@ def mmse_beamformer(channels: ChannelSet, ru: int) -> Beamformer:
     return Beamformer(users=users, u=u)
 
 
-def mmse_beamformers(channels: ChannelSet) -> Beamformer:
-    """MMSE vectors for all users, ordered by user index."""
-    u = np.zeros((channels.num_users, channels.num_antennas), dtype=np.complex128)
-    for ru in np.flatnonzero(np.bincount(channels.user_to_ru)):
-        bf = mmse_beamformer(channels, int(ru))
-        u[bf.users] = bf.u
-    return Beamformer(users=np.arange(channels.num_users), u=u)
+def _sinrs(channels: ChannelSet, ru: int, u: np.ndarray, users: np.ndarray) -> np.ndarray:
+    """Post-combining SINR of each receive vector of one RU: row r of `u`
+    combines for user `users[r]`, which the RU must serve, against all of that
+    RU's users.  The interference is the row of gains p |u^H h_l|^2 with the
+    user's own column masked out, summed; the noise is ||u||^2 sigma^2."""
+    cell = channels.users_of_ru(ru)
+    gain = channels.tx_power_w * np.abs(u.conj() @ channels.h[cell].T) ** 2
+    own = cell[None, :] == users[:, None]
+    interference = np.where(own, 0.0, gain).sum(axis=1)
+    noise = (u.real**2 + u.imag**2).sum(axis=1) * channels.noise_at(ru)
+    return gain[own] / (interference + noise)
 
 
 def sinr(channels: ChannelSet, beamformer: Beamformer, user: int) -> float:
@@ -166,13 +167,7 @@ def sinr(channels: ChannelSet, beamformer: Beamformer, user: int) -> float:
     u = beamformer.vector_for(user)
     if not np.any(u):
         raise ValueError(f"beamformer for user {user} is zero")
-    ru = int(channels.user_to_ru[user])
-    p = channels.tx_power_w
-    signal = p * abs(np.vdot(u, channels.h[user])) ** 2
-    others = [l for l in channels.users_of_ru(ru) if l != user]
-    interference = sum(p * abs(np.vdot(u, channels.h[l])) ** 2 for l in others)
-    noise = float(np.vdot(u, u).real) * channels.noise_at(ru)
-    return float(signal / (interference + noise))
+    return float(_sinrs(channels, int(channels.user_to_ru[user]), u[None, :], np.array([user]))[0])
 
 
 def uplink_rate(bandwidth_hz: float, sinr_value: float) -> float:
@@ -199,6 +194,5 @@ def uplink_rates(topology: Topology, channels: ChannelSet) -> np.ndarray:
     for ru in np.flatnonzero(np.bincount(channels.user_to_ru)):
         bf = mmse_beamformer(channels, int(ru))
         band = topology.uplink_bandwidth_hz[int(ru)]
-        for k in bf.users:
-            rates[k] = uplink_rate(band, sinr(channels, bf, int(k)))
+        rates[bf.users] = [uplink_rate(band, s) for s in _sinrs(channels, int(ru), bf.u, bf.users)]
     return rates

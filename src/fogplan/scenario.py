@@ -134,12 +134,6 @@ class Topology:
         """DU index serving each user (through its RU)."""
         return self.ru_to_du[self.user_to_ru]
 
-    def users_of_ru(self, ru: int) -> np.ndarray:
-        return np.flatnonzero(self.user_to_ru == ru)
-
-    def rus_of_du(self, du: int) -> np.ndarray:
-        return np.flatnonzero(self.ru_to_du == du)
-
 
 @dataclass(frozen=True)
 class TaskSet:

@@ -222,14 +222,23 @@ def allocate_given_decision(decision: Decision, tasks: TaskSet, topology: Topolo
 
 
 def _initial_prices(pools: _Pools) -> np.ndarray:
-    """Prices that would make each pool exactly tight if every task used it."""
+    """Prices that would make each pool exactly tight if every task used it.
+
+    The loop steps each price by a multiple of price/capacity and divides by
+    the prices the tasks read, so both the step scale and the floor of every
+    read price must be finite and positive.  A pool no task reads (an RU
+    without users) keeps its zero price.
+    """
     # A pool's all-members sum is its load under a uniform plan that uses it;
     # the fronthaul sums under H and under C are the same.
     all_members = pools.member.sum(axis=0).max(axis=0)
     with np.errstate(over="ignore"):  # an overflow is reported below
         prices = (all_members / pools.capacity) ** 2
-    if not np.all(np.isfinite(prices)):
+        step_scale = _STEP_SCALE * prices / pools.capacity
+    if not (np.all(np.isfinite(prices)) and np.all(np.isfinite(step_scale))):
         raise ValueError("initial prices overflow: a pool's capacity is too small for its demand")
+    if not np.all(_DUAL_FLOOR_SCALE * prices[pools.index] > 0):
+        raise ValueError("initial prices underflow: a pool's capacity is too large for its demand")
     return prices
 
 
@@ -513,61 +522,66 @@ def solve(
     converged = False
     iterations = 0
 
-    for t in range(1, config.max_iters + 1):
-        iterations = t
-        task_prices = prices[index]
-        marg = _marginals(demand, task_prices)
-        allowed_marg = _allowed_marginals(marg, barred)
-        if frozen:
-            codes = best_codes
-        else:
-            codes = allowed_marg.argmin(axis=1)
-            if prev_codes is not None:
-                # A task only moves when the cheapest tier beats its current
-                # one by a clear relative margin; marginal near-ties otherwise
-                # make tasks flap between tiers forever as prices dither.
-                flat = marg.ravel()
-                margin = (1.0 - _DECISION_HYSTERESIS) * flat.take(tier_l + prev_codes)
-                keep = flat.take(tier_l + codes) >= margin
-                codes = np.where(keep, prev_codes, codes)
-            prev_codes = codes
+    # A price at its floor can make a share overflow to inf, and
+    # `_price_step` clips the excess it feeds.  The errstate is entered once,
+    # not per iteration, where its entry cost is a few percent of a
+    # desk-scale iteration.
+    with np.errstate(over="ignore"):
+        for t in range(1, config.max_iters + 1):
+            iterations = t
+            task_prices = prices[index]
+            marg = _marginals(demand, task_prices)
+            allowed_marg = _allowed_marginals(marg, barred)
+            if frozen:
+                codes = best_codes
+            else:
+                codes = allowed_marg.argmin(axis=1)
+                if prev_codes is not None:
+                    # A task only moves when the cheapest tier beats its current
+                    # one by a clear relative margin; marginal near-ties otherwise
+                    # make tasks flap between tiers forever as prices dither.
+                    flat = marg.ravel()
+                    margin = (1.0 - _DECISION_HYSTERESIS) * flat.take(tier_l + prev_codes)
+                    keep = flat.take(tier_l + codes) >= margin
+                    codes = np.where(keep, prev_codes, codes)
+                prev_codes = codes
 
-        picked = tier_l + codes
-        shares = np.sqrt(demand / task_prices).reshape(-1, 3).take(picked, axis=0)
-        loads = _pool_loads(terms.take(picked, axis=0), shares, capacity.size)
-        violation = _peak_overload(loads, capacity)
-        previous_best = best_obj
-        cand_trace.append(consider(codes))
-        # Only a materially better plan resets the stall clock; float-noise
-        # improvements would defer the pricing phase forever.
-        since_improve = 0 if best_obj < previous_best * (1.0 - 1e-9) else since_improve + 1
-        best_trace.append(best_obj)
-        dual_trace.append(_dual_value(allowed_marg, prices, capacity))
-        viol_trace.append(violation)
+            picked = tier_l + codes
+            shares = np.sqrt(demand / task_prices).reshape(-1, 3).take(picked, axis=0)
+            loads = _pool_loads(terms.take(picked, axis=0), shares, capacity.size)
+            violation = _peak_overload(loads, capacity)
+            previous_best = best_obj
+            cand_trace.append(consider(codes))
+            # Only a materially better plan resets the stall clock; float-noise
+            # improvements would defer the pricing phase forever.
+            since_improve = 0 if best_obj < previous_best * (1.0 - 1e-9) else since_improve + 1
+            best_trace.append(best_obj)
+            dual_trace.append(_dual_value(allowed_marg, prices, capacity))
+            viol_trace.append(violation)
 
-        key = codes.tobytes()
-        stable = stable + 1 if key == prev_key else 1
-        prev_key = key
-        if stable >= _STABILITY_WINDOW and violation < config.epsilon:
-            converged = True
-            break
+            key = codes.tobytes()
+            stable = stable + 1 if key == prev_key else 1
+            prev_key = key
+            if stable >= _STABILITY_WINDOW and violation < config.epsilon:
+                converged = True
+                break
 
-        if not frozen and since_improve >= _FREEZE_AFTER:
-            # Exploration has stalled: the winner-take-all iterates rarely
-            # settle on their own, because the relaxed optimum splits marginal
-            # tasks across tiers.  Polish the incumbent by single-swap
-            # descent, freeze it, and re-initialize the prices at its exact
-            # clearing values (the dual counterpart of the final exact
-            # re-allocation): every pool it uses exactly tight, unused pools
-            # at their floor.  The subgradient updates then hold them there
-            # and the recovered shares match the returned allocation.
-            best_codes, best_obj = _local_search(best_codes, best_obj, allowed_codes, pools)
-            frozen = True
-            w = pools.loads(best_codes)
-            prices = np.where(w > 0, (w / capacity) ** 2, floors)
-            continue  # this iterate's loads predate the re-initialized prices
+            if not frozen and since_improve >= _FREEZE_AFTER:
+                # Exploration has stalled: the winner-take-all iterates rarely
+                # settle on their own, because the relaxed optimum splits marginal
+                # tasks across tiers.  Polish the incumbent by single-swap
+                # descent, freeze it, and re-initialize the prices at its exact
+                # clearing values (the dual counterpart of the final exact
+                # re-allocation): every pool it uses exactly tight, unused pools
+                # at their floor.  The subgradient updates then hold them there
+                # and the recovered shares match the returned allocation.
+                best_codes, best_obj = _local_search(best_codes, best_obj, allowed_codes, pools)
+                frozen = True
+                w = pools.loads(best_codes)
+                prices = np.where(w > 0, (w / capacity) ** 2, floors)
+                continue  # this iterate's loads predate the re-initialized prices
 
-        prices = _price_step(prices, loads, t, s0, floors, capacity, clip_capacity)
+            prices = _price_step(prices, loads, t, s0, floors, capacity, clip_capacity)
 
     if not frozen:  # a frozen incumbent was polished when it froze
         best_codes, best_obj = _local_search(best_codes, best_obj, allowed_codes, pools)

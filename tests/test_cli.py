@@ -241,6 +241,15 @@ def test_set_overrides_apply(capsys):
         assert "mecl_capacity_hz" in capsys.readouterr().err
     assert main(["--seed", "2", "--users", "3", "--set", "fc=1e-300"]) == 2
     assert "initial prices overflow" in capsys.readouterr().err
+    # Extreme but finite capacities: a floored price's share overflows
+    # harmlessly, and prices whose step scale overflows or whose floor
+    # underflows are refused up front.
+    assert main(["--seed", "2", "--users", "3", "--set", "fl=1e150"]) == 0
+    capsys.readouterr()
+    assert main(["--seed", "2", "--users", "3", "--set", "fl=1e200"]) == 2
+    assert "initial prices underflow" in capsys.readouterr().err
+    assert main(["--seed", "2", "--users", "4", "--rus", "2", "--dus", "1", "--set", "fl=1e-100"]) == 2
+    assert "initial prices overflow" in capsys.readouterr().err
 
 
 def test_sweepspec_validation():

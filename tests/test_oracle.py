@@ -7,10 +7,16 @@ from scipy.optimize import minimize
 from fogplan import (
     Decision,
     Scheme,
+    allocate_given_decision,
     enumerate_optimal,
-    objective_of,
+    total_delay,
 )
 from fogplan.phy import access_delay
+
+
+def _delay_of(decision, topo, tasks, rates):
+    """Exact minimal total delay under a fixed assignment."""
+    return total_delay(topo, tasks, decision, allocate_given_decision(decision, tasks, topo), rates)
 
 
 def test_single_task_prefers_cloud_when_compute_dominates(make_topology, make_tasks):
@@ -100,7 +106,7 @@ def test_objective_of_all_cloud_equals_cloud_scheme_optimum(random_instance):
     scenario, rates = random_instance(seed=8, num_users=5)
     topo, tasks = scenario.topology, scenario.tasks
     out = enumerate_optimal(topo, tasks, rates, Scheme.CLOUD)
-    value = objective_of(Decision(("C",) * 5), topo, tasks, rates)
+    value = _delay_of(Decision(("C",) * 5), topo, tasks, rates)
     assert out.total_delay_s == pytest.approx(value, rel=1e-12)
     assert out.decision.tiers == ("C",) * 5
 
@@ -112,7 +118,7 @@ def test_any_decision_is_no_better_than_the_optimum(random_instance):
     best = enumerate_optimal(topo, tasks, rates, Scheme.FOG).total_delay_s
     for _ in range(40):
         decision = Decision(tuple(rng.choice(["L", "H", "C"], size=5)))
-        assert objective_of(decision, topo, tasks, rates) >= best - 1e-12
+        assert _delay_of(decision, topo, tasks, rates) >= best - 1e-12
 
 
 def test_optimum_monotone_in_capacities(random_instance):
@@ -166,11 +172,11 @@ def test_ties_resolve_lexicographically(make_topology, make_tasks):
     tasks = make_tasks([1e7, 1e7], [1.0, 1.0])
     out = enumerate_optimal(topo, tasks, [1e8, 1e8], Scheme.FOG)
     mirrored = Decision(tuple(reversed(out.decision.tiers)))
-    assert objective_of(mirrored, topo, tasks, [1e8, 1e8]) == pytest.approx(out.total_delay_s, rel=1e-12)
+    assert _delay_of(mirrored, topo, tasks, [1e8, 1e8]) == pytest.approx(out.total_delay_s, rel=1e-12)
     candidates = [
         tiers
         for tiers in itertools.product(("L", "H", "C"), repeat=2)
-        if objective_of(Decision(tiers), topo, tasks, [1e8, 1e8])
+        if _delay_of(Decision(tiers), topo, tasks, [1e8, 1e8])
         == pytest.approx(out.total_delay_s, rel=1e-12)
     ]
     assert out.decision.tiers == candidates[0]

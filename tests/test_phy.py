@@ -12,7 +12,6 @@ from fogplan import (
     generate_channels,
     generate_scenario,
     mmse_beamformer,
-    mmse_beamformers,
     sinr,
     uplink_rate,
     uplink_rates,
@@ -179,16 +178,22 @@ def test_access_delay_cases():
 
 
 def test_uplink_rates_match_per_user_computation():
-    scenario = generate_scenario(ScenarioSpec(num_users=6, num_rus=3, num_dus=1, seed=14))
-    topo = scenario.topology
-    ch = generate_channels(topo, scenario.ru_positions_m, scenario.user_positions_m, seed=3)
-    rates = uplink_rates(topo, ch)
-    bf = mmse_beamformers(ch)
-    for k in range(6):
-        ru = int(topo.user_to_ru[k])
-        expected = uplink_rate(topo.uplink_bandwidth_hz[ru], sinr(ch, bf, k))
-        assert rates[k] == pytest.approx(expected, rel=1e-12)
-    assert np.all(rates > 0)
+    # Each expected SINR is written out per user, apart from the kernel under test.
+    for num_users, num_rus in ((6, 3), (100, 10), (200, 1)):
+        scenario = generate_scenario(ScenarioSpec(num_users=num_users, num_rus=num_rus, num_dus=1, seed=14))
+        topo = scenario.topology
+        ch = generate_channels(topo, scenario.ru_positions_m, scenario.user_positions_m, seed=3)
+        rates = uplink_rates(topo, ch)
+        p = ch.tx_power_w
+        for ru in np.unique(topo.user_to_ru):
+            bf = mmse_beamformer(ch, int(ru))
+            for u, k in zip(bf.u, bf.users):
+                signal = p * abs(np.vdot(u, ch.h[k])) ** 2
+                interference = sum(p * abs(np.vdot(u, ch.h[l])) ** 2 for l in bf.users if l != k)
+                noise = np.vdot(u, u).real * ch.noise_at(int(ru))
+                expected = uplink_rate(topo.uplink_bandwidth_hz[ru], signal / (interference + noise))
+                assert rates[k] == pytest.approx(expected, rel=1e-12), (num_users, num_rus, k)
+        assert np.all(rates > 0)
 
 
 def test_channelset_invariants():

@@ -26,6 +26,12 @@ def test_exported_names_resolve():
     namespace = {}
     exec("from fogplan import *", namespace)
     assert set(fogplan.__all__) <= set(namespace)
-    for gone in ("RelaxedPoint", "dual_update", "extract_decision"):
-        assert not hasattr(fogplan, gone), gone
-        assert not hasattr(fogplan.solver, gone), gone
+    removed = {
+        fogplan.solver: ("RelaxedPoint", "dual_update", "extract_decision"),
+        fogplan.phy: ("mmse_beamformers",),
+        fogplan.oracle: ("objective_of",),
+    }
+    for module, names in removed.items():
+        for gone in names:
+            assert not hasattr(fogplan, gone), gone
+            assert not hasattr(module, gone), gone
