@@ -22,7 +22,7 @@ from . import oracle as oracle_mod
 from .latency import task_delay
 from .phy import DEFAULT_NUM_ANTENNAS, generate_channels, uplink_rates
 from .scenario import Scenario, ScenarioSpec, Scheme, generate_scenario, load_scenario, save_scenario
-from .solver import SolveResult, SolverConfig, solve
+from .solver import SolveResult, SolverConfig, _solve_batch, solve
 
 SWEEP_PARAMETERS = {
     "fl": "mecl_capacity_hz",
@@ -123,26 +123,17 @@ def _realize(spec: ScenarioSpec, num_antennas: int) -> tuple[Scenario, np.ndarra
     return scenario, _rates(scenario, spec.seed, num_antennas)
 
 
-def evaluate_realization(
-    spec: ScenarioSpec,
-    schemes: tuple[Scheme, ...],
-    config: SolverConfig,
-    num_antennas: int = DEFAULT_NUM_ANTENNAS,
-) -> dict[Scheme, float]:
-    """Generate scenario + channels from the spec's seed, plan under each
-    scheme, and return total delays (inf marks an infeasible realization)."""
-    scenario, rates = _realize(spec, num_antennas)
-    out = {}
-    for scheme in schemes:
-        result = solve(scenario.topology, scenario.tasks, rates, scheme, config)
-        out[scheme] = result.total_delay_s
-    return out
-
-
-def _sweep_cell(args) -> tuple[int, int, dict]:
-    point_idx, realization, spec, schemes, config, num_antennas = args
-    totals = evaluate_realization(spec, schemes, config, num_antennas)
-    return point_idx, realization, {s.name: v for s, v in totals.items()}
+def _sweep_point(args) -> list[dict[str, float]]:
+    """Total delay of each scheme in each realization of one sweep point (inf
+    marks an infeasible realization), in realization order.  The point's
+    realizations x schemes are planned as one batch."""
+    specs, schemes, config, num_antennas = args
+    realized = [_realize(spec, num_antennas) for spec in specs]
+    problems = [
+        (scenario.topology, scenario.tasks, rates, scheme) for scenario, rates in realized for scheme in schemes
+    ]
+    totals = iter(_solve_batch(problems, config))
+    return [{scheme.name: next(totals).total_delay_s for scheme in schemes} for _ in specs]
 
 
 def run_sweep(
@@ -157,18 +148,20 @@ def run_sweep(
 
     Realization r always uses seed base_seed xor r, for every sweep point, so
     points share random draws and curves differ only through the swept value.
-    Infeasible realizations (a user with zero rate) are counted and excluded
-    from the mean.  Output row order and content are deterministic.
+    Each sweep point's realizations x schemes are solved as one batch, and a
+    worker takes one sweep point at a time.  Infeasible realizations (a user
+    with zero rate) are counted and excluded from the mean.  Output row order
+    and content are deterministic and do not depend on `workers`.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     config = config or SolverConfig()
     base = dataclasses.replace(base, **sweep.overrides) if sweep.overrides else base
     values = sweep.values()
-    cells = [
-        (p, r, _spec_for_point(base, sweep, value, realization_seed(sweep.base_seed, r)), tuple(schemes), config, num_antennas)
-        for p, value in enumerate(values)
-        for r in range(sweep.realizations)
+    seeds = [realization_seed(sweep.base_seed, r) for r in range(sweep.realizations)]
+    points = [
+        ([_spec_for_point(base, sweep, value, seed) for seed in seeds], tuple(schemes), config, num_antennas)
+        for value in values
     ]
     if workers > 1:
         # Imported here: multiprocessing costs every importer of this module
@@ -176,15 +169,14 @@ def run_sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_cell, cells, chunksize=1))
+            outcomes = list(pool.map(_sweep_point, points, chunksize=1))
     else:
-        outcomes = [_sweep_cell(cell) for cell in cells]
+        outcomes = [_sweep_point(point) for point in points]
 
-    by_cell = {(p, r): totals for p, r, totals in outcomes}
     rows = []
-    for p, value in enumerate(values):
+    for value, by_realization in zip(values, outcomes):
         for scheme in schemes:
-            totals = [by_cell[(p, r)][scheme.name] for r in range(sweep.realizations)]
+            totals = [realization[scheme.name] for realization in by_realization]
             feasible = [v for v in totals if math.isfinite(v)]
             n = len(feasible)
             mean = sum(feasible) / n if n else math.inf
@@ -375,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--oracle-cap", type=int, default=oracle_mod.DEFAULT_ENUMERATION_CAP, help="enumeration cap")
     parser.add_argument("--epsilon", type=float, default=1e-4, help="solver convergence threshold")
     parser.add_argument("--max-iters", type=int, default=2000, help="solver iteration cap")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers for sweeps")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="parallel worker processes for sweeps, each planning one sweep point at a time")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a scenario parameter (fl, fh, bl, bh, fc, uplink, rl, rh, spacing); "
                         "VALUE may be 'lo,hi' for a per-node uniform draw")

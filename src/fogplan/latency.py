@@ -9,6 +9,7 @@ formulas, including the radio access term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,7 @@ def _positive_entries(name: str, entries: dict) -> dict:
     clean = {}
     for k, v in entries.items():
         value = float(v)
-        if not value > 0 or not np.isfinite(value):
+        if not value > 0 or not math.isfinite(value):
             raise ValueError(f"{name}[{k}] = {value} must be strictly positive and finite")
         clean[int(k)] = value
     return clean

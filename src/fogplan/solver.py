@@ -40,12 +40,24 @@ form from the current pool sums, re-scores exactly only the near-best ones,
 and keeps no cache of its own: a pair pass costs O(K^2) time, not the O(K^3)
 time of re-scoring every neighbour, and it scores the pairs in row blocks, so
 it holds O(K) pair scores at a time, not O(K^2).
+
+`_solve_batch` runs one price loop for many problems of one shape (users,
+RUs, DUs), such as the realizations x schemes of a sweep point.  Problem b
+holds row b of every stacked array, and its pools are entries b P to
+b P + P - 1 of one stacked pool vector, so the gather, tier pick, scatter and
+price step serve them all, and the marginal sums, peak overloads, dual values
+and exact objectives reduce each row on its own.  The bookkeeping (objective
+cache, incumbent, stall clock, stability window, freeze, stop) stays per
+problem in plain Python, and a problem that stops leaves the stack.  No row
+reads another, so each problem gets the plan it gets alone; `solve` is the
+batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +81,10 @@ _DECISION_HYSTERESIS = 1e-3  # relative margin by which a new tier must be cheap
 _FREEZE_AFTER = 150  # iterations without a material improvement before freezing
 _STABILITY_WINDOW = 25  # identical consecutive decisions needed to converge
 
+# Most tasks one stacked price loop holds; a larger batch of problems runs
+# in consecutive chunks, which changes no result.
+_BATCH_TASKS = 4096
+
 
 @dataclass(frozen=True)
 class DualState:
@@ -84,7 +100,7 @@ class DualState:
     def __post_init__(self):
         for name in ("mu", "lam", "nu", "xi"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)) or np.any(arr < 0):
+            if arr.ndim != 1 or not np.isfinite(arr).all() or (arr < 0).any():
                 raise ValueError(f"{name} must be a flat, finite, non-negative array")
             object.__setattr__(self, name, arr)
         rho = float(self.rho)
@@ -152,17 +168,24 @@ class _Pools:
         self.demand[:, :, 0] = tasks.compute_cycles[:, None]
         self.demand[:, (_CODE_H, _CODE_C), 1] = (tasks.data_bits / topology.fronthaul_se[topology.user_to_ru])[:, None]
         self.demand[:, _CODE_C, 2] = tasks.data_bits / topology.midhaul_se[topology.user_du]
+        self.root = np.sqrt(self.demand)
         self.rows = np.arange(tasks.num_tasks)
         self.member = np.zeros(self.index.shape[:2] + self.capacity.shape)
-        self.member[self.rows[:, None, None], np.arange(3)[:, None], self.index] = np.sqrt(self.demand)
+        self.member[self.rows[:, None, None], np.arange(3)[:, None], self.index] = self.root
+
+    @cached_property
+    def uniform(self) -> np.ndarray:
+        """(3, P) pool sums of sqrt demands of the three single-tier plans."""
+        return np.add.reduce(self.member, axis=0)
 
     def loads(self, codes: np.ndarray) -> np.ndarray:
-        """Pool sums of sqrt demands under an integer assignment."""
-        return self.member[self.rows, codes].sum(axis=0)
+        """Pool sums of sqrt demands under an integer assignment, added in
+        task order, so they equal the `_pool_loads` scatter bit for bit."""
+        return np.add.reduce(self.member[self.rows, codes], axis=0)
 
     def objective(self, codes: np.ndarray) -> float:
         """Minimal offload cost (access excluded) for an integer assignment."""
-        return float((self.loads(codes) ** 2 / self.capacity).sum())
+        return float(_cost(self.loads(codes), self.capacity))
 
 
 def _pool_layout(topology: Topology):
@@ -175,7 +198,7 @@ def _pool_layout(topology: Topology):
         topology.fronthaul_capacity_hz,
         topology.midhaul_capacity_hz,
     )
-    starts = np.cumsum([0] + [np.size(cap) for cap in caps[:-1]])
+    starts = np.cumsum((0, topology.num_rus, topology.num_dus, 1, topology.num_rus))
     mecl, mech, cloud, fh, mh = starts
     ru, du = topology.user_to_ru, topology.user_du
     index = np.empty((ru.size, 3, 3), dtype=np.int64)
@@ -197,7 +220,8 @@ def _price_vector(duals: DualState, topology: Topology) -> np.ndarray:
 
 def _dual_state(prices: np.ndarray, starts: np.ndarray) -> DualState:
     """A pool vector of prices as a `DualState`."""
-    mu, lam, rho, nu, xi = np.split(prices, starts[1:])
+    bounds = starts.tolist() + [prices.size]
+    mu, lam, rho, nu, xi = (prices[a:b] for a, b in zip(bounds, bounds[1:]))
     return DualState(mu, lam, float(rho[0]), nu, xi)
 
 
@@ -218,7 +242,10 @@ def allocate_given_decision(decision: Decision, tasks: TaskSet, topology: Topolo
     k, p = np.nonzero(sqrt_demand)  # task-major, so each map fills in task order
     share = pools.capacity[p] * sqrt_demand[k, p] / pools.loads(decision.codes)[p]
     family = np.searchsorted(pools.starts, p, side="right") - 1
-    return Allocation(*(dict(zip(k[family == f].tolist(), share[family == f].tolist())) for f in range(5)))
+    maps: tuple[dict, ...] = ({}, {}, {}, {}, {})
+    for task, f, value in zip(k.tolist(), family.tolist(), share.tolist()):
+        maps[f][task] = value
+    return Allocation(*maps)
 
 
 def _initial_prices(pools: _Pools) -> np.ndarray:
@@ -231,11 +258,11 @@ def _initial_prices(pools: _Pools) -> np.ndarray:
     """
     # A pool's all-members sum is its load under a uniform plan that uses it;
     # the fronthaul sums under H and under C are the same.
-    all_members = pools.member.sum(axis=0).max(axis=0)
+    all_members = pools.uniform.max(axis=0)
     with np.errstate(over="ignore"):  # an overflow is reported below
         prices = (all_members / pools.capacity) ** 2
         step_scale = _STEP_SCALE * prices / pools.capacity
-    if not (np.all(np.isfinite(prices)) and np.all(np.isfinite(step_scale))):
+    if not (np.isfinite(prices).all() and np.isfinite(step_scale).all()):
         raise ValueError("initial prices overflow: a pool's capacity is too small for its demand")
     if not np.all(_DUAL_FLOOR_SCALE * prices[pools.index] > 0):
         raise ValueError("initial prices underflow: a pool's capacity is too large for its demand")
@@ -281,9 +308,10 @@ def primal_bandwidth_from_duals(
 
 
 def _marginals(demand: np.ndarray, task_prices: np.ndarray) -> np.ndarray:
-    """Per-task tier prices, (K, 3) in L, H, C order: 2 sqrt(demand * price)
-    summed over the compute, fronthaul and midhaul terms, in that order."""
-    return (2.0 * np.sqrt(demand * task_prices)).sum(axis=2)
+    """Per-task tier prices, (..., K, 3) in L, H, C order: 2 sqrt(demand *
+    price) summed over the compute, fronthaul and midhaul terms (the last
+    axis), in that order."""
+    return np.add.reduce(2.0 * np.sqrt(demand * task_prices), axis=-1)
 
 
 def marginal_costs(duals: DualState, tasks: TaskSet, topology: Topology) -> np.ndarray:
@@ -298,15 +326,17 @@ def marginal_costs(duals: DualState, tasks: TaskSet, topology: Topology) -> np.n
 
 
 def _barred(scheme: Scheme) -> np.ndarray:
-    """Whether each tier code is one the scheme does not offer."""
-    return np.array([tier not in scheme.allowed_tiers for tier in TIERS])
+    """+inf for each tier code the scheme does not offer, 0 for the others."""
+    return np.array([0.0 if tier in scheme.allowed_tiers else np.inf for tier in TIERS])
 
 
 def _allowed_marginals(marg: np.ndarray, barred: np.ndarray) -> np.ndarray:
     """Marginals with the barred tiers priced at +inf: a row's argmin is the
     task's cheapest allowed tier (the first minimum, so ties resolve in L, H,
-    C order) and its min that tier's price."""
-    return np.where(barred, np.inf, marg)
+    C order) and its min that tier's price.  Marginals are sums of square
+    roots of non-negative finite products, never NaN, so adding 0 leaves an
+    offered tier's price exactly as it is."""
+    return marg + barred
 
 
 def _pool_loads(index: np.ndarray, shares: np.ndarray, num_pools: int) -> np.ndarray:
@@ -329,14 +359,21 @@ def _price_step(prices, loads, t: int, s0, floors, capacity, clip_capacity) -> n
     return np.maximum(floors, prices + step * s0 * np.minimum(loads - capacity, clip_capacity))
 
 
-def _peak_overload(loads: np.ndarray, capacity: np.ndarray) -> float:
-    """max(load/capacity) - 1 over all pools."""
-    return float((loads / capacity).max() - 1.0)
+def _peak_overload(loads: np.ndarray, capacity: np.ndarray):
+    """max(load/capacity) - 1 over the pools of each pool vector (last axis)."""
+    return np.maximum.reduce(loads / capacity, axis=-1) - 1.0
 
 
-def _dual_value(allowed_marg: np.ndarray, prices: np.ndarray, capacity: np.ndarray) -> float:
-    """Cheapest allowed marginals summed over tasks minus the priced capacities."""
-    return float(allowed_marg.min(axis=1).sum() - prices @ capacity)
+def _dual_value(allowed_marg: np.ndarray, prices: np.ndarray, capacity: np.ndarray):
+    """Cheapest allowed marginals summed over tasks minus the priced
+    capacities, per problem: marginals (..., K, 3), pool vectors (..., P)."""
+    return np.add.reduce(np.minimum.reduce(allowed_marg, axis=-1), axis=-1) - np.vecdot(prices, capacity)
+
+
+def _cost(loads: np.ndarray, capacity: np.ndarray):
+    """sum_p W_p^2 / F_p over the pools of each vector of pool sums W of sqrt
+    demands (last axis): the exact offload cost of an integer assignment."""
+    return np.add.reduce(loads**2 / capacity, axis=-1)
 
 
 def _local_search(codes: np.ndarray, objective: float, allowed_codes: list[int], pools: _Pools):
@@ -361,11 +398,11 @@ def _local_search(codes: np.ndarray, objective: float, allowed_codes: list[int],
     member, inv_cap = pools.member, 1.0 / pools.capacity
     allowed = np.asarray(allowed_codes, dtype=np.int64)
     codes = codes.copy()
+    every_task = np.repeat(pools.rows, allowed.size)
+    every_code = np.tile(allowed, codes.size)
     while True:
-        move_task = np.repeat(pools.rows, allowed.size)
-        move_code = np.tile(allowed, codes.size)
-        keep = move_code != codes[move_task]
-        move_task, move_code = move_task[keep], move_code[keep]
+        keep = every_code != codes[every_task]
+        move_task, move_code = every_task[keep], every_code[keep]
         delta = member[move_task, move_code] - member[move_task, codes[move_task]]
         load = pools.loads(codes)
         single = delta @ (2.0 * load * inv_cap) + (delta * delta) @ inv_cap
@@ -411,8 +448,8 @@ def _near_best(blocks, objective: float) -> list[int]:
     found = []
     for offset, changes in blocks:
         if changes.size:
-            best = min(best, float(changes.min()))
-            near = np.flatnonzero(changes <= best + slack(best))
+            best = min(best, float(np.minimum.reduce(changes)))
+            near = (changes <= best + slack(best)).nonzero()[0]
             found.append((near + offset, changes[near]))
     if not (math.isfinite(best) and best <= slack(best)):
         return []
@@ -465,62 +502,164 @@ def solve(
     config give identical outputs.  The converged flag reports whether the
     loop settled (stable decisions and peak relative overload below epsilon)
     before max_iters; on non-convergence the best feasible plan found is still
-    returned.
+    returned.  This is `_solve_batch` on a batch of one.
+    """
+    return _solve_batch([(topology, tasks, rates_bps, scheme)], config)[0]
+
+
+def _solve_batch(problems, config: SolverConfig | None = None) -> list[SolveResult]:
+    """`solve` on each (topology, tasks, rates_bps, scheme) problem, in order.
+
+    Problems with the same number of users, RUs and DUs run through one
+    `_price_loop`, at most _BATCH_TASKS tasks of them at a time; an empty task
+    set needs no loop.  No problem reads another's numbers, so each result is
+    the one `solve` gives for that problem alone.
     """
     config = config or SolverConfig()
-    if tasks.num_tasks == 0:
-        return _empty_result(topology)
-    if tasks.num_tasks != topology.num_users:
-        raise ValueError("tasks and topology disagree on the number of users")
+    results: list = [None] * len(problems)
+    shapes: dict[tuple[int, int, int], list[int]] = {}
+    for i, (topology, tasks, _, _) in enumerate(problems):
+        if tasks.num_tasks == 0:
+            results[i] = _empty_result(topology)
+        elif tasks.num_tasks != topology.num_users:
+            raise ValueError("tasks and topology disagree on the number of users")
+        else:
+            shapes.setdefault((tasks.num_tasks, topology.num_rus, topology.num_dus), []).append(i)
+    for (num_tasks, _, _), members in shapes.items():
+        size = max(1, _BATCH_TASKS // num_tasks)
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            for i, result in zip(chunk, _price_loop([problems[i] for i in chunk], config)):
+                results[i] = result
+    return results
 
-    pools = _Pools(tasks, topology)
-    prices = _initial_prices(pools)  # checked before any plan is scored
-    allowed_codes = [TIER_INDEX[t] for t in scheme.allowed_tiers]
 
-    # The price loop revisits assignments, frozen ones on every iteration:
-    # score each distinct one once.  At most max_iters + 3 entries.
-    cache: dict[bytes, float] = {}
-    best_obj = math.inf
-    best_codes = None
+class _Stack:
+    """The arrays of the problems still in a `_price_loop`, one row per
+    problem: row b's pools are entries b P to b P + P - 1 of one pool vector,
+    which `index` and `terms` name (`local_index` names them within the
+    problem).  `first[b, k]` = 3 (b K + k) is where task k of row b has its
+    L tier in the raveled (B, K, 3) marginals and in the rows of `terms` and
+    `root_terms` (sqrt demands); its H and C tiers follow."""
 
-    def consider(codes: np.ndarray) -> float:
-        nonlocal best_obj, best_codes
-        key = codes.tobytes()
-        value = cache.get(key)
-        if value is None:
-            value = cache[key] = pools.objective(codes)
-        if value < best_obj:
-            best_obj = value
-            best_codes = codes.copy()
-        return value
+    __slots__ = ("local_index", "demand", "root", "capacity", "s0", "floors", "barred", "index", "terms", "root_terms",
+                 "first", "clip", "bars")
 
-    for code in allowed_codes:
-        consider(np.full(tasks.num_tasks, code, dtype=np.int64))
+    def __init__(self, local_index, demand, root, capacity, s0, floors, barred):
+        self.local_index, self.demand, self.root, self.capacity = local_index, demand, root, capacity
+        self.s0, self.floors, self.barred = s0, floors, barred
+        rows, num_tasks = demand.shape[:2]
+        self.index = local_index + np.arange(0, rows * capacity.shape[1], capacity.shape[1])[:, None, None, None]
+        self.terms = self.index.reshape(-1, 3)
+        self.root_terms = root.reshape(-1, 3)
+        self.first = np.arange(0, 3 * rows * num_tasks, 3).reshape(rows, num_tasks)
+        self.clip = _SUBGRADIENT_CLIP * capacity
+        self.bars = bool(barred.any())
 
-    # Prices, steps and floors are pool vectors for the whole loop; the
-    # returned DualState is built from them once, at the end.
-    capacity, index, demand = pools.capacity, pools.index, pools.demand
-    s0 = _STEP_SCALE * prices / capacity
-    floors = _DUAL_FLOOR_SCALE * prices
-    clip_capacity = _SUBGRADIENT_CLIP * capacity
-    barred = _barred(scheme)
-    # (task, tier) pairs flattened task-major: task k's tier c is row 3k + c
-    # of `terms` and entry 3k + c of a raveled (K, 3) marginal matrix.
-    terms = index.reshape(-1, 3)
-    tier_l = 3 * pools.rows
+    def take(self, keep: np.ndarray) -> "_Stack":
+        arrays = (self.local_index, self.demand, self.root, self.capacity, self.s0, self.floors, self.barred)
+        return _Stack(*(array[keep] for array in arrays))
 
-    dual_trace: list[float] = []
-    cand_trace: list[float] = []
-    best_trace: list[float] = []
-    viol_trace: list[float] = []
 
-    prev_codes = None
-    prev_key = None
-    stable = 0
-    since_improve = 0
-    frozen = False
-    converged = False
-    iterations = 0
+class _Run:
+    """One problem's bookkeeping in `_price_loop`, in plain Python: the
+    objective cache, the best plan, the stall clock, the stability window,
+    the freeze and the trace rows (candidate, best, dual value, violation)."""
+
+    __slots__ = ("problem", "pools", "allowed", "cache", "best_obj", "best_codes", "since", "stable", "key",
+                 "frozen", "trace", "solved")
+
+    def __init__(self, problem, pools: _Pools):
+        self.problem, self.pools = problem, pools
+        self.allowed = [TIER_INDEX[t] for t in problem[3].allowed_tiers]
+        # The price loop revisits assignments, frozen ones on every iteration:
+        # score each distinct one once.  Keyed by the bytes of the problem's
+        # row of `picked`, which depend on the row, so a problem that moves
+        # to another row starts a new cache.  At most max_iters entries.
+        self.cache: dict[bytes, float] = {}
+        self.best_obj = math.inf
+        self.best_codes = None
+        self.since = self.stable = 0
+        self.key = None
+        self.frozen = False
+        self.trace: list[tuple[float, float, float, float]] = []
+        self.solved: SolveResult | None = None
+        uniform = _cost(pools.uniform, pools.capacity).tolist()  # each single-tier plan's objective
+        for code in self.allowed:
+            if uniform[code] < self.best_obj:
+                self.best_obj, self.best_codes = uniform[code], np.full(pools.rows.size, code, dtype=np.int64)
+
+    def freeze(self, floors: np.ndarray) -> np.ndarray:
+        """Polish the incumbent, freeze it, and return the prices at its exact
+        clearing values: every pool it uses exactly tight, unused pools at
+        their floors."""
+        self.best_codes, self.best_obj = _local_search(self.best_codes, self.best_obj, self.allowed, self.pools)
+        self.frozen = True
+        w = self.pools.loads(self.best_codes)
+        return np.where(w > 0, (w / self.pools.capacity) ** 2, floors)
+
+    def finish(self, iterations: int, converged: bool, prices: np.ndarray) -> None:
+        """Polish and re-allocate the best plan and set `solved`."""
+        topology, tasks, rates_bps, _ = self.problem
+        if not self.frozen:  # a frozen incumbent was polished when it froze
+            self.best_codes, self.best_obj = _local_search(self.best_codes, self.best_obj, self.allowed, self.pools)
+        decision = Decision(tuple(TIERS[c] for c in self.best_codes.tolist()))
+        allocation = allocate_given_decision(decision, tasks, topology)
+        total_s = total_delay(topology, tasks, decision, allocation, rates_bps)
+        candidate, best, dual, violation = zip(*self.trace)
+        best_dual = max(dual)
+        best_obj = self.best_obj
+        gap = max(0.0, (best_obj - best_dual) / best_obj) if best_obj > 0 else 0.0
+        self.solved = SolveResult(
+            decision=decision,
+            allocation=allocation,
+            duals=_dual_state(prices, self.pools.starts),
+            iterations=iterations,
+            converged=converged,
+            objective_s=float(best_obj),
+            total_delay_s=total_s,
+            best_dual_value_s=float(best_dual),
+            duality_gap=float(gap),
+            trace={
+                "dual_value_s": np.array(dual),
+                "candidate_objective_s": np.array(candidate),
+                "best_objective_s": np.array(best),
+                "max_violation": np.array(violation),
+            },
+        )
+
+
+def _price_loop(problems, config: SolverConfig) -> list[SolveResult]:
+    """The price loop on problems of one shape, stacked (`_Stack`).
+
+    One gather of the prices gives every problem's marginals, one tier pick
+    and one scatter give every pool load, and one step moves every price;
+    the marginal sums, peak overloads, dual values and exact objectives are
+    per-row reductions of the loop's kernels.  No row reads another, so each
+    problem follows the iterates it would follow alone.  The bookkeeping is
+    per problem (`_Run`), and a problem that stops leaves the stack.
+    """
+    pools = [_Pools(tasks, topology) for topology, tasks, _, _ in problems]
+    prices = np.array([_initial_prices(p) for p in pools])  # checked before any plan is scored
+    runs = [_Run(problem, p) for problem, p in zip(problems, pools)]
+    # Prices, steps and floors are pool vectors, one row per problem, for the
+    # whole loop; each DualState is built from its row once, at the end.
+    capacity = np.array([p.capacity for p in pools])
+    stack = _Stack(
+        np.array([p.index for p in pools]),
+        np.array([p.demand for p in pools]),
+        np.array([p.root for p in pools]),
+        capacity,
+        _STEP_SCALE * prices / capacity,
+        _DUAL_FLOOR_SCALE * prices,
+        np.array([_barred(scheme) for _, _, _, scheme in problems])[:, None, :],
+    )
+    live = list(runs)  # the problem in each stacked row
+    frozen: list[int] = []  # the rows whose incumbent is frozen
+    all_frozen = None  # once every row is frozen: their fixed picks
+    width = stack.first.shape[1] * stack.first.itemsize  # bytes per row of `picked`
+    epsilon = config.epsilon
+    prev = None
 
     # A price at its floor can make a share overflow to inf, and
     # `_price_step` clips the excess it feeds.  The errstate is entered once,
@@ -528,84 +667,101 @@ def solve(
     # desk-scale iteration.
     with np.errstate(over="ignore"):
         for t in range(1, config.max_iters + 1):
-            iterations = t
-            task_prices = prices[index]
-            marg = _marginals(demand, task_prices)
-            allowed_marg = _allowed_marginals(marg, barred)
-            if frozen:
-                codes = best_codes
+            task_prices = prices.ravel()[stack.index]
+            marg = _marginals(stack.demand, task_prices)
+            allowed_marg = _allowed_marginals(marg, stack.barred) if stack.bars else marg
+            # Tier picks as (task, tier) pairs flattened task-major: entries of
+            # the raveled marginals and rows of `terms`.  A row of them is the
+            # row's assignment offset by `first`.
+            if all_frozen is not None:
+                picked = all_frozen
             else:
-                codes = allowed_marg.argmin(axis=1)
-                if prev_codes is not None:
-                    # A task only moves when the cheapest tier beats its current
-                    # one by a clear relative margin; marginal near-ties otherwise
-                    # make tasks flap between tiers forever as prices dither.
+                picked = stack.first + allowed_marg.argmin(axis=-1)
+                if prev is not None:
+                    # A task only moves when the cheapest tier beats its
+                    # current one by a clear relative margin; marginal
+                    # near-ties otherwise make tasks flap between tiers
+                    # forever as prices dither.
                     flat = marg.ravel()
-                    margin = (1.0 - _DECISION_HYSTERESIS) * flat.take(tier_l + prev_codes)
-                    keep = flat.take(tier_l + codes) >= margin
-                    codes = np.where(keep, prev_codes, codes)
-                prev_codes = codes
+                    margin = (1.0 - _DECISION_HYSTERESIS) * flat.take(prev)
+                    picked = np.where(flat.take(picked) >= margin, prev, picked)
+                prev = picked
+                for row in frozen:
+                    picked[row] = stack.first[row] + live[row].best_codes
 
-            picked = tier_l + codes
-            shares = np.sqrt(demand / task_prices).reshape(-1, 3).take(picked, axis=0)
-            loads = _pool_loads(terms.take(picked, axis=0), shares, capacity.size)
-            violation = _peak_overload(loads, capacity)
-            previous_best = best_obj
-            cand_trace.append(consider(codes))
-            # Only a materially better plan resets the stall clock; float-noise
-            # improvements would defer the pricing phase forever.
-            since_improve = 0 if best_obj < previous_best * (1.0 - 1e-9) else since_improve + 1
-            best_trace.append(best_obj)
-            dual_trace.append(_dual_value(allowed_marg, prices, capacity))
-            viol_trace.append(violation)
+            shares = np.sqrt(stack.demand / task_prices).reshape(-1, 3).take(picked, axis=0)
+            terms = stack.terms.take(picked, axis=0)
+            loads = _pool_loads(terms, shares, prices.size).reshape(prices.shape)
+            violation = _peak_overload(loads, stack.capacity).tolist()
+            dual = _dual_value(allowed_marg, prices, stack.capacity).tolist()
 
-            key = codes.tobytes()
-            stable = stable + 1 if key == prev_key else 1
-            prev_key = key
-            if stable >= _STABILITY_WINDOW and violation < config.epsilon:
-                converged = True
-                break
+            blob = picked.tobytes()
+            exact = None
+            stopped = []
+            freezing = []
+            for row, run in enumerate(live):
+                key = blob[row * width : (row + 1) * width]
+                value = run.cache.get(key)
+                if value is None:
+                    if exact is None:
+                        roots = stack.root_terms.take(picked, axis=0)
+                        exact_loads = _pool_loads(terms, roots, prices.size).reshape(prices.shape)
+                        exact = _cost(exact_loads, stack.capacity).tolist()
+                    value = run.cache[key] = exact[row]
+                best = run.best_obj
+                if value < best:
+                    run.best_obj, run.best_codes = value, picked[row] - stack.first[row]
+                    # Only a materially better plan resets the stall clock;
+                    # float-noise improvements would defer the pricing phase
+                    # forever.
+                    run.since = 0 if value < best * (1.0 - 1e-9) else run.since + 1
+                else:
+                    run.since += 1
+                overload = violation[row]
+                run.trace.append((value, run.best_obj, dual[row], overload))
+                stable = run.stable = run.stable + 1 if key == run.key else 1
+                run.key = key
+                if stable >= _STABILITY_WINDOW and overload < epsilon:
+                    run.finish(t, True, prices[row].copy())
+                    stopped.append(row)
+                elif run.since >= _FREEZE_AFTER and not run.frozen:
+                    freezing.append(row)
 
-            if not frozen and since_improve >= _FREEZE_AFTER:
+            prices = _price_step(prices, loads, t, stack.s0, stack.floors, stack.capacity, stack.clip)
+            for row in freezing:
                 # Exploration has stalled: the winner-take-all iterates rarely
-                # settle on their own, because the relaxed optimum splits marginal
-                # tasks across tiers.  Polish the incumbent by single-swap
-                # descent, freeze it, and re-initialize the prices at its exact
-                # clearing values (the dual counterpart of the final exact
-                # re-allocation): every pool it uses exactly tight, unused pools
-                # at their floor.  The subgradient updates then hold them there
-                # and the recovered shares match the returned allocation.
-                best_codes, best_obj = _local_search(best_codes, best_obj, allowed_codes, pools)
-                frozen = True
-                w = pools.loads(best_codes)
-                prices = np.where(w > 0, (w / capacity) ** 2, floors)
-                continue  # this iterate's loads predate the re-initialized prices
+                # settle on their own, because the relaxed optimum splits
+                # marginal tasks across tiers.  Polish the incumbent by
+                # single-swap descent, freeze it, and re-initialize the prices
+                # at its exact clearing values (the dual counterpart of the
+                # final exact re-allocation).  The subgradient updates then
+                # hold them there and the recovered shares match the returned
+                # allocation.  This row's step above is discarded: its loads
+                # predate the re-initialized prices.
+                prices[row] = live[row].freeze(stack.floors[row])
+                frozen.append(row)
 
-            prices = _price_step(prices, loads, t, s0, floors, capacity, clip_capacity)
+            if stopped:
+                # The last rows move into the stopped ones' places.
+                order = list(range(len(live)))
+                for row in reversed(stopped):
+                    order[row] = order[-1]
+                    order.pop()
+                live = [live[row] for row in order]
+                if not live:
+                    break
+                codes = picked - stack.first
+                stack = stack.take(order)
+                prices = prices[order]
+                prev = stack.first + codes[order]
+                for row, old_row in enumerate(order):
+                    if row != old_row:
+                        live[row].cache = {}
+                        live[row].key = prev[row].tobytes()
+                frozen = [row for row, run in enumerate(live) if run.frozen]
+            if (freezing or stopped) and len(frozen) == len(live):
+                all_frozen = stack.first + np.array([run.best_codes for run in live])
 
-    if not frozen:  # a frozen incumbent was polished when it froze
-        best_codes, best_obj = _local_search(best_codes, best_obj, allowed_codes, pools)
-
-    decision = Decision(tuple(TIERS[c] for c in best_codes))
-    allocation = allocate_given_decision(decision, tasks, topology)
-    total_s = total_delay(topology, tasks, decision, allocation, rates_bps)
-    best_dual = max(dual_trace) if dual_trace else 0.0
-    gap = max(0.0, (best_obj - best_dual) / best_obj) if best_obj > 0 else 0.0
-
-    return SolveResult(
-        decision=decision,
-        allocation=allocation,
-        duals=_dual_state(prices, pools.starts),
-        iterations=iterations,
-        converged=converged,
-        objective_s=float(best_obj),
-        total_delay_s=total_s,
-        best_dual_value_s=float(best_dual),
-        duality_gap=float(gap),
-        trace={
-            "dual_value_s": np.array(dual_trace),
-            "candidate_objective_s": np.array(cand_trace),
-            "best_objective_s": np.array(best_trace),
-            "max_violation": np.array(viol_trace),
-        },
-    )
+    for row, run in enumerate(live):
+        run.finish(config.max_iters, False, prices[row].copy())
+    return [run.solved for run in runs]

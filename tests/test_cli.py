@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -6,14 +7,24 @@ from pathlib import Path
 import pytest
 
 import fogplan
-from fogplan import ScenarioSpec, Scheme, SolverConfig
+from fogplan import (
+    ScenarioSpec,
+    Scheme,
+    SolverConfig,
+    generate_channels,
+    generate_scenario,
+    solve,
+    uplink_rates,
+)
 from fogplan.cli import (
     ORACLE_CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
     SweepSpec,
+    channel_seed,
     compare_oracle,
     format_csv,
     main,
+    realization_seed,
     run_sweep,
 )
 
@@ -78,14 +89,40 @@ def test_sweep_csv_schema(tmp_path):
 
 
 def test_sweep_workers_match_serial(tmp_path):
-    args = [
-        "--sweep", "k=2:4:2", "--users", "2", "--rus", "2", "--dus", "1",
-        "--realizations", "2", "--seed", "5", "--scheme", "fog",
-    ]
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    assert main(args + ["--out", str(serial), "--workers", "1"]) == 0
-    assert main(args + ["--out", str(parallel), "--workers", "2"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+    for args in (
+        ["--sweep", "k=2:4:2", "--users", "2", "--rus", "2", "--dus", "1", "--realizations", "2", "--seed", "5",
+         "--scheme", "fog"],
+        ["--sweep", "fl=1e9:5e9:3", "--users", "8", "--rus", "4", "--dus", "2", "--realizations", "3", "--seed", "5",
+         "--scheme", "all"],
+    ):
+        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        assert main(args + ["--out", str(serial), "--workers", "1"]) == 0
+        assert main(args + ["--out", str(parallel), "--workers", "2"]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_sweep_rows_equal_single_solve_replay():
+    # Each sweep point is solved as one batch; its rows must be exactly the
+    # means of one `solve` per (realization, scheme).
+    schemes = (Scheme.FOG, Scheme.CLOUD_RU, Scheme.CLOUD_DU, Scheme.CLOUD)
+    sweep = SweepSpec(parameter="fl", start=1e9, stop=5e9, steps=2, realizations=5, base_seed=3)
+    base = ScenarioSpec(num_users=8, num_rus=4, num_dus=2, seed=3)
+    rows = iter(run_sweep(sweep, schemes, base))
+    for value in sweep.values():
+        totals = {scheme: [] for scheme in schemes}
+        for r in range(sweep.realizations):
+            seed = realization_seed(sweep.base_seed, r)
+            scenario = generate_scenario(dataclasses.replace(base, mecl_capacity_hz=value, seed=seed))
+            channels = generate_channels(
+                scenario.topology, scenario.ru_positions_m, scenario.user_positions_m, seed=channel_seed(seed)
+            )
+            rates = uplink_rates(scenario.topology, channels)
+            for scheme in schemes:
+                totals[scheme].append(solve(scenario.topology, scenario.tasks, rates, scheme).total_delay_s)
+        for scheme in schemes:
+            row = next(rows)
+            assert (row["value"], row["scheme"], row["infeasible_count"]) == (value, scheme.cli_name, 0)
+            assert row["mean_total_delay_s"] == sum(totals[scheme]) / sweep.realizations
 
 
 def test_k_sweep_uses_integer_user_counts(tmp_path):
@@ -288,15 +325,14 @@ def test_infeasible_realizations_counted_and_excluded(monkeypatch):
 
     import fogplan.cli as cli_mod
 
-    original = cli_mod._sweep_cell
+    original = cli_mod._sweep_point
 
     def flaky(args):
-        point, realization, totals = original(args)
-        if realization == 0:
-            totals = {name: math.inf for name in totals}
-        return point, realization, totals
+        totals = original(args)
+        totals[0] = {name: math.inf for name in totals[0]}
+        return totals
 
-    monkeypatch.setattr(cli_mod, "_sweep_cell", flaky)
+    monkeypatch.setattr(cli_mod, "_sweep_point", flaky)
     rows = run_sweep(
         SweepSpec(parameter="fl", start=1e9, stop=2e9, steps=2, realizations=3, base_seed=4),
         (Scheme.FOG,),

@@ -463,6 +463,52 @@ def test_solve_is_deterministic(random_instance):
     assert np.array_equal(a.trace["dual_value_s"], b.trace["dual_value_s"])
 
 
+def _assert_same_result(got, want):
+    assert got.decision == want.decision and got.allocation == want.allocation
+    for name in ("mu", "lam", "nu", "xi"):
+        assert getattr(got.duals, name).tobytes() == getattr(want.duals, name).tobytes()
+    assert got.duals.rho == want.duals.rho
+    for name in ("iterations", "converged", "objective_s", "total_delay_s", "best_dual_value_s", "duality_gap"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert list(got.trace) == list(want.trace)
+    for name, values in got.trace.items():
+        assert values.tobytes() == want.trace[name].tobytes(), name
+
+
+def test_batch_matches_single_solves(random_instance, make_topology, monkeypatch):
+    # One price loop serves the whole batch; no row may read another, so each
+    # result must equal the single solve bit for bit, including rows that stop
+    # early and leave the stack, rows that freeze, and rows cut by max_iters.
+    problems = []
+    for seed in range(4):
+        scenario, rates = random_instance(seed=seed, num_users=8, num_rus=4, num_dus=2)
+        problems += [(scenario.topology, scenario.tasks, rates, scheme) for scheme in Scheme]
+    scenario, rates = random_instance(seed=4, num_users=6, num_rus=4, num_dus=2)
+    problems += [(scenario.topology, scenario.tasks, rates, scheme) for scheme in Scheme]
+    zero_rate = rates.copy()
+    zero_rate[0] = 0.0
+    problems.append((scenario.topology, scenario.tasks, zero_rate, Scheme.FOG))
+    empty = (make_topology(num_users=0), TaskSet(data_bits=np.array([]), cycles_per_bit=np.array([])), np.array([]))
+    problems.insert(3, empty + (Scheme.CLOUD,))
+
+    freezes = []
+    freeze = solver._Run.freeze
+    monkeypatch.setattr(solver._Run, "freeze", lambda run, floors: freezes.append(run) or freeze(run, floors))
+    for config in (SolverConfig(), SolverConfig(max_iters=60)):
+        singles = [solve(*problem, config) for problem in problems]
+        freezes.clear()
+        batch = solver._solve_batch(problems, config)
+        assert len(batch) == len(problems)
+        for got, want in zip(batch, singles):
+            _assert_same_result(got, want)
+        assert len({result.iterations for result in batch}) > 2  # rows leave the stack at different iterations
+        assert batch[3].decision.tiers == () and math.isinf(batch[-1].total_delay_s)
+        if config.max_iters == 60:
+            assert any(r.converged for r in batch) and any(r.iterations == 60 and not r.converged for r in batch)
+        else:
+            assert freezes
+
+
 def test_fog_never_loses_to_baselines(random_instance):
     # nested feasible sets: the full scheme should win on every instance
     for seed in range(200):
