@@ -124,9 +124,9 @@ def _realize(spec: ScenarioSpec, num_antennas: int) -> tuple[Scenario, np.ndarra
 
 
 def _sweep_point(args) -> list[dict[str, float]]:
-    """Total delay of each scheme in each realization of one sweep point (inf
-    marks an infeasible realization), in realization order.  The point's
-    realizations x schemes are planned as one batch."""
+    """Total delay of each scheme in each of the given realizations of one
+    sweep point (inf marks an infeasible realization), in realization order.
+    The realizations x schemes are planned as one batch."""
     specs, schemes, config, num_antennas = args
     realized = [_realize(spec, num_antennas) for spec in specs]
     problems = [
@@ -148,10 +148,12 @@ def run_sweep(
 
     Realization r always uses seed base_seed xor r, for every sweep point, so
     points share random draws and curves differ only through the swept value.
-    Each sweep point's realizations x schemes are solved as one batch, and a
-    worker takes one sweep point at a time.  Infeasible realizations (a user
-    with zero rate) are counted and excluded from the mean.  Output row order
-    and content are deterministic and do not depend on `workers`.
+    A sweep point's realizations x schemes are solved as one batch; with n
+    workers, each point's realizations are split into n contiguous shares,
+    one batch each, so even a single point keeps every worker busy.
+    Infeasible realizations (a user with zero rate) are counted and excluded
+    from the mean.  No problem in a batch reads another's numbers, so output
+    row order and content are deterministic and do not depend on `workers`.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -159,22 +161,26 @@ def run_sweep(
     base = dataclasses.replace(base, **sweep.overrides) if sweep.overrides else base
     values = sweep.values()
     seeds = [realization_seed(sweep.base_seed, r) for r in range(sweep.realizations)]
-    points = [
-        ([_spec_for_point(base, sweep, value, seed) for seed in seeds], tuple(schemes), config, num_antennas)
-        for value in values
-    ]
+    share = -(-len(seeds) // workers)  # realizations per batch
+    starts = range(0, len(seeds), share)
+    batches = []
+    for value in values:
+        specs = [_spec_for_point(base, sweep, value, seed) for seed in seeds]
+        batches += [(specs[start : start + share], tuple(schemes), config, num_antennas) for start in starts]
     if workers > 1:
         # Imported here: multiprocessing costs every importer of this module
         # memory that serial runs never use.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_point, points, chunksize=1))
+            outcomes = list(pool.map(_sweep_point, batches, chunksize=1))
     else:
-        outcomes = [_sweep_point(point) for point in points]
+        outcomes = [_sweep_point(batch) for batch in batches]
 
     rows = []
-    for value, by_realization in zip(values, outcomes):
+    outcomes = iter(outcomes)
+    for value in values:
+        by_realization = [total for _ in starts for total in next(outcomes)]
         for scheme in schemes:
             totals = [realization[scheme.name] for realization in by_realization]
             feasible = [v for v in totals if math.isfinite(v)]

@@ -494,10 +494,19 @@ def test_batch_matches_single_solves(random_instance, make_topology, monkeypatch
     freezes = []
     freeze = solver._Run.freeze
     monkeypatch.setattr(solver._Run, "freeze", lambda run, floors: freezes.append(run) or freeze(run, floors))
-    for config in (SolverConfig(), SolverConfig(max_iters=60)):
+    chunks = []
+    price_loop = solver._price_loop
+    monkeypatch.setattr(solver, "_price_loop", lambda chunk, cfg: chunks.append(len(chunk)) or price_loop(chunk, cfg))
+    # 24 tasks per loop makes chunks of three K=8 or four K=6 problems, so
+    # chunk boundaries fall inside the batch and inside a seed's schemes.
+    for config, batch_tasks in ((SolverConfig(), None), (SolverConfig(max_iters=60), None), (SolverConfig(), 24)):
         singles = [solve(*problem, config) for problem in problems]
         freezes.clear()
+        chunks.clear()
+        if batch_tasks:
+            monkeypatch.setattr(solver, "_BATCH_TASKS", batch_tasks)
         batch = solver._solve_batch(problems, config)
+        assert chunks == ([3, 3, 3, 3, 3, 1, 4, 1] if batch_tasks else [16, 5])
         assert len(batch) == len(problems)
         for got, want in zip(batch, singles):
             _assert_same_result(got, want)
@@ -705,14 +714,17 @@ def test_polish_work_stays_small_at_k200(random_instance, monkeypatch):
     # per pair pass at this size
     num_users = 200
     scenario, rates = random_instance(seed=0, num_users=num_users, num_rus=10, num_dus=4)
+    # Every exact score goes through `_cost`: the loop's (one for the
+    # single-tier plans, then one per iteration with an unscored plan) and
+    # the polish's, through `_Pools.objective`.
     counts = {"loop": 0, "polish": 0}
     in_polish = False
-    original_objective = _Pools.objective
+    original_cost = solver._cost
     original_search = solver._local_search
 
-    def counting_objective(self, codes):
+    def counting_cost(loads, capacity):
         counts["polish" if in_polish else "loop"] += 1
-        return original_objective(self, codes)
+        return original_cost(loads, capacity)
 
     def flagged_search(*args):
         nonlocal in_polish
@@ -722,11 +734,11 @@ def test_polish_work_stays_small_at_k200(random_instance, monkeypatch):
         finally:
             in_polish = False
 
-    monkeypatch.setattr(_Pools, "objective", counting_objective)
+    monkeypatch.setattr(solver, "_cost", counting_cost)
     monkeypatch.setattr(solver, "_local_search", flagged_search)
     res = solve(scenario.topology, scenario.tasks, rates, Scheme.FOG)
     assert check_feasibility(scenario.topology, scenario.tasks, res.decision, res.allocation) == []
-    assert counts["loop"] <= res.iterations + 3
+    assert 2 <= counts["loop"] <= res.iterations + 3
     assert 1 <= counts["polish"] <= num_users
 
 
