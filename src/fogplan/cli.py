@@ -123,17 +123,34 @@ def _realize(spec: ScenarioSpec, num_antennas: int) -> tuple[Scenario, np.ndarra
     return scenario, _rates(scenario, spec.seed, num_antennas)
 
 
-def _sweep_point(args) -> list[dict[str, float]]:
-    """Total delay of each scheme in each of the given realizations of one
-    sweep point (inf marks an infeasible realization), in realization order.
-    The realizations x schemes are planned as one batch."""
-    specs, schemes, config, num_antennas = args
-    realized = [_realize(spec, num_antennas) for spec in specs]
-    problems = [
-        (scenario.topology, scenario.tasks, rates, scheme) for scenario, rates in realized for scheme in schemes
-    ]
-    totals = iter(_solve_batch(problems, config))
-    return [{scheme.name: next(totals).total_delay_s for scheme in schemes} for _ in specs]
+def _share_problems(sweep: SweepSpec, base: ScenarioSpec, values, seeds, schemes, num_antennas: int):
+    """Every (topology, tasks, rates, scheme) problem of the given realizations
+    at every sweep point, point-major, drawn lazily.  A capacity sweep point
+    changes one capacity field, which `generate_scenario` fills without a
+    random draw, so each realization's channels and rates are drawn once and
+    reused at every point; a `k` sweep draws them per point."""
+    rates: list = [None] * len(seeds)
+    for value in values:
+        for r, seed in enumerate(seeds):
+            scenario = generate_scenario(_spec_for_point(base, sweep, value, seed))
+            if rates[r] is None or sweep.parameter == "k":
+                rates[r] = _rates(scenario, seed, num_antennas)
+            for scheme in schemes:
+                yield scenario.topology, scenario.tasks, rates[r], scheme
+
+
+def _sweep_share(args) -> list[list[dict[str, float]]]:
+    """Total delay of each scheme in each of the given realizations at each
+    sweep point (inf marks an infeasible realization), as one list per point
+    in realization order.  The points x realizations x schemes are planned as
+    one stream of batches, keeping only each plan's total delay."""
+    sweep, base, values, seeds, schemes, config, num_antennas = args
+    totals = [math.nan] * (len(values) * len(seeds) * len(schemes))
+    problems = _share_problems(sweep, base, values, seeds, schemes, num_antennas)
+    for position, result in _solve_batch(problems, config):
+        totals[position] = result.total_delay_s
+    cells = iter(totals)
+    return [[{scheme.name: next(cells) for scheme in schemes} for _ in seeds] for _ in values]
 
 
 def run_sweep(
@@ -148,12 +165,12 @@ def run_sweep(
 
     Realization r always uses seed base_seed xor r, for every sweep point, so
     points share random draws and curves differ only through the swept value.
-    A sweep point's realizations x schemes are solved as one batch; with n
-    workers, each point's realizations are split into n contiguous shares,
-    one batch each, so even a single point keeps every worker busy.
-    Infeasible realizations (a user with zero rate) are counted and excluded
-    from the mean.  No problem in a batch reads another's numbers, so output
-    row order and content are deterministic and do not depend on `workers`.
+    The realizations are split into `workers` contiguous shares, and each
+    share plans all its points x realizations x schemes as one stream of
+    batches (`_sweep_share`).  Infeasible realizations (a user with zero
+    rate) are counted and excluded from the mean.  No problem in a batch
+    reads another's numbers, so output row order and content are
+    deterministic and do not depend on `workers`.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -161,26 +178,24 @@ def run_sweep(
     base = dataclasses.replace(base, **sweep.overrides) if sweep.overrides else base
     values = sweep.values()
     seeds = [realization_seed(sweep.base_seed, r) for r in range(sweep.realizations)]
-    share = -(-len(seeds) // workers)  # realizations per batch
-    starts = range(0, len(seeds), share)
-    batches = []
-    for value in values:
-        specs = [_spec_for_point(base, sweep, value, seed) for seed in seeds]
-        batches += [(specs[start : start + share], tuple(schemes), config, num_antennas) for start in starts]
-    if workers > 1:
+    share = -(-len(seeds) // workers)  # realizations per worker
+    shares = [
+        (sweep, base, values, seeds[start : start + share], tuple(schemes), config, num_antennas)
+        for start in range(0, len(seeds), share)
+    ]
+    if len(shares) > 1:
         # Imported here: multiprocessing costs every importer of this module
         # memory that serial runs never use.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_point, batches, chunksize=1))
+        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+            outcomes = list(pool.map(_sweep_share, shares, chunksize=1))
     else:
-        outcomes = [_sweep_point(batch) for batch in batches]
+        outcomes = [_sweep_share(shares[0])]
 
     rows = []
-    outcomes = iter(outcomes)
-    for value in values:
-        by_realization = [total for _ in starts for total in next(outcomes)]
+    for p, value in enumerate(values):
+        by_realization = [total for outcome in outcomes for total in outcome[p]]
         for scheme in schemes:
             totals = [realization[scheme.name] for realization in by_realization]
             feasible = [v for v in totals if math.isfinite(v)]
@@ -374,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--epsilon", type=float, default=1e-4, help="solver convergence threshold")
     parser.add_argument("--max-iters", type=int, default=2000, help="solver iteration cap")
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel worker processes for sweeps, each planning one sweep point at a time")
+                        help="parallel worker processes for sweeps, each planning a contiguous share of the "
+                        "realizations at every sweep point")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a scenario parameter (fl, fh, bl, bh, fc, uplink, rl, rh, spacing); "
                         "VALUE may be 'lo,hi' for a per-node uniform draw")

@@ -41,21 +41,24 @@ and keeps no cache of its own: a pair pass costs O(K^2) time, not the O(K^3)
 time of re-scoring every neighbour, and it scores the pairs in row blocks, so
 it holds O(K) pair scores at a time, not O(K^2).
 
-`_solve_batch` runs one price loop for many problems of one shape (users,
-RUs, DUs), such as the realizations x schemes of a sweep point.  Problem b
+`_solve_batch` takes a stream of problems, such as every sweep point x
+realization x scheme of a worker's share of a sweep, and runs consecutive
+problems of one shape (users, RUs, DUs) through one price loop.  Problem b
 holds row b of every stacked array, and its pools are entries b P to
 b P + P - 1 of one stacked pool vector, so the gather, tier pick, scatter and
 price step serve them all, and the marginal sums, peak overloads, dual values
 and exact objectives reduce each row on its own.  The bookkeeping (objective
-cache, incumbent, stall clock, stability window, freeze, stop) stays per
-problem in plain Python, and a problem that stops leaves the stack.  No row
-reads another, so each problem gets the plan it gets alone; `solve` is the
-batch of one.
+cache, incumbent, stall clock, stability window, freeze, stop, and a trace
+packed as 4 floats per iteration) stays per problem in plain Python, and a
+problem that stops leaves the stack and is handed out at once.  No row reads
+another, so each problem gets the plan it gets alone; `solve` is the batch
+of one.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -81,10 +84,11 @@ _DECISION_HYSTERESIS = 1e-3  # relative margin by which a new tier must be cheap
 _FREEZE_AFTER = 150  # iterations without a material improvement before freezing
 _STABILITY_WINDOW = 25  # identical consecutive decisions needed to converge
 
-# Most tasks one stacked price loop holds; a larger batch of problems runs
-# in consecutive chunks, which changes no result.  The stacked arrays grow
-# with the batch: one K=100 sweep point of 400 problems peaks at 60 MB RSS
-# in chunks of 40 and at 150 MB in one loop, and runs ~7% slower unchunked.
+# Most tasks one stacked price loop holds; a longer run of problems of one
+# shape goes through consecutive loops, which changes no result.  The stacked
+# arrays and the live problems' bookkeeping grow with the loop: 400 streamed
+# K=100 problems peak at 46 MB RSS in loops of 40 and at 111 MB in one loop,
+# in the same time.
 _BATCH_TASKS = 4096
 
 
@@ -509,34 +513,45 @@ def solve(
     before max_iters; on non-convergence the best feasible plan found is still
     returned.  This is `_solve_batch` on a batch of one.
     """
-    return _solve_batch([(topology, tasks, rates_bps, scheme)], config)[0]
+    [(_, result)] = _solve_batch([(topology, tasks, rates_bps, scheme)], config)
+    return result
 
 
-def _solve_batch(problems, config: SolverConfig | None = None) -> list[SolveResult]:
-    """`solve` on each (topology, tasks, rates_bps, scheme) problem, in order.
+def _solve_batch(problems, config: SolverConfig | None = None):
+    """`solve` on each (topology, tasks, rates_bps, scheme) problem of an
+    iterable, yielding (position, result) pairs as the problems stop.
 
-    Problems with the same number of users, RUs and DUs run through one
-    `_price_loop`, at most _BATCH_TASKS tasks of them at a time; an empty task
-    set needs no loop.  No problem reads another's numbers, so each result is
-    the one `solve` gives for that problem alone.
+    The problems are drawn lazily.  Consecutive problems with the same number
+    of users, RUs and DUs run through one `_price_loop`, at most _BATCH_TASKS
+    tasks of them at a time; an empty task set needs no loop and does not
+    split a run.  No problem reads another's numbers, so each result is the
+    one `solve` gives for that problem alone.
     """
     config = config or SolverConfig()
-    results: list = [None] * len(problems)
-    shapes: dict[tuple[int, int, int], list[int]] = {}
-    for i, (topology, tasks, _, _) in enumerate(problems):
+    chunk: list = []  # (position, problem) pairs of the next loop
+    shape = size = None
+    for position, problem in enumerate(problems):
+        topology, tasks, _, _ = problem
         if tasks.num_tasks == 0:
-            results[i] = _empty_result(topology)
-        elif tasks.num_tasks != topology.num_users:
+            yield position, _empty_result(topology)
+            continue
+        if tasks.num_tasks != topology.num_users:
             raise ValueError("tasks and topology disagree on the number of users")
-        else:
-            shapes.setdefault((tasks.num_tasks, topology.num_rus, topology.num_dus), []).append(i)
-    for (num_tasks, _, _), members in shapes.items():
-        size = max(1, _BATCH_TASKS // num_tasks)
-        for start in range(0, len(members), size):
-            chunk = members[start : start + size]
-            for i, result in zip(chunk, _price_loop([problems[i] for i in chunk], config)):
-                results[i] = result
-    return results
+        key = (tasks.num_tasks, topology.num_rus, topology.num_dus)
+        if key != shape or len(chunk) == size:
+            yield from _chunk_results(chunk, config)
+            chunk, shape, size = [], key, max(1, _BATCH_TASKS // tasks.num_tasks)
+        chunk.append((position, problem))
+    yield from _chunk_results(chunk, config)
+
+
+def _chunk_results(chunk, config: SolverConfig):
+    """(position, result) pairs of one `_price_loop` over (position, problem)
+    pairs, in the order the problems stop."""
+    if chunk:
+        positions, problems = zip(*chunk)
+        for i, result in _price_loop(list(problems), config):
+            yield positions[i], result
 
 
 class _Stack:
@@ -545,10 +560,11 @@ class _Stack:
     which `index` and `terms` name (`local_index` names them within the
     problem).  `first[b, k]` = 3 (b K + k) is where task k of row b has its
     L tier in the raveled (B, K, 3) marginals and in the rows of `terms` and
-    `root_terms` (sqrt demands); its H and C tiers follow."""
+    `root_terms` (sqrt demands); its H and C tiers follow.  `tier` holds the
+    tier code of each of those raveled entries, as `uint8`."""
 
     __slots__ = ("local_index", "demand", "root", "capacity", "s0", "floors", "barred", "index", "terms", "root_terms",
-                 "first", "clip", "bars")
+                 "first", "tier", "clip", "bars")
 
     def __init__(self, local_index, demand, root, capacity, s0, floors, barred):
         self.local_index, self.demand, self.root, self.capacity = local_index, demand, root, capacity
@@ -558,6 +574,7 @@ class _Stack:
         self.terms = self.index.reshape(-1, 3)
         self.root_terms = root.reshape(-1, 3)
         self.first = np.arange(0, 3 * rows * num_tasks, 3).reshape(rows, num_tasks)
+        self.tier = np.tile(np.arange(3, dtype=np.uint8), rows * num_tasks)
         self.clip = _SUBGRADIENT_CLIP * capacity
         self.bars = bool(barred.any())
 
@@ -569,26 +586,26 @@ class _Stack:
 class _Run:
     """One problem's bookkeeping in `_price_loop`, in plain Python: the
     objective cache, the best plan, the stall clock, the stability window,
-    the freeze and the trace rows (candidate, best, dual value, violation)."""
+    the freeze and the trace, packed as 4 floats (candidate, best, dual value,
+    violation) per iteration."""
 
-    __slots__ = ("problem", "pools", "allowed", "cache", "best_obj", "best_codes", "since", "stable", "key",
-                 "frozen", "trace", "solved")
+    __slots__ = ("index", "problem", "pools", "allowed", "cache", "best_obj", "best_codes", "since", "stable", "key",
+                 "frozen", "trace")
 
-    def __init__(self, problem, pools: _Pools):
-        self.problem, self.pools = problem, pools
+    def __init__(self, index: int, problem, pools: _Pools):
+        self.index, self.problem, self.pools = index, problem, pools
         self.allowed = [TIER_INDEX[t] for t in problem[3].allowed_tiers]
         # The price loop revisits assignments, frozen ones on every iteration:
-        # score each distinct one once.  Keyed by the bytes of the problem's
-        # row of `picked`, which depend on the row, so a problem that moves
-        # to another row starts a new cache.  At most max_iters entries.
+        # score each distinct one once.  Keyed by the assignment's tier codes,
+        # one byte per task, which do not depend on the problem's row in the
+        # stack.  At most max_iters entries.
         self.cache: dict[bytes, float] = {}
         self.best_obj = math.inf
         self.best_codes = None
         self.since = self.stable = 0
         self.key = None
         self.frozen = False
-        self.trace: list[tuple[float, float, float, float]] = []
-        self.solved: SolveResult | None = None
+        self.trace = array("d")
         uniform = _cost(pools.uniform, pools.capacity).tolist()  # each single-tier plan's objective
         for code in self.allowed:
             if uniform[code] < self.best_obj:
@@ -603,19 +620,20 @@ class _Run:
         w = self.pools.loads(self.best_codes)
         return np.where(w > 0, (w / self.pools.capacity) ** 2, floors)
 
-    def finish(self, iterations: int, converged: bool, prices: np.ndarray) -> None:
-        """Polish and re-allocate the best plan and set `solved`."""
+    def finish(self, iterations: int, converged: bool, prices: np.ndarray) -> SolveResult:
+        """Polish and re-allocate the best plan and return it; the loop drops
+        the run with it."""
         topology, tasks, rates_bps, _ = self.problem
         if not self.frozen:  # a frozen incumbent was polished when it froze
             self.best_codes, self.best_obj = _local_search(self.best_codes, self.best_obj, self.allowed, self.pools)
         decision = Decision(tuple(TIERS[c] for c in self.best_codes.tolist()))
         allocation = allocate_given_decision(decision, tasks, topology)
         total_s = total_delay(topology, tasks, decision, allocation, rates_bps)
-        candidate, best, dual, violation = zip(*self.trace)
-        best_dual = max(dual)
+        candidate, best, dual, violation = np.array(self.trace).reshape(-1, 4).T.copy()
+        best_dual = max(self.trace[2::4])
         best_obj = self.best_obj
         gap = max(0.0, (best_obj - best_dual) / best_obj) if best_obj > 0 else 0.0
-        self.solved = SolveResult(
+        return SolveResult(
             decision=decision,
             allocation=allocation,
             duals=_dual_state(prices, self.pools.starts),
@@ -626,16 +644,17 @@ class _Run:
             best_dual_value_s=float(best_dual),
             duality_gap=float(gap),
             trace={
-                "dual_value_s": np.array(dual),
-                "candidate_objective_s": np.array(candidate),
-                "best_objective_s": np.array(best),
-                "max_violation": np.array(violation),
+                "dual_value_s": dual,
+                "candidate_objective_s": candidate,
+                "best_objective_s": best,
+                "max_violation": violation,
             },
         )
 
 
-def _price_loop(problems, config: SolverConfig) -> list[SolveResult]:
-    """The price loop on problems of one shape, stacked (`_Stack`).
+def _price_loop(problems, config: SolverConfig):
+    """The price loop on a list of problems of one shape, stacked (`_Stack`),
+    yielding (list index, result) pairs as the problems stop.
 
     One gather of the prices gives every problem's marginals, one tier pick
     and one scatter give every pool load, and one step moves every price;
@@ -646,127 +665,132 @@ def _price_loop(problems, config: SolverConfig) -> list[SolveResult]:
     """
     pools = [_Pools(tasks, topology) for topology, tasks, _, _ in problems]
     prices = np.array([_initial_prices(p) for p in pools])  # checked before any plan is scored
-    runs = [_Run(problem, p) for problem, p in zip(problems, pools)]
+    live = [_Run(i, problem, p) for i, (problem, p) in enumerate(zip(problems, pools))]  # the run of each row
+    del pools  # each run holds its own, so a run that stops frees them
     # Prices, steps and floors are pool vectors, one row per problem, for the
     # whole loop; each DualState is built from its row once, at the end.
-    capacity = np.array([p.capacity for p in pools])
+    capacity = np.array([run.pools.capacity for run in live])
     stack = _Stack(
-        np.array([p.index for p in pools]),
-        np.array([p.demand for p in pools]),
-        np.array([p.root for p in pools]),
+        np.array([run.pools.index for run in live]),
+        np.array([run.pools.demand for run in live]),
+        np.array([run.pools.root for run in live]),
         capacity,
         _STEP_SCALE * prices / capacity,
         _DUAL_FLOOR_SCALE * prices,
         np.array([_barred(scheme) for _, _, _, scheme in problems])[:, None, :],
     )
-    live = list(runs)  # the problem in each stacked row
     frozen: list[int] = []  # the rows whose incumbent is frozen
     all_frozen = None  # once every row is frozen: their fixed picks
-    width = stack.first.shape[1] * stack.first.itemsize  # bytes per row of `picked`
+    width = stack.first.shape[1]  # bytes per row of tier codes
     epsilon = config.epsilon
     prev = None
 
-    # A price at its floor can make a share overflow to inf, and
-    # `_price_step` clips the excess it feeds.  The errstate is entered once,
-    # not per iteration, where its entry cost is a few percent of a
-    # desk-scale iteration.
-    with np.errstate(over="ignore"):
-        for t in range(1, config.max_iters + 1):
-            task_prices = prices.ravel()[stack.index]
-            marg = _marginals(stack.demand, task_prices)
-            allowed_marg = _allowed_marginals(marg, stack.barred) if stack.bars else marg
-            # Tier picks as (task, tier) pairs flattened task-major: entries of
-            # the raveled marginals and rows of `terms`.  A row of them is the
-            # row's assignment offset by `first`.
-            if all_frozen is not None:
-                picked = all_frozen
-            else:
-                picked = stack.first + allowed_marg.argmin(axis=-1)
-                if prev is not None:
-                    # A task only moves when the cheapest tier beats its
-                    # current one by a clear relative margin; marginal
-                    # near-ties otherwise make tasks flap between tiers
-                    # forever as prices dither.
-                    flat = marg.ravel()
-                    margin = (1.0 - _DECISION_HYSTERESIS) * flat.take(prev)
-                    picked = np.where(flat.take(picked) >= margin, prev, picked)
-                prev = picked
-                for row in frozen:
-                    picked[row] = stack.first[row] + live[row].best_codes
-
-            shares = np.sqrt(stack.demand / task_prices).reshape(-1, 3).take(picked, axis=0)
-            terms = stack.terms.take(picked, axis=0)
-            loads = _pool_loads(terms, shares, prices.size).reshape(prices.shape)
-            violation = _peak_overload(loads, stack.capacity).tolist()
-            dual = _dual_value(allowed_marg, prices, stack.capacity).tolist()
-
-            blob = picked.tobytes()
-            exact = None
-            stopped = []
-            freezing = []
-            for row, run in enumerate(live):
-                key = blob[row * width : (row + 1) * width]
-                value = run.cache.get(key)
-                if value is None:
-                    if exact is None:
-                        roots = stack.root_terms.take(picked, axis=0)
-                        exact_loads = _pool_loads(terms, roots, prices.size).reshape(prices.shape)
-                        exact = _cost(exact_loads, stack.capacity).tolist()
-                    value = run.cache[key] = exact[row]
-                best = run.best_obj
-                if value < best:
-                    run.best_obj, run.best_codes = value, picked[row] - stack.first[row]
-                    # Only a materially better plan resets the stall clock;
-                    # float-noise improvements would defer the pricing phase
-                    # forever.
-                    run.since = 0 if value < best * (1.0 - 1e-9) else run.since + 1
+    t = 0
+    while live and t < config.max_iters:
+        # A price at its floor can make a share overflow to inf, and
+        # `_price_step` clips the excess it feeds.  The errstate is entered
+        # once per stretch of iterations up to the next stop, not per
+        # iteration, where its entry cost is a few percent of a desk-scale
+        # iteration; results are handed out between stretches, outside it.
+        with np.errstate(over="ignore"):
+            for t in range(t + 1, config.max_iters + 1):
+                task_prices = prices.ravel()[stack.index]
+                marg = _marginals(stack.demand, task_prices)
+                allowed_marg = _allowed_marginals(marg, stack.barred) if stack.bars else marg
+                # Tier picks as (task, tier) pairs flattened task-major:
+                # entries of the raveled marginals and rows of `terms`.  A row
+                # of them is the row's assignment offset by `first`.
+                if all_frozen is not None:
+                    picked = all_frozen
                 else:
-                    run.since += 1
-                overload = violation[row]
-                run.trace.append((value, run.best_obj, dual[row], overload))
-                stable = run.stable = run.stable + 1 if key == run.key else 1
-                run.key = key
-                if stable >= _STABILITY_WINDOW and overload < epsilon:
-                    run.finish(t, True, prices[row].copy())
-                    stopped.append(row)
-                elif run.since >= _FREEZE_AFTER and not run.frozen:
-                    freezing.append(row)
+                    picked = stack.first + allowed_marg.argmin(axis=-1)
+                    if prev is not None:
+                        # A task only moves when the cheapest tier beats its
+                        # current one by a clear relative margin; marginal
+                        # near-ties otherwise make tasks flap between tiers
+                        # forever as prices dither.
+                        flat = marg.ravel()
+                        margin = (1.0 - _DECISION_HYSTERESIS) * flat.take(prev)
+                        picked = np.where(flat.take(picked) >= margin, prev, picked)
+                    prev = picked
+                    for row in frozen:
+                        picked[row] = stack.first[row] + live[row].best_codes
 
-            prices = _price_step(prices, loads, t, stack.s0, stack.floors, stack.capacity, stack.clip)
-            for row in freezing:
-                # Exploration has stalled: the winner-take-all iterates rarely
-                # settle on their own, because the relaxed optimum splits
-                # marginal tasks across tiers.  Polish the incumbent by
-                # single-swap descent, freeze it, and re-initialize the prices
-                # at its exact clearing values (the dual counterpart of the
-                # final exact re-allocation).  The subgradient updates then
-                # hold them there and the recovered shares match the returned
-                # allocation.  This row's step above is discarded: its loads
-                # predate the re-initialized prices.
-                prices[row] = live[row].freeze(stack.floors[row])
-                frozen.append(row)
+                shares = np.sqrt(stack.demand / task_prices).reshape(-1, 3).take(picked, axis=0)
+                terms = stack.terms.take(picked, axis=0)
+                loads = _pool_loads(terms, shares, prices.size).reshape(prices.shape)
+                violation = _peak_overload(loads, stack.capacity).tolist()
+                dual = _dual_value(allowed_marg, prices, stack.capacity).tolist()
 
-            if stopped:
-                # The last rows move into the stopped ones' places.
-                order = list(range(len(live)))
-                for row in reversed(stopped):
-                    order[row] = order[-1]
-                    order.pop()
-                live = [live[row] for row in order]
-                if not live:
+                codes = stack.tier[picked]
+                blob = codes.tobytes()
+                exact = None
+                stopped: dict[int, SolveResult] = {}  # row -> result, in row order
+                freezing = []
+                for row, run in enumerate(live):
+                    key = blob[row * width : (row + 1) * width]
+                    value = run.cache.get(key)
+                    if value is None:
+                        if exact is None:
+                            roots = stack.root_terms.take(picked, axis=0)
+                            exact_loads = _pool_loads(terms, roots, prices.size).reshape(prices.shape)
+                            exact = _cost(exact_loads, stack.capacity).tolist()
+                        value = run.cache[key] = exact[row]
+                    best = run.best_obj
+                    if value < best:
+                        run.best_obj, run.best_codes = value, picked[row] - stack.first[row]
+                        # Only a materially better plan resets the stall
+                        # clock; float-noise improvements would defer the
+                        # pricing phase forever.
+                        run.since = 0 if value < best * (1.0 - 1e-9) else run.since + 1
+                    else:
+                        run.since += 1
+                    overload = violation[row]
+                    run.trace.fromlist([value, run.best_obj, dual[row], overload])
+                    stable = run.stable = run.stable + 1 if key == run.key else 1
+                    run.key = key
+                    if stable >= _STABILITY_WINDOW and overload < epsilon:
+                        stopped[row] = run.finish(t, True, prices[row].copy())
+                    elif run.since >= _FREEZE_AFTER and not run.frozen:
+                        freezing.append(row)
+
+                prices = _price_step(prices, loads, t, stack.s0, stack.floors, stack.capacity, stack.clip)
+                for row in freezing:
+                    # Exploration has stalled: the winner-take-all iterates
+                    # rarely settle on their own, because the relaxed optimum
+                    # splits marginal tasks across tiers.  Polish the
+                    # incumbent by single-swap descent, freeze it, and
+                    # re-initialize the prices at its exact clearing values
+                    # (the dual counterpart of the final exact
+                    # re-allocation).  The subgradient updates then hold them
+                    # there and the recovered shares match the returned
+                    # allocation.  This row's step above is discarded: its
+                    # loads predate the re-initialized prices.
+                    prices[row] = live[row].freeze(stack.floors[row])
+                    frozen.append(row)
+                if freezing and len(frozen) == len(live):
+                    all_frozen = stack.first + np.array([run.best_codes for run in live])
+                if stopped:
                     break
-                codes = picked - stack.first
-                stack = stack.take(order)
-                prices = prices[order]
-                prev = stack.first + codes[order]
-                for row, old_row in enumerate(order):
-                    if row != old_row:
-                        live[row].cache = {}
-                        live[row].key = prev[row].tobytes()
-                frozen = [row for row, run in enumerate(live) if run.frozen]
-            if (freezing or stopped) and len(frozen) == len(live):
+
+        for row, result in stopped.items():
+            yield live[row].index, result
+        if stopped:
+            # The last rows move into the stopped ones' places; a moved
+            # problem keeps its cache and key, which name no row.
+            order = list(range(len(live)))
+            for row in reversed(stopped):
+                order[row] = order[-1]
+                order.pop()
+            live = [live[row] for row in order]
+            if not live:
+                return
+            stack = stack.take(order)
+            prices = prices[order]
+            prev = stack.first + codes[order]
+            frozen = [row for row, run in enumerate(live) if run.frozen]
+            if len(frozen) == len(live):
                 all_frozen = stack.first + np.array([run.best_codes for run in live])
 
     for row, run in enumerate(live):
-        run.finish(config.max_iters, False, prices[row].copy())
-    return [run.solved for run in runs]
+        yield run.index, run.finish(config.max_iters, False, prices[row].copy())

@@ -102,27 +102,38 @@ def test_sweep_workers_match_serial(tmp_path):
 
 
 def test_sweep_rows_equal_single_solve_replay():
-    # Each sweep point is solved as one batch; its rows must be exactly the
-    # means of one `solve` per (realization, scheme).
+    # A sweep plans every point x realization x scheme of a worker's share as
+    # one stream of batches, and a capacity sweep draws each realization's
+    # channels and rates once; its rows must be exactly the means of fresh
+    # per-(point, realization) draws and one `solve` per scheme.  The `bl`
+    # recipe's ranged capacities consume random draws, and a `k` sweep
+    # changes the draws, so its rates cannot be shared.
     schemes = (Scheme.FOG, Scheme.CLOUD_RU, Scheme.CLOUD_DU, Scheme.CLOUD)
-    sweep = SweepSpec(parameter="fl", start=1e9, stop=5e9, steps=2, realizations=5, base_seed=3)
     base = ScenarioSpec(num_users=8, num_rus=4, num_dus=2, seed=3)
-    rows = iter(run_sweep(sweep, schemes, base))
-    for value in sweep.values():
-        totals = {scheme: [] for scheme in schemes}
-        for r in range(sweep.realizations):
-            seed = realization_seed(sweep.base_seed, r)
-            scenario = generate_scenario(dataclasses.replace(base, mecl_capacity_hz=value, seed=seed))
-            channels = generate_channels(
-                scenario.topology, scenario.ru_positions_m, scenario.user_positions_m, seed=channel_seed(seed)
-            )
-            rates = uplink_rates(scenario.topology, channels)
+    ranged = dataclasses.replace(base, mecl_capacity_hz=(1e9, 5e9), mech_capacity_hz=(1e10, 5e10))
+    for sweep, spec in (
+        (SweepSpec(parameter="fl", start=1e9, stop=5e9, steps=2, realizations=5, base_seed=3), base),
+        (SweepSpec(parameter="bl", start=1e8, stop=9e8, steps=3, realizations=4, base_seed=3), ranged),
+        (SweepSpec(parameter="k", start=4, stop=8, steps=2, realizations=3, base_seed=3), base),
+    ):
+        field = {"fl": "mecl_capacity_hz", "bl": "fronthaul_capacity_hz", "k": "num_users"}[sweep.parameter]
+        rows = iter(run_sweep(sweep, schemes, spec))
+        for value in sweep.values():
+            point = int(value) if sweep.parameter == "k" else value
+            totals = {scheme: [] for scheme in schemes}
+            for r in range(sweep.realizations):
+                seed = realization_seed(sweep.base_seed, r)
+                scenario = generate_scenario(dataclasses.replace(spec, **{field: point}, seed=seed))
+                channels = generate_channels(
+                    scenario.topology, scenario.ru_positions_m, scenario.user_positions_m, seed=channel_seed(seed)
+                )
+                rates = uplink_rates(scenario.topology, channels)
+                for scheme in schemes:
+                    totals[scheme].append(solve(scenario.topology, scenario.tasks, rates, scheme).total_delay_s)
             for scheme in schemes:
-                totals[scheme].append(solve(scenario.topology, scenario.tasks, rates, scheme).total_delay_s)
-        for scheme in schemes:
-            row = next(rows)
-            assert (row["value"], row["scheme"], row["infeasible_count"]) == (value, scheme.cli_name, 0)
-            assert row["mean_total_delay_s"] == sum(totals[scheme]) / sweep.realizations
+                row = next(rows)
+                assert (row["value"], row["scheme"], row["infeasible_count"]) == (value, scheme.cli_name, 0)
+                assert row["mean_total_delay_s"] == sum(totals[scheme]) / sweep.realizations
 
 
 def test_k_sweep_uses_integer_user_counts(tmp_path):
@@ -325,14 +336,15 @@ def test_infeasible_realizations_counted_and_excluded(monkeypatch):
 
     import fogplan.cli as cli_mod
 
-    original = cli_mod._sweep_point
+    original = cli_mod._sweep_share
 
     def flaky(args):
         totals = original(args)
-        totals[0] = {name: math.inf for name in totals[0]}
+        for point in totals:
+            point[0] = {name: math.inf for name in point[0]}
         return totals
 
-    monkeypatch.setattr(cli_mod, "_sweep_point", flaky)
+    monkeypatch.setattr(cli_mod, "_sweep_share", flaky)
     rows = run_sweep(
         SweepSpec(parameter="fl", start=1e9, stop=2e9, steps=2, realizations=3, base_seed=4),
         (Scheme.FOG,),

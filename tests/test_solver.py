@@ -479,6 +479,8 @@ def test_batch_matches_single_solves(random_instance, make_topology, monkeypatch
     # One price loop serves the whole batch; no row may read another, so each
     # result must equal the single solve bit for bit, including rows that stop
     # early and leave the stack, rows that freeze, and rows cut by max_iters.
+    # The problems are streamed in from an iterator and the results out as
+    # (position, result) pairs; the empty task set does not split a run.
     problems = []
     for seed in range(4):
         scenario, rates = random_instance(seed=seed, num_users=8, num_rus=4, num_dus=2)
@@ -505,9 +507,10 @@ def test_batch_matches_single_solves(random_instance, make_topology, monkeypatch
         chunks.clear()
         if batch_tasks:
             monkeypatch.setattr(solver, "_BATCH_TASKS", batch_tasks)
-        batch = solver._solve_batch(problems, config)
+        pairs = list(solver._solve_batch(iter(problems), config))
         assert chunks == ([3, 3, 3, 3, 3, 1, 4, 1] if batch_tasks else [16, 5])
-        assert len(batch) == len(problems)
+        assert sorted(position for position, _ in pairs) == list(range(len(problems)))
+        batch = [result for _, result in sorted(pairs, key=lambda pair: pair[0])]
         for got, want in zip(batch, singles):
             _assert_same_result(got, want)
         assert len({result.iterations for result in batch}) > 2  # rows leave the stack at different iterations
