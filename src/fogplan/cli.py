@@ -153,6 +153,24 @@ def _sweep_share(args) -> list[list[dict[str, float]]]:
     return [[{scheme.name: next(cells) for scheme in schemes} for _ in seeds] for _ in values]
 
 
+def _sweep_shares(num_points: int, num_realizations: int, workers: int) -> list[tuple[slice, slice]]:
+    """(points, realizations) slices of the shares of a sweep on `workers`
+    processes, realization-major.  The realizations are split into contiguous
+    shares of ceil(R / workers) at every point; with fewer realizations than
+    workers, each realization's points are split into contiguous groups
+    instead, so that every worker gets a share (at most one per point)."""
+    if num_realizations >= workers:
+        size = -(-num_realizations // workers)
+        starts = range(0, num_realizations, size)
+        return [(slice(0, num_points), slice(r, min(r + size, num_realizations))) for r in starts]
+    shares = []
+    for r in range(num_realizations):
+        groups = min(num_points, workers // num_realizations + (r < workers % num_realizations))
+        bounds = [num_points * g // groups for g in range(groups + 1)]
+        shares += [(slice(a, b), slice(r, r + 1)) for a, b in zip(bounds, bounds[1:])]
+    return shares
+
+
 def run_sweep(
     sweep: SweepSpec,
     schemes: tuple[Scheme, ...],
@@ -165,8 +183,8 @@ def run_sweep(
 
     Realization r always uses seed base_seed xor r, for every sweep point, so
     points share random draws and curves differ only through the swept value.
-    The realizations are split into `workers` contiguous shares, and each
-    share plans all its points x realizations x schemes as one stream of
+    The work is split into at most `workers` shares (`_sweep_shares`), and
+    each share plans all its points x realizations x schemes as one stream of
     batches (`_sweep_share`).  Infeasible realizations (a user with zero
     rate) are counted and excluded from the mean.  No problem in a batch
     reads another's numbers, so output row order and content are
@@ -178,10 +196,10 @@ def run_sweep(
     base = dataclasses.replace(base, **sweep.overrides) if sweep.overrides else base
     values = sweep.values()
     seeds = [realization_seed(sweep.base_seed, r) for r in range(sweep.realizations)]
-    share = -(-len(seeds) // workers)  # realizations per worker
+    splits = _sweep_shares(len(values), len(seeds), workers)
     shares = [
-        (sweep, base, values, seeds[start : start + share], tuple(schemes), config, num_antennas)
-        for start in range(0, len(seeds), share)
+        (sweep, base, values[points], seeds[realizations], tuple(schemes), config, num_antennas)
+        for points, realizations in splits
     ]
     if len(shares) > 1:
         # Imported here: multiprocessing costs every importer of this module
@@ -192,10 +210,14 @@ def run_sweep(
             outcomes = list(pool.map(_sweep_share, shares, chunksize=1))
     else:
         outcomes = [_sweep_share(shares[0])]
+    # Each point's totals in realization order: the shares are realization-major.
+    by_point: list[list[dict[str, float]]] = [[] for _ in values]
+    for (points, _), outcome in zip(splits, outcomes):
+        for p, totals in zip(range(points.start, points.stop), outcome):
+            by_point[p].extend(totals)
 
     rows = []
-    for p, value in enumerate(values):
-        by_realization = [total for outcome in outcomes for total in outcome[p]]
+    for value, by_realization in zip(values, by_point):
         for scheme in schemes:
             totals = [realization[scheme.name] for realization in by_realization]
             feasible = [v for v in totals if math.isfinite(v)]
@@ -390,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-iters", type=int, default=2000, help="solver iteration cap")
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel worker processes for sweeps, each planning a contiguous share of the "
-                        "realizations at every sweep point")
+                        "realizations at every sweep point (with fewer realizations than workers, of one "
+                        "realization's sweep points)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a scenario parameter (fl, fh, bl, bh, fc, uplink, rl, rh, spacing); "
                         "VALUE may be 'lo,hi' for a per-node uniform draw")
@@ -469,6 +492,10 @@ def main(argv=None) -> int:
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a scenario whose arrays do not fit in memory
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

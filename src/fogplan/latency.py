@@ -111,6 +111,25 @@ def _require(allocation_map: dict[int, float], name: str, k: int, tier: str) -> 
     return allocation_map[k]
 
 
+def _legs(k: int, tier: str, bits: float, cycles: float, fronthaul_se, midhaul_se, allocation: Allocation):
+    """Fronthaul, midhaul and compute seconds of task k on the given tier with
+    the given shares, for a task of `bits` and `cycles` whose RU and DU links
+    have the given spectral efficiencies."""
+    if tier == TIER_L:
+        return 0.0, 0.0, cycles / _require(allocation.mecl_speed, "mecl_speed", k, tier)
+    if tier == TIER_H:
+        bw = _require(allocation.fronthaul_bw, "fronthaul_bw", k, tier)
+        fronthaul_s = bits / (bw * fronthaul_se)
+        return fronthaul_s, 0.0, cycles / _require(allocation.mech_speed, "mech_speed", k, tier)
+    if tier == TIER_C:
+        bw = _require(allocation.fronthaul_bw, "fronthaul_bw", k, tier)
+        fronthaul_s = bits / (bw * fronthaul_se)
+        mbw = _require(allocation.midhaul_bw, "midhaul_bw", k, tier)
+        midhaul_s = bits / (mbw * midhaul_se)
+        return fronthaul_s, midhaul_s, cycles / _require(allocation.cloud_speed, "cloud_speed", k, tier)
+    raise ValueError(f"unknown tier {tier!r} for task {k}")
+
+
 def task_delay(
     topology: Topology,
     tasks: TaskSet,
@@ -121,35 +140,18 @@ def task_delay(
 ) -> DelayBreakdown:
     """Delay breakdown of task k on the given tier with the given shares."""
     bits = float(tasks.data_bits[k])
-    cycles = float(tasks.compute_cycles[k])
     ru = int(topology.user_to_ru[k])
     du = int(topology.ru_to_du[ru])
     access_s = access_delay(bits, access_rate_bps)
-    fronthaul_s = 0.0
-    midhaul_s = 0.0
-
-    if tier == TIER_L:
-        compute_s = cycles / _require(allocation.mecl_speed, "mecl_speed", k, tier)
-    elif tier == TIER_H:
-        bw = _require(allocation.fronthaul_bw, "fronthaul_bw", k, tier)
-        fronthaul_s = bits / (bw * topology.fronthaul_se[ru])
-        compute_s = cycles / _require(allocation.mech_speed, "mech_speed", k, tier)
-    elif tier == TIER_C:
-        bw = _require(allocation.fronthaul_bw, "fronthaul_bw", k, tier)
-        fronthaul_s = bits / (bw * topology.fronthaul_se[ru])
-        mbw = _require(allocation.midhaul_bw, "midhaul_bw", k, tier)
-        midhaul_s = bits / (mbw * topology.midhaul_se[du])
-        compute_s = cycles / _require(allocation.cloud_speed, "cloud_speed", k, tier)
-    else:
-        raise ValueError(f"unknown tier {tier!r} for task {k}")
-
-    total_s = access_s + fronthaul_s + midhaul_s + compute_s
+    fronthaul_s, midhaul_s, compute_s = _legs(
+        k, tier, bits, float(tasks.compute_cycles[k]), topology.fronthaul_se[ru], topology.midhaul_se[du], allocation
+    )
     return DelayBreakdown(
         access_s=access_s,
         fronthaul_s=fronthaul_s,
         midhaul_s=midhaul_s,
         compute_s=compute_s,
-        total_s=total_s,
+        total_s=access_s + fronthaul_s + midhaul_s + compute_s,
     )
 
 
@@ -212,11 +214,15 @@ def total_delay(
     allocation: Allocation,
     rates_bps,
 ) -> float:
-    """Sum of per-task path delays (the planning objective, access included)."""
-    rates = np.asarray(rates_bps, dtype=np.float64)
-    return float(
-        sum(
-            task_delay(topology, tasks, k, tier, allocation, rates[k]).total_s
-            for k, tier in enumerate(decision.tiers)
-        )
-    )
+    """Sum of per-task path delays (the planning objective, access included);
+    each task's delay is the `task_delay` total, added in task order."""
+    rates = np.asarray(rates_bps, dtype=np.float64).tolist()
+    bits, cycles = tasks.data_bits.tolist(), tasks.compute_cycles.tolist()
+    ru = topology.user_to_ru
+    fronthaul_se, midhaul_se = topology.fronthaul_se[ru], topology.midhaul_se[topology.ru_to_du[ru]]
+    total = 0
+    for k, tier in enumerate(decision.tiers):
+        access_s = access_delay(bits[k], rates[k])
+        fronthaul_s, midhaul_s, compute_s = _legs(k, tier, bits[k], cycles[k], fronthaul_se[k], midhaul_se[k], allocation)
+        total += access_s + fronthaul_s + midhaul_s + compute_s
+    return float(total)

@@ -21,18 +21,24 @@ tier pick, share loads, peak overload, dual value, price step) is one private
 kernel.
 
 The pools are one vector everywhere, in the order per-RU MEC, per-DU MEC,
-cloud, per-RU fronthaul, per-DU midhaul, and `_Pools` owns that layout.  Each
-task and tier draws on at most three pools (compute, fronthaul, midhaul), so
-the price loop works on a (K, 3, 3) pool-index array and the matching raw
-demands: one gather of the prices gives every marginal, and one scatter of the
-picked tiers' shares gives every pool load.  The closed-form shares of
-`primal_speeds_from_duals` and `primal_bandwidth_from_duals` read the same
-gather.  Prices, steps and floors are pool vectors; `DualState` splits one
-into its five families only at the public boundary.
-`_Pools.member[k, tier, p]` spreads the same square-root demands over the
-whole pool vector, so the exact pool loads, the objective sum_p W_p^2 / F_p,
-the polish and the exact allocation (share = F_p sqrt(demand) / W_p) all read
-one matrix.
+cloud, per-RU fronthaul, per-DU midhaul, and `_layout` builds that layout for
+one problem (`_Pools`) or for a stack of problems of one shape.  Each task and
+tier draws on at most three pools (compute, fronthaul, midhaul), so the price
+loop works on a pool-index array and the matching raw demands, stored
+term-major as (term, task, tier): one gather of the prices gives every
+marginal, and one scatter of the picked tiers' shares gives every pool load.
+Term-major, the three terms of a marginal are three contiguous planes added
+element by element (in the same order, so to the same bits) rather than a
+length-3 innermost axis that numpy reduces one short row at a time; and since
+every pool lies in one term plane, the scatter still adds each pool's shares
+in task order.  The closed-form shares of `primal_speeds_from_duals` and
+`primal_bandwidth_from_duals` read the same gather.  Prices, steps and floors
+are pool vectors; `DualState` splits one into its five families only at the
+public boundary.  `_Pools.member[k, tier, p]` spreads the same square-root
+demands over the whole pool vector, so the exact pool loads, the objective
+sum_p W_p^2 / F_p and the polish read one matrix; the exact allocation (share
+= F_p sqrt(demand) / W_p) scatters the picked terms' square roots instead and
+needs no `member`.
 
 Before that re-allocation the best assignment is polished by single- and
 pair-move descent (`_local_search`).  The descent scores every move in closed
@@ -43,16 +49,17 @@ it holds O(K) pair scores at a time, not O(K^2).
 
 `_solve_batch` takes a stream of problems, such as every sweep point x
 realization x scheme of a worker's share of a sweep, and runs consecutive
-problems of one shape (users, RUs, DUs) through one price loop.  Problem b
-holds row b of every stacked array, and its pools are entries b P to
-b P + P - 1 of one stacked pool vector, so the gather, tier pick, scatter and
-price step serve them all, and the marginal sums, peak overloads, dual values
-and exact objectives reduce each row on its own.  The bookkeeping (objective
-cache, incumbent, stall clock, stability window, freeze, stop, and a trace
-packed as 4 floats per iteration) stays per problem in plain Python, and a
-problem that stops leaves the stack and is handed out at once.  No row reads
-another, so each problem gets the plan it gets alone; `solve` is the batch
-of one.
+problems of one shape (users, RUs, DUs) through one price loop, whose layout,
+demands and initial prices are built for all of them in one pass.  Problem b
+holds row b of every stacked array ((term, problem, task, tier) for the
+per-task ones), and its pools are entries b P to b P + P - 1 of one stacked
+pool vector, so the gather, tier pick, scatter and price step serve them all,
+and the peak overloads, dual values and exact objectives reduce each row on
+its own.  The bookkeeping (objective cache, incumbent, stall clock, stability
+window, freeze, stop, and a trace packed as 4 floats per iteration) stays per
+problem in plain Python, and a problem that stops leaves the stack and is
+handed out at once.  No row reads another, so each problem gets the plan it
+gets alone; `solve` is the batch of one.
 """
 
 from __future__ import annotations
@@ -106,7 +113,9 @@ class DualState:
     def __post_init__(self):
         for name in ("mu", "lam", "nu", "xi"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 1 or not np.isfinite(arr).all() or (arr < 0).any():
+            # Checked on a list: a handful of prices per family, where each
+            # numpy reduction would cost more than the whole comparison.
+            if arr.ndim != 1 or not all(0.0 <= v < math.inf for v in arr.tolist()):
                 raise ValueError(f"{name} must be a flat, finite, non-negative array")
             object.__setattr__(self, name, arr)
         rho = float(self.rho)
@@ -161,28 +170,41 @@ class _Pools:
     Pool vectors are in one order: per-RU MEC, per-DU MEC, cloud, per-RU
     fronthaul, per-DU midhaul.  `capacity` holds each pool's capacity in that
     order.  Each task and tier draws on at most three pools, its compute,
-    fronthaul and midhaul terms: `index[k, tier, term]` is that pool and
-    `demand[k, tier, term]` the raw demand on it (0 for a term the tier does
-    not use).  `member[k, tier, p]` is the square root of task k's demand on
-    pool p when it runs on `tier`, the same numbers spread over the whole pool
-    vector.
+    fronthaul and midhaul terms, and the arrays that name them are term-major
+    like the price loop's (`_layout`): `index[term, k, tier]` is that pool,
+    `demand[term, k, tier]` the raw demand on it (0 for a term the tier does
+    not use) and `root` its square root.  `member[k, tier, p]` is the square
+    root of task k's demand on pool p when it runs on `tier`, the same
+    numbers spread over the whole pool vector; it is built on first use.
     """
 
     def __init__(self, tasks: TaskSet, topology: Topology):
-        self.capacity, self.starts, self.index = _pool_layout(topology)
-        self.demand = np.zeros(self.index.shape)
-        self.demand[:, :, 0] = tasks.compute_cycles[:, None]
-        self.demand[:, (_CODE_H, _CODE_C), 1] = (tasks.data_bits / topology.fronthaul_se[topology.user_to_ru])[:, None]
-        self.demand[:, _CODE_C, 2] = tasks.data_bits / topology.midhaul_se[topology.user_du]
-        self.root = np.sqrt(self.demand)
-        self.rows = np.arange(tasks.num_tasks)
-        self.member = np.zeros(self.index.shape[:2] + self.capacity.shape)
-        self.member[self.rows[:, None, None], np.arange(3)[:, None], self.index] = self.root
+        (capacity,), starts, index = _layout([topology])
+        demand = _demands([topology], [tasks])[:, 0]
+        self._set(capacity, starts, index[:, 0], demand, np.sqrt(demand))
+
+    @classmethod
+    def of_row(cls, capacity, starts, index, demand, root) -> "_Pools":
+        """A problem's pools from its row of a price loop's stacked arrays,
+        with the index shifted to name the problem's own pool vector."""
+        pools = cls.__new__(cls)
+        pools._set(capacity, starts, index, demand, root)
+        return pools
+
+    def _set(self, capacity, starts, index, demand, root):
+        self.capacity, self.starts, self.index, self.demand, self.root = capacity, starts, index, demand, root
+        self.rows = np.arange(index.shape[1])
+
+    @cached_property
+    def member(self) -> np.ndarray:
+        member = np.zeros((self.rows.size, 3) + self.capacity.shape)
+        member[self.rows[:, None], np.arange(3), self.index] = self.root
+        return member
 
     @cached_property
     def uniform(self) -> np.ndarray:
         """(3, P) pool sums of sqrt demands of the three single-tier plans."""
-        return np.add.reduce(self.member, axis=0)
+        return _tier_loads(self.index, self.root, self.capacity)
 
     def loads(self, codes: np.ndarray) -> np.ndarray:
         """Pool sums of sqrt demands under an integer assignment, added in
@@ -194,26 +216,56 @@ class _Pools:
         return float(_cost(self.loads(codes), self.capacity))
 
 
+def _layout(topologies):
+    """The pool vectors of topologies of one shape, stacked: capacities
+    (B, P), the index of each family's first pool, and the pool index of each
+    (term, problem, task, tier), term-major (3, B, K, 3).  Problem b's pools
+    are entries b P to b P + P - 1 of one stacked pool vector, and the index
+    names them there.  Unused fronthaul and midhaul terms point at the task's
+    own RU and DU pools, so every pool lies in one term plane."""
+    capacity = np.array([
+        np.concatenate((t.mecl_capacity_hz, t.mech_capacity_hz, (t.cloud_capacity_hz,), t.fronthaul_capacity_hz,
+                        t.midhaul_capacity_hz))
+        for t in topologies
+    ])
+    rus, dus = topologies[0].num_rus, topologies[0].num_dus
+    mecl, mech, cloud, fh, mh = 0, rus, rus + dus, rus + dus + 1, 2 * rus + dus + 1
+    ru = np.array([t.user_to_ru for t in topologies], dtype=np.int64)
+    du = np.array([t.user_du for t in topologies], dtype=np.int64)
+    index = np.empty((3,) + ru.shape + (3,), dtype=np.int64)
+    index[0, ..., _CODE_L] = ru + mecl
+    index[0, ..., _CODE_H] = du + mech
+    index[0, ..., _CODE_C] = cloud
+    index[1] = (ru + fh)[..., None]
+    index[2] = (du + mh)[..., None]
+    index += np.arange(0, capacity.size, capacity.shape[1])[:, None, None]  # row b's pools start at b P
+    return capacity, np.array((mecl, mech, cloud, fh, mh)), index
+
+
+def _demands(topologies, task_sets) -> np.ndarray:
+    """Raw demands laid out like `_layout`'s index, (3, B, K, 3)."""
+    bits = np.array([tasks.data_bits for tasks in task_sets])
+    demand = np.zeros((3,) + bits.shape + (3,))
+    demand[0] = (bits * np.array([tasks.cycles_per_bit for tasks in task_sets]))[..., None]
+    demand[1, ..., _CODE_H] = demand[1, ..., _CODE_C] = bits / np.array([t.fronthaul_se[t.user_to_ru] for t in topologies])
+    demand[2, ..., _CODE_C] = bits / np.array([t.midhaul_se[t.user_du] for t in topologies])
+    return demand
+
+
+def _tier_loads(index: np.ndarray, root: np.ndarray, capacity: np.ndarray) -> np.ndarray:
+    """(3, ..., P) pool sums of sqrt demands of the three single-tier plans,
+    from term-major arrays whose index names entries of `capacity`, each sum
+    added in task order."""
+    shifted = index + capacity.size * np.arange(3)
+    return np.bincount(shifted.ravel(), weights=root.ravel(), minlength=3 * capacity.size).reshape((3,) + capacity.shape)
+
+
 def _pool_layout(topology: Topology):
-    """The pool vector of a topology: capacities, the index of each family's
-    first pool, and each task's (tier, term) pool index (see `_Pools`)."""
-    caps = (
-        topology.mecl_capacity_hz,
-        topology.mech_capacity_hz,
-        topology.cloud_capacity_hz,
-        topology.fronthaul_capacity_hz,
-        topology.midhaul_capacity_hz,
-    )
-    starts = np.cumsum((0, topology.num_rus, topology.num_dus, 1, topology.num_rus))
-    mecl, mech, cloud, fh, mh = starts
-    ru, du = topology.user_to_ru, topology.user_du
-    index = np.empty((ru.size, 3, 3), dtype=np.int64)
-    index[:, _CODE_L, 0] = mecl + ru
-    index[:, _CODE_H, 0] = mech + du
-    index[:, _CODE_C, 0] = cloud
-    index[:, :, 1] = (fh + ru)[:, None]
-    index[:, :, 2] = (mh + du)[:, None]
-    return np.hstack(caps), starts, index
+    """The pool vector of one topology: capacities, the index of each
+    family's first pool, and each task's pool index as a (K, tier, term)
+    view of `_layout`'s."""
+    (capacity,), starts, index = _layout([topology])
+    return capacity, starts, np.moveaxis(index[:, 0], 0, -1)
 
 
 def _price_vector(duals: DualState, topology: Topology) -> np.ndarray:
@@ -244,9 +296,14 @@ def allocate_given_decision(decision: Decision, tasks: TaskSet, topology: Topolo
     if len(decision) != tasks.num_tasks:
         raise ValueError("decision and task set sizes differ")
     pools = _Pools(tasks, topology)
-    sqrt_demand = pools.member[pools.rows, decision.codes]
-    k, p = np.nonzero(sqrt_demand)  # task-major, so each map fills in task order
-    share = pools.capacity[p] * sqrt_demand[k, p] / pools.loads(decision.codes)[p]
+    codes = decision.codes
+    # The (pool, sqrt demand) of each term of each task's tier, (3, K): each
+    # pool and each map lies in one term plane, so each pool sums its
+    # members and each map fills in task order.
+    index, root = pools.index[:, pools.rows, codes], pools.root[:, pools.rows, codes]
+    term, k = np.nonzero(root)
+    p = index[term, k]
+    share = pools.capacity[p] * root[term, k] / _pool_loads(index, root, pools.capacity.size)[p]
     family = np.searchsorted(pools.starts, p, side="right") - 1
     maps: tuple[dict, ...] = ({}, {}, {}, {}, {})
     for task, f, value in zip(k.tolist(), family.tolist(), share.tolist()):
@@ -254,13 +311,15 @@ def allocate_given_decision(decision: Decision, tasks: TaskSet, topology: Topolo
     return Allocation(*maps)
 
 
-def _initial_prices(pools: _Pools) -> np.ndarray:
-    """Prices that would make each pool exactly tight if every task used it.
+def _initial_prices(pools) -> np.ndarray:
+    """Prices that would make each pool exactly tight if every task used it,
+    for a `_Pools` or a price loop's `_Stack` (one row per problem).
 
     The loop steps each price by a multiple of price/capacity and divides by
     the prices the tasks read, so both the step scale and the floor of every
     read price must be finite and positive.  A pool no task reads (an RU
-    without users) keeps its zero price.
+    without users) keeps its zero price.  Of several problems, the first one
+    that fails names the failure.
     """
     # A pool's all-members sum is its load under a uniform plan that uses it;
     # the fronthaul sums under H and under C are the same.
@@ -268,9 +327,13 @@ def _initial_prices(pools: _Pools) -> np.ndarray:
     with np.errstate(over="ignore"):  # an overflow is reported below
         prices = (all_members / pools.capacity) ** 2
         step_scale = _STEP_SCALE * prices / pools.capacity
-    if not (np.isfinite(prices).all() and np.isfinite(step_scale).all()):
-        raise ValueError("initial prices overflow: a pool's capacity is too small for its demand")
-    if not np.all(_DUAL_FLOOR_SCALE * prices[pools.index] > 0):
+    finite = np.isfinite(prices) & np.isfinite(step_scale)
+    floored = _DUAL_FLOOR_SCALE * prices.ravel()[pools.index] > 0
+    if not (finite.all() and floored.all()):
+        overflow = ~finite.reshape(-1, prices.shape[-1]).all(axis=1)  # per problem
+        underflow = ~np.moveaxis(floored, 0, -2).reshape(overflow.size, -1).all(axis=1)
+        if overflow[np.flatnonzero(overflow | underflow)[0]]:
+            raise ValueError("initial prices overflow: a pool's capacity is too small for its demand")
         raise ValueError("initial prices underflow: a pool's capacity is too large for its demand")
     return prices
 
@@ -284,14 +347,14 @@ def _stationary_shares(duals: DualState, x, tasks: TaskSet, topology: Topology, 
     prices = _price_vector(duals, topology)[pools.index]
     shares = []
     for tier, term in terms:
-        weight, price = x[:, tier], prices[:, tier, term]
+        weight, price = x[:, tier], prices[term, :, tier]
         mask = weight > 0
         if np.any(price[mask] <= 0):
-            pool = pools.index[0, tier, term]
+            pool = pools.index[term, 0, tier]
             family = fields(DualState)[np.searchsorted(pools.starts, pool, side="right") - 1].name
             raise ValueError(f"{family} must be strictly positive wherever the matching tier weight is")
         share = np.zeros_like(weight)
-        share[mask] = weight[mask] * np.sqrt(pools.demand[mask, tier, term] / price[mask])
+        share[mask] = weight[mask] * np.sqrt(pools.demand[term, mask, tier] / price[mask])
         shares.append(share)
     return tuple(shares)
 
@@ -314,10 +377,12 @@ def primal_bandwidth_from_duals(
 
 
 def _marginals(demand: np.ndarray, task_prices: np.ndarray) -> np.ndarray:
-    """Per-task tier prices, (..., K, 3) in L, H, C order: 2 sqrt(demand *
-    price) summed over the compute, fronthaul and midhaul terms (the last
-    axis), in that order."""
-    return np.add.reduce(2.0 * np.sqrt(demand * task_prices), axis=-1)
+    """Per-task tier prices, (..., K, 3) in L, H, C order, from term-major
+    demands and prices (3, ..., K, 3): 2 sqrt(demand * price) summed over
+    the compute, fronthaul and midhaul terms, in that order.  The terms are
+    the leading axis, so the sum adds three contiguous blocks element by
+    element instead of reducing a length-3 innermost axis."""
+    return np.add.reduce(2.0 * np.sqrt(demand * task_prices), axis=0)
 
 
 def marginal_costs(duals: DualState, tasks: TaskSet, topology: Topology) -> np.ndarray:
@@ -370,13 +435,13 @@ def _peak_overload(loads: np.ndarray, capacity: np.ndarray):
     return np.maximum.reduce(loads / capacity, axis=-1) - 1.0
 
 
-def _dual_value(allowed_marg: np.ndarray, prices: np.ndarray, capacity: np.ndarray):
+def _dual_value(cheapest: np.ndarray, prices: np.ndarray, capacity: np.ndarray):
     """Cheapest allowed marginals summed over tasks minus the priced
-    capacities, per problem: marginals (..., K, 3), pool vectors (..., P).
-    Each row's priced capacity is its own (1, P) @ (P, 1) product, so no row's
-    value depends on another row."""
+    capacities, per problem: each task's cheapest allowed marginal (..., K),
+    pool vectors (..., P).  Each row's priced capacity is its own
+    (1, P) @ (P, 1) product, so no row's value depends on another row."""
     priced = np.matmul(prices[..., None, :], capacity[..., :, None])[..., 0, 0]
-    return np.add.reduce(np.minimum.reduce(allowed_marg, axis=-1), axis=-1) - priced
+    return np.add.reduce(cheapest, axis=-1) - priced
 
 
 def _cost(loads: np.ndarray, capacity: np.ndarray):
@@ -404,6 +469,8 @@ def _local_search(codes: np.ndarray, objective: float, allowed_codes: list[int],
     re-scoring of every neighbour, and the returned objective is always an
     exact value.
     """
+    if len(allowed_codes) < 2:  # no tier to move to
+        return codes, objective
     member, inv_cap = pools.member, 1.0 / pools.capacity
     allowed = np.asarray(allowed_codes, dtype=np.int64)
     codes = codes.copy()
@@ -556,43 +623,72 @@ def _chunk_results(chunk, config: SolverConfig):
 
 class _Stack:
     """The arrays of the problems still in a `_price_loop`, one row per
-    problem: row b's pools are entries b P to b P + P - 1 of one pool vector,
-    which `index` and `terms` name (`local_index` names them within the
-    problem).  `first[b, k]` = 3 (b K + k) is where task k of row b has its
-    L tier in the raveled (B, K, 3) marginals and in the rows of `terms` and
-    `root_terms` (sqrt demands); its H and C tiers follow.  `tier` holds the
-    tier code of each of those raveled entries, as `uint8`."""
+    problem: row b's pools are entries b P to b P + P - 1 of one pool vector.
 
-    __slots__ = ("local_index", "demand", "root", "capacity", "s0", "floors", "barred", "index", "terms", "root_terms",
-                 "first", "tier", "clip", "bars")
+    The pool index, raw demands and their square roots are term-major,
+    (3, B, K, 3) for (term, problem, task, tier), so that the marginals add
+    three contiguous term planes (see the module docstring); `terms`,
+    `demand_terms` and `root_terms` are their (3, B K 3) views, from which the
+    picks are taken along axis 1.  `first[b, k]` = 3 (b K + k) is where task
+    k of row b has its L tier in the raveled (B, K, 3) marginals and in the
+    columns of those views; its H and C tiers follow.  `tier` holds the tier
+    code of each raveled entry, as `uint8`.  `uniform`, the single-tier plans'
+    pool sums, is built with the stack for the initial prices and is not kept
+    by `take`; the loop sets `s0` and `floors`."""
 
-    def __init__(self, local_index, demand, root, capacity, s0, floors, barred):
-        self.local_index, self.demand, self.root, self.capacity = local_index, demand, root, capacity
-        self.s0, self.floors, self.barred = s0, floors, barred
-        rows, num_tasks = demand.shape[:2]
-        self.index = local_index + np.arange(0, rows * capacity.shape[1], capacity.shape[1])[:, None, None, None]
-        self.terms = self.index.reshape(-1, 3)
-        self.root_terms = root.reshape(-1, 3)
+    __slots__ = ("index", "demand", "root", "capacity", "starts", "barred", "uniform", "s0", "floors", "terms",
+                 "demand_terms", "root_terms", "first", "tier", "clip", "bars")
+
+    def __init__(self, problems):
+        topologies, task_sets, _, schemes = zip(*problems)
+        self.capacity, self.starts, self.index = _layout(topologies)
+        self.demand = _demands(topologies, task_sets)
+        self.root = np.sqrt(self.demand)
+        self.uniform = _tier_loads(self.index, self.root, self.capacity)
+        barred = {scheme: _barred(scheme) for scheme in set(schemes)}
+        self.barred = np.array([barred[scheme] for scheme in schemes])[:, None, :]
+        rows, num_tasks = self.demand.shape[1:3]
         self.first = np.arange(0, 3 * rows * num_tasks, 3).reshape(rows, num_tasks)
         self.tier = np.tile(np.arange(3, dtype=np.uint8), rows * num_tasks)
-        self.clip = _SUBGRADIENT_CLIP * capacity
-        self.bars = bool(barred.any())
+        self.clip = _SUBGRADIENT_CLIP * self.capacity
+        self._views()
+
+    def _views(self):
+        self.terms, self.demand_terms, self.root_terms = (a.reshape(3, -1) for a in (self.index, self.demand, self.root))
+        self.bars = bool(self.barred.any())
+
+    def pools(self, row: int) -> _Pools:
+        """The pools of the problem in `row`, as views of the stacked arrays."""
+        capacity = self.capacity[row]
+        index = self.index[:, row] - row * capacity.size
+        return _Pools.of_row(capacity, self.starts, index, self.demand[:, row], self.root[:, row])
 
     def take(self, keep: np.ndarray) -> "_Stack":
-        arrays = (self.local_index, self.demand, self.root, self.capacity, self.s0, self.floors, self.barred)
-        return _Stack(*(array[keep] for array in arrays))
+        """The stack of the given rows, in that order."""
+        stack = object.__new__(_Stack)
+        shift = (keep - np.arange(keep.size)) * self.capacity.shape[1]  # each kept row's pools move down
+        stack.index = self.index[:, keep] - shift[:, None, None]
+        stack.demand, stack.root, stack.starts = self.demand[:, keep], self.root[:, keep], self.starts
+        stack.capacity, stack.s0, stack.floors, stack.clip, stack.barred = (
+            array[keep] for array in (self.capacity, self.s0, self.floors, self.clip, self.barred)
+        )
+        # Row b's entries start at 3 b K in any stack of this shape.
+        stack.first, stack.tier = self.first[: keep.size], self.tier[: 3 * keep.size * self.first.shape[1]]
+        stack._views()
+        return stack
 
 
 class _Run:
     """One problem's bookkeeping in `_price_loop`, in plain Python: the
     objective cache, the best plan, the stall clock, the stability window,
     the freeze and the trace, packed as 4 floats (candidate, best, dual value,
-    violation) per iteration."""
+    violation) per iteration.  `uniform` holds the objective of each
+    single-tier plan, in L, H, C order."""
 
     __slots__ = ("index", "problem", "pools", "allowed", "cache", "best_obj", "best_codes", "since", "stable", "key",
                  "frozen", "trace")
 
-    def __init__(self, index: int, problem, pools: _Pools):
+    def __init__(self, index: int, problem, pools: _Pools, uniform: list[float]):
         self.index, self.problem, self.pools = index, problem, pools
         self.allowed = [TIER_INDEX[t] for t in problem[3].allowed_tiers]
         # The price loop revisits assignments, frozen ones on every iteration:
@@ -606,7 +702,6 @@ class _Run:
         self.key = None
         self.frozen = False
         self.trace = array("d")
-        uniform = _cost(pools.uniform, pools.capacity).tolist()  # each single-tier plan's objective
         for code in self.allowed:
             if uniform[code] < self.best_obj:
                 self.best_obj, self.best_codes = uniform[code], np.full(pools.rows.size, code, dtype=np.int64)
@@ -658,27 +753,19 @@ def _price_loop(problems, config: SolverConfig):
 
     One gather of the prices gives every problem's marginals, one tier pick
     and one scatter give every pool load, and one step moves every price;
-    the marginal sums, peak overloads, dual values and exact objectives are
-    per-row reductions of the loop's kernels.  No row reads another, so each
+    the peak overloads, dual values and exact objectives are per-row
+    reductions of the loop's kernels.  No row reads another, so each
     problem follows the iterates it would follow alone.  The bookkeeping is
     per problem (`_Run`), and a problem that stops leaves the stack.
     """
-    pools = [_Pools(tasks, topology) for topology, tasks, _, _ in problems]
-    prices = np.array([_initial_prices(p) for p in pools])  # checked before any plan is scored
-    live = [_Run(i, problem, p) for i, (problem, p) in enumerate(zip(problems, pools))]  # the run of each row
-    del pools  # each run holds its own, so a run that stops frees them
+    stack = _Stack(problems)
     # Prices, steps and floors are pool vectors, one row per problem, for the
     # whole loop; each DualState is built from its row once, at the end.
-    capacity = np.array([run.pools.capacity for run in live])
-    stack = _Stack(
-        np.array([run.pools.index for run in live]),
-        np.array([run.pools.demand for run in live]),
-        np.array([run.pools.root for run in live]),
-        capacity,
-        _STEP_SCALE * prices / capacity,
-        _DUAL_FLOOR_SCALE * prices,
-        np.array([_barred(scheme) for _, _, _, scheme in problems])[:, None, :],
-    )
+    prices = _initial_prices(stack)  # checked before any plan is scored
+    stack.s0, stack.floors = _STEP_SCALE * prices / stack.capacity, _DUAL_FLOOR_SCALE * prices
+    uniform = _cost(stack.uniform, stack.capacity).T.tolist()  # each single-tier plan's objective, per row
+    # The run of each row; each holds views of its row's arrays for the polish.
+    live = [_Run(row, problem, stack.pools(row), uniform[row]) for row, problem in enumerate(problems)]
     frozen: list[int] = []  # the rows whose incumbent is frozen
     all_frozen = None  # once every row is frozen: their fixed picks
     width = stack.first.shape[1]  # bytes per row of tier codes
@@ -694,16 +781,18 @@ def _price_loop(problems, config: SolverConfig):
         # iteration; results are handed out between stretches, outside it.
         with np.errstate(over="ignore"):
             for t in range(t + 1, config.max_iters + 1):
-                task_prices = prices.ravel()[stack.index]
+                task_prices = prices.ravel().take(stack.index)
                 marg = _marginals(stack.demand, task_prices)
                 allowed_marg = _allowed_marginals(marg, stack.barred) if stack.bars else marg
                 # Tier picks as (task, tier) pairs flattened task-major:
-                # entries of the raveled marginals and rows of `terms`.  A row
-                # of them is the row's assignment offset by `first`.
+                # entries of the raveled marginals and columns of `terms`.  A
+                # row of them is the row's assignment offset by `first`.
+                cheapest = stack.first + allowed_marg.argmin(axis=-1)
+                dual = _dual_value(allowed_marg.ravel().take(cheapest), prices, stack.capacity).tolist()
                 if all_frozen is not None:
                     picked = all_frozen
                 else:
-                    picked = stack.first + allowed_marg.argmin(axis=-1)
+                    picked = cheapest
                     if prev is not None:
                         # A task only moves when the cheapest tier beats its
                         # current one by a clear relative margin; marginal
@@ -716,11 +805,11 @@ def _price_loop(problems, config: SolverConfig):
                     for row in frozen:
                         picked[row] = stack.first[row] + live[row].best_codes
 
-                shares = np.sqrt(stack.demand / task_prices).reshape(-1, 3).take(picked, axis=0)
-                terms = stack.terms.take(picked, axis=0)
+                task_demand = stack.demand_terms.take(picked, axis=1)
+                shares = np.sqrt(task_demand / task_prices.reshape(3, -1).take(picked, axis=1))
+                terms = stack.terms.take(picked, axis=1)
                 loads = _pool_loads(terms, shares, prices.size).reshape(prices.shape)
                 violation = _peak_overload(loads, stack.capacity).tolist()
-                dual = _dual_value(allowed_marg, prices, stack.capacity).tolist()
 
                 codes = stack.tier[picked]
                 blob = codes.tobytes()
@@ -732,7 +821,7 @@ def _price_loop(problems, config: SolverConfig):
                     value = run.cache.get(key)
                     if value is None:
                         if exact is None:
-                            roots = stack.root_terms.take(picked, axis=0)
+                            roots = stack.root_terms.take(picked, axis=1)
                             exact_loads = _pool_loads(terms, roots, prices.size).reshape(prices.shape)
                             exact = _cost(exact_loads, stack.capacity).tolist()
                         value = run.cache[key] = exact[row]
@@ -785,7 +874,7 @@ def _price_loop(problems, config: SolverConfig):
             live = [live[row] for row in order]
             if not live:
                 return
-            stack = stack.take(order)
+            stack = stack.take(np.array(order))
             prices = prices[order]
             prev = stack.first + codes[order]
             frozen = [row for row, run in enumerate(live) if run.frozen]

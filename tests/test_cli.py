@@ -20,6 +20,7 @@ from fogplan.cli import (
     ORACLE_CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
     SweepSpec,
+    _sweep_shares,
     channel_seed,
     compare_oracle,
     format_csv,
@@ -89,16 +90,34 @@ def test_sweep_csv_schema(tmp_path):
 
 
 def test_sweep_workers_match_serial(tmp_path):
-    for args in (
-        ["--sweep", "k=2:4:2", "--users", "2", "--rus", "2", "--dus", "1", "--realizations", "2", "--seed", "5",
-         "--scheme", "fog"],
-        ["--sweep", "fl=1e9:5e9:3", "--users", "8", "--rus", "4", "--dus", "2", "--realizations", "3", "--seed", "5",
-         "--scheme", "all"],
+    # With fewer realizations than workers the points are split as well, and
+    # each point's totals are merged back in realization order.
+    for args, workers in (
+        (["--sweep", "k=2:4:2", "--users", "2", "--rus", "2", "--dus", "1", "--realizations", "2", "--seed", "5",
+          "--scheme", "fog"], "2"),
+        (["--sweep", "fl=1e9:5e9:3", "--users", "8", "--rus", "4", "--dus", "2", "--realizations", "3", "--seed", "5",
+          "--scheme", "all"], "2"),
+        (["--sweep", "fl=1e9:5e9:3", "--users", "8", "--rus", "4", "--dus", "2", "--realizations", "1", "--seed", "5",
+          "--scheme", "all"], "2"),
+        (["--sweep", "bl=1e8:9e8:5", "--users", "8", "--rus", "4", "--dus", "2", "--realizations", "2", "--seed", "5",
+          "--scheme", "all", "--set", "fl=1e9,5e9"], "3"),
     ):
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         assert main(args + ["--out", str(serial), "--workers", "1"]) == 0
-        assert main(args + ["--out", str(parallel), "--workers", "2"]) == 0
+        assert main(args + ["--out", str(parallel), "--workers", workers]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_sweep_shares_give_every_worker_work():
+    def shares(points, realizations, workers):
+        return [(p.start, p.stop, r.start, r.stop) for p, r in _sweep_shares(points, realizations, workers)]
+
+    assert shares(5, 4, 1) == [(0, 5, 0, 4)]
+    assert shares(5, 5, 3) == [(0, 5, 0, 2), (0, 5, 2, 4), (0, 5, 4, 5)]
+    # fewer realizations than workers: each realization's points are split
+    assert shares(5, 1, 2) == [(0, 2, 0, 1), (2, 5, 0, 1)]
+    assert shares(5, 2, 3) == [(0, 2, 0, 1), (2, 5, 0, 1), (0, 5, 1, 2)]
+    assert shares(2, 1, 4) == [(0, 1, 0, 1), (1, 2, 0, 1)]  # at most one share per point
 
 
 def test_sweep_rows_equal_single_solve_replay():
@@ -257,6 +276,19 @@ def test_bad_sweep_flag_is_an_error(capsys):
     ):
         assert main(["--sweep", "fl=1e9:2e9:2", "--users", "2", flag, value]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_out_of_memory_is_an_error(monkeypatch, capsys):
+    # a scenario whose arrays do not fit (say, a k sweep to 1e6 users, whose
+    # per-RU gain matrix alone needs 149 GiB) exits 2 with a diagnostic
+    def no_memory(topology, channels):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(fogplan.cli, "uplink_rates", no_memory)
+    assert main(["--seed", "1", "--users", "4"]) == 2
+    assert "error: out of memory: Unable to allocate 149. GiB" in capsys.readouterr().err
+    assert main(["--sweep", "k=4:8:2", "--users", "4"]) == 2
+    assert "error: out of memory" in capsys.readouterr().err
 
 
 def test_oracle_check_above_cap_is_an_error(capsys):

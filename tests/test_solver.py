@@ -69,8 +69,8 @@ def _recovered_loads(duals, x, tasks, topo):
 
 def _dual_value_at(duals, tasks, topo, scheme):
     """The loop's dual value at the given prices."""
-    allowed_marg = _allowed_marginals(marginal_costs(duals, tasks, topo), _barred(scheme))
-    return _dual_value(allowed_marg, _price_vector(duals, topo), _pool_layout(topo)[0])
+    cheapest = _allowed_marginals(marginal_costs(duals, tasks, topo), _barred(scheme)).min(axis=1)
+    return _dual_value(cheapest, _price_vector(duals, topo), _pool_layout(topo)[0])
 
 
 # --- closed-form primal recovery -------------------------------------------
@@ -473,6 +473,40 @@ def _assert_same_result(got, want):
     assert list(got.trace) == list(want.trace)
     for name, values in got.trace.items():
         assert values.tobytes() == want.trace[name].tobytes(), name
+
+
+def test_stacked_layout_matches_single_problem_kernels(random_instance):
+    # The price loop stacks its problems term-major, (term, problem, task,
+    # tier).  Before and after compaction, each row's marginals, cheapest
+    # allowed marginals and scattered pool loads must equal the single-problem
+    # kernels bit for bit.
+    rng = np.random.default_rng(11)
+    schemes = (Scheme.FOG, Scheme.CLOUD_RU, Scheme.CLOUD_DU, Scheme.CLOUD, Scheme.FOG)
+    problems = []
+    for seed, scheme in enumerate(schemes):
+        scenario, rates = random_instance(seed=seed, num_users=8, num_rus=4, num_dus=2)
+        problems.append((scenario.topology, scenario.tasks, rates, scheme))
+    stack = solver._Stack(problems)
+    prices = _initial_prices(stack) * np.exp(rng.uniform(-1, 1, stack.capacity.shape))
+    stack.s0 = stack.floors = prices  # row arrays that `take` carries along
+    keep = np.array([4, 0, 2, 3])  # rows move down and one leaves
+    for stack, rows in ((stack, np.arange(len(problems))), (stack.take(keep), keep)):
+        assert np.array_equal(stack.s0, prices[rows])
+        row_prices = prices[rows]
+        marg = solver._marginals(stack.demand, row_prices.ravel().take(stack.index))
+        allowed = _allowed_marginals(marg, stack.barred)
+        cheapest = allowed.ravel().take(stack.first + allowed.argmin(axis=-1))
+        codes = np.array([rng.choice([TIER_INDEX[t] for t in problems[r][3].allowed_tiers], size=8) for r in rows])
+        picked = stack.first + codes
+        loads = _pool_loads(stack.terms.take(picked, axis=1), stack.root_terms.take(picked, axis=1), row_prices.size)
+        loads = loads.reshape(row_prices.shape)
+        for row, r in enumerate(rows):
+            topo, tasks, _, scheme = problems[r]
+            single = marginal_costs(_dual_state(row_prices[row], _pool_layout(topo)[1]), tasks, topo)
+            assert np.array_equal(marg[row], single)
+            assert np.array_equal(cheapest[row], _allowed_marginals(single, _barred(scheme)).min(axis=1))
+            assert np.array_equal(loads[row], _Pools(tasks, topo).loads(codes[row]))
+            assert np.array_equal(loads[row], stack.pools(row).loads(codes[row]))
 
 
 def test_batch_matches_single_solves(random_instance, make_topology, monkeypatch):
