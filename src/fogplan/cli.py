@@ -22,7 +22,7 @@ from . import oracle as oracle_mod
 from .latency import task_delay
 from .phy import DEFAULT_NUM_ANTENNAS, generate_channels, uplink_rates
 from .scenario import Scenario, ScenarioSpec, Scheme, generate_scenario, load_scenario, save_scenario
-from .solver import SolveResult, SolverConfig, _solve_batch, solve
+from .solver import SolveResult, SolverConfig, _drawing_tiers, _initial_prices, _Pools, _solve_batch, solve
 
 SWEEP_PARAMETERS = {
     "fl": "mecl_capacity_hz",
@@ -123,34 +123,66 @@ def _realize(spec: ScenarioSpec, num_antennas: int) -> tuple[Scenario, np.ndarra
     return scenario, _rates(scenario, spec.seed, num_antennas)
 
 
-def _share_problems(sweep: SweepSpec, base: ScenarioSpec, values, seeds, schemes, num_antennas: int):
-    """Every (topology, tasks, rates, scheme) problem of the given realizations
-    at every sweep point, point-major, drawn lazily.  A capacity sweep point
-    changes one capacity field, which `generate_scenario` fills without a
-    random draw, so each realization's channels and rates are drawn once and
-    reused at every point; a `k` sweep draws them per point."""
-    rates: list = [None] * len(seeds)
-    for value in values:
+def _share_problems(sweep: SweepSpec, base: ScenarioSpec, values, seeds, schemes, num_antennas: int, cells: list):
+    """The (topology, tasks, rates, scheme) problems of the given realizations
+    at the sweep points, point-major, drawn lazily, leaving out each problem
+    whose plan is the one at the first point; the (point, realization,
+    scheme) indices of each problem drawn are appended to `cells`.
+
+    A capacity sweep point changes one capacity field, which
+    `generate_scenario` fills without a random draw, so each realization's
+    scenario, channels and rates are drawn once, at the first point, and
+    only the swept field is set at the others.  Under a scheme none of whose
+    tiers draws on the swept capacity family (`_drawing_tiers`), no plan
+    reads that capacity, so the scheme is planned at the first point only.
+    A `k` sweep draws every point and plans every problem."""
+    field = SWEEP_PARAMETERS[sweep.parameter]
+    per_point = field == "num_users"
+    every = range(len(schemes))
+    drawn: list = [None] * len(seeds)  # per realization: scenario, rates, the schemes whose plans vary
+    for p, value in enumerate(values):
         for r, seed in enumerate(seeds):
-            scenario = generate_scenario(_spec_for_point(base, sweep, value, seed))
-            if rates[r] is None or sweep.parameter == "k":
-                rates[r] = _rates(scenario, seed, num_antennas)
-            for scheme in schemes:
-                yield scenario.topology, scenario.tasks, rates[r], scheme
+            if p == 0 or per_point:
+                scenario, rates = _realize(_spec_for_point(base, sweep, value, seed), num_antennas)
+                varying = every
+                if not per_point:
+                    drawing = _drawing_tiers(scenario.topology, scenario.tasks)[field]
+                    varying = [s for s in every if not drawing.isdisjoint(schemes[s].allowed_tiers)]
+                drawn[r] = scenario, rates, varying
+            scenario, rates, varying = drawn[r]
+            topology = scenario.topology
+            if p and not per_point:
+                size = getattr(topology, field).size
+                topology = dataclasses.replace(topology, **{field: np.full(size, float(value))})
+            if not varying:
+                # No problem of this realization is planned past the first
+                # point, so check at every point, in point order, what
+                # planning checks first (that a price loop could start
+                # there): a capacity too extreme to price exits with the
+                # error it would give if the point were planned.
+                _initial_prices(_Pools(scenario.tasks, topology))
+            for s in every if p == 0 else varying:
+                cells.append((p, r, s))
+                yield topology, scenario.tasks, rates, schemes[s]
 
 
 def _sweep_share(args) -> list[list[dict[str, float]]]:
     """Total delay of each scheme in each of the given realizations at each
     sweep point (inf marks an infeasible realization), as one list per point
-    in realization order.  The points x realizations x schemes are planned as
-    one stream of batches, keeping only each plan's total delay."""
+    in realization order.  The problems `_share_problems` draws are planned
+    as one stream of batches, keeping only each plan's total delay; a
+    problem it leaves out has the total of its first-point plan."""
     sweep, base, values, seeds, schemes, config, num_antennas = args
-    totals = [math.nan] * (len(values) * len(seeds) * len(schemes))
-    problems = _share_problems(sweep, base, values, seeds, schemes, num_antennas)
+    cells: list = []
+    totals = [[[None] * len(schemes) for _ in seeds] for _ in values]
+    problems = _share_problems(sweep, base, values, seeds, schemes, num_antennas, cells)
     for position, result in _solve_batch(problems, config):
-        totals[position] = result.total_delay_s
-    cells = iter(totals)
-    return [[{scheme.name: next(cells) for scheme in schemes} for _ in seeds] for _ in values]
+        p, r, s = cells[position]
+        totals[p][r][s] = result.total_delay_s
+    for point in totals[1:]:
+        for first, row in zip(totals[0], point):
+            row[:] = [total if total is not None else again for total, again in zip(row, first)]
+    return [[{scheme.name: total for scheme, total in zip(schemes, row)} for row in point] for point in totals]
 
 
 def _sweep_shares(num_points: int, num_realizations: int, workers: int) -> list[tuple[slice, slice]]:

@@ -15,10 +15,11 @@ The loop's tuning is fixed, not configurable: step 0.25/sqrt(t) in units of
 each price's initial value per capacity of excess load, excess clipped at 1
 capacity, price floor 1e-12 of the initial price, tier-change hysteresis 1e-3,
 freeze after 150 iterations without a material improvement, and a stability
-window of 25 identical decisions.  `SolverConfig` holds only the stopping
-rule: `epsilon` and `max_iters`.  Each formula the loop uses (marginal prices,
-tier pick, share loads, peak overload, dual value, price step) is one private
-kernel.
+window of 25 identical decisions.  A freeze is a stop: the polished incumbent
+is priced at its exact clearing values, evaluated there once, and returned.
+`SolverConfig` holds only the stopping rule: `epsilon` and `max_iters`.  Each
+formula the loop uses (marginal prices, tier pick, share loads, peak overload,
+dual value, price step) is one private kernel.
 
 The pools are one vector everywhere, in the order per-RU MEC, per-DU MEC,
 cloud, per-RU fronthaul, per-DU midhaul, and `_layout` builds that layout for
@@ -56,7 +57,7 @@ per-task ones), and its pools are entries b P to b P + P - 1 of one stacked
 pool vector, so the gather, tier pick, scatter and price step serve them all,
 and the peak overloads, dual values and exact objectives reduce each row on
 its own.  The bookkeeping (objective cache, incumbent, stall clock, stability
-window, freeze, stop, and a trace packed as 4 floats per iteration) stays per
+window, freeze, and a trace packed as 4 floats per iteration) stays per
 problem in plain Python, and a problem that stops leaves the stack and is
 handed out at once.  No row reads another, so each problem gets the plan it
 gets alone; `solve` is the batch of one.
@@ -128,9 +129,12 @@ class DualState:
 class SolverConfig:
     """Stopping rule of the price loop: it converges once the decisions have
     been identical for 25 iterations and the peak relative overload of the
-    recovered shares is below `epsilon`, and stops after `max_iters`.  The
-    rest of the loop is fixed: step 0.25/sqrt(t), clip 1 capacity, floor
-    1e-12, hysteresis 1e-3, freeze after 150 stalled iterations."""
+    recovered shares is below `epsilon`, and stops after `max_iters`.  After
+    150 iterations without a material improvement it freezes and stops: the
+    polished incumbent is evaluated once at its exact clearing prices, and
+    the solve has converged if that evaluation's overload is below
+    `epsilon`.  The rest of the loop is fixed: step 0.25/sqrt(t), clip 1
+    capacity, floor 1e-12, hysteresis 1e-3."""
 
     epsilon: float = 1e-4
     max_iters: int = 2000
@@ -216,6 +220,12 @@ class _Pools:
         return float(_cost(self.loads(codes), self.capacity))
 
 
+# The `Topology` capacity field of each pool family, in the pool-vector
+# order that `_layout` concatenates them in.
+_FAMILIES = ("mecl_capacity_hz", "mech_capacity_hz", "cloud_capacity_hz", "fronthaul_capacity_hz",
+             "midhaul_capacity_hz")
+
+
 def _layout(topologies):
     """The pool vectors of topologies of one shape, stacked: capacities
     (B, P), the index of each family's first pool, and the pool index of each
@@ -250,6 +260,20 @@ def _demands(topologies, task_sets) -> np.ndarray:
     demand[1, ..., _CODE_H] = demand[1, ..., _CODE_C] = bits / np.array([t.fronthaul_se[t.user_to_ru] for t in topologies])
     demand[2, ..., _CODE_C] = bits / np.array([t.midhaul_se[t.user_du] for t in topologies])
     return demand
+
+
+def _drawing_tiers(topology: Topology, tasks: TaskSet) -> dict[str, set[str]]:
+    """The tiers on which some task draws on a pool of each capacity family,
+    keyed by the family's `Topology` field: where the demands of the
+    problem's pool layout are nonzero.  A plan under a scheme none of whose
+    tiers draws on a family cannot depend on that family's capacities."""
+    _, starts, index = _layout([topology])
+    demand = _demands([topology], [tasks])
+    family = np.searchsorted(starts, index[demand > 0], side="right") - 1
+    drawing: dict[str, set[str]] = {name: set() for name in _FAMILIES}
+    for f, code in set(zip(family.tolist(), np.nonzero(demand)[-1].tolist())):
+        drawing[_FAMILIES[f]].add(TIERS[code])
+    return drawing
 
 
 def _tier_loads(index: np.ndarray, root: np.ndarray, capacity: np.ndarray) -> np.ndarray:
@@ -577,8 +601,12 @@ def solve(
     changes, and re-allocates it exactly.  Deterministic: identical inputs and
     config give identical outputs.  The converged flag reports whether the
     loop settled (stable decisions and peak relative overload below epsilon)
-    before max_iters; on non-convergence the best feasible plan found is still
-    returned.  This is `_solve_batch` on a batch of one.
+    before max_iters.  A loop that stalls for 150 iterations freezes and
+    stops there: its polished incumbent is evaluated once at the exact
+    clearing prices, which are the returned duals, and it has converged if
+    that evaluation's overload is below epsilon.  On non-convergence the best
+    feasible plan found is still returned.  This is `_solve_batch` on a batch
+    of one.
     """
     [(_, result)] = _solve_batch([(topology, tasks, rates_bps, scheme)], config)
     return result
@@ -681,9 +709,9 @@ class _Stack:
 class _Run:
     """One problem's bookkeeping in `_price_loop`, in plain Python: the
     objective cache, the best plan, the stall clock, the stability window,
-    the freeze and the trace, packed as 4 floats (candidate, best, dual value,
-    violation) per iteration.  `uniform` holds the objective of each
-    single-tier plan, in L, H, C order."""
+    whether the plan is frozen, and the trace, packed as 4 floats
+    (candidate, best, dual value, violation) per iteration.  `uniform` holds
+    the objective of each single-tier plan, in L, H, C order."""
 
     __slots__ = ("index", "problem", "pools", "allowed", "cache", "best_obj", "best_codes", "since", "stable", "key",
                  "frozen", "trace")
@@ -691,10 +719,10 @@ class _Run:
     def __init__(self, index: int, problem, pools: _Pools, uniform: list[float]):
         self.index, self.problem, self.pools = index, problem, pools
         self.allowed = [TIER_INDEX[t] for t in problem[3].allowed_tiers]
-        # The price loop revisits assignments, frozen ones on every iteration:
-        # score each distinct one once.  Keyed by the assignment's tier codes,
-        # one byte per task, which do not depend on the problem's row in the
-        # stack.  At most max_iters entries.
+        # The price loop revisits assignments: score each distinct one once.
+        # Keyed by the assignment's tier codes, one byte per task, which do
+        # not depend on the problem's row in the stack.  At most max_iters
+        # entries.
         self.cache: dict[bytes, float] = {}
         self.best_obj = math.inf
         self.best_codes = None
@@ -714,6 +742,29 @@ class _Run:
         self.frozen = True
         w = self.pools.loads(self.best_codes)
         return np.where(w > 0, (w / self.pools.capacity) ** 2, floors)
+
+    def settle(self, floors: np.ndarray, barred: np.ndarray, t: int, config: SolverConfig) -> SolveResult:
+        """Freeze the run and finish it at its clearing prices.  Iteration t
+        of the loop would evaluate the frozen plan there, so unless t is past
+        `max_iters` the trace ends with that evaluation, made by the loop's
+        kernels on this problem's row (no row reads another, so the numbers
+        are the stacked loop's bit for bit), and the run has converged if its
+        overload is below epsilon.  Later iterations could only repeat it."""
+        prices = self.freeze(floors)
+        if t > config.max_iters:
+            return self.finish(config.max_iters, False, prices)
+        pools, codes = self.pools, self.best_codes
+        marg = _marginals(pools.demand, prices.take(pools.index))
+        dual = _dual_value(_allowed_marginals(marg, barred).min(axis=-1), prices, pools.capacity)
+        index, demand = pools.index[:, pools.rows, codes], pools.demand[:, pools.rows, codes]
+        loads = _pool_loads(index, np.sqrt(demand / prices[index]), prices.size)
+        overload = float(_peak_overload(loads, pools.capacity))
+        value = self.cache.get(codes.astype(np.uint8).tobytes())
+        if value is None:
+            value = pools.objective(codes)
+        self.best_obj = min(self.best_obj, value)
+        self.trace.fromlist([value, self.best_obj, float(dual), overload])
+        return self.finish(t, overload < config.epsilon, prices)
 
     def finish(self, iterations: int, converged: bool, prices: np.ndarray) -> SolveResult:
         """Polish and re-allocate the best plan and return it; the loop drops
@@ -766,8 +817,6 @@ def _price_loop(problems, config: SolverConfig):
     uniform = _cost(stack.uniform, stack.capacity).T.tolist()  # each single-tier plan's objective, per row
     # The run of each row; each holds views of its row's arrays for the polish.
     live = [_Run(row, problem, stack.pools(row), uniform[row]) for row, problem in enumerate(problems)]
-    frozen: list[int] = []  # the rows whose incumbent is frozen
-    all_frozen = None  # once every row is frozen: their fixed picks
     width = stack.first.shape[1]  # bytes per row of tier codes
     epsilon = config.epsilon
     prev = None
@@ -789,21 +838,16 @@ def _price_loop(problems, config: SolverConfig):
                 # row of them is the row's assignment offset by `first`.
                 cheapest = stack.first + allowed_marg.argmin(axis=-1)
                 dual = _dual_value(allowed_marg.ravel().take(cheapest), prices, stack.capacity).tolist()
-                if all_frozen is not None:
-                    picked = all_frozen
-                else:
-                    picked = cheapest
-                    if prev is not None:
-                        # A task only moves when the cheapest tier beats its
-                        # current one by a clear relative margin; marginal
-                        # near-ties otherwise make tasks flap between tiers
-                        # forever as prices dither.
-                        flat = marg.ravel()
-                        margin = (1.0 - _DECISION_HYSTERESIS) * flat.take(prev)
-                        picked = np.where(flat.take(picked) >= margin, prev, picked)
-                    prev = picked
-                    for row in frozen:
-                        picked[row] = stack.first[row] + live[row].best_codes
+                picked = cheapest
+                if prev is not None:
+                    # A task only moves when the cheapest tier beats its
+                    # current one by a clear relative margin; marginal
+                    # near-ties otherwise make tasks flap between tiers
+                    # forever as prices dither.
+                    flat = marg.ravel()
+                    margin = (1.0 - _DECISION_HYSTERESIS) * flat.take(prev)
+                    picked = np.where(flat.take(picked) >= margin, prev, picked)
+                prev = picked
 
                 task_demand = stack.demand_terms.take(picked, axis=1)
                 shares = np.sqrt(task_demand / task_prices.reshape(3, -1).take(picked, axis=1))
@@ -815,7 +859,6 @@ def _price_loop(problems, config: SolverConfig):
                 blob = codes.tobytes()
                 exact = None
                 stopped: dict[int, SolveResult] = {}  # row -> result, in row order
-                freezing = []
                 for row, run in enumerate(live):
                     key = blob[row * width : (row + 1) * width]
                     value = run.cache.get(key)
@@ -840,25 +883,20 @@ def _price_loop(problems, config: SolverConfig):
                     run.key = key
                     if stable >= _STABILITY_WINDOW and overload < epsilon:
                         stopped[row] = run.finish(t, True, prices[row].copy())
-                    elif run.since >= _FREEZE_AFTER and not run.frozen:
-                        freezing.append(row)
+                    elif run.since >= _FREEZE_AFTER:
+                        # Exploration has stalled: the winner-take-all
+                        # iterates rarely settle on their own, because the
+                        # relaxed optimum splits marginal tasks across tiers.
+                        # Polish the incumbent by descent, freeze it, and
+                        # stop at its exact clearing prices (the dual
+                        # counterpart of the final exact re-allocation),
+                        # where the recovered shares match the returned
+                        # allocation.  No later iteration could change the
+                        # frozen plan, so the run ends with the one
+                        # evaluation there that the next iteration would make.
+                        stopped[row] = run.settle(stack.floors[row], stack.barred[row], t + 1, config)
 
                 prices = _price_step(prices, loads, t, stack.s0, stack.floors, stack.capacity, stack.clip)
-                for row in freezing:
-                    # Exploration has stalled: the winner-take-all iterates
-                    # rarely settle on their own, because the relaxed optimum
-                    # splits marginal tasks across tiers.  Polish the
-                    # incumbent by single-swap descent, freeze it, and
-                    # re-initialize the prices at its exact clearing values
-                    # (the dual counterpart of the final exact
-                    # re-allocation).  The subgradient updates then hold them
-                    # there and the recovered shares match the returned
-                    # allocation.  This row's step above is discarded: its
-                    # loads predate the re-initialized prices.
-                    prices[row] = live[row].freeze(stack.floors[row])
-                    frozen.append(row)
-                if freezing and len(frozen) == len(live):
-                    all_frozen = stack.first + np.array([run.best_codes for run in live])
                 if stopped:
                     break
 
@@ -877,9 +915,6 @@ def _price_loop(problems, config: SolverConfig):
             stack = stack.take(np.array(order))
             prices = prices[order]
             prev = stack.first + codes[order]
-            frozen = [row for row, run in enumerate(live) if run.frozen]
-            if len(frozen) == len(live):
-                all_frozen = stack.first + np.array([run.best_codes for run in live])
 
     for row, run in enumerate(live):
         yield run.index, run.finish(config.max_iters, False, prices[row].copy())

@@ -123,19 +123,24 @@ def test_sweep_shares_give_every_worker_work():
 def test_sweep_rows_equal_single_solve_replay():
     # A sweep plans every point x realization x scheme of a worker's share as
     # one stream of batches, and a capacity sweep draws each realization's
-    # channels and rates once; its rows must be exactly the means of fresh
-    # per-(point, realization) draws and one `solve` per scheme.  The `bl`
-    # recipe's ranged capacities consume random draws, and a `k` sweep
-    # changes the draws, so its rates cannot be shared.
+    # scenario, channels and rates once and plans a scheme none of whose
+    # tiers draws on the swept capacity (cloud-du and cloud under `fl`,
+    # cloud-ru and cloud under `fh`) at the first point only; its rows must
+    # be exactly the means of fresh per-(point, realization) draws and one
+    # `solve` per scheme.  The `bl` recipe's ranged capacities consume random
+    # draws, and a `k` sweep changes the draws, so its rates cannot be shared.
     schemes = (Scheme.FOG, Scheme.CLOUD_RU, Scheme.CLOUD_DU, Scheme.CLOUD)
     base = ScenarioSpec(num_users=8, num_rus=4, num_dus=2, seed=3)
     ranged = dataclasses.replace(base, mecl_capacity_hz=(1e9, 5e9), mech_capacity_hz=(1e10, 5e10))
     for sweep, spec in (
         (SweepSpec(parameter="fl", start=1e9, stop=5e9, steps=2, realizations=5, base_seed=3), base),
+        (SweepSpec(parameter="fh", start=1e10, stop=5e10, steps=3, realizations=3, base_seed=3), base),
         (SweepSpec(parameter="bl", start=1e8, stop=9e8, steps=3, realizations=4, base_seed=3), ranged),
         (SweepSpec(parameter="k", start=4, stop=8, steps=2, realizations=3, base_seed=3), base),
     ):
-        field = {"fl": "mecl_capacity_hz", "bl": "fronthaul_capacity_hz", "k": "num_users"}[sweep.parameter]
+        field = {"fl": "mecl_capacity_hz", "fh": "mech_capacity_hz", "bl": "fronthaul_capacity_hz", "k": "num_users"}[
+            sweep.parameter
+        ]
         rows = iter(run_sweep(sweep, schemes, spec))
         for value in sweep.values():
             point = int(value) if sweep.parameter == "k" else value
@@ -153,6 +158,33 @@ def test_sweep_rows_equal_single_solve_replay():
                 row = next(rows)
                 assert (row["value"], row["scheme"], row["infeasible_count"]) == (value, scheme.cli_name, 0)
                 assert row["mean_total_delay_s"] == sum(totals[scheme]) / sweep.realizations
+
+
+def test_sweep_plans_flat_curves_once(monkeypatch):
+    # Of P points x R realizations x 4 schemes, an `fl` or `fh` sweep plans
+    # the two schemes whose tiers draw on the swept capacity at every point
+    # and the other two at the first point only: 2PR + 2R problems.  Under
+    # `bl` every scheme draws on the swept capacity.
+    planned = []
+    solve_batch = fogplan.cli._solve_batch
+
+    def counting(problems, config):
+        return solve_batch((planned.append(problem) or problem for problem in problems), config)
+
+    monkeypatch.setattr(fogplan.cli, "_solve_batch", counting)
+    schemes = (Scheme.FOG, Scheme.CLOUD_RU, Scheme.CLOUD_DU, Scheme.CLOUD)
+    base = ScenarioSpec(num_users=4, num_rus=2, num_dus=1, seed=5)
+    points, realizations = 3, 2
+    for parameter, start, stop, count in (
+        ("fl", 1e9, 5e9, 2 * points * realizations + 2 * realizations),
+        ("fh", 1e10, 5e10, 2 * points * realizations + 2 * realizations),
+        ("bl", 1e8, 9e8, 4 * points * realizations),
+    ):
+        planned.clear()
+        sweep = SweepSpec(parameter=parameter, start=start, stop=stop, steps=points, realizations=realizations)
+        rows = run_sweep(sweep, schemes, base, workers=1)
+        assert len(planned) == count, parameter
+        assert len(rows) == points * len(schemes)
 
 
 def test_k_sweep_uses_integer_user_counts(tmp_path):
@@ -329,6 +361,11 @@ def test_set_overrides_apply(capsys):
     assert main(["--seed", "2", "--users", "3", "--set", "fl=1e200"]) == 2
     assert "initial prices underflow" in capsys.readouterr().err
     assert main(["--seed", "2", "--users", "4", "--rus", "2", "--dus", "1", "--set", "fl=1e-100"]) == 2
+    assert "initial prices overflow" in capsys.readouterr().err
+    # A sweep point that plans no problem of its own is still checked:
+    # cloud-du draws on no RU MEC pool, whose price 1e-300 Hz overflows.
+    args = ["--scheme", "cloud-du", "--sweep", "fl=1e9:1e-300:2", "--users", "4", "--rus", "2", "--dus", "1"]
+    assert main(args) == 2
     assert "initial prices overflow" in capsys.readouterr().err
 
 

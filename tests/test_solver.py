@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -553,6 +554,90 @@ def test_batch_matches_single_solves(random_instance, make_topology, monkeypatch
             assert any(r.converged for r in batch) and any(r.iterations == 60 and not r.converged for r in batch)
         else:
             assert freezes
+
+
+def _frozen_fog_problem(random_instance, monkeypatch):
+    """A K=8 FOG problem whose price loop freezes, and the iteration at which
+    it froze."""
+    froze = []
+    freeze = solver._Run.freeze
+
+    def spy(run, floors):
+        froze.append(len(run.trace) // 4)  # the trace packs 4 floats per iteration
+        return freeze(run, floors)
+
+    monkeypatch.setattr(solver._Run, "freeze", spy)
+    for seed in range(20):
+        scenario, rates = random_instance(seed=seed, num_users=8, num_rus=4, num_dus=2)
+        problem = (scenario.topology, scenario.tasks, rates, Scheme.FOG)
+        result = solve(*problem)
+        if froze:
+            return problem, result, froze[0]
+    raise AssertionError("no K=8 FOG problem froze")
+
+
+def test_frozen_problem_stops_at_its_clearing_prices(random_instance, monkeypatch):
+    # A frozen plan is polished and priced at its exact clearing values, and
+    # the loop's evaluation there is its last: the returned duals are those
+    # prices, (W/F)^2 on every pool the plan uses, and the freeze at
+    # iteration t ends the solve after iteration t + 1.
+    (topo, tasks, rates, scheme), res, t = _frozen_fog_problem(random_instance, monkeypatch)
+    assert res.iterations == t + 1 == res.trace["max_violation"].size
+    assert res.converged == (res.trace["max_violation"][-1] < SolverConfig().epsilon)
+    pools = _Pools(tasks, topo)
+    w = pools.loads(res.decision.codes)
+    used = w > 0
+    assert (_price_vector(res.duals, topo)[used] == (w[used] / pools.capacity[used]) ** 2).all()
+    assert _dual_value_at(res.duals, tasks, topo, scheme) == res.trace["dual_value_s"][-1]
+    # A freeze on the last allowed iteration returns the frozen plan at the
+    # same prices, unconverged, with no evaluation after it.
+    cut = solve(topo, tasks, rates, scheme, SolverConfig(max_iters=t))
+    assert cut.iterations == t == cut.trace["max_violation"].size and not cut.converged
+    assert cut.decision == res.decision
+    assert _price_vector(cut.duals, topo).tobytes() == _price_vector(res.duals, topo).tobytes()
+
+
+def test_drawing_tiers_follow_the_pool_layout(random_instance):
+    # The tiers that draw on each capacity family, by which a sweep decides
+    # which plans its swept capacity cannot change, must be the nonzero
+    # pattern of the pool layout's demands on that family's pools.
+    for seed, (num_users, num_rus, num_dus) in enumerate(((8, 4, 2), (12, 4, 2), (6, 1, 1), (40, 10, 4))):
+        scenario, _ = random_instance(seed=seed, num_users=num_users, num_rus=num_rus, num_dus=num_dus)
+        topo, tasks = scenario.topology, scenario.tasks
+        pools = _Pools(tasks, topo)
+        assert pools.capacity.tobytes() == np.hstack([getattr(topo, name) for name in solver._FAMILIES]).tobytes()
+        bounds = pools.starts.tolist() + [pools.capacity.size]
+        drawing = solver._drawing_tiers(topo, tasks)
+        assert list(drawing) == list(solver._FAMILIES)
+        for name, start, stop in zip(solver._FAMILIES, bounds, bounds[1:]):
+            draws = {tier for tier in TIERS if pools.member[:, TIER_INDEX[tier], start:stop].any()}
+            assert drawing[name] == draws, name
+
+
+def test_plans_ignore_capacities_no_allowed_tier_draws_on(random_instance):
+    # A sweep plans a scheme none of whose tiers draws on the swept capacity
+    # once and reuses the plan at every point: under such a scheme the solve
+    # must not move at all when that capacity does.
+    flat_schemes = {}
+    for field in ("mecl_capacity_hz", "mech_capacity_hz"):
+        for seed in range(6):
+            scenario, rates = random_instance(seed=seed, num_users=8, num_rus=4, num_dus=2)
+            topo, tasks = scenario.topology, scenario.tasks
+            drawing = solver._drawing_tiers(topo, tasks)[field]
+            flat = [scheme for scheme in Scheme if drawing.isdisjoint(scheme.allowed_tiers)]
+            flat_schemes.setdefault(field, set()).update(flat)
+            for scheme in flat:
+                results = [
+                    solve(dataclasses.replace(topo, **{field: np.full(getattr(topo, field).size, capacity)}), tasks,
+                          rates, scheme)
+                    for capacity in (7e8, 3e11)
+                ]
+                for name in ("decision", "iterations", "converged", "objective_s", "total_delay_s"):
+                    assert getattr(results[0], name) == getattr(results[1], name), (field, seed, scheme, name)
+    assert flat_schemes == {
+        "mecl_capacity_hz": {Scheme.CLOUD_DU, Scheme.CLOUD},
+        "mech_capacity_hz": {Scheme.CLOUD_RU, Scheme.CLOUD},
+    }
 
 
 def test_fog_never_loses_to_baselines(random_instance):
