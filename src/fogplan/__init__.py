@@ -37,7 +37,6 @@ from .solver import (
     SolveResult,
     SolverConfig,
     allocate_given_decision,
-    marginal_costs,
     offload_objective,
     primal_bandwidth_from_duals,
     primal_speeds_from_duals,
@@ -69,7 +68,6 @@ __all__ = [
     "generate_channels",
     "generate_scenario",
     "load_scenario",
-    "marginal_costs",
     "mmse_beamformer",
     "offload_objective",
     "primal_bandwidth_from_duals",

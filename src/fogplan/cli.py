@@ -21,8 +21,8 @@ import numpy as np
 from . import oracle as oracle_mod
 from .latency import task_delay
 from .phy import DEFAULT_NUM_ANTENNAS, generate_channels, uplink_rates
-from .scenario import Scenario, ScenarioSpec, Scheme, generate_scenario, load_scenario, save_scenario
-from .solver import SolveResult, SolverConfig, _drawing_tiers, _initial_prices, _Pools, _solve_batch, solve
+from .scenario import TIER_C, TIER_H, TIER_L, Scenario, ScenarioSpec, Scheme, generate_scenario, load_scenario, save_scenario
+from .solver import SolveResult, SolverConfig, _initial_prices, _Pools, _solve_batch, solve
 
 SWEEP_PARAMETERS = {
     "fl": "mecl_capacity_hz",
@@ -123,66 +123,62 @@ def _realize(spec: ScenarioSpec, num_antennas: int) -> tuple[Scenario, np.ndarra
     return scenario, _rates(scenario, spec.seed, num_antennas)
 
 
-def _share_problems(sweep: SweepSpec, base: ScenarioSpec, values, seeds, schemes, num_antennas: int, cells: list):
-    """The (topology, tasks, rates, scheme) problems of the given realizations
-    at the sweep points, point-major, drawn lazily, leaving out each problem
-    whose plan is the one at the first point; the (point, realization,
-    scheme) indices of each problem drawn are appended to `cells`.
+# The tiers whose plans draw on the capacity each capacity sweep sets: RU MEC
+# serves the L tier, DU MEC the H tier, RU fronthaul the H and C tiers and DU
+# midhaul the C tier.
+_DRAWING_TIERS = {"fl": {TIER_L}, "fh": {TIER_H}, "bl": {TIER_H, TIER_C}, "bh": {TIER_C}}
 
-    A capacity sweep point changes one capacity field, which
-    `generate_scenario` fills without a random draw, so each realization's
-    scenario, channels and rates are drawn once, at the first point, and
-    only the swept field is set at the others.  Under a scheme none of whose
-    tiers draws on the swept capacity family (`_drawing_tiers`), no plan
-    reads that capacity, so the scheme is planned at the first point only.
-    A `k` sweep draws every point and plans every problem."""
-    field = SWEEP_PARAMETERS[sweep.parameter]
-    per_point = field == "num_users"
+
+def _sweep_share(args) -> dict[tuple[int, int, int], float]:
+    """Total delay of each scheme in each of a share's realizations at each of
+    its sweep points (inf marks an infeasible realization), keyed by the
+    sweep's (point, realization, scheme) indices.
+
+    The share's problems are drawn lazily, point-major, and planned as one
+    stream of batches, keeping only each plan's total delay.  A capacity
+    sweep point changes one capacity field, which `generate_scenario` fills
+    without a random draw, so each realization's scenario, channels and rates
+    are drawn once, at the share's first point, and only the swept field is
+    set at the others.  Under a scheme none of whose tiers draws on the swept
+    capacity (`_DRAWING_TIERS`), no plan reads it, so the scheme is planned at
+    the first point only and that total holds at every point.  A `k` sweep
+    draws every point and plans every problem."""
+    sweep, base, points, realizations, schemes, config, num_antennas = args
+    field, values = SWEEP_PARAMETERS[sweep.parameter], sweep.values()
+    drawing = _DRAWING_TIERS.get(sweep.parameter)  # None for a k sweep
     every = range(len(schemes))
-    drawn: list = [None] * len(seeds)  # per realization: scenario, rates, the schemes whose plans vary
-    for p, value in enumerate(values):
-        for r, seed in enumerate(seeds):
-            if p == 0 or per_point:
-                scenario, rates = _realize(_spec_for_point(base, sweep, value, seed), num_antennas)
-                varying = every
-                if not per_point:
-                    drawing = _drawing_tiers(scenario.topology, scenario.tasks)[field]
-                    varying = [s for s in every if not drawing.isdisjoint(schemes[s].allowed_tiers)]
-                drawn[r] = scenario, rates, varying
-            scenario, rates, varying = drawn[r]
-            topology = scenario.topology
-            if p and not per_point:
-                size = getattr(topology, field).size
-                topology = dataclasses.replace(topology, **{field: np.full(size, float(value))})
-            if not varying:
-                # No problem of this realization is planned past the first
-                # point, so check at every point, in point order, what
-                # planning checks first (that a price loop could start
-                # there): a capacity too extreme to price exits with the
-                # error it would give if the point were planned.
-                _initial_prices(_Pools(scenario.tasks, topology))
-            for s in every if p == 0 else varying:
-                cells.append((p, r, s))
-                yield topology, scenario.tasks, rates, schemes[s]
+    varying = [s for s in every if drawing is None or not drawing.isdisjoint(schemes[s].allowed_tiers)]
+    first, cells = points.start, []
 
+    def problems():
+        drawn = {}  # per realization: its scenario and rates
+        for p in range(points.start, points.stop):
+            for r in range(realizations.start, realizations.stop):
+                if p == first or drawing is None:
+                    spec = _spec_for_point(base, sweep, values[p], realization_seed(sweep.base_seed, r))
+                    drawn[r] = _realize(spec, num_antennas)
+                scenario, rates = drawn[r]
+                topology = scenario.topology
+                if p != first and drawing is not None:
+                    size = getattr(topology, field).size
+                    topology = dataclasses.replace(topology, **{field: np.full(size, values[p])})
+                if not varying:
+                    # No problem of this realization is planned past the first
+                    # point, so check at every point, in point order, what
+                    # planning checks first (that a price loop could start
+                    # there): a capacity too extreme to price exits with the
+                    # error it would give if the point were planned.
+                    _initial_prices(_Pools(scenario.tasks, topology))
+                for s in every if p == first else varying:
+                    cells.append((p, r, s))
+                    yield topology, scenario.tasks, rates, schemes[s]
 
-def _sweep_share(args) -> list[list[dict[str, float]]]:
-    """Total delay of each scheme in each of the given realizations at each
-    sweep point (inf marks an infeasible realization), as one list per point
-    in realization order.  The problems `_share_problems` draws are planned
-    as one stream of batches, keeping only each plan's total delay; a
-    problem it leaves out has the total of its first-point plan."""
-    sweep, base, values, seeds, schemes, config, num_antennas = args
-    cells: list = []
-    totals = [[[None] * len(schemes) for _ in seeds] for _ in values]
-    problems = _share_problems(sweep, base, values, seeds, schemes, num_antennas, cells)
-    for position, result in _solve_batch(problems, config):
-        p, r, s = cells[position]
-        totals[p][r][s] = result.total_delay_s
-    for point in totals[1:]:
-        for first, row in zip(totals[0], point):
-            row[:] = [total if total is not None else again for total, again in zip(row, first)]
-    return [[{scheme.name: total for scheme, total in zip(schemes, row)} for row in point] for point in totals]
+    totals = {cells[position]: result.total_delay_s for position, result in _solve_batch(problems(), config)}
+    for p in range(first + 1, points.stop):
+        for r in range(realizations.start, realizations.stop):
+            for s in every:
+                totals.setdefault((p, r, s), totals[first, r, s])
+    return totals
 
 
 def _sweep_shares(num_points: int, num_realizations: int, workers: int) -> list[tuple[slice, slice]]:
@@ -227,11 +223,9 @@ def run_sweep(
     config = config or SolverConfig()
     base = dataclasses.replace(base, **sweep.overrides) if sweep.overrides else base
     values = sweep.values()
-    seeds = [realization_seed(sweep.base_seed, r) for r in range(sweep.realizations)]
-    splits = _sweep_shares(len(values), len(seeds), workers)
     shares = [
-        (sweep, base, values[points], seeds[realizations], tuple(schemes), config, num_antennas)
-        for points, realizations in splits
+        (sweep, base, points, realizations, tuple(schemes), config, num_antennas)
+        for points, realizations in _sweep_shares(len(values), sweep.realizations, workers)
     ]
     if len(shares) > 1:
         # Imported here: multiprocessing costs every importer of this module
@@ -242,17 +236,12 @@ def run_sweep(
             outcomes = list(pool.map(_sweep_share, shares, chunksize=1))
     else:
         outcomes = [_sweep_share(shares[0])]
-    # Each point's totals in realization order: the shares are realization-major.
-    by_point: list[list[dict[str, float]]] = [[] for _ in values]
-    for (points, _), outcome in zip(splits, outcomes):
-        for p, totals in zip(range(points.start, points.stop), outcome):
-            by_point[p].extend(totals)
+    totals = {cell: total for outcome in outcomes for cell, total in outcome.items()}
 
     rows = []
-    for value, by_realization in zip(values, by_point):
-        for scheme in schemes:
-            totals = [realization[scheme.name] for realization in by_realization]
-            feasible = [v for v in totals if math.isfinite(v)]
+    for p, value in enumerate(values):
+        for s, scheme in enumerate(schemes):
+            feasible = [v for v in (totals[p, r, s] for r in range(sweep.realizations)) if math.isfinite(v)]
             n = len(feasible)
             mean = sum(feasible) / n if n else math.inf
             stderr = float(np.std(feasible, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -423,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Plan computational task offloading in a three-tier fog C-RAN and "
         "reproduce delay-vs-capacity sweeps.",
     )
-    parser.add_argument("--scenario", help="load a scenario file instead of generating one")
+    parser.add_argument("--scenario", help="load a scenario file instead of generating one (single-scenario mode only)")
     parser.add_argument("--seed", type=int, default=0, help="base seed (scenario generation / sweeps)")
     parser.add_argument("--users", type=int, help="number of users K (required when generating)")
     parser.add_argument("--dus", type=int, default=4, help="number of DUs")
@@ -449,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a scenario parameter (fl, fh, bl, bh, fc, uplink, rl, rh, spacing); "
                         "VALUE may be 'lo,hi' for a per-node uniform draw")
-    parser.add_argument("--save-scenario", help="write the generated scenario to this path")
+    parser.add_argument("--save-scenario", help="write the planned scenario to this path (single-scenario mode only)")
     return parser
 
 
@@ -481,6 +470,10 @@ def main(argv=None) -> int:
 
     try:
         config = SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters)
+        mode = "--sweep" if args.sweep else "--oracle-check" if args.oracle_check else None
+        files = [flag for flag, path in (("--scenario", args.scenario), ("--save-scenario", args.save_scenario)) if path]
+        if mode and files:
+            raise ValueError(f"{' and '.join(files)} cannot be combined with {mode}, which generates its scenarios")
         if args.sweep:
             name, start, stop, steps = _parse_sweep_flag(args.sweep)
             sweep = SweepSpec(

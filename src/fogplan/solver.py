@@ -5,7 +5,7 @@ shares turns every delay term into a perspective of a convex 1/share term, so
 the relaxed problem is convex and its Lagrangian minimizers have closed forms:
 for fixed multiplier prices, each share is proportional to the square root of
 its demand-to-price ratio, and the per-task cost of choosing a tier collapses
-to a marginal price (`marginal_costs`).  The loop alternates winner-take-all
+to a marginal price (`_marginals`).  The loop alternates winner-take-all
 tier picks at current prices with a projected subgradient price update whose
 step diminishes as 1/sqrt(t).  Every candidate assignment seen is evaluated
 exactly through the per-pool closed form, and the best one is re-allocated
@@ -220,12 +220,6 @@ class _Pools:
         return float(_cost(self.loads(codes), self.capacity))
 
 
-# The `Topology` capacity field of each pool family, in the pool-vector
-# order that `_layout` concatenates them in.
-_FAMILIES = ("mecl_capacity_hz", "mech_capacity_hz", "cloud_capacity_hz", "fronthaul_capacity_hz",
-             "midhaul_capacity_hz")
-
-
 def _layout(topologies):
     """The pool vectors of topologies of one shape, stacked: capacities
     (B, P), the index of each family's first pool, and the pool index of each
@@ -262,34 +256,12 @@ def _demands(topologies, task_sets) -> np.ndarray:
     return demand
 
 
-def _drawing_tiers(topology: Topology, tasks: TaskSet) -> dict[str, set[str]]:
-    """The tiers on which some task draws on a pool of each capacity family,
-    keyed by the family's `Topology` field: where the demands of the
-    problem's pool layout are nonzero.  A plan under a scheme none of whose
-    tiers draws on a family cannot depend on that family's capacities."""
-    _, starts, index = _layout([topology])
-    demand = _demands([topology], [tasks])
-    family = np.searchsorted(starts, index[demand > 0], side="right") - 1
-    drawing: dict[str, set[str]] = {name: set() for name in _FAMILIES}
-    for f, code in set(zip(family.tolist(), np.nonzero(demand)[-1].tolist())):
-        drawing[_FAMILIES[f]].add(TIERS[code])
-    return drawing
-
-
 def _tier_loads(index: np.ndarray, root: np.ndarray, capacity: np.ndarray) -> np.ndarray:
     """(3, ..., P) pool sums of sqrt demands of the three single-tier plans,
     from term-major arrays whose index names entries of `capacity`, each sum
     added in task order."""
     shifted = index + capacity.size * np.arange(3)
     return np.bincount(shifted.ravel(), weights=root.ravel(), minlength=3 * capacity.size).reshape((3,) + capacity.shape)
-
-
-def _pool_layout(topology: Topology):
-    """The pool vector of one topology: capacities, the index of each
-    family's first pool, and each task's pool index as a (K, tier, term)
-    view of `_layout`'s."""
-    (capacity,), starts, index = _layout([topology])
-    return capacity, starts, np.moveaxis(index[:, 0], 0, -1)
 
 
 def _price_vector(duals: DualState, topology: Topology) -> np.ndarray:
@@ -407,17 +379,6 @@ def _marginals(demand: np.ndarray, task_prices: np.ndarray) -> np.ndarray:
     the leading axis, so the sum adds three contiguous blocks element by
     element instead of reducing a length-3 innermost axis."""
     return np.add.reduce(2.0 * np.sqrt(demand * task_prices), axis=0)
-
-
-def marginal_costs(duals: DualState, tasks: TaskSet, topology: Topology) -> np.ndarray:
-    """Per-task price of each tier at the current multipliers, shape (K, 3) in
-    L, H, C column order.  Each entry is what one unit of tier weight adds to
-    the Lagrangian once the shares take their closed-form values."""
-    pools = _Pools(tasks, topology)
-    task_prices = _price_vector(duals, topology)[pools.index]
-    if task_prices.size and not task_prices.min() > 0:
-        raise ValueError("all multipliers mapped to tasks must be strictly positive")
-    return _marginals(pools.demand, task_prices)
 
 
 def _barred(scheme: Scheme) -> np.ndarray:
@@ -570,7 +531,7 @@ def _recheck(candidates: list[int], objective: float, exact):
 
 
 def _empty_result(topology: Topology) -> SolveResult:
-    capacity, starts, _ = _pool_layout(topology)
+    (capacity,), starts, _ = _layout([topology])
     trace = {name: np.array([]) for name in ("dual_value_s", "candidate_objective_s", "best_objective_s", "max_violation")}
     return SolveResult(
         decision=Decision(()),
@@ -634,19 +595,12 @@ def _solve_batch(problems, config: SolverConfig | None = None):
             raise ValueError("tasks and topology disagree on the number of users")
         key = (tasks.num_tasks, topology.num_rus, topology.num_dus)
         if key != shape or len(chunk) == size:
-            yield from _chunk_results(chunk, config)
+            if chunk:
+                yield from _price_loop(chunk, config)
             chunk, shape, size = [], key, max(1, _BATCH_TASKS // tasks.num_tasks)
         chunk.append((position, problem))
-    yield from _chunk_results(chunk, config)
-
-
-def _chunk_results(chunk, config: SolverConfig):
-    """(position, result) pairs of one `_price_loop` over (position, problem)
-    pairs, in the order the problems stop."""
     if chunk:
-        positions, problems = zip(*chunk)
-        for i, result in _price_loop(list(problems), config):
-            yield positions[i], result
+        yield from _price_loop(chunk, config)
 
 
 class _Stack:
@@ -798,9 +752,9 @@ class _Run:
         )
 
 
-def _price_loop(problems, config: SolverConfig):
-    """The price loop on a list of problems of one shape, stacked (`_Stack`),
-    yielding (list index, result) pairs as the problems stop.
+def _price_loop(chunk, config: SolverConfig):
+    """The price loop on (position, problem) pairs of problems of one shape,
+    stacked (`_Stack`), yielding (position, result) pairs as the problems stop.
 
     One gather of the prices gives every problem's marginals, one tier pick
     and one scatter give every pool load, and one step moves every price;
@@ -809,14 +763,14 @@ def _price_loop(problems, config: SolverConfig):
     problem follows the iterates it would follow alone.  The bookkeeping is
     per problem (`_Run`), and a problem that stops leaves the stack.
     """
-    stack = _Stack(problems)
+    stack = _Stack([problem for _, problem in chunk])
     # Prices, steps and floors are pool vectors, one row per problem, for the
     # whole loop; each DualState is built from its row once, at the end.
     prices = _initial_prices(stack)  # checked before any plan is scored
     stack.s0, stack.floors = _STEP_SCALE * prices / stack.capacity, _DUAL_FLOOR_SCALE * prices
     uniform = _cost(stack.uniform, stack.capacity).T.tolist()  # each single-tier plan's objective, per row
     # The run of each row; each holds views of its row's arrays for the polish.
-    live = [_Run(row, problem, stack.pools(row), uniform[row]) for row, problem in enumerate(problems)]
+    live = [_Run(position, problem, stack.pools(row), uniform[row]) for row, (position, problem) in enumerate(chunk)]
     width = stack.first.shape[1]  # bytes per row of tier codes
     epsilon = config.epsilon
     prev = None

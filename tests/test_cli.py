@@ -91,7 +91,10 @@ def test_sweep_csv_schema(tmp_path):
 
 def test_sweep_workers_match_serial(tmp_path):
     # With fewer realizations than workers the points are split as well, and
-    # each point's totals are merged back in realization order.
+    # each point's totals are merged back in realization order.  Under `fh`
+    # and under `fl` with cloud-du alone, each share plans the flat curves at
+    # its first point only; 5 realizations on 3 workers make uneven shares,
+    # and the ranged capacities consume random draws.
     for args, workers in (
         (["--sweep", "k=2:4:2", "--users", "2", "--rus", "2", "--dus", "1", "--realizations", "2", "--seed", "5",
           "--scheme", "fog"], "2"),
@@ -101,6 +104,12 @@ def test_sweep_workers_match_serial(tmp_path):
           "--scheme", "all"], "2"),
         (["--sweep", "bl=1e8:9e8:5", "--users", "8", "--rus", "4", "--dus", "2", "--realizations", "2", "--seed", "5",
           "--scheme", "all", "--set", "fl=1e9,5e9"], "3"),
+        (["--sweep", "fh=1e10:5e10:3", "--users", "8", "--rus", "4", "--dus", "2", "--realizations", "5",
+          "--scheme", "all"], "2"),
+        (["--sweep", "fl=1e9:5e9:4", "--users", "8", "--rus", "4", "--dus", "2", "--realizations", "3",
+          "--scheme", "cloud-du"], "2"),
+        (["--sweep", "bl=1e8:9e8:5", "--users", "8", "--rus", "4", "--dus", "2", "--realizations", "5",
+          "--scheme", "all", "--set", "fl=1e9,5e9", "--set", "fh=1e10,5e10"], "3"),
     ):
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         assert main(args + ["--out", str(serial), "--workers", "1"]) == 0
@@ -290,7 +299,7 @@ def test_missing_users_is_an_error(capsys):
     assert "--users" in capsys.readouterr().err
 
 
-def test_bad_sweep_flag_is_an_error(capsys):
+def test_bad_sweep_flag_is_an_error(tmp_path, capsys):
     assert main(["--sweep", "fl=1e9", "--users", "2"]) == 2
     assert "START:STOP:STEPS" in capsys.readouterr().err
     assert main(["--sweep", "zz=1:2:2", "--users", "2"]) == 2
@@ -308,6 +317,14 @@ def test_bad_sweep_flag_is_an_error(capsys):
     ):
         assert main(["--sweep", "fl=1e9:2e9:2", "--users", "2", flag, value]) == 2
         assert message in capsys.readouterr().err
+    # a scenario file is read or written only when planning one scenario
+    for mode in (["--sweep", "fl=1e9:2e9:2"], ["--oracle-check"]):
+        for flag in ("--scenario", "--save-scenario"):
+            path = tmp_path / "s.txt"
+            assert main(mode + ["--users", "5", "--scheme", "fog", flag, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and flag in err and mode[0] in err
+            assert not path.exists()
 
 
 def test_out_of_memory_is_an_error(monkeypatch, capsys):
@@ -409,8 +426,9 @@ def test_infeasible_realizations_counted_and_excluded(monkeypatch):
 
     def flaky(args):
         totals = original(args)
-        for point in totals:
-            point[0] = {name: math.inf for name in point[0]}
+        for point, realization, scheme in totals:
+            if realization == 0:
+                totals[point, realization, scheme] = math.inf
         return totals
 
     monkeypatch.setattr(cli_mod, "_sweep_share", flaky)

@@ -27,7 +27,7 @@ def test_exported_names_resolve():
     exec("from fogplan import *", namespace)
     assert set(fogplan.__all__) <= set(namespace)
     removed = {
-        fogplan.solver: ("RelaxedPoint", "dual_update", "extract_decision"),
+        fogplan.solver: ("RelaxedPoint", "dual_update", "extract_decision", "marginal_costs"),
         fogplan.phy: ("mmse_beamformers",),
         fogplan.oracle: ("objective_of",),
     }

@@ -13,7 +13,6 @@ from fogplan import (
     allocate_given_decision,
     check_feasibility,
     enumerate_optimal,
-    marginal_costs,
     offload_objective,
     primal_bandwidth_from_duals,
     primal_speeds_from_duals,
@@ -21,6 +20,7 @@ from fogplan import (
     total_delay,
 )
 from fogplan import solver
+from fogplan.cli import _DRAWING_TIERS, SWEEP_PARAMETERS
 from fogplan.latency import TIER_INDEX
 from fogplan.scenario import TIERS, TaskSet
 from fogplan.solver import (
@@ -29,9 +29,10 @@ from fogplan.solver import (
     _dual_state,
     _dual_value,
     _initial_prices,
+    _layout,
     _local_search,
+    _marginals,
     _peak_overload,
-    _pool_layout,
     _pool_loads,
     _Pools,
     _price_step,
@@ -44,21 +45,21 @@ def _duals(mu=1.0, lam=1.0, rho=1.0, nu=1.0, xi=1.0, n_ru=1, n_du=1):
 
 
 def _term_shares(a, b, c, alpha, beta, gamma):
-    """Per-task shares laid out like `_Pools.index`: (K, tier, term) with the
+    """Per-task shares laid out like `_Pools.index`: (term, K, tier) with the
     terms compute, fronthaul, midhaul."""
     L, H, C = (TIER_INDEX[t] for t in TIERS)
-    shares = np.zeros((np.size(a), 3, 3))
-    shares[:, L, 0], shares[:, H, 0], shares[:, C, 0] = a, b, c
-    shares[:, H, 1], shares[:, C, 1], shares[:, C, 2] = alpha, gamma, beta
+    shares = np.zeros((3, np.size(a), 3))
+    shares[0, :, L], shares[0, :, H], shares[0, :, C] = a, b, c
+    shares[1, :, H], shares[1, :, C], shares[2, :, C] = alpha, gamma, beta
     return shares
 
 
 def _loads(topo, **shares):
     """Pool vector of summed shares and the capacities, through the same
     scatter the price loop runs."""
-    capacity, _, index = _pool_layout(topo)
+    (capacity,), _, index = _layout([topo])
     terms = _term_shares(**{name: shares.get(name, 0.0) for name in ("a", "b", "c", "alpha", "beta", "gamma")})
-    return _pool_loads(index, terms, capacity.size), capacity
+    return _pool_loads(index[:, 0], terms, capacity.size), capacity
 
 
 def _recovered_loads(duals, x, tasks, topo):
@@ -68,10 +69,17 @@ def _recovered_loads(duals, x, tasks, topo):
     return _loads(topo, a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma)
 
 
+def _marginal_prices(duals, tasks, topo):
+    """Per-task price of each tier at the given prices, (K, 3) in L, H, C
+    order, through the loop's gather and marginal kernel."""
+    pools = _Pools(tasks, topo)
+    return _marginals(pools.demand, _price_vector(duals, topo)[pools.index])
+
+
 def _dual_value_at(duals, tasks, topo, scheme):
     """The loop's dual value at the given prices."""
-    cheapest = _allowed_marginals(marginal_costs(duals, tasks, topo), _barred(scheme)).min(axis=1)
-    return _dual_value(cheapest, _price_vector(duals, topo), _pool_layout(topo)[0])
+    cheapest = _allowed_marginals(_marginal_prices(duals, tasks, topo), _barred(scheme)).min(axis=1)
+    return _dual_value(cheapest, _price_vector(duals, topo), _Pools(tasks, topo).capacity)
 
 
 # --- closed-form primal recovery -------------------------------------------
@@ -169,7 +177,7 @@ def test_share_stationarity_by_finite_differences(make_topology, make_tasks):
 def test_marginal_cost_example_and_fd_oracle(make_topology, make_tasks):
     topo = make_topology()
     tasks = make_tasks(4.0, 1.0)
-    marg = marginal_costs(_duals(), tasks, topo)
+    marg = _marginal_prices(_duals(), tasks, topo)
     assert marg[0, 0] == pytest.approx(4.0)  # 2*sqrt(4*1)
 
     # finite-difference oracle: marginal equals d/dx of the x-weighted cost
@@ -178,10 +186,10 @@ def test_marginal_cost_example_and_fd_oracle(make_topology, make_tasks):
     s = math.sqrt(4.0 / mu)
     f = lambda x: (x ** 2) * 4.0 / (x * s) + mu * (x * s)  # noqa: E731
     fd = (f(0.5 + 1e-6) - f(0.5 - 1e-6)) / 2e-6
-    marg2 = marginal_costs(_duals(mu=mu), tasks, topo)
+    marg2 = _marginal_prices(_duals(mu=mu), tasks, topo)
     assert marg2[0, 0] == pytest.approx(fd, rel=1e-8)
     with pytest.raises(ValueError, match="per RU"):
-        marginal_costs(_duals(n_ru=2), tasks, topo)  # prices sized for another topology
+        _marginal_prices(_duals(n_ru=2), tasks, topo)  # prices sized for another topology
 
 
 def test_marginal_order_with_equal_prices(make_topology, make_tasks):
@@ -190,14 +198,14 @@ def test_marginal_order_with_equal_prices(make_topology, make_tasks):
     for _ in range(20):
         tasks = make_tasks(rng.uniform(1e6, 1e8), rng.uniform(0.1, 10))
         v = float(np.exp(rng.uniform(-20, 0)))
-        marg = marginal_costs(_duals(v, v, v, v, v), tasks, topo)
+        marg = _marginal_prices(_duals(v, v, v, v, v), tasks, topo)
         assert marg[0, 0] < marg[0, 1] < marg[0, 2]
 
 
 def test_marginal_cloud_compute_term_vanishes_with_price(make_topology, make_tasks):
     topo = make_topology(fronthaul_se=1.0, midhaul_se=1.0)
     tasks = make_tasks(9.0, 1.0)
-    small = marginal_costs(_duals(rho=1e-30), tasks, topo)
+    small = _marginal_prices(_duals(rho=1e-30), tasks, topo)
     expected = 2 * math.sqrt(9.0) + 2 * math.sqrt(9.0)  # fronthaul + midhaul terms only
     assert small[0, 2] == pytest.approx(expected, rel=1e-6)
 
@@ -288,8 +296,9 @@ def test_exported_kernels_match_per_family_formulas_on_many_pools(random_instanc
     cycles = tasks.compute_cycles
     fh = tasks.data_bits / topo.fronthaul_se[ru]
     mh = tasks.data_bits / topo.midhaul_se[du]
-    capacity, starts, _ = _pool_layout(topo)
-    init_prices = _initial_prices(_Pools(tasks, topo))
+    pools = _Pools(tasks, topo)
+    capacity, starts = pools.capacity, pools.starts
+    init_prices = _initial_prices(pools)
     init = _dual_state(init_prices, starts)
     s0 = _dual_state(0.25 * init_prices / capacity, starts)
     floors = _dual_state(1e-12 * init_prices, starts)
@@ -311,7 +320,7 @@ def test_exported_kernels_match_per_family_formulas_on_many_pools(random_instanc
             2 * np.sqrt(cycles * duals.lam[du]) + fh_term,
             2 * np.sqrt(cycles * duals.rho) + fh_term + 2 * np.sqrt(mh * duals.xi[du]),
         ))
-        np.testing.assert_allclose(marginal_costs(duals, tasks, topo), marg, rtol=1e-12)
+        np.testing.assert_allclose(_marginal_prices(duals, tasks, topo), marg, rtol=1e-12)
 
         priced = (
             duals.mu @ topo.mecl_capacity_hz + duals.lam @ topo.mech_capacity_hz
@@ -503,10 +512,11 @@ def test_stacked_layout_matches_single_problem_kernels(random_instance):
         loads = loads.reshape(row_prices.shape)
         for row, r in enumerate(rows):
             topo, tasks, _, scheme = problems[r]
-            single = marginal_costs(_dual_state(row_prices[row], _pool_layout(topo)[1]), tasks, topo)
+            pools = _Pools(tasks, topo)
+            single = _marginal_prices(_dual_state(row_prices[row], pools.starts), tasks, topo)
             assert np.array_equal(marg[row], single)
             assert np.array_equal(cheapest[row], _allowed_marginals(single, _barred(scheme)).min(axis=1))
-            assert np.array_equal(loads[row], _Pools(tasks, topo).loads(codes[row]))
+            assert np.array_equal(loads[row], pools.loads(codes[row]))
             assert np.array_equal(loads[row], stack.pools(row).loads(codes[row]))
 
 
@@ -598,20 +608,23 @@ def test_frozen_problem_stops_at_its_clearing_prices(random_instance, monkeypatc
 
 
 def test_drawing_tiers_follow_the_pool_layout(random_instance):
-    # The tiers that draw on each capacity family, by which a sweep decides
+    # The tiers that draw on each swept capacity, by which a sweep decides
     # which plans its swept capacity cannot change, must be the nonzero
-    # pattern of the pool layout's demands on that family's pools.
+    # pattern of the pool layout's demands on that capacity's pools.
+    families = ("mecl_capacity_hz", "mech_capacity_hz", "cloud_capacity_hz", "fronthaul_capacity_hz",
+                "midhaul_capacity_hz")
+    assert set(_DRAWING_TIERS) == set(SWEEP_PARAMETERS) - {"k"}
     for seed, (num_users, num_rus, num_dus) in enumerate(((8, 4, 2), (12, 4, 2), (6, 1, 1), (40, 10, 4))):
         scenario, _ = random_instance(seed=seed, num_users=num_users, num_rus=num_rus, num_dus=num_dus)
         topo, tasks = scenario.topology, scenario.tasks
         pools = _Pools(tasks, topo)
-        assert pools.capacity.tobytes() == np.hstack([getattr(topo, name) for name in solver._FAMILIES]).tobytes()
+        assert pools.capacity.tobytes() == np.hstack([getattr(topo, name) for name in families]).tobytes()
         bounds = pools.starts.tolist() + [pools.capacity.size]
-        drawing = solver._drawing_tiers(topo, tasks)
-        assert list(drawing) == list(solver._FAMILIES)
-        for name, start, stop in zip(solver._FAMILIES, bounds, bounds[1:]):
+        spans = {name: (start, stop) for name, start, stop in zip(families, bounds, bounds[1:])}
+        for parameter, tiers in _DRAWING_TIERS.items():
+            start, stop = spans[SWEEP_PARAMETERS[parameter]]
             draws = {tier for tier in TIERS if pools.member[:, TIER_INDEX[tier], start:stop].any()}
-            assert drawing[name] == draws, name
+            assert tiers == draws, parameter
 
 
 def test_plans_ignore_capacities_no_allowed_tier_draws_on(random_instance):
@@ -619,13 +632,13 @@ def test_plans_ignore_capacities_no_allowed_tier_draws_on(random_instance):
     # once and reuses the plan at every point: under such a scheme the solve
     # must not move at all when that capacity does.
     flat_schemes = {}
-    for field in ("mecl_capacity_hz", "mech_capacity_hz"):
+    for parameter in ("fl", "fh"):
+        field = SWEEP_PARAMETERS[parameter]
+        flat = [scheme for scheme in Scheme if _DRAWING_TIERS[parameter].isdisjoint(scheme.allowed_tiers)]
+        flat_schemes[field] = set(flat)
         for seed in range(6):
             scenario, rates = random_instance(seed=seed, num_users=8, num_rus=4, num_dus=2)
             topo, tasks = scenario.topology, scenario.tasks
-            drawing = solver._drawing_tiers(topo, tasks)[field]
-            flat = [scheme for scheme in Scheme if drawing.isdisjoint(scheme.allowed_tiers)]
-            flat_schemes.setdefault(field, set()).update(flat)
             for scheme in flat:
                 results = [
                     solve(dataclasses.replace(topo, **{field: np.full(getattr(topo, field).size, capacity)}), tasks,
@@ -641,15 +654,17 @@ def test_plans_ignore_capacities_no_allowed_tier_draws_on(random_instance):
 
 
 def test_fog_never_loses_to_baselines(random_instance):
-    # nested feasible sets: the full scheme should win on every instance
+    # nested feasible sets: the full scheme should win on every instance; the
+    # 200 x 4 problems are planned as one batch stream, which gives each the
+    # plan of its single solve
+    instances = [random_instance(seed=seed, num_users=4, num_rus=2, num_dus=1) for seed in range(200)]
+    problems = [(sc.topology, sc.tasks, rates, scheme) for sc, rates in instances for scheme in Scheme]
+    totals = {}
+    for position, result in solver._solve_batch(problems):
+        totals[problems[position][3], position // len(Scheme)] = result.total_delay_s
     for seed in range(200):
-        scenario, rates = random_instance(seed=seed, num_users=4, num_rus=2, num_dus=1)
-        totals = {
-            scheme: solve(scenario.topology, scenario.tasks, rates, scheme).total_delay_s
-            for scheme in Scheme
-        }
         for scheme in (Scheme.CLOUD, Scheme.CLOUD_DU, Scheme.CLOUD_RU):
-            assert totals[Scheme.FOG] <= totals[scheme] * (1 + 1e-6)
+            assert totals[Scheme.FOG, seed] <= totals[scheme, seed] * (1 + 1e-6)
 
 
 def test_extreme_capacity_scales(random_instance):
@@ -911,7 +926,7 @@ def test_dual_values_stay_below_independent_relaxed_optimum(random_instance):
 
     # weak duality at other prices than the loop's: random positive price
     # vectors within a factor e of the returned ones
-    prices, starts = _price_vector(res.duals, topo), _pool_layout(topo)[1]
+    prices, starts = _price_vector(res.duals, topo), _Pools(tasks, topo).starts
     values = []
     for _ in range(50):
         duals = _dual_state(prices * np.exp(rng.uniform(-1, 1, prices.size)), starts)
