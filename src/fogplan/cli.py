@@ -173,7 +173,7 @@ def _sweep_share(args) -> dict[tuple[int, int, int], float]:
                     cells.append((p, r, s))
                     yield topology, scenario.tasks, rates, schemes[s]
 
-    totals = {cells[position]: result.total_delay_s for position, result in _solve_batch(problems(), config)}
+    totals = {cells[position]: plan.total_delay_s for position, plan in _solve_batch(problems(), config)}
     for p in range(first + 1, points.stop):
         for r in range(realizations.start, realizations.stop):
             for s in every:
@@ -197,6 +197,25 @@ def _sweep_shares(num_points: int, num_realizations: int, workers: int) -> list[
         bounds = [num_points * g // groups for g in range(groups + 1)]
         shares += [(slice(a, b), slice(r, r + 1)) for a, b in zip(bounds, bounds[1:])]
     return shares
+
+
+def _one_blas_thread() -> None:
+    """Run this process's BLAS on one thread: a sweep's worker processes
+    already use every core, and each one's default BLAS thread per core
+    would contend with the others.  numpy's bundled OpenBLAS takes the
+    count through `scipy_openblas_set_num_threads64_`, reached through
+    numpy's core extension module, which links it; a BLAS without that
+    entry point is left as it is."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    setter = getattr(ctypes.CDLL(_multiarray_umath.__file__), "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
 
 
 def run_sweep(
@@ -232,7 +251,7 @@ def run_sweep(
         # memory that serial runs never use.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+        with ProcessPoolExecutor(max_workers=len(shares), initializer=_one_blas_thread) as pool:
             outcomes = list(pool.map(_sweep_share, shares, chunksize=1))
     else:
         outcomes = [_sweep_share(shares[0])]

@@ -42,11 +42,12 @@ sum_p W_p^2 / F_p and the polish read one matrix; the exact allocation (share
 needs no `member`.
 
 Before that re-allocation the best assignment is polished by single- and
-pair-move descent (`_local_search`).  The descent scores every move in closed
-form from the current pool sums, re-scores exactly only the near-best ones,
-and keeps no cache of its own: a pair pass costs O(K^2) time, not the O(K^3)
-time of re-scoring every neighbour, and it scores the pairs in row blocks, so
-it holds O(K) pair scores at a time, not O(K^2).
+pair-move descent (`_local_search`), run in lockstep over a stack of
+problems.  The descent scores every move in closed form from the current pool
+sums, re-scores exactly only the near-best ones, and keeps no cache of its
+own: a pair pass costs O(K^2) time, not the O(K^3) time of re-scoring every
+neighbour, and it scores the pairs in row blocks, so it holds O(K) pair
+scores per problem at a time, not O(K^2).
 
 `_solve_batch` takes a stream of problems, such as every sweep point x
 realization x scheme of a worker's share of a sweep, and runs consecutive
@@ -58,9 +59,17 @@ pool vector, so the gather, tier pick, scatter and price step serve them all,
 and the peak overloads, dual values and exact objectives reduce each row on
 its own.  The bookkeeping (objective cache, incumbent, stall clock, stability
 window, freeze, and a trace packed as 4 floats per iteration) stays per
-problem in plain Python, and a problem that stops leaves the stack and is
-handed out at once.  No row reads another, so each problem gets the plan it
-gets alone; `solve` is the batch of one.
+problem in plain Python.  A problem that stops (converged, frozen, or at
+`max_iters`) leaves the stack with its prices at that moment and drops its
+cache, and when the last one stops the loop finishes them all at once
+(`_finish`): one lockstep polish, and the frozen ones' clearing prices and
+their one evaluation there on the loop's kernels.  The loop yields compact
+plans (`_Plan`: tier codes, prices, packed trace, counts, objective and
+total delay, the last added up for all the loop's plans as arrays when the
+first is read), so a sweep builds no `Allocation`, `DualState` or trace
+arrays; only `solve` turns its plan into a `SolveResult` (`_result`).  No
+row reads another, so each problem gets the plan it gets alone; `solve` is
+the batch of one.
 """
 
 from __future__ import annotations
@@ -69,6 +78,7 @@ import math
 from array import array
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,27 +193,15 @@ class _Pools:
     """
 
     def __init__(self, tasks: TaskSet, topology: Topology):
-        (capacity,), starts, index = _layout([topology])
-        demand = _demands([topology], [tasks])[:, 0]
-        self._set(capacity, starts, index[:, 0], demand, np.sqrt(demand))
-
-    @classmethod
-    def of_row(cls, capacity, starts, index, demand, root) -> "_Pools":
-        """A problem's pools from its row of a price loop's stacked arrays,
-        with the index shifted to name the problem's own pool vector."""
-        pools = cls.__new__(cls)
-        pools._set(capacity, starts, index, demand, root)
-        return pools
-
-    def _set(self, capacity, starts, index, demand, root):
-        self.capacity, self.starts, self.index, self.demand, self.root = capacity, starts, index, demand, root
-        self.rows = np.arange(index.shape[1])
+        (self.capacity,), self.starts, index = _layout([topology])
+        self.index = index[:, 0]
+        self.demand = _demands(_paths([topology], [tasks]), [tasks])[:, 0]
+        self.root = np.sqrt(self.demand)
+        self.rows = np.arange(self.index.shape[1])
 
     @cached_property
     def member(self) -> np.ndarray:
-        member = np.zeros((self.rows.size, 3) + self.capacity.shape)
-        member[self.rows[:, None], np.arange(3), self.index] = self.root
-        return member
+        return _member(self.index[:, None], self.root[:, None], self.capacity.size)[0]
 
     @cached_property
     def uniform(self) -> np.ndarray:
@@ -223,17 +221,17 @@ class _Pools:
 def _layout(topologies):
     """The pool vectors of topologies of one shape, stacked: capacities
     (B, P), the index of each family's first pool, and the pool index of each
-    (term, problem, task, tier), term-major (3, B, K, 3).  Problem b's pools
-    are entries b P to b P + P - 1 of one stacked pool vector, and the index
-    names them there.  Unused fronthaul and midhaul terms point at the task's
-    own RU and DU pools, so every pool lies in one term plane."""
+    (term, problem, task, tier), term-major (3, B, K, 3), which names each
+    problem's own pools, 0 to P - 1.  Unused fronthaul and midhaul terms
+    point at the task's own RU and DU pools, so every pool lies in one term
+    plane."""
     capacity = np.array([
         np.concatenate((t.mecl_capacity_hz, t.mech_capacity_hz, (t.cloud_capacity_hz,), t.fronthaul_capacity_hz,
                         t.midhaul_capacity_hz))
         for t in topologies
     ])
-    rus, dus = topologies[0].num_rus, topologies[0].num_dus
-    mecl, mech, cloud, fh, mh = 0, rus, rus + dus, rus + dus + 1, 2 * rus + dus + 1
+    starts = _family_starts(topologies[0])
+    mecl, mech, cloud, fh, mh = starts.tolist()
     ru = np.array([t.user_to_ru for t in topologies], dtype=np.int64)
     du = np.array([t.user_du for t in topologies], dtype=np.int64)
     index = np.empty((3,) + ru.shape + (3,), dtype=np.int64)
@@ -242,18 +240,46 @@ def _layout(topologies):
     index[0, ..., _CODE_C] = cloud
     index[1] = (ru + fh)[..., None]
     index[2] = (du + mh)[..., None]
-    index += np.arange(0, capacity.size, capacity.shape[1])[:, None, None]  # row b's pools start at b P
-    return capacity, np.array((mecl, mech, cloud, fh, mh)), index
+    return capacity, starts, index
 
 
-def _demands(topologies, task_sets) -> np.ndarray:
-    """Raw demands laid out like `_layout`'s index, (3, B, K, 3)."""
-    bits = np.array([tasks.data_bits for tasks in task_sets])
+def _family_starts(topology: Topology) -> np.ndarray:
+    """The index of each pool family's first pool in a pool vector of the
+    topology's shape: per-RU MEC, per-DU MEC, cloud, per-RU fronthaul,
+    per-DU midhaul."""
+    rus, dus = topology.num_rus, topology.num_dus
+    return np.array((0, rus, rus + dus, rus + dus + 1, 2 * rus + dus + 1))
+
+
+def _paths(topologies, task_sets):
+    """Each task's data bits and the spectral efficiencies of its RU's
+    fronthaul and its DU's midhaul link, (B, K) each."""
+    return (
+        np.array([tasks.data_bits for tasks in task_sets]),
+        np.array([t.fronthaul_se[t.user_to_ru] for t in topologies]),
+        np.array([t.midhaul_se[t.user_du] for t in topologies]),
+    )
+
+
+def _demands(paths, task_sets) -> np.ndarray:
+    """Raw demands laid out like `_layout`'s index, (3, B, K, 3), from the
+    tasks' `_paths`."""
+    bits, fronthaul_se, midhaul_se = paths
     demand = np.zeros((3,) + bits.shape + (3,))
     demand[0] = (bits * np.array([tasks.cycles_per_bit for tasks in task_sets]))[..., None]
-    demand[1, ..., _CODE_H] = demand[1, ..., _CODE_C] = bits / np.array([t.fronthaul_se[t.user_to_ru] for t in topologies])
-    demand[2, ..., _CODE_C] = bits / np.array([t.midhaul_se[t.user_du] for t in topologies])
+    demand[1, ..., _CODE_H] = demand[1, ..., _CODE_C] = bits / fronthaul_se
+    demand[2, ..., _CODE_C] = bits / midhaul_se
     return demand
+
+
+def _member(index: np.ndarray, root: np.ndarray, num_pools: int) -> np.ndarray:
+    """(B, K, 3, P) square roots of each task's demands spread over its
+    problem's pool vector, from term-major (3, B, K, 3) pool indices that
+    name each problem's own pools (0 to P - 1) and their sqrt demands."""
+    rows, num_tasks = index.shape[1:3]
+    member = np.zeros((rows, num_tasks, 3, num_pools))
+    member[np.arange(rows)[:, None, None], np.arange(num_tasks)[:, None], np.arange(3), index] = root
+    return member
 
 
 def _tier_loads(index: np.ndarray, root: np.ndarray, capacity: np.ndarray) -> np.ndarray:
@@ -292,19 +318,27 @@ def allocate_given_decision(decision: Decision, tasks: TaskSet, topology: Topolo
     if len(decision) != tasks.num_tasks:
         raise ValueError("decision and task set sizes differ")
     pools = _Pools(tasks, topology)
-    codes = decision.codes
     # The (pool, sqrt demand) of each term of each task's tier, (3, K): each
-    # pool and each map lies in one term plane, so each pool sums its
-    # members and each map fills in task order.
-    index, root = pools.index[:, pools.rows, codes], pools.root[:, pools.rows, codes]
+    # map lies in one term plane, so each map fills in task order.
+    index, root = pools.index[:, pools.rows, decision.codes], pools.root[:, pools.rows, decision.codes]
+    _, share = _shares(index, root, pools.capacity)
     term, k = np.nonzero(root)
-    p = index[term, k]
-    share = pools.capacity[p] * root[term, k] / _pool_loads(index, root, pools.capacity.size)[p]
-    family = np.searchsorted(pools.starts, p, side="right") - 1
+    family = np.searchsorted(pools.starts, index[term, k], side="right") - 1
     maps: tuple[dict, ...] = ({}, {}, {}, {}, {})
-    for task, f, value in zip(k.tolist(), family.tolist(), share.tolist()):
+    for task, f, value in zip(k.tolist(), family.tolist(), share[term, k].tolist()):
         maps[f][task] = value
     return Allocation(*maps)
+
+
+def _shares(index: np.ndarray, root: np.ndarray, capacity: np.ndarray):
+    """Pool sums W of sqrt demands and the exact shares F_p sqrt(d) / W_p,
+    for term-major picked terms whose pool `index` names entries of the flat
+    `capacity` and whose square-root demands are `root`.  Each pool lies in
+    one term plane, so each W_p adds its members in task order.  A term with
+    zero demand gets an infinite share, so that its delay d / share is 0."""
+    loads = _pool_loads(index, root, capacity.size)
+    share = np.divide(capacity.ravel()[index] * root, loads[index], out=np.full(root.shape, math.inf), where=root > 0)
+    return loads, share
 
 
 def _initial_prices(pools) -> np.ndarray:
@@ -435,115 +469,219 @@ def _cost(loads: np.ndarray, capacity: np.ndarray):
     return np.add.reduce(loads**2 / capacity, axis=-1)
 
 
-def _local_search(codes: np.ndarray, objective: float, allowed_codes: list[int], pools: _Pools):
-    """Deterministic best-improvement descent over tier changes.
+def _local_search(codes: np.ndarray, objective, allowed, member: np.ndarray, capacity: np.ndarray):
+    """Deterministic best-improvement descent over tier changes, run in
+    lockstep on a stack of problems.
 
-    Single-task moves first; when none improves, coordinated two-task moves
-    (which capture exchange-type improvements single moves cannot reach).
+    `codes` (F, K) holds each problem's assignment, `objective` (F,) its
+    exact cost and `allowed[f]` the tier codes problem f may use, in L, H, C
+    order; `member` (F, K, 3, P) and `capacity` (F, P) are the problems'
+    pools (`_member`).  Returns the descended codes and their exact costs as
+    new arrays.  At each step every problem still descending takes its best
+    single-task move; one with no improving single move takes its best
+    coordinated two-task move (which captures exchange-type improvements
+    single moves cannot reach), and one with neither is done.  A problem
+    with one allowed tier has no move.
 
     The cost is sum_p W_p^2 / F_p over the pool sums W of sqrt demands, so a
     move that shifts them by d changes it by sum_p (2 W_p d_p + d_p^2) / F_p,
     and two moves together by the sum of their changes plus
-    2 sum_p d1_p d2_p / F_p.  Every neighbour is scored that way from the
-    current pool sums; pairs are scored _PAIR_BLOCK_ROWS first moves at a
-    time, so the pair pass holds O(K) scores, not O(K^2).  Those scores round
-    differently from the exact objective, so the ones within _RECHECK_BAND of
-    the best are re-scored exactly in enumeration order (task, then tier in
-    L, H, C order) and a move is taken only if its exact objective is
-    strictly below the incumbent's: the descent picks the same moves as exact
-    re-scoring of every neighbour, and the returned objective is always an
-    exact value.
+    2 sum_p d1_p d2_p / F_p.  Every neighbour of every problem is scored
+    that way from the current pool sums, as one batched product; each task
+    has as many move slots as the widest scheme in the stack has other
+    tiers, and a slot a problem's scheme does not fill scores +inf.  Pairs
+    are scored _PAIR_BLOCK_ROWS first moves at a time, so the pair pass
+    holds O(K) scores per problem, not O(K^2).  Those scores round
+    differently from the exact objective, so in each problem the moves
+    within _RECHECK_BAND of its best are re-scored exactly, and the first of
+    them in enumeration order (task, then tier) with the least exact
+    objective is taken if that is strictly below the incumbent's: each
+    problem takes the moves that exact re-scoring of every neighbour would
+    take, and its returned objective is always an exact value.  No problem
+    reads another's numbers.
     """
-    if len(allowed_codes) < 2:  # no tier to move to
+    codes, objective = codes.copy(), np.array(objective, dtype=np.float64)
+    live = np.flatnonzero([len(tiers) > 1 for tiers in allowed])  # the problems still descending
+    if not live.size:
         return codes, objective
-    member, inv_cap = pools.member, 1.0 / pools.capacity
-    allowed = np.asarray(allowed_codes, dtype=np.int64)
-    codes = codes.copy()
-    every_task = np.repeat(pools.rows, allowed.size)
-    every_code = np.tile(allowed, codes.size)
-    while True:
-        keep = every_code != codes[every_task]
-        move_task, move_code = every_task[keep], every_code[keep]
-        delta = member[move_task, move_code] - member[move_task, codes[move_task]]
-        load = pools.loads(codes)
-        single = delta @ (2.0 * load * inv_cap) + (delta * delta) @ inv_cap
-        m = single.size
+    slots = max(map(len, allowed)) - 1  # move slots per task
+    # others[f, c]: the tiers problem f allows other than c, in order, then
+    # c itself in the slots left over (a move that changes nothing, scored
+    # +inf); a code outside the scheme never occurs.
+    table = {tiers: [([t for t in tiers if t != c] + [c] * slots)[:slots] for c in range(3)] for tiers in set(allowed)}
+    others = np.array([table[tiers] for tiers in allowed], dtype=np.int64).reshape(len(allowed), 3, slots)
+    tasks = np.arange(codes.shape[1])
+    move_task = np.repeat(tasks, slots)
+    m = move_task.size
+    inv_cap = 1.0 / capacity
+    padded = any(len(tiers) <= slots for tiers in allowed)
+    problem, scale = live[:, None], inv_cap[live][:, :, None]
+    while live.size:
+        current = codes[live]
+        move_code = others[problem, current].reshape(live.size, m)
+        held = member[problem, tasks, current]  # (A, K, P)
+        load = np.add.reduce(held, axis=1)
+        delta = member[problem, move_task, move_code]
+        delta -= held[:, move_task]
+        single = np.matmul(delta * (2.0 * load[:, None] + delta), scale)[..., 0]
+        if padded:
+            single[move_code == current[:, move_task]] = np.inf  # unfilled slots
 
-        def exact(moves: list[int]) -> float:
-            trial = codes.copy()
-            trial[move_task[moves]] = move_code[moves]
-            return pools.objective(trial)
+        def improve(at, moves):
+            """Re-score exactly each candidate: problem live[at] with its row
+            of `moves` (move indices) applied.  Each problem with candidates
+            takes the one exact re-scoring picks (`_recheck`); returns the
+            problems (indices into `codes`) that moved."""
+            trial = current[at]
+            trial[np.arange(at.size)[:, None], move_task[moves]] = move_code[at[:, None], moves]
+            rows = live[at]
+            values = _cost(np.add.reduce(member[rows[:, None], tasks, trial], axis=1), capacity[rows])
+            picked = _recheck(at, values, objective[rows])
+            rows = rows[picked]
+            codes[rows], objective[rows] = trial[picked], values[picked]
+            return rows
 
-        def pair_blocks():
-            scaled = delta * inv_cap
-            for start in range(0, m, _PAIR_BLOCK_ROWS):
-                rows = slice(start, start + _PAIR_BLOCK_ROWS)
-                block = single[rows, None] + single[None, :] + 2.0 * (scaled[rows] @ delta.T)
-                block[move_task[rows, None] >= move_task[None, :]] = np.inf  # each pair once, k1 < k2
-                yield start * m, block.ravel()
+        at, index = _near_best([(0, single)], objective[live])
+        moved = at[:0]
+        if at.size:
+            moved = improve(at, index[:, None])
+        if moved.size < live.size:
+            rest = np.ones(live.size, dtype=bool)
+            rest[np.searchsorted(live, moved)] = False
+            rest = rest.nonzero()[0]
+            # The pair pass of the problems with no improving single move.
+            base, turned = single[rest], delta[rest]
+            scaled = turned * scale[rest].transpose(0, 2, 1)
+            turned = turned.transpose(0, 2, 1)
 
-        pick, value = _recheck(_near_best([(0, single)], objective), objective, lambda i: exact([i]))
-        if pick is not None:
-            moves = [pick]
-        else:
-            candidates = _near_best(pair_blocks(), objective)
-            pick, value = _recheck(candidates, objective, lambda f: exact(list(divmod(f, m))))
-            if pick is None:
-                return codes, objective
-            moves = list(divmod(pick, m))
-        codes[move_task[moves]] = move_code[moves]
-        objective = value
+            def pair_blocks():
+                for start in range(0, m, _PAIR_BLOCK_ROWS):
+                    rows = slice(start, start + _PAIR_BLOCK_ROWS)
+                    block = base[:, rows, None] + base[:, None, :]
+                    block += 2.0 * (scaled[:, rows] @ turned)
+                    np.copyto(block, np.inf, where=move_task[rows, None] >= move_task)  # each pair once, k1 < k2
+                    yield start * m, block.reshape(rest.size, -1)
+
+            at, index = _near_best(pair_blocks(), objective[live[rest]])
+            if at.size:
+                moved = np.concatenate((moved, improve(rest[at], np.stack(np.divmod(index, m), axis=1))))
+            if moved.size < live.size:  # some problems are done
+                live = np.sort(moved)
+                problem, scale = live[:, None], inv_cap[live][:, :, None]
+    return codes, objective
 
 
-def _near_best(blocks, objective: float) -> list[int]:
-    """Indices of the moves whose closed-form cost change is within
-    _RECHECK_BAND of the best one, in enumeration order, given the changes as
-    (offset, block) pairs in that order; empty when even the best change
-    cannot be an improvement.  A block keeps only its entries near the best
-    seen so far, a superset of those near the final best."""
-
-    def slack(best: float) -> float:
-        return _RECHECK_BAND * max(objective, abs(objective + best))
-
-    best = math.inf
+def _near_best(blocks, objective: np.ndarray):
+    """(problem, move) indices of the moves whose closed-form cost change is
+    within _RECHECK_BAND of their problem's best one, when that best could
+    be an improvement, in enumeration order per problem, given every
+    problem's changes as (offset, (A, N) block) pairs in that order.  A
+    block keeps its entries near the best seen so far, if that could be an
+    improvement: every entry near the final best but some above the band's
+    width, which no exact re-scoring could make an improvement."""
     found = []
     for offset, changes in blocks:
-        if changes.size:
-            best = min(best, float(np.minimum.reduce(changes)))
-            near = (changes <= best + slack(best)).nonzero()[0]
-            found.append((near + offset, changes[near]))
-    if not (math.isfinite(best) and best <= slack(best)):
-        return []
-    index, change = (np.concatenate(parts) for parts in zip(*found))
-    return index[change <= best + slack(best)].tolist()
+        low = np.minimum.reduce(changes, axis=1, initial=np.inf)
+        best = np.minimum(best, low) if found else low
+        slack = _RECHECK_BAND * np.maximum(objective, np.abs(objective + best))
+        limit = np.where(np.isfinite(best) & (best <= slack), best + slack, -np.inf)
+        at, index = np.divmod((changes <= limit[:, None]).ravel().nonzero()[0], changes.shape[1])
+        found.append((at, index + offset, changes[at, index]))
+    if len(found) == 1:
+        return found[0][:2]
+    at, index, change = (np.concatenate(parts) for parts in zip(*found))
+    keep = change <= limit[at]
+    at, index = at[keep], index[keep]
+    order = np.lexsort((index, at))
+    return at[order], index[order]
 
 
-def _recheck(candidates: list[int], objective: float, exact):
-    """The candidate exact re-scoring would pick: (index, exact objective) of
-    the first strictly best one in the given order, or (None, objective) when
-    none strictly improves."""
-    pick = None
-    for i in candidates:
-        value = exact(i)
-        if value < objective:
-            pick, objective = i, value
-    return pick, objective
+def _recheck(at: np.ndarray, values: np.ndarray, incumbent: np.ndarray) -> list[int]:
+    """The candidates exact re-scoring would pick, given each candidate's
+    problem `at` (grouped by problem, in enumeration order), its exact
+    objective and its problem's incumbent objective: the position of each
+    problem's first strictly best candidate, if that is strictly below the
+    incumbent."""
+    best: dict[int, tuple[int, float]] = {}
+    for i, (problem, value, start) in enumerate(zip(at.tolist(), values.tolist(), incumbent.tolist())):
+        if value < best.get(problem, (0, start))[1]:
+            best[problem] = i, value
+    return [i for i, _ in best.values()]
 
 
-def _empty_result(topology: Topology) -> SolveResult:
-    (capacity,), starts, _ = _layout([topology])
-    trace = {name: np.array([]) for name in ("dual_value_s", "candidate_objective_s", "best_objective_s", "max_violation")}
+class _Totals:
+    """The total delays of the plans of one finished `_price_loop`, all
+    added up at once (`_exact_totals`) when the first is read.  A sweep reads
+    every one; `solve` reads none, since `_result` takes the total from the
+    public `total_delay`."""
+
+    def __init__(self, stack: _Stack, codes: np.ndarray, rates: list):
+        self.stack, self.codes, self.rates = stack, codes, rates
+
+    @cached_property
+    def values(self) -> list[float]:
+        rates = np.array([np.asarray(r, dtype=np.float64) for r in self.rates])
+        return _exact_totals(self.stack, self.codes, rates).tolist()
+
+
+class _Plan(NamedTuple):
+    """One solved problem as `_solve_batch` yields it: the best plan's tier
+    codes, the final prices (a pool vector), the trace packed as 4 floats
+    (candidate, best, dual value, violation) per iteration, the iteration
+    count, whether the loop converged, the iteration at which it froze (0
+    if it did not), the plan's exact objective, and its row of its loop's
+    `_Totals`.  `_result` makes it a `SolveResult`."""
+
+    codes: np.ndarray
+    prices: np.ndarray
+    trace: array
+    iterations: int
+    converged: bool
+    frozen_at: int
+    objective_s: float
+    totals: _Totals | None
+    row: int
+
+    @property
+    def total_delay_s(self) -> float:
+        """Total delay of the plan's exact re-allocation, access included."""
+        return self.totals.values[self.row] if self.totals else 0.0
+
+
+def _empty_plan(topology: Topology) -> _Plan:
+    num_pools = 2 * (topology.num_rus + topology.num_dus) + 1
+    return _Plan(np.zeros(0, dtype=np.int64), np.zeros(num_pools), array("d"), 0, True, 0, 0.0, None, 0)
+
+
+def _result(plan: _Plan, problem) -> SolveResult:
+    """The `SolveResult` of a plan of a (topology, tasks, rates_bps, scheme)
+    problem.  The allocation and total delay come from the public
+    `allocate_given_decision` and `total_delay`, so that a tracer wrapping
+    them sees them under `solve`; they give the plan's own shares and total
+    bit for bit."""
+    topology, tasks, rates_bps, _ = problem
+    decision = Decision(tuple(TIERS[c] for c in plan.codes.tolist()))
+    allocation = allocate_given_decision(decision, tasks, topology)
+    candidate, best, dual, violation = np.array(plan.trace).reshape(-1, 4).T.copy()
+    best_dual = max(plan.trace[2::4], default=0.0)
+    best_obj = plan.objective_s
+    gap = max(0.0, (best_obj - best_dual) / best_obj) if best_obj > 0 else 0.0
     return SolveResult(
-        decision=Decision(()),
-        allocation=Allocation(),
-        duals=_dual_state(np.zeros_like(capacity), starts),
-        iterations=0,
-        converged=True,
-        objective_s=0.0,
-        total_delay_s=0.0,
-        best_dual_value_s=0.0,
-        duality_gap=0.0,
-        trace=trace,
+        decision=decision,
+        allocation=allocation,
+        duals=_dual_state(plan.prices, _family_starts(topology)),
+        iterations=plan.iterations,
+        converged=plan.converged,
+        objective_s=best_obj,
+        total_delay_s=total_delay(topology, tasks, decision, allocation, rates_bps),
+        best_dual_value_s=float(best_dual),
+        duality_gap=float(gap),
+        trace={
+            "dual_value_s": dual,
+            "candidate_objective_s": candidate,
+            "best_objective_s": best,
+            "max_violation": violation,
+        },
     )
 
 
@@ -567,21 +705,25 @@ def solve(
     clearing prices, which are the returned duals, and it has converged if
     that evaluation's overload is below epsilon.  On non-convergence the best
     feasible plan found is still returned.  This is `_solve_batch` on a batch
-    of one.
+    of one, whose plan `_result` turns into the returned `SolveResult`.
     """
-    [(_, result)] = _solve_batch([(topology, tasks, rates_bps, scheme)], config)
-    return result
+    problem = (topology, tasks, rates_bps, scheme)
+    [(_, plan)] = _solve_batch([problem], config)
+    return _result(plan, problem)
 
 
 def _solve_batch(problems, config: SolverConfig | None = None):
     """`solve` on each (topology, tasks, rates_bps, scheme) problem of an
-    iterable, yielding (position, result) pairs as the problems stop.
+    iterable, yielding (position, `_Plan`) pairs.
 
     The problems are drawn lazily.  Consecutive problems with the same number
     of users, RUs and DUs run through one `_price_loop`, at most _BATCH_TASKS
-    tasks of them at a time; an empty task set needs no loop and does not
-    split a run.  No problem reads another's numbers, so each result is the
-    one `solve` gives for that problem alone.
+    tasks of them at a time, and that loop's plans are yielded together
+    when its last problem stops; an empty task set needs no loop, is yielded
+    at once and does not split a run.  No problem reads another's numbers,
+    so each plan is the one `solve` gives for that problem alone.  A plan
+    carries its total delay (`_Totals`) but no `Allocation`, `DualState` or
+    trace arrays: `_result` builds those for one plan.
     """
     config = config or SolverConfig()
     chunk: list = []  # (position, problem) pairs of the next loop
@@ -589,7 +731,7 @@ def _solve_batch(problems, config: SolverConfig | None = None):
     for position, problem in enumerate(problems):
         topology, tasks, _, _ = problem
         if tasks.num_tasks == 0:
-            yield position, _empty_result(topology)
+            yield position, _empty_plan(topology)
             continue
         if tasks.num_tasks != topology.num_users:
             raise ValueError("tasks and topology disagree on the number of users")
@@ -615,16 +757,20 @@ class _Stack:
     k of row b has its L tier in the raveled (B, K, 3) marginals and in the
     columns of those views; its H and C tiers follow.  `tier` holds the tier
     code of each raveled entry, as `uint8`.  `uniform`, the single-tier plans'
-    pool sums, is built with the stack for the initial prices and is not kept
-    by `take`; the loop sets `s0` and `floors`."""
+    pool sums, `paths`, the tasks' `_paths`, and `local`, the pool index as
+    `_layout` gives it (each row's pools as 0 to P - 1), are built with the
+    stack for the initial prices and for the finish and are not kept by
+    `take`; the loop sets `s0` and `floors`."""
 
-    __slots__ = ("index", "demand", "root", "capacity", "starts", "barred", "uniform", "s0", "floors", "terms",
-                 "demand_terms", "root_terms", "first", "tier", "clip", "bars")
+    __slots__ = ("index", "local", "demand", "root", "capacity", "starts", "barred", "uniform", "paths", "s0",
+                 "floors", "terms", "demand_terms", "root_terms", "first", "tier", "clip", "bars")
 
     def __init__(self, problems):
         topologies, task_sets, _, schemes = zip(*problems)
-        self.capacity, self.starts, self.index = _layout(topologies)
-        self.demand = _demands(topologies, task_sets)
+        self.capacity, self.starts, self.local = _layout(topologies)
+        self.index = self.local + np.arange(0, self.capacity.size, self.capacity.shape[1])[:, None, None]
+        self.paths = _paths(topologies, task_sets)
+        self.demand = _demands(self.paths, task_sets)
         self.root = np.sqrt(self.demand)
         self.uniform = _tier_loads(self.index, self.root, self.capacity)
         barred = {scheme: _barred(scheme) for scheme in set(schemes)}
@@ -638,12 +784,6 @@ class _Stack:
     def _views(self):
         self.terms, self.demand_terms, self.root_terms = (a.reshape(3, -1) for a in (self.index, self.demand, self.root))
         self.bars = bool(self.barred.any())
-
-    def pools(self, row: int) -> _Pools:
-        """The pools of the problem in `row`, as views of the stacked arrays."""
-        capacity = self.capacity[row]
-        index = self.index[:, row] - row * capacity.size
-        return _Pools.of_row(capacity, self.starts, index, self.demand[:, row], self.root[:, row])
 
     def take(self, keep: np.ndarray) -> "_Stack":
         """The stack of the given rows, in that order."""
@@ -661,116 +801,61 @@ class _Stack:
 
 
 class _Run:
-    """One problem's bookkeeping in `_price_loop`, in plain Python: the
+    """One problem's bookkeeping in `_price_loop`, in plain Python: its
+    position in the stream and its row in the loop's first stack, the
     objective cache, the best plan, the stall clock, the stability window,
-    whether the plan is frozen, and the trace, packed as 4 floats
-    (candidate, best, dual value, violation) per iteration.  `uniform` holds
-    the objective of each single-tier plan, in L, H, C order."""
+    and the trace, packed as 4 floats (candidate, best, dual value,
+    violation) per iteration.  `stop` records how the problem stopped: its
+    iteration count, whether it converged and when it froze.  `uniform`
+    holds the objective of each single-tier plan, in L, H, C order."""
 
-    __slots__ = ("index", "problem", "pools", "allowed", "cache", "best_obj", "best_codes", "since", "stable", "key",
-                 "frozen", "trace")
+    __slots__ = ("index", "problem", "row", "allowed", "cache", "best_obj", "best_codes", "since", "stable", "key",
+                 "trace", "iterations", "converged", "frozen_at")
 
-    def __init__(self, index: int, problem, pools: _Pools, uniform: list[float]):
-        self.index, self.problem, self.pools = index, problem, pools
-        self.allowed = [TIER_INDEX[t] for t in problem[3].allowed_tiers]
+    def __init__(self, index: int, problem, row: int, uniform: list[float]):
+        self.index, self.problem, self.row = index, problem, row
+        self.allowed = tuple(TIER_INDEX[t] for t in problem[3].allowed_tiers)
         # The price loop revisits assignments: score each distinct one once.
         # Keyed by the assignment's tier codes, one byte per task, which do
         # not depend on the problem's row in the stack.  At most max_iters
-        # entries.
-        self.cache: dict[bytes, float] = {}
+        # entries, dropped when the problem stops.
+        self.cache: dict[bytes, float] | None = {}
         self.best_obj = math.inf
         self.best_codes = None
         self.since = self.stable = 0
         self.key = None
-        self.frozen = False
         self.trace = array("d")
         for code in self.allowed:
             if uniform[code] < self.best_obj:
-                self.best_obj, self.best_codes = uniform[code], np.full(pools.rows.size, code, dtype=np.int64)
+                self.best_obj, self.best_codes = uniform[code], np.full(problem[1].num_tasks, code, dtype=np.int64)
 
-    def freeze(self, floors: np.ndarray) -> np.ndarray:
-        """Polish the incumbent, freeze it, and return the prices at its exact
-        clearing values: every pool it uses exactly tight, unused pools at
-        their floors."""
-        self.best_codes, self.best_obj = _local_search(self.best_codes, self.best_obj, self.allowed, self.pools)
-        self.frozen = True
-        w = self.pools.loads(self.best_codes)
-        return np.where(w > 0, (w / self.pools.capacity) ** 2, floors)
-
-    def settle(self, floors: np.ndarray, barred: np.ndarray, t: int, config: SolverConfig) -> SolveResult:
-        """Freeze the run and finish it at its clearing prices.  Iteration t
-        of the loop would evaluate the frozen plan there, so unless t is past
-        `max_iters` the trace ends with that evaluation, made by the loop's
-        kernels on this problem's row (no row reads another, so the numbers
-        are the stacked loop's bit for bit), and the run has converged if its
-        overload is below epsilon.  Later iterations could only repeat it."""
-        prices = self.freeze(floors)
-        if t > config.max_iters:
-            return self.finish(config.max_iters, False, prices)
-        pools, codes = self.pools, self.best_codes
-        marg = _marginals(pools.demand, prices.take(pools.index))
-        dual = _dual_value(_allowed_marginals(marg, barred).min(axis=-1), prices, pools.capacity)
-        index, demand = pools.index[:, pools.rows, codes], pools.demand[:, pools.rows, codes]
-        loads = _pool_loads(index, np.sqrt(demand / prices[index]), prices.size)
-        overload = float(_peak_overload(loads, pools.capacity))
-        value = self.cache.get(codes.astype(np.uint8).tobytes())
-        if value is None:
-            value = pools.objective(codes)
-        self.best_obj = min(self.best_obj, value)
-        self.trace.fromlist([value, self.best_obj, float(dual), overload])
-        return self.finish(t, overload < config.epsilon, prices)
-
-    def finish(self, iterations: int, converged: bool, prices: np.ndarray) -> SolveResult:
-        """Polish and re-allocate the best plan and return it; the loop drops
-        the run with it."""
-        topology, tasks, rates_bps, _ = self.problem
-        if not self.frozen:  # a frozen incumbent was polished when it froze
-            self.best_codes, self.best_obj = _local_search(self.best_codes, self.best_obj, self.allowed, self.pools)
-        decision = Decision(tuple(TIERS[c] for c in self.best_codes.tolist()))
-        allocation = allocate_given_decision(decision, tasks, topology)
-        total_s = total_delay(topology, tasks, decision, allocation, rates_bps)
-        candidate, best, dual, violation = np.array(self.trace).reshape(-1, 4).T.copy()
-        best_dual = max(self.trace[2::4])
-        best_obj = self.best_obj
-        gap = max(0.0, (best_obj - best_dual) / best_obj) if best_obj > 0 else 0.0
-        return SolveResult(
-            decision=decision,
-            allocation=allocation,
-            duals=_dual_state(prices, self.pools.starts),
-            iterations=iterations,
-            converged=converged,
-            objective_s=float(best_obj),
-            total_delay_s=total_s,
-            best_dual_value_s=float(best_dual),
-            duality_gap=float(gap),
-            trace={
-                "dual_value_s": dual,
-                "candidate_objective_s": candidate,
-                "best_objective_s": best,
-                "max_violation": violation,
-            },
-        )
+    def stop(self, iterations: int, converged: bool = False, frozen_at: int = 0):
+        self.iterations, self.converged, self.frozen_at, self.cache = iterations, converged, frozen_at, None
 
 
 def _price_loop(chunk, config: SolverConfig):
     """The price loop on (position, problem) pairs of problems of one shape,
-    stacked (`_Stack`), yielding (position, result) pairs as the problems stop.
+    stacked (`_Stack`), yielding (position, plan) pairs once every problem
+    has stopped (`_finish`).
 
     One gather of the prices gives every problem's marginals, one tier pick
     and one scatter give every pool load, and one step moves every price;
     the peak overloads, dual values and exact objectives are per-row
     reductions of the loop's kernels.  No row reads another, so each
     problem follows the iterates it would follow alone.  The bookkeeping is
-    per problem (`_Run`), and a problem that stops leaves the stack.
+    per problem (`_Run`), and a problem that stops leaves the stack with
+    its prices at that moment; it is polished and re-allocated with all
+    the others at the end.
     """
-    stack = _Stack([problem for _, problem in chunk])
+    first = stack = _Stack([problem for _, problem in chunk])
     # Prices, steps and floors are pool vectors, one row per problem, for the
-    # whole loop; each DualState is built from its row once, at the end.
+    # whole loop; only `_result` splits a row into a DualState.
     prices = _initial_prices(stack)  # checked before any plan is scored
     stack.s0, stack.floors = _STEP_SCALE * prices / stack.capacity, _DUAL_FLOOR_SCALE * prices
     uniform = _cost(stack.uniform, stack.capacity).T.tolist()  # each single-tier plan's objective, per row
-    # The run of each row; each holds views of its row's arrays for the polish.
-    live = [_Run(position, problem, stack.pools(row), uniform[row]) for row, (position, problem) in enumerate(chunk)]
+    runs = [_Run(position, problem, row, uniform[row]) for row, (position, problem) in enumerate(chunk)]
+    final = np.empty_like(prices)  # each problem's prices when it stops, by row of the first stack
+    live = runs
     width = stack.first.shape[1]  # bytes per row of tier codes
     epsilon = config.epsilon
     prev = None
@@ -781,7 +866,7 @@ def _price_loop(chunk, config: SolverConfig):
         # `_price_step` clips the excess it feeds.  The errstate is entered
         # once per stretch of iterations up to the next stop, not per
         # iteration, where its entry cost is a few percent of a desk-scale
-        # iteration; results are handed out between stretches, outside it.
+        # iteration.
         with np.errstate(over="ignore"):
             for t in range(t + 1, config.max_iters + 1):
                 task_prices = prices.ravel().take(stack.index)
@@ -812,7 +897,7 @@ def _price_loop(chunk, config: SolverConfig):
                 codes = stack.tier[picked]
                 blob = codes.tobytes()
                 exact = None
-                stopped: dict[int, SolveResult] = {}  # row -> result, in row order
+                stopped = []  # rows that stop, in row order
                 for row, run in enumerate(live):
                     key = blob[row * width : (row + 1) * width]
                     value = run.cache.get(key)
@@ -836,26 +921,22 @@ def _price_loop(chunk, config: SolverConfig):
                     stable = run.stable = run.stable + 1 if key == run.key else 1
                     run.key = key
                     if stable >= _STABILITY_WINDOW and overload < epsilon:
-                        stopped[row] = run.finish(t, True, prices[row].copy())
+                        final[run.row] = prices[row]
+                        run.stop(t, converged=True)
+                        stopped.append(row)
                     elif run.since >= _FREEZE_AFTER:
                         # Exploration has stalled: the winner-take-all
                         # iterates rarely settle on their own, because the
                         # relaxed optimum splits marginal tasks across tiers.
-                        # Polish the incumbent by descent, freeze it, and
-                        # stop at its exact clearing prices (the dual
-                        # counterpart of the final exact re-allocation),
-                        # where the recovered shares match the returned
-                        # allocation.  No later iteration could change the
-                        # frozen plan, so the run ends with the one
-                        # evaluation there that the next iteration would make.
-                        stopped[row] = run.settle(stack.floors[row], stack.barred[row], t + 1, config)
+                        # The incumbent freezes, and `_finish` polishes it
+                        # and prices it at its exact clearing values.
+                        run.stop(t, frozen_at=t)
+                        stopped.append(row)
 
                 prices = _price_step(prices, loads, t, stack.s0, stack.floors, stack.capacity, stack.clip)
                 if stopped:
                     break
 
-        for row, result in stopped.items():
-            yield live[row].index, result
         if stopped:
             # The last rows move into the stopped ones' places; a moved
             # problem keeps its cache and key, which name no row.
@@ -865,10 +946,94 @@ def _price_loop(chunk, config: SolverConfig):
                 order.pop()
             live = [live[row] for row in order]
             if not live:
-                return
+                break
             stack = stack.take(np.array(order))
             prices = prices[order]
             prev = stack.first + codes[order]
 
-    for row, run in enumerate(live):
-        yield run.index, run.finish(config.max_iters, False, prices[row].copy())
+    if live:  # cut by max_iters
+        for run in live:
+            run.stop(config.max_iters)
+        final[[run.row for run in live]] = prices
+    yield from _finish(first, runs, final, config)
+
+
+def _finish(stack: _Stack, runs: list, prices: np.ndarray, config: SolverConfig):
+    """Finish every problem of a `_price_loop` at once, yielding (position,
+    plan) pairs in row order: run b holds row b of `stack`, the loop's first
+    stack, and row b of `prices` its prices when it stopped.
+
+    All problems are polished by one lockstep `_local_search`.  A frozen
+    problem is then priced at its polished plan's exact clearing values:
+    every pool the plan uses exactly tight, unused pools at their floors.
+    Iteration t + 1 of the loop would evaluate the frozen plan there, so
+    unless that is past `max_iters` its trace ends with that evaluation,
+    made by the loop's kernels on the frozen rows (`_settle`; no row reads
+    another, so the numbers are the loop's bit for bit), and the problem has
+    converged if its overload is below epsilon; later iterations could only
+    repeat it.  The plans' total delays are added up together when the
+    first is read (`_Totals`).
+    """
+    member = _member(stack.local, stack.root, stack.capacity.shape[1])
+    codes, objective = _local_search(np.array([run.best_codes for run in runs]), [run.best_obj for run in runs],
+                                     [run.allowed for run in runs], member, stack.capacity)
+    frozen = [row for row, run in enumerate(runs) if run.frozen_at]
+    if frozen:
+        w = np.add.reduce(member[np.array(frozen)[:, None], np.arange(codes.shape[1]), codes[frozen]], axis=1)
+        prices[frozen] = np.where(w > 0, (w / stack.capacity[frozen]) ** 2, stack.floors[frozen])
+        settle = [row for row in frozen if runs[row].iterations < config.max_iters]
+        if settle:
+            with np.errstate(over="ignore"):
+                dual, overload = (values[settle].tolist() for values in _settle(stack, codes, prices))
+            for row, value, overload_row in zip(settle, dual, overload):
+                run = runs[row]
+                best = objective[row]
+                run.trace.fromlist([best, best, value, overload_row])
+                run.iterations += 1
+                run.converged = overload_row < config.epsilon
+
+    totals = _Totals(stack, codes, [run.problem[2] for run in runs])
+    for row, (run, best) in enumerate(zip(runs, objective.tolist())):
+        yield run.index, _Plan(codes[row], prices[row], run.trace, run.iterations, run.converged, run.frozen_at, best,
+                               totals, row)
+
+
+def _settle(stack: _Stack, codes: np.ndarray, prices: np.ndarray):
+    """The dual value and peak overload, (B,) each, that the price loop's
+    kernels give each row's plan of the loop's first stack at its row of
+    `prices`."""
+    marg = _marginals(stack.demand, prices.ravel().take(stack.index))
+    dual = _dual_value(_allowed_marginals(marg, stack.barred).min(axis=-1), prices, stack.capacity)
+    pick = (slice(None), np.arange(codes.shape[0])[:, None], np.arange(codes.shape[1]), codes)
+    index, demand = stack.index[pick], stack.demand[pick]
+    loads = _pool_loads(index, np.sqrt(demand / prices.ravel()[index]), prices.size).reshape(prices.shape)
+    return dual, _peak_overload(loads, stack.capacity)
+
+
+def _exact_totals(stack: _Stack, codes: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """The total delay of each row's plan (B,), for (B, K) tier codes and
+    uplink rates, under the exact shares F_p sqrt(d) / W_p that `_shares`
+    gives, as for `allocate_given_decision`.  Each task's access,
+    fronthaul, midhaul and compute legs are added in that order, as
+    `latency._legs` gives them, and the tasks in task order, so each total
+    has the bits that `latency.total_delay` gives the same plan.  A share
+    that is not strictly positive and finite is refused, as `Allocation`
+    refuses it."""
+    rows, num_tasks = codes.shape
+    pick = (slice(None), np.arange(rows)[:, None], np.arange(num_tasks), codes)  # each task's tier, (3, B, K)
+    index, root = stack.index[pick], stack.root[pick]
+    _, shares = _shares(index, root, stack.capacity)
+    bad = (root > 0) & ~((shares > 0) & (shares < math.inf))
+    if bad.any():
+        term, row, k = (axis[0] for axis in bad.nonzero())
+        pool = stack.local[term, row, k, codes[row, k]]
+        family = fields(Allocation)[np.searchsorted(stack.starts, pool, side="right") - 1].name
+        raise ValueError(f"{family}[{k}] = {shares[term, row, k]} must be strictly positive and finite")
+    bits, fronthaul_se, midhaul_se = stack.paths
+    with np.errstate(divide="ignore", over="ignore"):
+        # An unused leg's infinite share makes it exactly 0, as `_legs` has it.
+        legs = np.where(rates <= 0, math.inf, bits / rates)  # `phy.access_delay`
+        legs += bits / (shares[1] * fronthaul_se)
+        legs += bits / (shares[2] * midhaul_se)
+        legs += stack.demand[0, ..., 0] / shares[0]
+    return np.cumsum(legs, axis=-1)[..., -1]

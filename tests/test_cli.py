@@ -117,6 +117,32 @@ def test_sweep_workers_match_serial(tmp_path):
         assert serial.read_bytes() == parallel.read_bytes()
 
 
+def _blas_threads():
+    """This process's BLAS thread count, if numpy's BLAS reports it."""
+    import ctypes
+
+    from numpy._core import _multiarray_umath
+
+    getter = getattr(ctypes.CDLL(_multiarray_umath.__file__), "scipy_openblas_get_num_threads64_", None)
+    if getter is None:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
+
+
+def test_sweep_workers_run_one_blas_thread():
+    # Each sweep worker's BLAS runs on one thread, so n workers on n cores
+    # do not start n BLAS threads each.
+    from concurrent.futures import ProcessPoolExecutor
+
+    pytest.importorskip("numpy._core")
+    with ProcessPoolExecutor(max_workers=1, initializer=fogplan.cli._one_blas_thread) as pool:
+        threads = pool.submit(_blas_threads).result(timeout=120)
+    if threads is None:
+        pytest.skip("numpy's BLAS reports no thread count")
+    assert threads == 1
+
+
 def test_sweep_shares_give_every_worker_work():
     def shares(points, realizations, workers):
         return [(p.start, p.stop, r.start, r.stop) for p, r in _sweep_shares(points, realizations, workers)]

@@ -21,6 +21,7 @@ from fogplan import (
 )
 from fogplan import solver
 from fogplan.cli import _DRAWING_TIERS, SWEEP_PARAMETERS
+from fogplan.cli import main as cli_main
 from fogplan.latency import TIER_INDEX
 from fogplan.scenario import TIERS, TaskSet
 from fogplan.solver import (
@@ -32,6 +33,7 @@ from fogplan.solver import (
     _layout,
     _local_search,
     _marginals,
+    _member,
     _peak_overload,
     _pool_loads,
     _Pools,
@@ -510,6 +512,8 @@ def test_stacked_layout_matches_single_problem_kernels(random_instance):
         picked = stack.first + codes
         loads = _pool_loads(stack.terms.take(picked, axis=1), stack.root_terms.take(picked, axis=1), row_prices.size)
         loads = loads.reshape(row_prices.shape)
+        member = _member(stack.index - (np.arange(rows.size) * row_prices.shape[1])[:, None, None], stack.root,
+                         row_prices.shape[1])  # what the polish reads, for the rows as they stand
         for row, r in enumerate(rows):
             topo, tasks, _, scheme = problems[r]
             pools = _Pools(tasks, topo)
@@ -517,15 +521,16 @@ def test_stacked_layout_matches_single_problem_kernels(random_instance):
             assert np.array_equal(marg[row], single)
             assert np.array_equal(cheapest[row], _allowed_marginals(single, _barred(scheme)).min(axis=1))
             assert np.array_equal(loads[row], pools.loads(codes[row]))
-            assert np.array_equal(loads[row], stack.pools(row).loads(codes[row]))
+            assert np.array_equal(loads[row], np.add.reduce(member[row, np.arange(8), codes[row]], axis=0))
 
 
 def test_batch_matches_single_solves(random_instance, make_topology, monkeypatch):
     # One price loop serves the whole batch; no row may read another, so each
-    # result must equal the single solve bit for bit, including rows that stop
-    # early and leave the stack, rows that freeze, and rows cut by max_iters.
-    # The problems are streamed in from an iterator and the results out as
-    # (position, result) pairs; the empty task set does not split a run.
+    # plan must give the single solve's result bit for bit, including rows
+    # that stop early and leave the stack, rows that freeze, and rows cut by
+    # max_iters.  The problems are streamed in from an iterator and the plans
+    # out as (position, plan) pairs at the end of each loop; the empty task
+    # set does not split a run.
     problems = []
     for seed in range(4):
         scenario, rates = random_instance(seed=seed, num_users=8, num_rus=4, num_dus=2)
@@ -538,9 +543,6 @@ def test_batch_matches_single_solves(random_instance, make_topology, monkeypatch
     empty = (make_topology(num_users=0), TaskSet(data_bits=np.array([]), cycles_per_bit=np.array([])), np.array([]))
     problems.insert(3, empty + (Scheme.CLOUD,))
 
-    freezes = []
-    freeze = solver._Run.freeze
-    monkeypatch.setattr(solver._Run, "freeze", lambda run, floors: freezes.append(run) or freeze(run, floors))
     chunks = []
     price_loop = solver._price_loop
     monkeypatch.setattr(solver, "_price_loop", lambda chunk, cfg: chunks.append(len(chunk)) or price_loop(chunk, cfg))
@@ -548,50 +550,43 @@ def test_batch_matches_single_solves(random_instance, make_topology, monkeypatch
     # chunk boundaries fall inside the batch and inside a seed's schemes.
     for config, batch_tasks in ((SolverConfig(), None), (SolverConfig(max_iters=60), None), (SolverConfig(), 24)):
         singles = [solve(*problem, config) for problem in problems]
-        freezes.clear()
         chunks.clear()
         if batch_tasks:
             monkeypatch.setattr(solver, "_BATCH_TASKS", batch_tasks)
         pairs = list(solver._solve_batch(iter(problems), config))
         assert chunks == ([3, 3, 3, 3, 3, 1, 4, 1] if batch_tasks else [16, 5])
         assert sorted(position for position, _ in pairs) == list(range(len(problems)))
-        batch = [result for _, result in sorted(pairs, key=lambda pair: pair[0])]
-        for got, want in zip(batch, singles):
+        plans = [plan for _, plan in sorted(pairs, key=lambda pair: pair[0])]
+        batch = [solver._result(plan, problem) for plan, problem in zip(plans, problems)]
+        for plan, got, want in zip(plans, batch, singles):
             _assert_same_result(got, want)
+            assert plan.total_delay_s == want.total_delay_s
         assert len({result.iterations for result in batch}) > 2  # rows leave the stack at different iterations
         assert batch[3].decision.tiers == () and math.isinf(batch[-1].total_delay_s)
         if config.max_iters == 60:
             assert any(r.converged for r in batch) and any(r.iterations == 60 and not r.converged for r in batch)
         else:
-            assert freezes
+            assert any(plan.frozen_at for plan in plans)
 
 
-def _frozen_fog_problem(random_instance, monkeypatch):
-    """A K=8 FOG problem whose price loop freezes, and the iteration at which
-    it froze."""
-    froze = []
-    freeze = solver._Run.freeze
-
-    def spy(run, floors):
-        froze.append(len(run.trace) // 4)  # the trace packs 4 floats per iteration
-        return freeze(run, floors)
-
-    monkeypatch.setattr(solver._Run, "freeze", spy)
+def _frozen_fog_problem(random_instance):
+    """A K=8 FOG problem whose price loop freezes, its result, and the
+    iteration at which it froze, as its plan records it."""
     for seed in range(20):
         scenario, rates = random_instance(seed=seed, num_users=8, num_rus=4, num_dus=2)
         problem = (scenario.topology, scenario.tasks, rates, Scheme.FOG)
-        result = solve(*problem)
-        if froze:
-            return problem, result, froze[0]
+        [(_, plan)] = solver._solve_batch([problem])
+        if plan.frozen_at:
+            return problem, solver._result(plan, problem), plan.frozen_at
     raise AssertionError("no K=8 FOG problem froze")
 
 
-def test_frozen_problem_stops_at_its_clearing_prices(random_instance, monkeypatch):
+def test_frozen_problem_stops_at_its_clearing_prices(random_instance):
     # A frozen plan is polished and priced at its exact clearing values, and
     # the loop's evaluation there is its last: the returned duals are those
     # prices, (W/F)^2 on every pool the plan uses, and the freeze at
     # iteration t ends the solve after iteration t + 1.
-    (topo, tasks, rates, scheme), res, t = _frozen_fog_problem(random_instance, monkeypatch)
+    (topo, tasks, rates, scheme), res, t = _frozen_fog_problem(random_instance)
     assert res.iterations == t + 1 == res.trace["max_violation"].size
     assert res.converged == (res.trace["max_violation"][-1] < SolverConfig().epsilon)
     pools = _Pools(tasks, topo)
@@ -601,7 +596,10 @@ def test_frozen_problem_stops_at_its_clearing_prices(random_instance, monkeypatc
     assert _dual_value_at(res.duals, tasks, topo, scheme) == res.trace["dual_value_s"][-1]
     # A freeze on the last allowed iteration returns the frozen plan at the
     # same prices, unconverged, with no evaluation after it.
-    cut = solve(topo, tasks, rates, scheme, SolverConfig(max_iters=t))
+    config = SolverConfig(max_iters=t)
+    [(_, plan)] = solver._solve_batch([(topo, tasks, rates, scheme)], config)
+    assert plan.frozen_at == t
+    cut = solve(topo, tasks, rates, scheme, config)
     assert cut.iterations == t == cut.trace["max_violation"].size and not cut.converged
     assert cut.decision == res.decision
     assert _price_vector(cut.duals, topo).tobytes() == _price_vector(res.duals, topo).tobytes()
@@ -766,10 +764,11 @@ def _reference_local_search(codes, objective, allowed_codes, evaluate):
 def _assert_polish_matches_reference(pools, rng):
     n = pools.rows.size
     for scheme in Scheme:
-        allowed = [TIER_INDEX[t] for t in scheme.allowed_tiers]
+        allowed = tuple(TIER_INDEX[t] for t in scheme.allowed_tiers)
         start = rng.choice(allowed, size=n).astype(np.int64)
         objective = pools.objective(start)
-        codes, value = _local_search(start, objective, allowed, pools)
+        member, capacity = pools.member[None], pools.capacity[None]
+        (codes,), (value,) = _local_search(start[None], [objective], [allowed], member, capacity)
         ref_codes, ref_value = _reference_local_search(start, objective, allowed, pools.objective)
         assert np.array_equal(codes, ref_codes)
         assert value == ref_value
@@ -803,6 +802,84 @@ def test_polish_matches_exact_reference_on_tied_tasks(make_topology, make_tasks)
     pools = _Pools(tasks, topo)
     for _ in range(10):
         _assert_polish_matches_reference(pools, rng)
+
+
+@pytest.mark.parametrize("num_users, num_rus, num_dus, rows", [(6, 4, 2, 32), (8, 4, 2, 36), (40, 10, 4, 8)])
+def test_stacked_polish_matches_reference_row_by_row(random_instance, num_users, num_rus, num_dus, rows):
+    # The finish polishes all problems of a price loop as one lockstep
+    # descent, whatever their schemes: each row must take exactly the moves
+    # of the exact-rescoring reference on its own problem, a cloud row has
+    # no move, and rows that stop descending early do not disturb the rest.
+    rng = np.random.default_rng(num_users + rows)
+    schemes = [list(Scheme)[row % len(Scheme)] for row in range(rows)]
+    problems = []
+    for row, scheme in enumerate(schemes):
+        spec_kw = {"mecl_capacity_hz": (1e9, 5e9)} if row % 3 == 0 else {}
+        scenario, rates = random_instance(seed=row, num_users=num_users, num_rus=num_rus, num_dus=num_dus, **spec_kw)
+        problems.append((scenario.topology, scenario.tasks, rates, scheme))
+    stack = solver._Stack(problems)
+    member = _member(stack.local, stack.root, stack.capacity.shape[1])
+    allowed = [tuple(TIER_INDEX[t] for t in scheme.allowed_tiers) for scheme in schemes]
+    start = np.array([rng.choice(tiers, size=num_users) for tiers in allowed], dtype=np.int64)
+    pools = [_Pools(tasks, topo) for topo, tasks, _, _ in problems]
+    objective = [p.objective(codes) for p, codes in zip(pools, start)]
+    codes, values = _local_search(start, objective, allowed, member, stack.capacity)
+    assert codes.shape == start.shape and values.shape == (rows,)
+    moved = 0
+    for row, (p, tiers) in enumerate(zip(pools, allowed)):
+        ref_codes, ref_value = _reference_local_search(start[row], objective[row], tiers, p.objective)
+        assert np.array_equal(codes[row], ref_codes), row
+        assert values[row] == ref_value == p.objective(codes[row]), row
+        if len(tiers) == 1:
+            assert np.array_equal(codes[row], start[row]) and values[row] == objective[row]
+        moved += not np.array_equal(codes[row], start[row])
+    assert moved >= rows // 2  # most rows descend, over different numbers of steps
+
+
+def test_plan_totals_match_the_public_total_delay(random_instance):
+    # A sweep reads only each plan's total delay, which the finish adds up
+    # from arrays; it must equal the public total of the public exact
+    # allocation bit for bit, a zero-rate user included (inf).
+    rng = np.random.default_rng(3)
+    checked = 0
+    for seed in range(26):
+        num_users = (6, 8, 40)[seed % 3]
+        num_rus, num_dus = (10, 4) if num_users == 40 else (4, 2)
+        scenario, rates = random_instance(seed=seed, num_users=num_users, num_rus=num_rus, num_dus=num_dus)
+        topo, tasks = scenario.topology, scenario.tasks
+        rates = np.array([rates] * 8)
+        rates[seed % 8, seed % num_users] = 0.0
+        stack = solver._Stack([(topo, tasks, rates[0], Scheme.FOG)] * 8)
+        codes = rng.integers(0, 3, size=(8, num_users))
+        totals = solver._exact_totals(stack, codes, rates)
+        for row in range(8):
+            decision = Decision(tuple(TIERS[c] for c in codes[row]))
+            want = total_delay(topo, tasks, decision, allocate_given_decision(decision, tasks, topo), rates[row])
+            assert totals[row] == want
+            checked += 1
+        assert math.isinf(totals[seed % 8])
+    assert checked >= 200
+
+
+def test_plan_totals_refuse_a_share_allocation_refuses(random_instance, monkeypatch, capsys):
+    # A share that is not strictly positive and finite is refused as
+    # `Allocation` refuses it, so a sweep exits 2 with a diagnostic.
+    scenario, rates = random_instance(seed=1, num_users=6, num_rus=4, num_dus=2)
+    stack = solver._Stack([(scenario.topology, scenario.tasks, rates, Scheme.FOG)])
+    codes = np.zeros((1, 6), dtype=np.int64)
+    for capacity in (0.0, np.inf, np.nan):
+        stack.capacity[0, scenario.topology.user_to_ru[0]] = capacity
+        with pytest.raises(ValueError, match=r"mecl_speed\[0\] = .* must be strictly positive and finite"):
+            solver._exact_totals(stack, codes, rates[None])
+    shares = solver._shares
+    def zero_shares(*args):  # every used share 0, unused ones left infinite
+        loads, share = shares(*args)
+        return loads, np.where(share < np.inf, 0.0, share)
+
+    monkeypatch.setattr(solver, "_shares", zero_shares)
+    argv = ["--sweep", "fl=1e9:5e9:2", "--users", "6", "--rus", "4", "--dus", "2", "--scheme", "fog"]
+    assert cli_main(argv) == 2
+    assert "must be strictly positive and finite" in capsys.readouterr().err
 
 
 def test_pair_move_delta_identity(random_instance):
