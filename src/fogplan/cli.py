@@ -22,7 +22,7 @@ from . import oracle as oracle_mod
 from .latency import task_delay
 from .phy import DEFAULT_NUM_ANTENNAS, generate_channels, uplink_rates
 from .scenario import TIER_C, TIER_H, TIER_L, Scenario, ScenarioSpec, Scheme, generate_scenario, load_scenario, save_scenario
-from .solver import SolveResult, SolverConfig, _initial_prices, _Pools, _solve_batch, solve
+from .solver import SolveResult, SolverConfig, _solve_batch, solve
 
 SWEEP_PARAMETERS = {
     "fl": "mecl_capacity_hz",
@@ -140,9 +140,10 @@ def _sweep_share(args) -> dict[tuple[int, int, int], float]:
     without a random draw, so each realization's scenario, channels and rates
     are drawn once, at the share's first point, and only the swept field is
     set at the others.  Under a scheme none of whose tiers draws on the swept
-    capacity (`_DRAWING_TIERS`), no plan reads it, so the scheme is planned at
-    the first point only and that total holds at every point.  A `k` sweep
-    draws every point and plans every problem."""
+    capacity (`_DRAWING_TIERS`), no plan reads it (the solver does not even
+    price it), so the scheme is planned at the first point only and that
+    total holds at every point.  A `k` sweep draws every point and plans
+    every problem."""
     sweep, base, points, realizations, schemes, config, num_antennas = args
     field, values = SWEEP_PARAMETERS[sweep.parameter], sweep.values()
     drawing = _DRAWING_TIERS.get(sweep.parameter)  # None for a k sweep
@@ -152,7 +153,7 @@ def _sweep_share(args) -> dict[tuple[int, int, int], float]:
 
     def problems():
         drawn = {}  # per realization: its scenario and rates
-        for p in range(points.start, points.stop):
+        for p in range(first, points.stop if varying else first + 1):
             for r in range(realizations.start, realizations.stop):
                 if p == first or drawing is None:
                     spec = _spec_for_point(base, sweep, values[p], realization_seed(sweep.base_seed, r))
@@ -162,13 +163,6 @@ def _sweep_share(args) -> dict[tuple[int, int, int], float]:
                 if p != first and drawing is not None:
                     size = getattr(topology, field).size
                     topology = dataclasses.replace(topology, **{field: np.full(size, values[p])})
-                if not varying:
-                    # No problem of this realization is planned past the first
-                    # point, so check at every point, in point order, what
-                    # planning checks first (that a price loop could start
-                    # there): a capacity too extreme to price exits with the
-                    # error it would give if the point were planned.
-                    _initial_prices(_Pools(scenario.tasks, topology))
                 for s in every if p == first else varying:
                     cells.append((p, r, s))
                     yield topology, scenario.tasks, rates, schemes[s]

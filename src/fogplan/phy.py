@@ -153,13 +153,16 @@ def _sinrs(channels: ChannelSet, ru: int, u: np.ndarray, users: np.ndarray) -> n
     """Post-combining SINR of each receive vector of one RU: row r of `u`
     combines for user `users[r]`, which the RU must serve, against all of that
     RU's users.  The interference is the row of gains p |u^H h_l|^2 with the
-    user's own column masked out, summed; the noise is ||u||^2 sigma^2."""
+    user's own column masked out, summed; the noise is ||u||^2 sigma^2.  At
+    an extreme noise power or path loss these can underflow to 0, which makes
+    the SINR NaN or inf; both callers refuse that."""
     cell = channels.users_of_ru(ru)
     gain = channels.tx_power_w * np.abs(u.conj() @ channels.h[cell].T) ** 2
     own = cell[None, :] == users[:, None]
     interference = np.where(own, 0.0, gain).sum(axis=1)
     noise = (u.real**2 + u.imag**2).sum(axis=1) * channels.noise_at(ru)
-    return gain[own] / (interference + noise)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return gain[own] / (interference + noise)
 
 
 def sinr(channels: ChannelSet, beamformer: Beamformer, user: int) -> float:
@@ -167,7 +170,10 @@ def sinr(channels: ChannelSet, beamformer: Beamformer, user: int) -> float:
     u = beamformer.vector_for(user)
     if not np.any(u):
         raise ValueError(f"beamformer for user {user} is zero")
-    return float(_sinrs(channels, int(channels.user_to_ru[user]), u[None, :], np.array([user]))[0])
+    value = float(_sinrs(channels, int(channels.user_to_ru[user]), u[None, :], np.array([user]))[0])
+    if not math.isfinite(value):
+        raise ValueError(f"SINR of user {user} is {value} (the signal and noise powers underflow or overflow)")
+    return value
 
 
 def uplink_rate(bandwidth_hz: float, sinr_value: float) -> float:
@@ -194,5 +200,9 @@ def uplink_rates(topology: Topology, channels: ChannelSet) -> np.ndarray:
     for ru in np.flatnonzero(np.bincount(channels.user_to_ru)):
         bf = mmse_beamformer(channels, int(ru))
         band = topology.uplink_bandwidth_hz[int(ru)]
-        rates[bf.users] = [uplink_rate(band, s) for s in _sinrs(channels, int(ru), bf.u, bf.users)]
+        sinrs = _sinrs(channels, int(ru), bf.u, bf.users)
+        if not np.isfinite(sinrs).all():
+            raise ValueError(f"RU {ru}: the SINR at uplink bandwidth {band:g} Hz is not finite (the signal and noise "
+                             "powers underflow or overflow)")
+        rates[bf.users] = [uplink_rate(band, s) for s in sinrs.tolist()]
     return rates

@@ -242,6 +242,8 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
             raise ValueError(f"{name} is inverted: ({lo}, {hi})")
         if lo <= 0:
             raise ValueError(f"{name} lower bound must be strictly positive")
+    if not math.isfinite(spec.ru_spacing_m):
+        raise ValueError(f"ru_spacing_m must be finite, got {spec.ru_spacing_m}")
     if spec.ru_spacing_m <= 0:
         raise ValueError("ru_spacing_m must be strictly positive")
 

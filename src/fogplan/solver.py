@@ -35,11 +35,12 @@ every pool lies in one term plane, the scatter still adds each pool's shares
 in task order.  The closed-form shares of `primal_speeds_from_duals` and
 `primal_bandwidth_from_duals` read the same gather.  Prices, steps and floors
 are pool vectors; `DualState` splits one into its five families only at the
-public boundary.  `_Pools.member[k, tier, p]` spreads the same square-root
-demands over the whole pool vector, so the exact pool loads, the objective
-sum_p W_p^2 / F_p and the polish read one matrix; the exact allocation (share
-= F_p sqrt(demand) / W_p) scatters the picked terms' square roots instead and
-needs no `member`.
+public boundary.  A scheme has no constraint for a pool none of its tiers
+draws on, so that pool's price, step and floor are 0 (`_initial_prices`).
+`_Pools.member[k, tier, p]` spreads the same square-root demands over the
+whole pool vector, so the exact pool loads, the objective sum_p W_p^2 / F_p
+and the polish read one matrix; the exact allocation (share = F_p sqrt(demand)
+/ W_p) scatters the picked terms' square roots instead and needs no `member`.
 
 Before that re-allocation the best assignment is polished by single- and
 pair-move descent (`_local_search`), run in lockstep over a stack of
@@ -190,6 +191,8 @@ class _Pools:
     not use) and `root` its square root.  `member[k, tier, p]` is the square
     root of task k's demand on pool p when it runs on `tier`, the same
     numbers spread over the whole pool vector; it is built on first use.
+    It knows no scheme, so it sets no price: `_initial_prices` reads a
+    price loop's `_Stack`.
     """
 
     def __init__(self, tasks: TaskSet, topology: Topology):
@@ -202,11 +205,6 @@ class _Pools:
     @cached_property
     def member(self) -> np.ndarray:
         return _member(self.index[:, None], self.root[:, None], self.capacity.size)[0]
-
-    @cached_property
-    def uniform(self) -> np.ndarray:
-        """(3, P) pool sums of sqrt demands of the three single-tier plans."""
-        return _tier_loads(self.index, self.root, self.capacity)
 
     def loads(self, codes: np.ndarray) -> np.ndarray:
         """Pool sums of sqrt demands under an integer assignment, added in
@@ -282,14 +280,6 @@ def _member(index: np.ndarray, root: np.ndarray, num_pools: int) -> np.ndarray:
     return member
 
 
-def _tier_loads(index: np.ndarray, root: np.ndarray, capacity: np.ndarray) -> np.ndarray:
-    """(3, ..., P) pool sums of sqrt demands of the three single-tier plans,
-    from term-major arrays whose index names entries of `capacity`, each sum
-    added in task order."""
-    shifted = index + capacity.size * np.arange(3)
-    return np.bincount(shifted.ravel(), weights=root.ravel(), minlength=3 * capacity.size).reshape((3,) + capacity.shape)
-
-
 def _price_vector(duals: DualState, topology: Topology) -> np.ndarray:
     """Prices as one pool vector in the topology's layout."""
     sizes = (duals.mu.size, duals.lam.size, duals.nu.size, duals.xi.size)
@@ -341,26 +331,29 @@ def _shares(index: np.ndarray, root: np.ndarray, capacity: np.ndarray):
     return loads, share
 
 
-def _initial_prices(pools) -> np.ndarray:
-    """Prices that would make each pool exactly tight if every task used it,
-    for a `_Pools` or a price loop's `_Stack` (one row per problem).
+def _initial_prices(stack: _Stack) -> np.ndarray:
+    """Prices that would make each pool of each row of a price loop's stack
+    exactly tight if every task used it on a tier the row's scheme allows.
 
-    The loop steps each price by a multiple of price/capacity and divides by
-    the prices the tasks read, so both the step scale and the floor of every
-    read price must be finite and positive.  A pool no task reads (an RU
-    without users) keeps its zero price.  Of several problems, the first one
-    that fails names the failure.
+    A scheme has no capacity constraint, and so no price, for a pool that
+    none of its tiers draws on: that pool gets price 0, as does a pool no
+    task reads at all (an RU without users).  The loop steps each price by a
+    multiple of price/capacity and divides by the prices the allowed tiers
+    read, so both the step scale and the floor of every such price must be
+    finite and positive.  Of several problems, the first one that fails
+    names the failure.
     """
-    # A pool's all-members sum is its load under a uniform plan that uses it;
-    # the fronthaul sums under H and under C are the same.
-    all_members = pools.uniform.max(axis=0)
+    barred = stack.barred > 0  # (B, 1, 3)
+    # A pool's all-members sum is its load under an allowed uniform plan that
+    # uses it; the fronthaul sums under H and under C are the same.
+    all_members = np.where(np.moveaxis(barred, -1, 0), 0.0, stack.uniform).max(axis=0)
     with np.errstate(over="ignore"):  # an overflow is reported below
-        prices = (all_members / pools.capacity) ** 2
-        step_scale = _STEP_SCALE * prices / pools.capacity
+        prices = (all_members / stack.capacity) ** 2
+        step_scale = _STEP_SCALE * prices / stack.capacity
     finite = np.isfinite(prices) & np.isfinite(step_scale)
-    floored = _DUAL_FLOOR_SCALE * prices.ravel()[pools.index] > 0
+    floored = (_DUAL_FLOOR_SCALE * prices.ravel()[stack.index] > 0) | barred
     if not (finite.all() and floored.all()):
-        overflow = ~finite.reshape(-1, prices.shape[-1]).all(axis=1)  # per problem
+        overflow = ~finite.all(axis=1)  # per problem
         underflow = ~np.moveaxis(floored, 0, -2).reshape(overflow.size, -1).all(axis=1)
         if overflow[np.flatnonzero(overflow | underflow)[0]]:
             raise ValueError("initial prices overflow: a pool's capacity is too small for its demand")
@@ -756,11 +749,13 @@ class _Stack:
     picks are taken along axis 1.  `first[b, k]` = 3 (b K + k) is where task
     k of row b has its L tier in the raveled (B, K, 3) marginals and in the
     columns of those views; its H and C tiers follow.  `tier` holds the tier
-    code of each raveled entry, as `uint8`.  `uniform`, the single-tier plans'
-    pool sums, `paths`, the tasks' `_paths`, and `local`, the pool index as
-    `_layout` gives it (each row's pools as 0 to P - 1), are built with the
-    stack for the initial prices and for the finish and are not kept by
-    `take`; the loop sets `s0` and `floors`."""
+    code of each raveled entry, as `uint8`, and `barred[b, 0]` is row b's
+    `_barred`.  `uniform`, the single-tier plans' pool sums (3, B, P), which
+    over the tiers a row's scheme allows give its initial prices, `paths`,
+    the tasks' `_paths`, and `local`, the pool index as `_layout` gives it
+    (each row's pools as 0 to P - 1), are built with the stack for the start
+    and the finish and are not kept by `take`; the loop sets `s0` and
+    `floors`."""
 
     __slots__ = ("index", "local", "demand", "root", "capacity", "starts", "barred", "uniform", "paths", "s0",
                  "floors", "terms", "demand_terms", "root_terms", "first", "tier", "clip", "bars")
@@ -772,7 +767,10 @@ class _Stack:
         self.paths = _paths(topologies, task_sets)
         self.demand = _demands(self.paths, task_sets)
         self.root = np.sqrt(self.demand)
-        self.uniform = _tier_loads(self.index, self.root, self.capacity)
+        # Each tier's terms add up, in task order, in its own copy of the pools.
+        tier_pools = (self.index + self.capacity.size * np.arange(3)).ravel()
+        uniform = np.bincount(tier_pools, weights=self.root.ravel(), minlength=3 * self.capacity.size)
+        self.uniform = uniform.reshape(3, *self.capacity.shape)
         barred = {scheme: _barred(scheme) for scheme in set(schemes)}
         self.barred = np.array([barred[scheme] for scheme in schemes])[:, None, :]
         rows, num_tasks = self.demand.shape[1:3]
@@ -860,96 +858,88 @@ def _price_loop(chunk, config: SolverConfig):
     epsilon = config.epsilon
     prev = None
 
-    t = 0
-    while live and t < config.max_iters:
-        # A price at its floor can make a share overflow to inf, and
-        # `_price_step` clips the excess it feeds.  The errstate is entered
-        # once per stretch of iterations up to the next stop, not per
-        # iteration, where its entry cost is a few percent of a desk-scale
-        # iteration.
-        with np.errstate(over="ignore"):
-            for t in range(t + 1, config.max_iters + 1):
-                task_prices = prices.ravel().take(stack.index)
-                marg = _marginals(stack.demand, task_prices)
-                allowed_marg = _allowed_marginals(marg, stack.barred) if stack.bars else marg
-                # Tier picks as (task, tier) pairs flattened task-major:
-                # entries of the raveled marginals and columns of `terms`.  A
-                # row of them is the row's assignment offset by `first`.
-                cheapest = stack.first + allowed_marg.argmin(axis=-1)
-                dual = _dual_value(allowed_marg.ravel().take(cheapest), prices, stack.capacity).tolist()
-                picked = cheapest
-                if prev is not None:
-                    # A task only moves when the cheapest tier beats its
-                    # current one by a clear relative margin; marginal
-                    # near-ties otherwise make tasks flap between tiers
-                    # forever as prices dither.
-                    flat = marg.ravel()
-                    margin = (1.0 - _DECISION_HYSTERESIS) * flat.take(prev)
-                    picked = np.where(flat.take(picked) >= margin, prev, picked)
-                prev = picked
+    # A price at its floor can make a share overflow to inf, and
+    # `_price_step` clips the excess it feeds.
+    with np.errstate(over="ignore"):
+        for t in range(1, config.max_iters + 1):
+            task_prices = prices.ravel().take(stack.index)
+            marg = _marginals(stack.demand, task_prices)
+            allowed_marg = _allowed_marginals(marg, stack.barred) if stack.bars else marg
+            # Tier picks as (task, tier) pairs flattened task-major:
+            # entries of the raveled marginals and columns of `terms`.  A
+            # row of them is the row's assignment offset by `first`.
+            cheapest = stack.first + allowed_marg.argmin(axis=-1)
+            dual = _dual_value(allowed_marg.ravel().take(cheapest), prices, stack.capacity).tolist()
+            picked = cheapest
+            if prev is not None:
+                # A task only moves when the cheapest tier beats its
+                # current one by a clear relative margin; marginal
+                # near-ties otherwise make tasks flap between tiers
+                # forever as prices dither.
+                flat = marg.ravel()
+                margin = (1.0 - _DECISION_HYSTERESIS) * flat.take(prev)
+                picked = np.where(flat.take(picked) >= margin, prev, picked)
+            prev = picked
 
-                task_demand = stack.demand_terms.take(picked, axis=1)
-                shares = np.sqrt(task_demand / task_prices.reshape(3, -1).take(picked, axis=1))
-                terms = stack.terms.take(picked, axis=1)
-                loads = _pool_loads(terms, shares, prices.size).reshape(prices.shape)
-                violation = _peak_overload(loads, stack.capacity).tolist()
+            task_demand = stack.demand_terms.take(picked, axis=1)
+            shares = np.sqrt(task_demand / task_prices.reshape(3, -1).take(picked, axis=1))
+            terms = stack.terms.take(picked, axis=1)
+            loads = _pool_loads(terms, shares, prices.size).reshape(prices.shape)
+            violation = _peak_overload(loads, stack.capacity).tolist()
 
-                codes = stack.tier[picked]
-                blob = codes.tobytes()
-                exact = None
-                stopped = []  # rows that stop, in row order
-                for row, run in enumerate(live):
-                    key = blob[row * width : (row + 1) * width]
-                    value = run.cache.get(key)
-                    if value is None:
-                        if exact is None:
-                            roots = stack.root_terms.take(picked, axis=1)
-                            exact_loads = _pool_loads(terms, roots, prices.size).reshape(prices.shape)
-                            exact = _cost(exact_loads, stack.capacity).tolist()
-                        value = run.cache[key] = exact[row]
-                    best = run.best_obj
-                    if value < best:
-                        run.best_obj, run.best_codes = value, picked[row] - stack.first[row]
-                        # Only a materially better plan resets the stall
-                        # clock; float-noise improvements would defer the
-                        # pricing phase forever.
-                        run.since = 0 if value < best * (1.0 - 1e-9) else run.since + 1
-                    else:
-                        run.since += 1
-                    overload = violation[row]
-                    run.trace.fromlist([value, run.best_obj, dual[row], overload])
-                    stable = run.stable = run.stable + 1 if key == run.key else 1
-                    run.key = key
-                    if stable >= _STABILITY_WINDOW and overload < epsilon:
-                        final[run.row] = prices[row]
-                        run.stop(t, converged=True)
-                        stopped.append(row)
-                    elif run.since >= _FREEZE_AFTER:
-                        # Exploration has stalled: the winner-take-all
-                        # iterates rarely settle on their own, because the
-                        # relaxed optimum splits marginal tasks across tiers.
-                        # The incumbent freezes, and `_finish` polishes it
-                        # and prices it at its exact clearing values.
-                        run.stop(t, frozen_at=t)
-                        stopped.append(row)
+            codes = stack.tier[picked]
+            blob = codes.tobytes()
+            exact = None
+            stopped = []  # rows that stop, in row order
+            for row, run in enumerate(live):
+                key = blob[row * width : (row + 1) * width]
+                value = run.cache.get(key)
+                if value is None:
+                    if exact is None:
+                        roots = stack.root_terms.take(picked, axis=1)
+                        exact_loads = _pool_loads(terms, roots, prices.size).reshape(prices.shape)
+                        exact = _cost(exact_loads, stack.capacity).tolist()
+                    value = run.cache[key] = exact[row]
+                best = run.best_obj
+                if value < best:
+                    run.best_obj, run.best_codes = value, picked[row] - stack.first[row]
+                    # Only a materially better plan resets the stall
+                    # clock; float-noise improvements would defer the
+                    # pricing phase forever.
+                    run.since = 0 if value < best * (1.0 - 1e-9) else run.since + 1
+                else:
+                    run.since += 1
+                overload = violation[row]
+                run.trace.fromlist([value, run.best_obj, dual[row], overload])
+                stable = run.stable = run.stable + 1 if key == run.key else 1
+                run.key = key
+                if stable >= _STABILITY_WINDOW and overload < epsilon:
+                    final[run.row] = prices[row]
+                    run.stop(t, converged=True)
+                    stopped.append(row)
+                elif run.since >= _FREEZE_AFTER:
+                    # Exploration has stalled: the winner-take-all
+                    # iterates rarely settle on their own, because the
+                    # relaxed optimum splits marginal tasks across tiers.
+                    # The incumbent freezes, and `_finish` polishes it
+                    # and prices it at its exact clearing values.
+                    run.stop(t, frozen_at=t)
+                    stopped.append(row)
 
-                prices = _price_step(prices, loads, t, stack.s0, stack.floors, stack.capacity, stack.clip)
-                if stopped:
+            prices = _price_step(prices, loads, t, stack.s0, stack.floors, stack.capacity, stack.clip)
+            if stopped:
+                # The last rows move into the stopped ones' places; a moved
+                # problem keeps its cache and key, which name no row.
+                order = list(range(len(live)))
+                for row in reversed(stopped):
+                    order[row] = order[-1]
+                    order.pop()
+                live = [live[row] for row in order]
+                if not live:
                     break
-
-        if stopped:
-            # The last rows move into the stopped ones' places; a moved
-            # problem keeps its cache and key, which name no row.
-            order = list(range(len(live)))
-            for row in reversed(stopped):
-                order[row] = order[-1]
-                order.pop()
-            live = [live[row] for row in order]
-            if not live:
-                break
-            stack = stack.take(np.array(order))
-            prices = prices[order]
-            prev = stack.first + codes[order]
+                stack = stack.take(np.array(order))
+                prices = prices[order]
+                prev = stack.first + codes[order]
 
     if live:  # cut by max_iters
         for run in live:

@@ -405,11 +405,29 @@ def test_set_overrides_apply(capsys):
     assert "initial prices underflow" in capsys.readouterr().err
     assert main(["--seed", "2", "--users", "4", "--rus", "2", "--dus", "1", "--set", "fl=1e-100"]) == 2
     assert "initial prices overflow" in capsys.readouterr().err
-    # A sweep point that plans no problem of its own is still checked:
-    # cloud-du draws on no RU MEC pool, whose price 1e-300 Hz overflows.
-    args = ["--scheme", "cloud-du", "--sweep", "fl=1e9:1e-300:2", "--users", "4", "--rus", "2", "--dus", "1"]
-    assert main(args) == 2
+    # cloud-du draws on no RU MEC pool, so it has no price for one and no RU
+    # MEC capacity is too extreme for it: its curve is flat.  fog draws on
+    # the RU MEC pools, and 1e-300 Hz makes their prices overflow.
+    args = ["--sweep", "fl=1e9:1e-300:2", "--users", "4", "--rus", "2", "--dus", "1"]
+    assert main(["--scheme", "cloud-du", *args]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 3 and rows[1].split(",")[2:] == rows[2].split(",")[2:]
+    assert main(["--scheme", "fog", *args]) == 2
     assert "initial prices overflow" in capsys.readouterr().err
+
+
+def test_out_of_range_radio_and_geometry_are_errors(capsys):
+    # An uplink bandwidth whose noise power makes the SINR NaN (1e300 Hz) or
+    # inf (1e-300 Hz), and an RU spacing that is not finite, exit 2 with a
+    # one-line diagnostic; the suite makes any RuntimeWarning an error.
+    for value in ("1e300", "1e-300"):
+        assert main(["--seed", "2", "--users", "3", "--set", f"uplink={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"the SINR at uplink bandwidth {float(value):g} Hz is not finite" in err and err.count("\n") == 1
+    for value in ("nan", "inf"):
+        assert main(["--seed", "2", "--users", "3", "--set", f"spacing={value}"]) == 2
+        err = capsys.readouterr().err
+        assert "ru_spacing_m must be finite" in err and err.count("\n") == 1
 
 
 def test_sweepspec_validation():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +154,24 @@ def test_sinr_rejects_zero_beamformer():
     ch = _channels([[1.0, 0.0]])
     with pytest.raises(ValueError, match="zero"):
         sinr(ch, Beamformer(users=[0], u=np.zeros((1, 2), dtype=complex)), 0)
+
+
+def test_non_finite_sinrs_are_refused():
+    # At an extreme noise power the signal and noise terms underflow: 0/0
+    # at an uplink bandwidth of 1e300 Hz and x/0 at 1e-300 Hz.  The rates
+    # refuse a NaN or infinite SINR, naming the RU and its bandwidth, and so
+    # does the SINR of one user; the suite makes any RuntimeWarning an error.
+    scenario = generate_scenario(ScenarioSpec(num_users=4, num_rus=2, num_dus=1, seed=2))
+    for band in (1e300, 1e-300):
+        topo = dataclasses.replace(scenario.topology, uplink_bandwidth_hz=np.full(2, band))
+        ch = generate_channels(topo, scenario.ru_positions_m, scenario.user_positions_m, seed=3)
+        message = rf"RU \d: the SINR at uplink bandwidth {re.escape(f'{band:g}')} Hz is not finite"
+        with pytest.raises(ValueError, match=message):
+            uplink_rates(topo, ch)
+    h = [[1.0, 0.0]]
+    for u, noise in (([[1e-200, 0.0]], 1.0), ([[1.0, 0.0]], 1e-320)):  # NaN, then inf
+        with pytest.raises(ValueError, match="SINR of user 0 is (nan|inf)"):
+            sinr(_channels(h, noise_power_w=noise), Beamformer(users=[0], u=u), 0)
 
 
 def test_uplink_rate_values():

@@ -64,6 +64,8 @@ def test_task_draws_stay_in_ranges():
         {"mecl_capacity_hz": (5e9, 1e9)},
         {"mecl_capacity_hz": (1e9, float("nan"))},
         {"ru_spacing_m": 0.0},
+        {"ru_spacing_m": float("nan")},
+        {"ru_spacing_m": float("inf")},
     ],
 )
 def test_generator_rejects_bad_specs(bad):

@@ -300,7 +300,7 @@ def test_exported_kernels_match_per_family_formulas_on_many_pools(random_instanc
     mh = tasks.data_bits / topo.midhaul_se[du]
     pools = _Pools(tasks, topo)
     capacity, starts = pools.capacity, pools.starts
-    init_prices = _initial_prices(pools)
+    [init_prices] = _initial_prices(solver._Stack([(topo, tasks, None, Scheme.FOG)]))
     init = _dual_state(init_prices, starts)
     s0 = _dual_state(0.25 * init_prices / capacity, starts)
     floors = _dual_state(1e-12 * init_prices, starts)
@@ -628,7 +628,9 @@ def test_drawing_tiers_follow_the_pool_layout(random_instance):
 def test_plans_ignore_capacities_no_allowed_tier_draws_on(random_instance):
     # A sweep plans a scheme none of whose tiers draws on the swept capacity
     # once and reuses the plan at every point: under such a scheme the solve
-    # must not move at all when that capacity does.
+    # must not move at all when that capacity does.  The scheme prices no
+    # pool it does not draw on, so its duals, dual values and traces do not
+    # move either.
     flat_schemes = {}
     for parameter in ("fl", "fh"):
         field = SWEEP_PARAMETERS[parameter]
@@ -643,12 +645,42 @@ def test_plans_ignore_capacities_no_allowed_tier_draws_on(random_instance):
                           rates, scheme)
                     for capacity in (7e8, 3e11)
                 ]
-                for name in ("decision", "iterations", "converged", "objective_s", "total_delay_s"):
+                for name in ("decision", "iterations", "converged", "objective_s", "total_delay_s",
+                             "best_dual_value_s", "duality_gap"):
                     assert getattr(results[0], name) == getattr(results[1], name), (field, seed, scheme, name)
+                prices = [_price_vector(result.duals, topo).tobytes() for result in results]
+                assert prices[0] == prices[1], (field, seed, scheme)
+                for name, values in results[0].trace.items():
+                    assert values.tobytes() == results[1].trace[name].tobytes(), (field, seed, scheme, name)
     assert flat_schemes == {
         "mecl_capacity_hz": {Scheme.CLOUD_DU, Scheme.CLOUD},
         "mech_capacity_hz": {Scheme.CLOUD_RU, Scheme.CLOUD},
     }
+
+
+def test_pools_no_allowed_tier_draws_on_are_priced_zero(random_instance):
+    # A scheme has no capacity constraint, and so no price, for a pool none
+    # of its tiers draws on: its initial price is 0, and so is its returned
+    # price, whether the solve converges, freezes or is cut by max_iters.
+    # Every other initial price is the one the full scheme gets.
+    unread = {Scheme.CLOUD_RU: ("lam",), Scheme.CLOUD_DU: ("mu",), Scheme.CLOUD: ("mu", "lam")}
+    stops = set()
+    for seed in range(8):
+        scenario, rates = random_instance(seed=seed, num_users=8, num_rus=4, num_dus=2)
+        problems = [(scenario.topology, scenario.tasks, rates, scheme) for scheme in (Scheme.FOG, *unread)]
+        stack = solver._Stack(problems)
+        fog, *initial = (_dual_state(prices, stack.starts) for prices in _initial_prices(stack))
+        for problem, init in zip(problems[1:], initial):
+            scheme = problem[3]
+            for family in ("mu", "lam", "rho", "nu", "xi"):
+                expected = 0.0 if family in unread[scheme] else getattr(fog, family)
+                assert np.all(getattr(init, family) == expected), (seed, scheme, family)
+            for config in (SolverConfig(), SolverConfig(max_iters=3)):
+                result = solve(*problem, config)
+                stops.add((result.converged, result.iterations == config.max_iters))
+                for family in unread[scheme]:
+                    assert np.all(getattr(result.duals, family) == 0), (seed, scheme, family, config)
+    assert {(True, False), (False, True)} <= stops
 
 
 def test_fog_never_loses_to_baselines(random_instance):
@@ -1033,8 +1065,8 @@ def test_dualstate_validation():
 def test_initial_duals_make_full_load_tight(make_topology, make_tasks):
     topo = make_topology(num_users=2, mecl_capacity_hz=4.0)
     tasks = make_tasks([4.0, 4.0], [1.0, 1.0])  # sqrt demand 2 each
-    pools = _Pools(tasks, topo)
-    init = _dual_state(_initial_prices(pools), pools.starts)
+    [prices] = _initial_prices(solver._Stack([(topo, tasks, None, Scheme.FOG)]))
+    init = _dual_state(prices, _Pools(tasks, topo).starts)
     assert init.mu[0] == pytest.approx(1.0)  # (2+2)/4 squared
     x = np.tile([1.0, 0.0, 0.0], (2, 1))
     a, _, _ = primal_speeds_from_duals(init, x, tasks, topo)
