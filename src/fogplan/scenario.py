@@ -246,11 +246,16 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
         raise ValueError(f"ru_spacing_m must be finite, got {spec.ru_spacing_m}")
     if spec.ru_spacing_m <= 0:
         raise ValueError("ru_spacing_m must be strictly positive")
+    # Every user lies within `cols` spacings of every RU along each axis, so
+    # 2 (cols spacing)^2 bounds the squared user-RU distances.
+    cols = math.ceil(math.sqrt(spec.num_rus))
+    extent = cols * spec.ru_spacing_m
+    if not math.isfinite(2.0 * extent * extent):
+        raise ValueError(f"ru_spacing_m = {spec.ru_spacing_m:g} is too large: the user-RU distances overflow")
 
     rng = np.random.default_rng(spec.seed)
     n_ru, n_du, n_user = spec.num_rus, spec.num_dus, spec.num_users
 
-    cols = math.ceil(math.sqrt(n_ru))
     idx = np.arange(n_ru)
     ru_pos = np.column_stack((idx % cols, idx // cols)).astype(np.float64) * spec.ru_spacing_m
     ru_to_du = (idx * n_du) // n_ru

@@ -14,10 +14,10 @@ exactly at the end, so the returned plan is always feasible.
 The loop's tuning is fixed, not configurable: step 0.25/sqrt(t) in units of
 each price's initial value per capacity of excess load, excess clipped at 1
 capacity, price floor 1e-12 of the initial price, tier-change hysteresis 1e-3,
-freeze after 150 iterations without a material improvement, and a stability
-window of 25 identical decisions.  A freeze is a stop: the polished incumbent
-is priced at its exact clearing values, evaluated there once, and returned.
-`SolverConfig` holds only the stopping rule: `epsilon` and `max_iters`.  Each
+a stall after 150 iterations without a material improvement, and a stability
+window of 25 identical decisions.  Only the stability window converges: a
+stall is a stop, not convergence, and so is `max_iters`.  `SolverConfig`
+holds only the stopping rule: `epsilon` and `max_iters`.  Each
 formula the loop uses (marginal prices, tier pick, share loads, peak overload,
 dual value, price step) is one private kernel.
 
@@ -59,18 +59,17 @@ per-task ones), and its pools are entries b P to b P + P - 1 of one stacked
 pool vector, so the gather, tier pick, scatter and price step serve them all,
 and the peak overloads, dual values and exact objectives reduce each row on
 its own.  The bookkeeping (objective cache, incumbent, stall clock, stability
-window, freeze, and a trace packed as 4 floats per iteration) stays per
-problem in plain Python.  A problem that stops (converged, frozen, or at
-`max_iters`) leaves the stack with its prices at that moment and drops its
-cache, and when the last one stops the loop finishes them all at once
-(`_finish`): one lockstep polish, and the frozen ones' clearing prices and
-their one evaluation there on the loop's kernels.  The loop yields compact
-plans (`_Plan`: tier codes, prices, packed trace, counts, objective and
-total delay, the last added up for all the loop's plans as arrays when the
-first is read), so a sweep builds no `Allocation`, `DualState` or trace
-arrays; only `solve` turns its plan into a `SolveResult` (`_result`).  No
-row reads another, so each problem gets the plan it gets alone; `solve` is
-the batch of one.
+window, and a trace packed as 4 floats per iteration) stays per problem in
+plain Python.  A problem that stops (stable, stalled, or at `max_iters`)
+leaves the stack and drops its cache; the loop's prices never leave the
+loop.  When the last one stops, the loop finishes them all the same way
+(`_finish`): one lockstep polish, and every plan's total delay added up as
+arrays.  The loop yields compact plans (`_Plan`: tier codes, packed trace,
+counts, objective and total delay), so a sweep builds no `Allocation`,
+`DualState` or trace arrays; only `solve` turns its plan into a
+`SolveResult` (`_result`), whose duals are the plan's own clearing prices.
+No row reads another, so each problem gets the plan it gets alone; `solve`
+is the batch of one.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ _STEP_SCALE = 0.25  # price move per capacity of excess, relative to its initial
 _SUBGRADIENT_CLIP = 1.0  # excess load is clipped at this many capacities
 _DUAL_FLOOR_SCALE = 1e-12  # price floor relative to the initial price
 _DECISION_HYSTERESIS = 1e-3  # relative margin by which a new tier must be cheaper
-_FREEZE_AFTER = 150  # iterations without a material improvement before freezing
+_STALL_AFTER = 150  # iterations without a material improvement that stop a problem
 _STABILITY_WINDOW = 25  # identical consecutive decisions needed to converge
 
 # Most tasks one stacked price loop holds; a longer run of problems of one
@@ -140,11 +139,9 @@ class DualState:
 class SolverConfig:
     """Stopping rule of the price loop: it converges once the decisions have
     been identical for 25 iterations and the peak relative overload of the
-    recovered shares is below `epsilon`, and stops after `max_iters`.  After
-    150 iterations without a material improvement it freezes and stops: the
-    polished incumbent is evaluated once at its exact clearing prices, and
-    the solve has converged if that evaluation's overload is below
-    `epsilon`.  The rest of the loop is fixed: step 0.25/sqrt(t), clip 1
+    recovered shares is below `epsilon`.  It stops unconverged after 150
+    iterations without a material improvement (a stall) or after
+    `max_iters`.  The rest of the loop is fixed: step 0.25/sqrt(t), clip 1
     capacity, floor 1e-12, hysteresis 1e-3."""
 
     epsilon: float = 1e-4
@@ -602,48 +599,20 @@ def _recheck(at: np.ndarray, values: np.ndarray, incumbent: np.ndarray) -> list[
     return [i for i, _ in best.values()]
 
 
-class _Totals:
-    """The total delays of the plans of one finished `_price_loop`, all
-    added up at once (`_exact_totals`) when the first is read.  A sweep reads
-    every one; `solve` reads none, since `_result` takes the total from the
-    public `total_delay`."""
-
-    def __init__(self, stack: _Stack, codes: np.ndarray, rates: list):
-        self.stack, self.codes, self.rates = stack, codes, rates
-
-    @cached_property
-    def values(self) -> list[float]:
-        rates = np.array([np.asarray(r, dtype=np.float64) for r in self.rates])
-        return _exact_totals(self.stack, self.codes, rates).tolist()
-
-
 class _Plan(NamedTuple):
     """One solved problem as `_solve_batch` yields it: the best plan's tier
-    codes, the final prices (a pool vector), the trace packed as 4 floats
-    (candidate, best, dual value, violation) per iteration, the iteration
-    count, whether the loop converged, the iteration at which it froze (0
-    if it did not), the plan's exact objective, and its row of its loop's
-    `_Totals`.  `_result` makes it a `SolveResult`."""
+    codes, the trace packed as 4 floats (candidate, best, dual value,
+    violation) per iteration, the iteration count, whether the loop
+    converged (stopped on its stability rule), the plan's exact objective
+    and the total delay of its exact re-allocation, access included.
+    `_result` makes it a `SolveResult`."""
 
     codes: np.ndarray
-    prices: np.ndarray
     trace: array
     iterations: int
     converged: bool
-    frozen_at: int
     objective_s: float
-    totals: _Totals | None
-    row: int
-
-    @property
-    def total_delay_s(self) -> float:
-        """Total delay of the plan's exact re-allocation, access included."""
-        return self.totals.values[self.row] if self.totals else 0.0
-
-
-def _empty_plan(topology: Topology) -> _Plan:
-    num_pools = 2 * (topology.num_rus + topology.num_dus) + 1
-    return _Plan(np.zeros(0, dtype=np.int64), np.zeros(num_pools), array("d"), 0, True, 0, 0.0, None, 0)
+    total_delay_s: float
 
 
 def _result(plan: _Plan, problem) -> SolveResult:
@@ -651,10 +620,16 @@ def _result(plan: _Plan, problem) -> SolveResult:
     problem.  The allocation and total delay come from the public
     `allocate_given_decision` and `total_delay`, so that a tracer wrapping
     them sees them under `solve`; they give the plan's own shares and total
-    bit for bit."""
+    bit for bit.  The duals are the plan's clearing prices (W_p / F_p)^2,
+    from the pool sums W of its picked square-root demands: at them every
+    stationary share is the plan's exact share, and a pool the plan does not
+    load is slack, so its multiplier is 0."""
     topology, tasks, rates_bps, _ = problem
     decision = Decision(tuple(TIERS[c] for c in plan.codes.tolist()))
     allocation = allocate_given_decision(decision, tasks, topology)
+    pools = _Pools(tasks, topology)
+    pick = (slice(None), pools.rows, plan.codes)
+    loads = _pool_loads(pools.index[pick], pools.root[pick], pools.capacity.size)
     candidate, best, dual, violation = np.array(plan.trace).reshape(-1, 4).T.copy()
     best_dual = max(plan.trace[2::4], default=0.0)
     best_obj = plan.objective_s
@@ -662,7 +637,7 @@ def _result(plan: _Plan, problem) -> SolveResult:
     return SolveResult(
         decision=decision,
         allocation=allocation,
-        duals=_dual_state(plan.prices, _family_starts(topology)),
+        duals=_dual_state((loads / pools.capacity) ** 2, pools.starts),
         iterations=plan.iterations,
         converged=plan.converged,
         objective_s=best_obj,
@@ -693,12 +668,11 @@ def solve(
     changes, and re-allocates it exactly.  Deterministic: identical inputs and
     config give identical outputs.  The converged flag reports whether the
     loop settled (stable decisions and peak relative overload below epsilon)
-    before max_iters.  A loop that stalls for 150 iterations freezes and
-    stops there: its polished incumbent is evaluated once at the exact
-    clearing prices, which are the returned duals, and it has converged if
-    that evaluation's overload is below epsilon.  On non-convergence the best
-    feasible plan found is still returned.  This is `_solve_batch` on a batch
-    of one, whose plan `_result` turns into the returned `SolveResult`.
+    before max_iters.  A loop that stalls for 150 iterations stops there
+    unconverged, as does one cut by max_iters.  Whatever stopped the loop,
+    the best plan it found is polished and returned with its own clearing
+    prices as the duals.  This is `_solve_batch` on a batch of one, whose
+    plan `_result` turns into the returned `SolveResult`.
     """
     problem = (topology, tasks, rates_bps, scheme)
     [(_, plan)] = _solve_batch([problem], config)
@@ -715,19 +689,21 @@ def _solve_batch(problems, config: SolverConfig | None = None):
     when its last problem stops; an empty task set needs no loop, is yielded
     at once and does not split a run.  No problem reads another's numbers,
     so each plan is the one `solve` gives for that problem alone.  A plan
-    carries its total delay (`_Totals`) but no `Allocation`, `DualState` or
-    trace arrays: `_result` builds those for one plan.
+    carries its total delay but no `Allocation`, `DualState` or trace
+    arrays: `_result` builds those for one plan.
     """
     config = config or SolverConfig()
     chunk: list = []  # (position, problem) pairs of the next loop
     shape = size = None
     for position, problem in enumerate(problems):
-        topology, tasks, _, _ = problem
+        topology, tasks, rates, _ = problem
         if tasks.num_tasks == 0:
-            yield position, _empty_plan(topology)
+            yield position, _Plan(np.zeros(0, dtype=np.int64), array("d"), 0, True, 0.0, 0.0)
             continue
         if tasks.num_tasks != topology.num_users:
             raise ValueError("tasks and topology disagree on the number of users")
+        if np.shape(rates) != (tasks.num_tasks,):
+            raise ValueError("rates must hold one entry per task")
         key = (tasks.num_tasks, topology.num_rus, topology.num_dus)
         if key != shape or len(chunk) == size:
             if chunk:
@@ -800,18 +776,18 @@ class _Stack:
 
 class _Run:
     """One problem's bookkeeping in `_price_loop`, in plain Python: its
-    position in the stream and its row in the loop's first stack, the
-    objective cache, the best plan, the stall clock, the stability window,
-    and the trace, packed as 4 floats (candidate, best, dual value,
-    violation) per iteration.  `stop` records how the problem stopped: its
-    iteration count, whether it converged and when it froze.  `uniform`
-    holds the objective of each single-tier plan, in L, H, C order."""
+    position in the stream, the objective cache, the best plan, the stall
+    clock, the stability window, and the trace, packed as 4 floats
+    (candidate, best, dual value, violation) per iteration.  `stop` records
+    how the problem stopped: its iteration count and whether it converged.
+    `uniform` holds the objective of each single-tier plan, in L, H, C
+    order."""
 
-    __slots__ = ("index", "problem", "row", "allowed", "cache", "best_obj", "best_codes", "since", "stable", "key",
-                 "trace", "iterations", "converged", "frozen_at")
+    __slots__ = ("index", "problem", "allowed", "cache", "best_obj", "best_codes", "since", "stable", "key",
+                 "trace", "iterations", "converged")
 
-    def __init__(self, index: int, problem, row: int, uniform: list[float]):
-        self.index, self.problem, self.row = index, problem, row
+    def __init__(self, index: int, problem, uniform: list[float]):
+        self.index, self.problem = index, problem
         self.allowed = tuple(TIER_INDEX[t] for t in problem[3].allowed_tiers)
         # The price loop revisits assignments: score each distinct one once.
         # Keyed by the assignment's tier codes, one byte per task, which do
@@ -827,8 +803,8 @@ class _Run:
             if uniform[code] < self.best_obj:
                 self.best_obj, self.best_codes = uniform[code], np.full(problem[1].num_tasks, code, dtype=np.int64)
 
-    def stop(self, iterations: int, converged: bool = False, frozen_at: int = 0):
-        self.iterations, self.converged, self.frozen_at, self.cache = iterations, converged, frozen_at, None
+    def stop(self, iterations: int, converged: bool = False):
+        self.iterations, self.converged, self.cache = iterations, converged, None
 
 
 def _price_loop(chunk, config: SolverConfig):
@@ -841,18 +817,16 @@ def _price_loop(chunk, config: SolverConfig):
     the peak overloads, dual values and exact objectives are per-row
     reductions of the loop's kernels.  No row reads another, so each
     problem follows the iterates it would follow alone.  The bookkeeping is
-    per problem (`_Run`), and a problem that stops leaves the stack with
-    its prices at that moment; it is polished and re-allocated with all
-    the others at the end.
+    per problem (`_Run`), and a problem that stops leaves the stack; it is
+    polished and re-allocated with all the others at the end.
     """
     first = stack = _Stack([problem for _, problem in chunk])
-    # Prices, steps and floors are pool vectors, one row per problem, for the
-    # whole loop; only `_result` splits a row into a DualState.
+    # Prices, steps and floors are pool vectors, one row per problem, and
+    # never leave the loop.
     prices = _initial_prices(stack)  # checked before any plan is scored
     stack.s0, stack.floors = _STEP_SCALE * prices / stack.capacity, _DUAL_FLOOR_SCALE * prices
     uniform = _cost(stack.uniform, stack.capacity).T.tolist()  # each single-tier plan's objective, per row
-    runs = [_Run(position, problem, row, uniform[row]) for row, (position, problem) in enumerate(chunk)]
-    final = np.empty_like(prices)  # each problem's prices when it stops, by row of the first stack
+    runs = [_Run(position, problem, costs) for (position, problem), costs in zip(chunk, uniform)]
     live = runs
     width = stack.first.shape[1]  # bytes per row of tier codes
     epsilon = config.epsilon
@@ -914,16 +888,14 @@ def _price_loop(chunk, config: SolverConfig):
                 stable = run.stable = run.stable + 1 if key == run.key else 1
                 run.key = key
                 if stable >= _STABILITY_WINDOW and overload < epsilon:
-                    final[run.row] = prices[row]
                     run.stop(t, converged=True)
                     stopped.append(row)
-                elif run.since >= _FREEZE_AFTER:
+                elif run.since >= _STALL_AFTER:
                     # Exploration has stalled: the winner-take-all
                     # iterates rarely settle on their own, because the
                     # relaxed optimum splits marginal tasks across tiers.
-                    # The incumbent freezes, and `_finish` polishes it
-                    # and prices it at its exact clearing values.
-                    run.stop(t, frozen_at=t)
+                    # That is a stop, not convergence.
+                    run.stop(t)
                     stopped.append(row)
 
             prices = _price_step(prices, loads, t, stack.s0, stack.floors, stack.capacity, stack.clip)
@@ -941,63 +913,24 @@ def _price_loop(chunk, config: SolverConfig):
                 prices = prices[order]
                 prev = stack.first + codes[order]
 
-    if live:  # cut by max_iters
-        for run in live:
-            run.stop(config.max_iters)
-        final[[run.row for run in live]] = prices
-    yield from _finish(first, runs, final, config)
+    for run in live:  # cut by max_iters
+        run.stop(config.max_iters)
+    yield from _finish(first, runs)
 
 
-def _finish(stack: _Stack, runs: list, prices: np.ndarray, config: SolverConfig):
-    """Finish every problem of a `_price_loop` at once, yielding (position,
-    plan) pairs in row order: run b holds row b of `stack`, the loop's first
-    stack, and row b of `prices` its prices when it stopped.
-
-    All problems are polished by one lockstep `_local_search`.  A frozen
-    problem is then priced at its polished plan's exact clearing values:
-    every pool the plan uses exactly tight, unused pools at their floors.
-    Iteration t + 1 of the loop would evaluate the frozen plan there, so
-    unless that is past `max_iters` its trace ends with that evaluation,
-    made by the loop's kernels on the frozen rows (`_settle`; no row reads
-    another, so the numbers are the loop's bit for bit), and the problem has
-    converged if its overload is below epsilon; later iterations could only
-    repeat it.  The plans' total delays are added up together when the
-    first is read (`_Totals`).
-    """
+def _finish(stack: _Stack, runs: list):
+    """Finish every problem of a `_price_loop` the same way, whatever
+    stopped it, yielding (position, plan) pairs in row order: run b holds
+    row b of `stack`, the loop's first stack.  All problems are polished by
+    one lockstep `_local_search`, and their plans' total delays are added up
+    as arrays (`_exact_totals`)."""
     member = _member(stack.local, stack.root, stack.capacity.shape[1])
     codes, objective = _local_search(np.array([run.best_codes for run in runs]), [run.best_obj for run in runs],
                                      [run.allowed for run in runs], member, stack.capacity)
-    frozen = [row for row, run in enumerate(runs) if run.frozen_at]
-    if frozen:
-        w = np.add.reduce(member[np.array(frozen)[:, None], np.arange(codes.shape[1]), codes[frozen]], axis=1)
-        prices[frozen] = np.where(w > 0, (w / stack.capacity[frozen]) ** 2, stack.floors[frozen])
-        settle = [row for row in frozen if runs[row].iterations < config.max_iters]
-        if settle:
-            with np.errstate(over="ignore"):
-                dual, overload = (values[settle].tolist() for values in _settle(stack, codes, prices))
-            for row, value, overload_row in zip(settle, dual, overload):
-                run = runs[row]
-                best = objective[row]
-                run.trace.fromlist([best, best, value, overload_row])
-                run.iterations += 1
-                run.converged = overload_row < config.epsilon
-
-    totals = _Totals(stack, codes, [run.problem[2] for run in runs])
-    for row, (run, best) in enumerate(zip(runs, objective.tolist())):
-        yield run.index, _Plan(codes[row], prices[row], run.trace, run.iterations, run.converged, run.frozen_at, best,
-                               totals, row)
-
-
-def _settle(stack: _Stack, codes: np.ndarray, prices: np.ndarray):
-    """The dual value and peak overload, (B,) each, that the price loop's
-    kernels give each row's plan of the loop's first stack at its row of
-    `prices`."""
-    marg = _marginals(stack.demand, prices.ravel().take(stack.index))
-    dual = _dual_value(_allowed_marginals(marg, stack.barred).min(axis=-1), prices, stack.capacity)
-    pick = (slice(None), np.arange(codes.shape[0])[:, None], np.arange(codes.shape[1]), codes)
-    index, demand = stack.index[pick], stack.demand[pick]
-    loads = _pool_loads(index, np.sqrt(demand / prices.ravel()[index]), prices.size).reshape(prices.shape)
-    return dual, _peak_overload(loads, stack.capacity)
+    rates = np.array([run.problem[2] for run in runs], dtype=np.float64)
+    totals = _exact_totals(stack, codes, rates).tolist()
+    for run, plan_codes, best, total in zip(runs, codes, objective.tolist(), totals):
+        yield run.index, _Plan(plan_codes, run.trace, run.iterations, run.converged, best, total)
 
 
 def _exact_totals(stack: _Stack, codes: np.ndarray, rates: np.ndarray) -> np.ndarray:

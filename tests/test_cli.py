@@ -418,8 +418,9 @@ def test_set_overrides_apply(capsys):
 
 def test_out_of_range_radio_and_geometry_are_errors(capsys):
     # An uplink bandwidth whose noise power makes the SINR NaN (1e300 Hz) or
-    # inf (1e-300 Hz), and an RU spacing that is not finite, exit 2 with a
-    # one-line diagnostic; the suite makes any RuntimeWarning an error.
+    # inf (1e-300 Hz), an RU spacing that is not finite, and one at which the
+    # user-RU distances overflow, exit 2 with a one-line diagnostic; the
+    # suite makes any RuntimeWarning an error.
     for value in ("1e300", "1e-300"):
         assert main(["--seed", "2", "--users", "3", "--set", f"uplink={value}"]) == 2
         err = capsys.readouterr().err
@@ -428,6 +429,10 @@ def test_out_of_range_radio_and_geometry_are_errors(capsys):
         assert main(["--seed", "2", "--users", "3", "--set", f"spacing={value}"]) == 2
         err = capsys.readouterr().err
         assert "ru_spacing_m must be finite" in err and err.count("\n") == 1
+    assert main(["--seed", "2", "--users", "3", "--set", "spacing=1e160"]) == 2
+    err = capsys.readouterr().err
+    assert "ru_spacing_m = 1e+160 is too large: the user-RU distances overflow" in err and err.count("\n") == 1
+    assert main(["--seed", "2", "--users", "3", "--set", "spacing=1e60"]) == 0  # far apart, but still a plan
 
 
 def test_sweepspec_validation():

@@ -66,6 +66,7 @@ def test_task_draws_stay_in_ranges():
         {"ru_spacing_m": 0.0},
         {"ru_spacing_m": float("nan")},
         {"ru_spacing_m": float("inf")},
+        {"ru_spacing_m": 1e160},  # finite, but the user-RU distances overflow
     ],
 )
 def test_generator_rejects_bad_specs(bad):

@@ -266,22 +266,27 @@ def test_dual_update_clip_bounds_step(make_topology):
 
 
 def test_exported_kernels_reproduce_the_loop_trace(random_instance):
-    # A converged loop stops on the returned plan at the returned prices, so
-    # the loop's kernels evaluated there, on the shares `primal_*` recover,
-    # must give the last trace entries bit for bit.
+    # The loop's first iteration picks each task's cheapest allowed tier at
+    # the initial prices of the problem's one-row stack, and its trace entry
+    # is the loop's kernels evaluated there: the exported kernels, on the
+    # shares `primal_*` recover for those picks, must give it bit for bit.
+    config = SolverConfig(max_iters=1)
     checked = 0
-    for num_users, num_rus, num_dus, seeds in ((6, 4, 2, range(4)), (8, 4, 2, range(4)), (40, 10, 4, range(1))):
+    for num_users, num_rus, num_dus, seeds in ((6, 4, 2, range(4)), (8, 4, 2, range(4)), (40, 10, 4, range(2))):
         for seed in seeds:
             scenario, rates = random_instance(seed=seed, num_users=num_users, num_rus=num_rus, num_dus=num_dus)
             topo, tasks = scenario.topology, scenario.tasks
-            for scheme in (Scheme.FOG, Scheme.CLOUD_RU, Scheme.CLOUD_DU, Scheme.CLOUD):
-                res = solve(topo, tasks, rates, scheme)
-                if not res.converged:
-                    continue
-                x = np.zeros((num_users, 3))
-                x[np.arange(num_users), res.decision.codes] = 1.0
-                assert _dual_value_at(res.duals, tasks, topo, scheme) == res.trace["dual_value_s"][-1]
-                assert _peak_overload(*_recovered_loads(res.duals, x, tasks, topo)) == res.trace["max_violation"][-1]
+            for scheme in Scheme:
+                res = solve(topo, tasks, rates, scheme, config)
+                assert res.iterations == 1 == res.trace["max_violation"].size and not res.converged
+                [prices] = _initial_prices(solver._Stack([(topo, tasks, rates, scheme)]))
+                duals = _dual_state(prices, _Pools(tasks, topo).starts)
+                picks = _allowed_marginals(_marginal_prices(duals, tasks, topo), _barred(scheme)).argmin(axis=1)
+                x = np.eye(3)[picks]
+                assert _dual_value_at(duals, tasks, topo, scheme) == res.trace["dual_value_s"][0]
+                assert _peak_overload(*_recovered_loads(duals, x, tasks, topo)) == res.trace["max_violation"][0]
+                candidate = offload_objective(Decision(tuple(TIERS[c] for c in picks)), tasks, topo)
+                assert candidate == res.trace["candidate_objective_s"][0]
                 checked += 1
     assert checked >= 30
 
@@ -360,9 +365,13 @@ def test_exported_kernels_match_per_family_formulas_on_many_pools(random_instanc
 
 
 def test_violation_below_tolerance_after_500_iterations(random_instance):
+    # The shares `primal_*` recover for the returned plan at the returned
+    # prices overload no pool, whatever stopped the loop.
     scenario, rates = random_instance(seed=0)
-    res = solve(scenario.topology, scenario.tasks, rates, Scheme.FOG, SolverConfig(max_iters=500))
-    assert res.trace["max_violation"][-1] < 1e-3
+    topo, tasks = scenario.topology, scenario.tasks
+    res = solve(topo, tasks, rates, Scheme.FOG, SolverConfig(max_iters=500))
+    x = np.eye(3)[res.decision.codes]
+    assert _peak_overload(*_recovered_loads(res.duals, x, tasks, topo)) < 1e-3
 
 
 # --- exact per-decision allocation ------------------------------------------
@@ -527,7 +536,7 @@ def test_stacked_layout_matches_single_problem_kernels(random_instance):
 def test_batch_matches_single_solves(random_instance, make_topology, monkeypatch):
     # One price loop serves the whole batch; no row may read another, so each
     # plan must give the single solve's result bit for bit, including rows
-    # that stop early and leave the stack, rows that freeze, and rows cut by
+    # that stop early and leave the stack, rows that stall, and rows cut by
     # max_iters.  The problems are streamed in from an iterator and the plans
     # out as (position, plan) pairs at the end of each loop; the empty task
     # set does not split a run.
@@ -566,43 +575,65 @@ def test_batch_matches_single_solves(random_instance, make_topology, monkeypatch
         if config.max_iters == 60:
             assert any(r.converged for r in batch) and any(r.iterations == 60 and not r.converged for r in batch)
         else:
-            assert any(plan.frozen_at for plan in plans)
+            assert any(not r.converged and r.iterations < config.max_iters for r in batch)  # stalls
 
 
-def _frozen_fog_problem(random_instance):
-    """A K=8 FOG problem whose price loop freezes, its result, and the
-    iteration at which it froze, as its plan records it."""
-    for seed in range(20):
-        scenario, rates = random_instance(seed=seed, num_users=8, num_rus=4, num_dus=2)
-        problem = (scenario.topology, scenario.tasks, rates, Scheme.FOG)
-        [(_, plan)] = solver._solve_batch([problem])
-        if plan.frozen_at:
-            return problem, solver._result(plan, problem), plan.frozen_at
-    raise AssertionError("no K=8 FOG problem froze")
+def _stops(random_instance):
+    """(problem, config, result) of solves that stop every way the loop can
+    stop, over all four schemes: a K=8 set, one with an RU without users and
+    one with a zero-rate user, each run to its own stop and cut by
+    max_iters=20."""
+    instances = [random_instance(seed=seed, num_users=8, num_rus=4, num_dus=2) for seed in range(6)]
+    instances.append(random_instance(seed=6, num_users=4, num_rus=6, num_dus=2))
+    scenario, rates = random_instance(seed=7, num_users=6, num_rus=4, num_dus=2)
+    instances.append((scenario, np.where(np.arange(6) == 2, 0.0, rates)))
+    stops = []
+    for scenario, rates in instances:
+        for scheme in Scheme:
+            problem = (scenario.topology, scenario.tasks, rates, scheme)
+            for config in (SolverConfig(), SolverConfig(max_iters=20)):
+                stops.append((problem, config, solve(*problem, config)))
+    return stops
 
 
-def test_frozen_problem_stops_at_its_clearing_prices(random_instance):
-    # A frozen plan is polished and priced at its exact clearing values, and
-    # the loop's evaluation there is its last: the returned duals are those
-    # prices, (W/F)^2 on every pool the plan uses, and the freeze at
-    # iteration t ends the solve after iteration t + 1.
-    (topo, tasks, rates, scheme), res, t = _frozen_fog_problem(random_instance)
-    assert res.iterations == t + 1 == res.trace["max_violation"].size
-    assert res.converged == (res.trace["max_violation"][-1] < SolverConfig().epsilon)
-    pools = _Pools(tasks, topo)
-    w = pools.loads(res.decision.codes)
-    used = w > 0
-    assert (_price_vector(res.duals, topo)[used] == (w[used] / pools.capacity[used]) ** 2).all()
-    assert _dual_value_at(res.duals, tasks, topo, scheme) == res.trace["dual_value_s"][-1]
-    # A freeze on the last allowed iteration returns the frozen plan at the
-    # same prices, unconverged, with no evaluation after it.
-    config = SolverConfig(max_iters=t)
-    [(_, plan)] = solver._solve_batch([(topo, tasks, rates, scheme)], config)
-    assert plan.frozen_at == t
-    cut = solve(topo, tasks, rates, scheme, config)
-    assert cut.iterations == t == cut.trace["max_violation"].size and not cut.converged
-    assert cut.decision == res.decision
-    assert _price_vector(cut.duals, topo).tobytes() == _price_vector(res.duals, topo).tobytes()
+def _stall_clock(res, tasks, topo, scheme):
+    """The loop's stall clock at its last iteration, read off the trace:
+    iterations since the incumbent last improved by more than 1e-9 of
+    itself, the best single-tier plan being the incumbent before the first."""
+    uniform = min(offload_objective(Decision((tier,) * tasks.num_tasks), tasks, topo) for tier in scheme.allowed_tiers)
+    best = [uniform] + res.trace["best_objective_s"].tolist()
+    return res.iterations - max((t for t in range(1, len(best)) if best[t] < best[t - 1] * (1 - 1e-9)), default=0)
+
+
+def test_a_stall_is_a_stop_not_convergence(random_instance):
+    # The loop converges only on its stability rule: 25 identical decisions
+    # with the peak overload below epsilon.  A stall (150 iterations without
+    # a material improvement) and max_iters are stops, not convergence.
+    # Whatever stopped it, the trace ends at the stopping iteration and the
+    # plan is finished the same way, so a solve cut by max_iters at the
+    # iteration where it stopped returns the same result bit for bit.
+    kinds = set()
+    for (topo, tasks, rates, scheme), config, res in _stops(random_instance):
+        t = res.iterations
+        assert all(values.size == t for values in res.trace.values())  # nothing evaluated after the stop
+        candidate, violation = res.trace["candidate_objective_s"], res.trace["max_violation"]
+        stable = t >= 25 and (candidate[-25:] == candidate[-1]).all() and violation[-1] < config.epsilon
+        clock = _stall_clock(res, tasks, topo, scheme)
+        assert clock <= 150
+        if res.converged:
+            kind = "stable"
+        elif clock == 150:
+            kind = "stall"
+        else:
+            kind = "max_iters"
+            assert t == config.max_iters
+        assert stable == res.converged, (scheme, kind)
+        kinds.add((scheme, kind))
+        if t < config.max_iters:
+            _assert_same_result(solve(topo, tasks, rates, scheme, SolverConfig(max_iters=t)), res)
+    assert {kind for _, kind in kinds} == {"stable", "stall", "max_iters"}
+    assert {scheme for scheme, kind in kinds if kind == "max_iters"} == set(Scheme)
+    assert {scheme for scheme, kind in kinds if kind == "stall"} >= {Scheme.FOG, Scheme.CLOUD_RU, Scheme.CLOUD_DU}
 
 
 def test_drawing_tiers_follow_the_pool_layout(random_instance):
@@ -661,7 +692,7 @@ def test_plans_ignore_capacities_no_allowed_tier_draws_on(random_instance):
 def test_pools_no_allowed_tier_draws_on_are_priced_zero(random_instance):
     # A scheme has no capacity constraint, and so no price, for a pool none
     # of its tiers draws on: its initial price is 0, and so is its returned
-    # price, whether the solve converges, freezes or is cut by max_iters.
+    # price, whether the solve converges, stalls or is cut by max_iters.
     # Every other initial price is the one the full scheme gets.
     unread = {Scheme.CLOUD_RU: ("lam",), Scheme.CLOUD_DU: ("mu",), Scheme.CLOUD: ("mu", "lam")}
     stops = set()
@@ -719,6 +750,15 @@ def test_extreme_capacity_scales(random_instance):
             assert res.total_delay_s <= truth.total_delay_s * (1 + 1e-4)
 
 
+def test_solve_refuses_rates_of_another_size(random_instance):
+    # Every plan's total delay is added up in the finish, so a rate vector
+    # that does not hold one entry per task is refused before any loop runs.
+    scenario, rates = random_instance(seed=0, num_users=5)
+    for bad in (rates[:4], np.append(rates, 1e7), rates[None]):
+        with pytest.raises(ValueError, match="one entry per task"):
+            solve(scenario.topology, scenario.tasks, bad, Scheme.FOG)
+
+
 def test_solve_empty_taskset(make_topology):
     topo = make_topology(num_users=0)
     tasks = TaskSet(data_bits=np.array([]), cycles_per_bit=np.array([]))
@@ -729,22 +769,34 @@ def test_solve_empty_taskset(make_topology):
 
 
 def test_returned_duals_price_the_returned_plan(random_instance):
-    # after convergence the recovered shares at the returned prices coincide
-    # with the exact allocation
-    scenario, rates = random_instance(seed=12, num_users=6, num_rus=2, num_dus=1)
-    topo, tasks = scenario.topology, scenario.tasks
-    res = solve(topo, tasks, rates, Scheme.FOG)
-    assert res.converged
-    x = np.zeros((6, 3))
-    x[np.arange(6), res.decision.codes] = 1.0
-    a, b, c = primal_speeds_from_duals(res.duals, x, tasks, topo)
-    for k, tier in enumerate(res.decision.tiers):
-        if tier == "L":
-            assert a[k] == pytest.approx(res.allocation.mecl_speed[k], rel=1e-9)
-        elif tier == "H":
-            assert b[k] == pytest.approx(res.allocation.mech_speed[k], rel=1e-9)
-        else:
-            assert c[k] == pytest.approx(res.allocation.cloud_speed[k], rel=1e-9)
+    # Whatever stopped the loop, the returned duals are the returned plan's
+    # clearing prices, (W/F)^2 for the pool sums W of its square-root
+    # demands: 0 on every pool it does not load, and at them the shares
+    # `primal_*` recover are the returned allocation's.
+    families = ("mecl_speed", "mech_speed", "cloud_speed", "fronthaul_bw", "midhaul_bw")
+    unloaded = 0
+    for (topo, tasks, _, _), _, res in _stops(random_instance):
+        pools = _Pools(tasks, topo)
+        w = pools.loads(res.decision.codes)
+        prices = _price_vector(res.duals, topo)
+        assert prices.tobytes() == ((w / pools.capacity) ** 2).tobytes()
+        assert (prices[w == 0] == 0).all() and (prices[w > 0] > 0).all()
+        unloaded += int((w == 0).sum())
+        x = np.eye(3)[res.decision.codes]
+        a, b, c = primal_speeds_from_duals(res.duals, x, tasks, topo)
+        alpha, beta, gamma = primal_bandwidth_from_duals(res.duals, x, tasks, topo)
+        recovered = {name: {} for name in families}
+        for k, tier in enumerate(res.decision.tiers):
+            if tier == "L":
+                recovered["mecl_speed"][k] = a[k]
+            elif tier == "H":
+                recovered["mech_speed"][k], recovered["fronthaul_bw"][k] = b[k], alpha[k]
+            else:
+                recovered["cloud_speed"][k], recovered["fronthaul_bw"][k] = c[k], gamma[k]
+                recovered["midhaul_bw"][k] = beta[k]
+        for name in families:
+            assert recovered[name] == pytest.approx(getattr(res.allocation, name), rel=1e-9), name
+    assert unloaded > 0
 
 
 # --- local-search polish ----------------------------------------------------
