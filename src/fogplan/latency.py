@@ -111,21 +111,28 @@ def _require(allocation_map: dict[int, float], name: str, k: int, tier: str) -> 
     return allocation_map[k]
 
 
-def _legs(k: int, tier: str, bits: float, cycles: float, fronthaul_se, midhaul_se, allocation: Allocation):
+def _link_s(bits: float, bw: float, se: float) -> float:
+    """Seconds to send `bits` over `bw` Hz of a link of spectral efficiency
+    `se`, in Python floats, which give numpy's IEEE results without its
+    warnings: a rate that overflows to inf takes 0 s, and one that underflows
+    to 0 takes inf s (where Python's own division would raise)."""
+    rate = bw * se
+    return bits / rate if rate else math.inf
+
+
+def _legs(k: int, tier: str, bits: float, cycles: float, fronthaul_se: float, midhaul_se: float,
+          allocation: Allocation):
     """Fronthaul, midhaul and compute seconds of task k on the given tier with
     the given shares, for a task of `bits` and `cycles` whose RU and DU links
-    have the given spectral efficiencies."""
+    have the given spectral efficiencies, all Python floats."""
     if tier == TIER_L:
         return 0.0, 0.0, cycles / _require(allocation.mecl_speed, "mecl_speed", k, tier)
     if tier == TIER_H:
-        bw = _require(allocation.fronthaul_bw, "fronthaul_bw", k, tier)
-        fronthaul_s = bits / (bw * fronthaul_se)
+        fronthaul_s = _link_s(bits, _require(allocation.fronthaul_bw, "fronthaul_bw", k, tier), fronthaul_se)
         return fronthaul_s, 0.0, cycles / _require(allocation.mech_speed, "mech_speed", k, tier)
     if tier == TIER_C:
-        bw = _require(allocation.fronthaul_bw, "fronthaul_bw", k, tier)
-        fronthaul_s = bits / (bw * fronthaul_se)
-        mbw = _require(allocation.midhaul_bw, "midhaul_bw", k, tier)
-        midhaul_s = bits / (mbw * midhaul_se)
+        fronthaul_s = _link_s(bits, _require(allocation.fronthaul_bw, "fronthaul_bw", k, tier), fronthaul_se)
+        midhaul_s = _link_s(bits, _require(allocation.midhaul_bw, "midhaul_bw", k, tier), midhaul_se)
         return fronthaul_s, midhaul_s, cycles / _require(allocation.cloud_speed, "cloud_speed", k, tier)
     raise ValueError(f"unknown tier {tier!r} for task {k}")
 
@@ -144,7 +151,8 @@ def task_delay(
     du = int(topology.ru_to_du[ru])
     access_s = access_delay(bits, access_rate_bps)
     fronthaul_s, midhaul_s, compute_s = _legs(
-        k, tier, bits, float(tasks.compute_cycles[k]), topology.fronthaul_se[ru], topology.midhaul_se[du], allocation
+        k, tier, bits, float(tasks.compute_cycles[k]), float(topology.fronthaul_se[ru]), float(topology.midhaul_se[du]),
+        allocation,
     )
     return DelayBreakdown(
         access_s=access_s,
@@ -219,7 +227,8 @@ def total_delay(
     rates = np.asarray(rates_bps, dtype=np.float64).tolist()
     bits, cycles = tasks.data_bits.tolist(), tasks.compute_cycles.tolist()
     ru = topology.user_to_ru
-    fronthaul_se, midhaul_se = topology.fronthaul_se[ru], topology.midhaul_se[topology.ru_to_du[ru]]
+    fronthaul_se = topology.fronthaul_se[ru].tolist()
+    midhaul_se = topology.midhaul_se[topology.ru_to_du[ru]].tolist()
     total = 0
     for k, tier in enumerate(decision.tiers):
         access_s = access_delay(bits[k], rates[k])

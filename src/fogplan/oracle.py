@@ -12,10 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# perfbench/tracer.py patches `fogplan.oracle.total_delay`, so the name stays
-# bound here although the oracle no longer calls it.
-from .latency import TIER_INDEX, Allocation, Decision, total_delay  # noqa: F401
-from .phy import access_delay
+from .latency import TIER_INDEX, Allocation, Decision, total_delay
 from .scenario import Scheme, TaskSet, Topology
 from .solver import _Pools, allocate_given_decision
 
@@ -40,6 +37,8 @@ def enumerate_optimal(
 
     Ties resolve to the lexicographically first assignment (task index order,
     tiers ordered L, H, C).  Instances above `cap` assignments are refused.
+    The optimum's total is `total_delay` of its exact allocation, as `solve`
+    totals its plan, so equal decisions give equal totals bit for bit.
     """
     n_tasks = tasks.num_tasks
     allowed = scheme.allowed_tiers
@@ -49,9 +48,6 @@ def enumerate_optimal(
             f"{n_decisions} assignments exceed the enumeration cap {cap}; "
             "use solver.solve for instances of this size"
         )
-    rates = np.asarray(rates_bps, dtype=np.float64)
-    access_total = sum(access_delay(float(tasks.data_bits[k]), float(rates[k])) for k in range(n_tasks))
-
     pools = _Pools(tasks, topology)
     allowed_codes = {tier: TIER_INDEX[tier] for tier in allowed}
     best_obj = np.inf
@@ -68,5 +64,5 @@ def enumerate_optimal(
     return OracleResult(
         decision=decision,
         allocation=allocation,
-        total_delay_s=float(best_obj + access_total),
+        total_delay_s=total_delay(topology, tasks, decision, allocation, rates_bps),
     )

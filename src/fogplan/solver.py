@@ -3,13 +3,13 @@
 Relaxing the 0/1 tier indicators and substituting indicator-weighted resource
 shares turns every delay term into a perspective of a convex 1/share term, so
 the relaxed problem is convex and its Lagrangian minimizers have closed forms:
-for fixed multiplier prices, each share is proportional to the square root of
-its demand-to-price ratio, and the per-task cost of choosing a tier collapses
-to a marginal price (`_marginals`).  The loop alternates winner-take-all
-tier picks at current prices with a projected subgradient price update whose
-step diminishes as 1/sqrt(t).  Every candidate assignment seen is evaluated
-exactly through the per-pool closed form, and the best one is re-allocated
-exactly at the end, so the returned plan is always feasible.
+for fixed multiplier prices pi, each share is sqrt(d) / sqrt(pi) for a demand
+d, and the per-task cost of choosing a tier collapses to a marginal price
+whose terms are 2 sqrt(d) sqrt(pi) (`_marginals`).  The loop alternates
+winner-take-all tier picks at current prices with a projected subgradient
+price update whose step diminishes as 1/sqrt(t).  Every candidate assignment
+seen is evaluated exactly through the per-pool closed form, and the best one
+is re-allocated exactly at the end, so the returned plan is always feasible.
 
 The loop's tuning is fixed, not configurable: step 0.25/sqrt(t) in units of
 each price's initial value per capacity of excess load, excess clipped at 1
@@ -25,9 +25,14 @@ The pools are one vector everywhere, in the order per-RU MEC, per-DU MEC,
 cloud, per-RU fronthaul, per-DU midhaul, and `_layout` builds that layout for
 one problem (`_Pools`) or for a stack of problems of one shape.  Each task and
 tier draws on at most three pools (compute, fronthaul, midhaul), so the price
-loop works on a pool-index array and the matching raw demands, stored
-term-major as (term, task, tier): one gather of the prices gives every
-marginal, and one scatter of the picked tiers' shares gives every pool load.
+loop works on a pool-index array and the matching square-root demands,
+stored term-major as (term, task, tier): one square root per pool price and
+one gather of those roots give every marginal, and one scatter of the picked
+tiers' shares gives every pool load.  Every closed form reads sqrt(d): the
+pool cost (sum sqrt(d))^2 / F, the exact share F sqrt(d) / W, and at prices pi
+the stationary share and the marginal, so no expression forms d pi or d / pi,
+which overflow at extreme but finite inputs where their square roots do not.
+Raw demands appear only as the numerators of the delay legs (`_paths`).
 Term-major, the three terms of a marginal are three contiguous planes added
 element by element (in the same order, so to the same bits) rather than a
 length-3 innermost axis that numpy reduces one short row at a time; and since
@@ -183,11 +188,12 @@ class _Pools:
     fronthaul, per-DU midhaul.  `capacity` holds each pool's capacity in that
     order.  Each task and tier draws on at most three pools, its compute,
     fronthaul and midhaul terms, and the arrays that name them are term-major
-    like the price loop's (`_layout`): `index[term, k, tier]` is that pool,
-    `demand[term, k, tier]` the raw demand on it (0 for a term the tier does
-    not use) and `root` its square root.  `member[k, tier, p]` is the square
-    root of task k's demand on pool p when it runs on `tier`, the same
-    numbers spread over the whole pool vector; it is built on first use.
+    like the price loop's (`_layout`): `index[term, k, tier]` is that pool
+    and `root[term, k, tier]` the square root of the demand on it (0 for a
+    term the tier does not use), from which every closed form is read.
+    `member[k, tier, p]` is the square root of task k's demand on pool p
+    when it runs on `tier`, the same numbers spread over the whole pool
+    vector; it is built on first use.
     It knows no scheme, so it sets no price: `_initial_prices` reads a
     price loop's `_Stack`.
     """
@@ -195,8 +201,7 @@ class _Pools:
     def __init__(self, tasks: TaskSet, topology: Topology):
         (self.capacity,), self.starts, index = _layout([topology])
         self.index = index[:, 0]
-        self.demand = _demands(_paths([topology], [tasks]), [tasks])[:, 0]
-        self.root = np.sqrt(self.demand)
+        self.root = _roots(_paths([topology], [tasks]))[:, 0]
         self.rows = np.arange(self.index.shape[1])
 
     @cached_property
@@ -247,24 +252,28 @@ def _family_starts(topology: Topology) -> np.ndarray:
 
 
 def _paths(topologies, task_sets):
-    """Each task's data bits and the spectral efficiencies of its RU's
-    fronthaul and its DU's midhaul link, (B, K) each."""
+    """Each task's data bits, compute cycles and the spectral efficiencies of
+    its RU's fronthaul and its DU's midhaul link, (B, K) each: the
+    numerators and link factors of its delay legs."""
     return (
         np.array([tasks.data_bits for tasks in task_sets]),
+        np.array([tasks.compute_cycles for tasks in task_sets]),
         np.array([t.fronthaul_se[t.user_to_ru] for t in topologies]),
         np.array([t.midhaul_se[t.user_du] for t in topologies]),
     )
 
 
-def _demands(paths, task_sets) -> np.ndarray:
-    """Raw demands laid out like `_layout`'s index, (3, B, K, 3), from the
-    tasks' `_paths`."""
-    bits, fronthaul_se, midhaul_se = paths
-    demand = np.zeros((3,) + bits.shape + (3,))
-    demand[0] = (bits * np.array([tasks.cycles_per_bit for tasks in task_sets]))[..., None]
-    demand[1, ..., _CODE_H] = demand[1, ..., _CODE_C] = bits / fronthaul_se
-    demand[2, ..., _CODE_C] = bits / midhaul_se
-    return demand
+def _roots(paths) -> np.ndarray:
+    """Square roots of the demands, laid out like `_layout`'s index,
+    (3, B, K, 3), from the tasks' `_paths`: compute cycles, then fronthaul
+    and midhaul Hz-seconds (bits over spectral efficiency); 0 for a term the
+    tier does not use."""
+    bits, cycles, fronthaul_se, midhaul_se = paths
+    root = np.zeros((3,) + bits.shape + (3,))
+    root[0] = np.sqrt(cycles)[..., None]
+    root[1, ..., _CODE_H] = root[1, ..., _CODE_C] = np.sqrt(bits / fronthaul_se)
+    root[2, ..., _CODE_C] = np.sqrt(bits / midhaul_se)
+    return root
 
 
 def _member(index: np.ndarray, root: np.ndarray, num_pools: int) -> np.ndarray:
@@ -340,15 +349,14 @@ def _initial_prices(stack: _Stack) -> np.ndarray:
     finite and positive.  Of several problems, the first one that fails
     names the failure.
     """
-    barred = stack.barred > 0  # (B, 1, 3)
     # A pool's all-members sum is its load under an allowed uniform plan that
     # uses it; the fronthaul sums under H and under C are the same.
-    all_members = np.where(np.moveaxis(barred, -1, 0), 0.0, stack.uniform).max(axis=0)
+    all_members = stack.uniform.max(axis=0)
     with np.errstate(over="ignore"):  # an overflow is reported below
         prices = (all_members / stack.capacity) ** 2
         step_scale = _STEP_SCALE * prices / stack.capacity
     finite = np.isfinite(prices) & np.isfinite(step_scale)
-    floored = (_DUAL_FLOOR_SCALE * prices.ravel()[stack.index] > 0) | barred
+    floored = (_DUAL_FLOOR_SCALE * prices.ravel()[stack.index] > 0) | (stack.barred > 0)
     if not (finite.all() and floored.all()):
         overflow = ~finite.all(axis=1)  # per problem
         underflow = ~np.moveaxis(floored, 0, -2).reshape(overflow.size, -1).all(axis=1)
@@ -359,8 +367,8 @@ def _initial_prices(stack: _Stack) -> np.ndarray:
 
 
 def _stationary_shares(duals: DualState, x, tasks: TaskSet, topology: Topology, terms) -> tuple[np.ndarray, ...]:
-    """Share = weight times sqrt(demand/price) for each (tier, term) of
-    `_Pools.index` in `terms`, zero wherever the tier weight is zero; only
+    """Share = weight times sqrt(demand) / sqrt(price) for each (tier, term)
+    of `_Pools.index` in `terms`, zero wherever the tier weight is zero; only
     those shares' prices must be strictly positive."""
     x = np.asarray(x, dtype=np.float64)
     pools = _Pools(tasks, topology)
@@ -374,7 +382,7 @@ def _stationary_shares(duals: DualState, x, tasks: TaskSet, topology: Topology, 
             family = fields(DualState)[np.searchsorted(pools.starts, pool, side="right") - 1].name
             raise ValueError(f"{family} must be strictly positive wherever the matching tier weight is")
         share = np.zeros_like(weight)
-        share[mask] = weight[mask] * np.sqrt(pools.demand[term, mask, tier] / price[mask])
+        share[mask] = weight[mask] * (pools.root[term, mask, tier] / np.sqrt(price[mask]))
         shares.append(share)
     return tuple(shares)
 
@@ -383,8 +391,8 @@ def primal_speeds_from_duals(
     duals: DualState, x: np.ndarray, tasks: TaskSet, topology: Topology
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stationary compute shares (a, b, c) of the L, H and C tiers at the given
-    prices: share = weight times sqrt(demand/price), zero wherever the tier
-    weight is zero."""
+    prices: share = weight times sqrt(demand) / sqrt(price), zero wherever
+    the tier weight is zero."""
     return _stationary_shares(duals, x, tasks, topology, ((_CODE_L, 0), (_CODE_H, 0), (_CODE_C, 0)))
 
 
@@ -396,13 +404,14 @@ def primal_bandwidth_from_duals(
     return _stationary_shares(duals, x, tasks, topology, ((_CODE_H, 1), (_CODE_C, 2), (_CODE_C, 1)))
 
 
-def _marginals(demand: np.ndarray, task_prices: np.ndarray) -> np.ndarray:
+def _marginals(root: np.ndarray, root_prices: np.ndarray) -> np.ndarray:
     """Per-task tier prices, (..., K, 3) in L, H, C order, from term-major
-    demands and prices (3, ..., K, 3): 2 sqrt(demand * price) summed over
-    the compute, fronthaul and midhaul terms, in that order.  The terms are
-    the leading axis, so the sum adds three contiguous blocks element by
-    element instead of reducing a length-3 innermost axis."""
-    return np.add.reduce(2.0 * np.sqrt(demand * task_prices), axis=0)
+    square roots of demands and of prices (3, ..., K, 3): 2 sqrt(demand)
+    sqrt(price) summed over the compute, fronthaul and midhaul terms, in that
+    order.  The terms are the leading axis, so the sum adds three contiguous
+    blocks element by element instead of reducing a length-3 innermost
+    axis."""
+    return np.add.reduce(2.0 * root * root_prices, axis=0)
 
 
 def _barred(scheme: Scheme) -> np.ndarray:
@@ -413,8 +422,8 @@ def _barred(scheme: Scheme) -> np.ndarray:
 def _allowed_marginals(marg: np.ndarray, barred: np.ndarray) -> np.ndarray:
     """Marginals with the barred tiers priced at +inf: a row's argmin is the
     task's cheapest allowed tier (the first minimum, so ties resolve in L, H,
-    C order) and its min that tier's price.  Marginals are sums of square
-    roots of non-negative finite products, never NaN, so adding 0 leaves an
+    C order) and its min that tier's price.  Marginals are sums of products
+    of finite non-negative square roots, never NaN, so adding 0 leaves an
     offered tier's price exactly as it is."""
     return marg + barred
 
@@ -718,45 +727,45 @@ class _Stack:
     """The arrays of the problems still in a `_price_loop`, one row per
     problem: row b's pools are entries b P to b P + P - 1 of one pool vector.
 
-    The pool index, raw demands and their square roots are term-major,
-    (3, B, K, 3) for (term, problem, task, tier), so that the marginals add
-    three contiguous term planes (see the module docstring); `terms`,
-    `demand_terms` and `root_terms` are their (3, B K 3) views, from which the
-    picks are taken along axis 1.  `first[b, k]` = 3 (b K + k) is where task
-    k of row b has its L tier in the raveled (B, K, 3) marginals and in the
-    columns of those views; its H and C tiers follow.  `tier` holds the tier
-    code of each raveled entry, as `uint8`, and `barred[b, 0]` is row b's
-    `_barred`.  `uniform`, the single-tier plans' pool sums (3, B, P), which
-    over the tiers a row's scheme allows give its initial prices, `paths`,
-    the tasks' `_paths`, and `local`, the pool index as `_layout` gives it
-    (each row's pools as 0 to P - 1), are built with the stack for the start
-    and the finish and are not kept by `take`; the loop sets `s0` and
-    `floors`."""
+    The pool index and the square roots of the demands (`_roots`) are
+    term-major, (3, B, K, 3) for (term, problem, task, tier), so that the
+    marginals add three contiguous term planes (see the module docstring);
+    `terms` and `root_terms` are their (3, B K 3) views, from which the picks
+    are taken along axis 1.  The stack holds no raw demand: every marginal,
+    share and cost is read from `root`.  `first[b, k]` = 3 (b K + k) is
+    where task k of row b has its L tier in the raveled (B, K, 3) marginals
+    and in the columns of those views; its H and C tiers follow.  `tier`
+    holds the tier code of each raveled entry, as `uint8`, and `barred[b, 0]`
+    is row b's `_barred`.  `uniform`, the single-tier plans' pool sums
+    (3, B, P), 0 under a tier the row's scheme bars, which give each row's
+    initial prices and single-tier objectives, `paths`, the tasks' `_paths`,
+    and `local`, the pool index as `_layout` gives it (each row's pools as 0
+    to P - 1), are built with the stack for the start and the finish and are
+    not kept by `take`; the loop sets `s0` and `floors`."""
 
-    __slots__ = ("index", "local", "demand", "root", "capacity", "starts", "barred", "uniform", "paths", "s0",
-                 "floors", "terms", "demand_terms", "root_terms", "first", "tier", "clip", "bars")
+    __slots__ = ("index", "local", "root", "capacity", "starts", "barred", "uniform", "paths", "s0", "floors",
+                 "terms", "root_terms", "first", "tier", "clip", "bars")
 
     def __init__(self, problems):
         topologies, task_sets, _, schemes = zip(*problems)
         self.capacity, self.starts, self.local = _layout(topologies)
         self.index = self.local + np.arange(0, self.capacity.size, self.capacity.shape[1])[:, None, None]
         self.paths = _paths(topologies, task_sets)
-        self.demand = _demands(self.paths, task_sets)
-        self.root = np.sqrt(self.demand)
+        self.root = _roots(self.paths)
+        barred = {scheme: _barred(scheme) for scheme in set(schemes)}
+        self.barred = np.array([barred[scheme] for scheme in schemes])[:, None, :]
         # Each tier's terms add up, in task order, in its own copy of the pools.
         tier_pools = (self.index + self.capacity.size * np.arange(3)).ravel()
         uniform = np.bincount(tier_pools, weights=self.root.ravel(), minlength=3 * self.capacity.size)
-        self.uniform = uniform.reshape(3, *self.capacity.shape)
-        barred = {scheme: _barred(scheme) for scheme in set(schemes)}
-        self.barred = np.array([barred[scheme] for scheme in schemes])[:, None, :]
-        rows, num_tasks = self.demand.shape[1:3]
+        self.uniform = np.where(np.moveaxis(self.barred > 0, -1, 0), 0.0, uniform.reshape(3, *self.capacity.shape))
+        rows, num_tasks = self.root.shape[1:3]
         self.first = np.arange(0, 3 * rows * num_tasks, 3).reshape(rows, num_tasks)
         self.tier = np.tile(np.arange(3, dtype=np.uint8), rows * num_tasks)
         self.clip = _SUBGRADIENT_CLIP * self.capacity
         self._views()
 
     def _views(self):
-        self.terms, self.demand_terms, self.root_terms = (a.reshape(3, -1) for a in (self.index, self.demand, self.root))
+        self.terms, self.root_terms = self.index.reshape(3, -1), self.root.reshape(3, -1)
         self.bars = bool(self.barred.any())
 
     def take(self, keep: np.ndarray) -> "_Stack":
@@ -764,7 +773,7 @@ class _Stack:
         stack = object.__new__(_Stack)
         shift = (keep - np.arange(keep.size)) * self.capacity.shape[1]  # each kept row's pools move down
         stack.index = self.index[:, keep] - shift[:, None, None]
-        stack.demand, stack.root, stack.starts = self.demand[:, keep], self.root[:, keep], self.starts
+        stack.root, stack.starts = self.root[:, keep], self.starts
         stack.capacity, stack.s0, stack.floors, stack.clip, stack.barred = (
             array[keep] for array in (self.capacity, self.s0, self.floors, self.clip, self.barred)
         )
@@ -825,7 +834,9 @@ def _price_loop(chunk, config: SolverConfig):
     # never leave the loop.
     prices = _initial_prices(stack)  # checked before any plan is scored
     stack.s0, stack.floors = _STEP_SCALE * prices / stack.capacity, _DUAL_FLOOR_SCALE * prices
-    uniform = _cost(stack.uniform, stack.capacity).T.tolist()  # each single-tier plan's objective, per row
+    # Each allowed single-tier plan's objective, per row; a barred tier's
+    # sums are 0, so it costs 0 and is never read.
+    uniform = _cost(stack.uniform, stack.capacity).T.tolist()
     runs = [_Run(position, problem, costs) for (position, problem), costs in zip(chunk, uniform)]
     live = runs
     width = stack.first.shape[1]  # bytes per row of tier codes
@@ -836,8 +847,10 @@ def _price_loop(chunk, config: SolverConfig):
     # `_price_step` clips the excess it feeds.
     with np.errstate(over="ignore"):
         for t in range(1, config.max_iters + 1):
-            task_prices = prices.ravel().take(stack.index)
-            marg = _marginals(stack.demand, task_prices)
+            # One square root per pool price: every closed form below reads
+            # square roots of demands and prices, never their product.
+            task_roots = np.sqrt(prices).ravel().take(stack.index)
+            marg = _marginals(stack.root, task_roots)
             allowed_marg = _allowed_marginals(marg, stack.barred) if stack.bars else marg
             # Tier picks as (task, tier) pairs flattened task-major:
             # entries of the raveled marginals and columns of `terms`.  A
@@ -855,8 +868,8 @@ def _price_loop(chunk, config: SolverConfig):
                 picked = np.where(flat.take(picked) >= margin, prev, picked)
             prev = picked
 
-            task_demand = stack.demand_terms.take(picked, axis=1)
-            shares = np.sqrt(task_demand / task_prices.reshape(3, -1).take(picked, axis=1))
+            roots = stack.root_terms.take(picked, axis=1)
+            shares = roots / task_roots.reshape(3, -1).take(picked, axis=1)
             terms = stack.terms.take(picked, axis=1)
             loads = _pool_loads(terms, shares, prices.size).reshape(prices.shape)
             violation = _peak_overload(loads, stack.capacity).tolist()
@@ -870,7 +883,6 @@ def _price_loop(chunk, config: SolverConfig):
                 value = run.cache.get(key)
                 if value is None:
                     if exact is None:
-                        roots = stack.root_terms.take(picked, axis=1)
                         exact_loads = _pool_loads(terms, roots, prices.size).reshape(prices.shape)
                         exact = _cost(exact_loads, stack.capacity).tolist()
                     value = run.cache[key] = exact[row]
@@ -952,11 +964,11 @@ def _exact_totals(stack: _Stack, codes: np.ndarray, rates: np.ndarray) -> np.nda
         pool = stack.local[term, row, k, codes[row, k]]
         family = fields(Allocation)[np.searchsorted(stack.starts, pool, side="right") - 1].name
         raise ValueError(f"{family}[{k}] = {shares[term, row, k]} must be strictly positive and finite")
-    bits, fronthaul_se, midhaul_se = stack.paths
+    bits, cycles, fronthaul_se, midhaul_se = stack.paths
     with np.errstate(divide="ignore", over="ignore"):
         # An unused leg's infinite share makes it exactly 0, as `_legs` has it.
         legs = np.where(rates <= 0, math.inf, bits / rates)  # `phy.access_delay`
         legs += bits / (shares[1] * fronthaul_se)
         legs += bits / (shares[2] * midhaul_se)
-        legs += stack.demand[0, ..., 0] / shares[0]
+        legs += cycles / shares[0]
     return np.cumsum(legs, axis=-1)[..., -1]

@@ -435,6 +435,36 @@ def test_out_of_range_radio_and_geometry_are_errors(capsys):
     assert main(["--seed", "2", "--users", "3", "--set", "spacing=1e60"]) == 0  # far apart, but still a plan
 
 
+# The cases of a grid over fl fh bl bh fc uplink rl rh at 1e±100, 1e±150,
+# 1e±200 and 1e±300 under all four schemes (at --seed 1 --users 3 --rus 2
+# --dus 1) that once overflowed: a barred tier's single-tier cost (fl, fh at
+# 1e-300), a delay leg's share times spectral efficiency (rl, rh at 1e300),
+# or an allowed tier's demand times price, which made the barred L tier the
+# cheapest (rl, rh at 1e-200 and below).
+EXTREME_CASES = (
+    [("fl=1e-300", scheme) for scheme in ("cloud-du", "cloud")]
+    + [("fh=1e-300", scheme) for scheme in ("cloud-ru", "cloud")]
+    + [(f"{key}=1e300", scheme) for key in ("rl", "rh") for scheme in ("fog", "cloud-ru", "cloud-du", "cloud")]
+    + [(f"rl={value}", scheme) for value in ("1e-200", "1e-300") for scheme in ("cloud-du", "cloud")]
+    + [(f"rh={value}", "cloud") for value in ("1e-200", "1e-300")]
+)
+
+
+def test_extreme_inputs_plan_inside_the_scheme_or_exit_2(capsys):
+    # Each case plans every task on a tier its scheme offers, or exits 2 with
+    # a one-line diagnostic; the suite makes any RuntimeWarning an error.
+    assert len(EXTREME_CASES) == 18
+    for entry, scheme in EXTREME_CASES:
+        code = main(["--seed", "1", "--users", "3", "--rus", "2", "--dus", "1", "--set", entry, "--scheme", scheme])
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (entry, scheme)
+            continue
+        assert code == 0, (entry, scheme)
+        tiers = [line.split()[3] for line in out.splitlines() if line and line[0].isdigit()]
+        assert len(tiers) == 3 and set(tiers) <= set(Scheme.from_name(scheme).allowed_tiers), (entry, scheme)
+
+
 def test_sweepspec_validation():
     with pytest.raises(ValueError, match="unknown sweep parameter"):
         SweepSpec(parameter="zk", start=1, stop=2, steps=2)

@@ -73,6 +73,23 @@ def test_missing_allocation_component_is_named(make_topology, make_tasks, tier, 
         task_delay(topo, tasks, 0, tier, alloc, access_rate_bps=1e7)
 
 
+def test_link_legs_at_extreme_rates_are_ieee_without_warnings(make_topology, make_tasks):
+    # A share times a spectral efficiency that overflows is an infinite rate
+    # and a leg of 0 s; one that underflows to 0 is a leg of inf s.  Both are
+    # numpy's IEEE quotients, reached without a RuntimeWarning, which the
+    # suite makes an error.
+    topo = make_topology(fronthaul_se=1e200, midhaul_se=1e-200)
+    tasks = make_tasks(1e6, 1.0)
+    alloc = Allocation(cloud_speed={0: 1e9}, fronthaul_bw={0: 1e200}, midhaul_bw={0: 1e-200})
+    out = task_delay(topo, tasks, 0, "C", alloc, access_rate_bps=1e7)
+    with np.errstate(over="ignore", divide="ignore"):
+        bits, wide, narrow = np.float64(1e6), np.float64(1e200), np.float64(1e-200)
+        assert (out.fronthaul_s, out.midhaul_s) == (bits / (wide * wide), bits / (narrow * narrow)) == (0.0, math.inf)
+    assert total_delay(topo, tasks, Decision(("C",)), alloc, [1e7]) == math.inf
+    alloc = Allocation(mech_speed={0: 1e9}, fronthaul_bw={0: 1e200})
+    assert task_delay(topo, tasks, 0, "H", alloc, access_rate_bps=1e7).fronthaul_s == 0.0
+
+
 def test_zero_rate_marks_infeasible(make_topology, make_tasks):
     topo = make_topology()
     tasks = make_tasks(1e7, 1.0)

@@ -11,6 +11,7 @@ from fogplan import (
     enumerate_optimal,
     total_delay,
 )
+from fogplan import solver
 from fogplan.phy import access_delay
 
 
@@ -154,6 +155,26 @@ def test_nested_schemes_dominate_exactly(random_instance):
         opt = {s: enumerate_optimal(topo, tasks, rates, s).total_delay_s for s in Scheme}
         assert opt[Scheme.FOG] <= opt[Scheme.CLOUD_RU] <= opt[Scheme.CLOUD]
         assert opt[Scheme.FOG] <= opt[Scheme.CLOUD_DU] <= opt[Scheme.CLOUD]
+
+
+def test_equal_decisions_give_the_solver_total_bit_for_bit(random_instance):
+    # The oracle totals its optimum as `solve` totals its plan, through
+    # `total_delay` of the exact allocation, so wherever the two pick the
+    # same assignment their totals are the same float.  The 200 x 4 problems,
+    # 50 at each K from 3 to 6, are planned as one batch stream, and
+    # `_result` makes each plan the `SolveResult` its single solve returns.
+    problems = []
+    for seed in range(200):
+        scenario, rates = random_instance(seed=seed, num_users=3 + seed // 50, num_rus=2, num_dus=2)
+        problems += [(scenario.topology, scenario.tasks, rates, scheme) for scheme in Scheme]
+    matched = 0
+    for position, plan in solver._solve_batch(problems):
+        result = solver._result(plan, problems[position])
+        truth = enumerate_optimal(*problems[position])
+        if result.decision == truth.decision:
+            assert result.total_delay_s == truth.total_delay_s, position
+            matched += 1
+    assert matched >= 700
 
 
 def test_enumeration_cap_is_enforced(random_instance):

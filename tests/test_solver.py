@@ -75,7 +75,7 @@ def _marginal_prices(duals, tasks, topo):
     """Per-task price of each tier at the given prices, (K, 3) in L, H, C
     order, through the loop's gather and marginal kernel."""
     pools = _Pools(tasks, topo)
-    return _marginals(pools.demand, _price_vector(duals, topo)[pools.index])
+    return _marginals(pools.root, np.sqrt(_price_vector(duals, topo))[pools.index])
 
 
 def _dual_value_at(duals, tasks, topo, scheme):
@@ -457,10 +457,29 @@ def test_cloud_scheme_pins_every_task_to_cloud(random_instance):
 
 
 def test_schemes_restrict_tiers(random_instance):
-    scenario, rates = random_instance(seed=6, num_users=6)
-    for scheme in Scheme:
-        res = solve(scenario.topology, scenario.tasks, rates, scheme)
-        assert set(res.decision.tiers) <= set(scheme.allowed_tiers)
+    # One by one and as one stacked stream, every plan uses only its scheme's
+    # tiers: on an ordinary instance, and on the inputs of test_cli's
+    # EXTREME_CASES at the same scenario seed (a capacity no allowed tier
+    # draws on at 1e-300; spectral efficiencies at 1e300, or at 1e-200 and
+    # below, where an allowed tier's demand times price once overflowed and
+    # left a barred tier the cheapest).
+    extreme = (
+        [("mecl_capacity_hz", 1e-300, scheme) for scheme in (Scheme.CLOUD_DU, Scheme.CLOUD)]
+        + [("mech_capacity_hz", 1e-300, scheme) for scheme in (Scheme.CLOUD_RU, Scheme.CLOUD)]
+        + [(name, 1e300, scheme) for name in ("fronthaul_se", "midhaul_se") for scheme in Scheme]
+        + [("fronthaul_se", value, scheme) for value in (1e-200, 1e-300) for scheme in (Scheme.CLOUD_DU, Scheme.CLOUD)]
+        + [("midhaul_se", value, Scheme.CLOUD) for value in (1e-200, 1e-300)]
+    )
+    instances = [(random_instance(seed=6, num_users=6), scheme) for scheme in Scheme]
+    for name, value, scheme in extreme:
+        instances.append((random_instance(seed=1, num_users=3, num_rus=2, num_dus=1, **{name: value}), scheme))
+    problems = [(scenario.topology, scenario.tasks, rates, scheme) for (scenario, rates), scheme in instances]
+    for position, plan in solver._solve_batch(problems):
+        topo, tasks, rates, scheme = problems[position]
+        res = solve(topo, tasks, rates, scheme)
+        assert set(res.decision.tiers) <= set(scheme.allowed_tiers), position
+        assert [TIER_INDEX[t] for t in res.decision.tiers] == plan.codes.tolist()
+        assert check_feasibility(topo, tasks, res.decision, res.allocation) == []
 
 
 def test_solver_output_always_feasible(random_instance):
@@ -514,7 +533,7 @@ def test_stacked_layout_matches_single_problem_kernels(random_instance):
     for stack, rows in ((stack, np.arange(len(problems))), (stack.take(keep), keep)):
         assert np.array_equal(stack.s0, prices[rows])
         row_prices = prices[rows]
-        marg = solver._marginals(stack.demand, row_prices.ravel().take(stack.index))
+        marg = solver._marginals(stack.root, np.sqrt(row_prices).ravel().take(stack.index))
         allowed = _allowed_marginals(marg, stack.barred)
         cheapest = allowed.ravel().take(stack.first + allowed.argmin(axis=-1))
         codes = np.array([rng.choice([TIER_INDEX[t] for t in problems[r][3].allowed_tiers], size=8) for r in rows])
