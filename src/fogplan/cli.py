@@ -407,6 +407,9 @@ def _parse_set_flag(entries: list[str]) -> dict:
         if key not in fields:
             raise ValueError(f"--set expects one of {sorted(fields)}, got {key!r}")
         parts = [float(tok) for tok in value.split(",")]
+        # fc and spacing set one number for the whole network: no per-node range.
+        if len(parts) > 1 and key in ("fc", "spacing"):
+            raise ValueError(f"--set {key} expects one VALUE, not a LO,HI range: {fields[key]} is one number, got {value!r}")
         if len(parts) > 2:
             raise ValueError(f"--set {key} expects VALUE or LO,HI, got {value!r}")
         overrides[fields[key]] = parts[0] if len(parts) == 1 else (parts[0], parts[1])
@@ -450,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "realization's sweep points)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a scenario parameter (fl, fh, bl, bh, fc, uplink, rl, rh, spacing); "
-                        "VALUE may be 'lo,hi' for a per-node uniform draw")
+                        "VALUE may be 'lo,hi' for a per-node uniform draw, except for the network-wide fc and "
+                        "spacing")
     parser.add_argument("--save-scenario", help="write the planned scenario to this path (single-scenario mode only)")
     return parser
 

@@ -1,86 +1,79 @@
-"""Offload planning by convex relaxation and Lagrangian dual decomposition.
+"""Offload planning by convex relaxation, solved by Frank-Wolfe.
 
 Relaxing the 0/1 tier indicators and substituting indicator-weighted resource
-shares turns every delay term into a perspective of a convex 1/share term, so
-the relaxed problem is convex and its Lagrangian minimizers have closed forms:
-for fixed multiplier prices pi, each share is sqrt(d) / sqrt(pi) for a demand
-d, and the per-task cost of choosing a tier collapses to a marginal price
-whose terms are 2 sqrt(d) sqrt(pi) (`_marginals`).  The loop alternates
-winner-take-all tier picks at current prices with a projected subgradient
-price update whose step diminishes as 1/sqrt(t).  Every candidate assignment
-seen is evaluated exactly through the per-pool closed form, and the best one
-is re-allocated exactly at the end, so the returned plan is always feasible.
+shares turns every delay term into a perspective of a convex 1/share term.
+Within one pool the optimal split of capacity F over demands d is
+proportional to sqrt(d), so the relaxation is: minimize f(x) = sum_p
+W_p(x)^2 / F_p over tier weights x, one simplex per task over its allowed
+tiers, where W_p sums the pool's weighted square-root demands.  Its gradient
+is `_marginals`, each tier's sum of 2 sqrt(d) sqrt(pi) over its pools at the
+stationary prices pi = (W / F)^2.  The Lagrangian dual value at those prices
+(`_dual_value`) is a valid lower bound, and f minus it is the Frank-Wolfe
+gap, so every iterate certifies itself.
 
-The loop's tuning is fixed, not configurable: step 0.25/sqrt(t) in units of
-each price's initial value per capacity of excess load, excess clipped at 1
-capacity, price floor 1e-12 of the initial price, tier-change hysteresis 1e-3,
-a stall after 150 iterations without a material improvement, and a stability
-window of 25 identical decisions.  Only the stability window converges: a
-stall is a stop, not convergence, and so is `max_iters`.  `SolverConfig`
-holds only the stopping rule: `epsilon` and `max_iters`.  Each
-formula the loop uses (marginal prices, tier pick, share loads, peak overload,
-dual value, price step) is one private kernel.
+The loop (`_price_loop`) starts each task spread evenly over its allowed
+tiers.  Per iteration, each task's forward tier is its cheapest allowed one
+and its away tier the dearest it still holds weight on; each task's move
+from the one to the other takes its own exact step (`_pair_steps`), the
+problem steps along all the moves together by the exact line search of f
+(`_line_step`; f is quadratic along a line), and then along the parallel
+tangent through the iterate before (`_parallel_tangent`), which ends the
+zig-zag between tasks whose moves shift nearly the same pool sums.  Weights
+stay on their simplices and f never rises.  A problem converges once f -
+(best dual value so far) <= epsilon f and stops unconverged at `max_iters`;
+nothing else stops it and nothing is tuned.  The forward tiers form an
+integer assignment, scored exactly; the best of those and of the
+single-tier plans is the incumbent.  `converged` speaks of the relaxation,
+`duality_gap` of the returned integer plan.
 
 The pools are one vector everywhere, in the order per-RU MEC, per-DU MEC,
 cloud, per-RU fronthaul, per-DU midhaul, and `_layout` builds that layout for
 one problem (`_Pools`) or for a stack of problems of one shape.  Each task and
-tier draws on at most three pools (compute, fronthaul, midhaul), so the price
-loop works on a pool-index array and the matching square-root demands,
-stored term-major as (term, task, tier): one square root per pool price and
-one gather of those roots give every marginal, and one scatter of the picked
-tiers' shares gives every pool load.  Every closed form reads sqrt(d): the
-pool cost (sum sqrt(d))^2 / F, the exact share F sqrt(d) / W, and at prices pi
-the stationary share and the marginal, so no expression forms d pi or d / pi,
-which overflow at extreme but finite inputs where their square roots do not.
-Raw demands appear only as the numerators of the delay legs (`_paths`).
-Term-major, the three terms of a marginal are three contiguous planes added
-element by element (in the same order, so to the same bits) rather than a
-length-3 innermost axis that numpy reduces one short row at a time; and since
-every pool lies in one term plane, the scatter still adds each pool's shares
-in task order.  The closed-form shares of `primal_speeds_from_duals` and
-`primal_bandwidth_from_duals` read the same gather.  Prices, steps and floors
-are pool vectors; `DualState` splits one into its five families only at the
-public boundary.  A scheme has no constraint for a pool none of its tiers
-draws on, so that pool's price, step and floor are 0 (`_initial_prices`).
-`_Pools.member[k, tier, p]` spreads the same square-root demands over the
-whole pool vector, so the exact pool loads, the objective sum_p W_p^2 / F_p
-and the polish read one matrix; the exact allocation (share = F_p sqrt(demand)
-/ W_p) scatters the picked terms' square roots instead and needs no `member`.
+tier draws on at most three pools (compute, fronthaul, midhaul), so the loop
+works on a pool-index array and the matching square-root demands, stored
+term-major as (term, task, tier): one gather of W / F gives every marginal,
+and one scatter the pool sums of any weights or picked tiers.  Every closed
+form reads sqrt(d): the pool cost (sum sqrt(d))^2 / F, the exact share
+F (sqrt(d) / W), and at prices pi the stationary share and the marginal, so
+no expression forms d pi or d / pi, which overflow at extreme but finite
+inputs where their square roots do not.  Raw demands appear only as the
+numerators of the delay legs (`_paths`).  Term-major, the three terms of a
+marginal are three contiguous planes added element by element (in the same
+order, so to the same bits), and since every pool lies in one term plane,
+the scatter adds each pool's members in task order.  `DualState` splits a
+pool vector of prices into its five families only at the public boundary.
+A pool none of a scheme's tiers draws on gets no weight, so its sum and
+price stay 0.  `_Pools.member[k, tier, p]` spreads the same square-root
+demands over the whole pool vector for the exact objective and the polish.
 
-Before that re-allocation the best assignment is polished by single- and
-pair-move descent (`_local_search`), run in lockstep over a stack of
-problems.  The descent scores every move in closed form from the current pool
-sums, re-scores exactly only the near-best ones, and keeps no cache of its
-own: a pair pass costs O(K^2) time, not the O(K^3) time of re-scoring every
-neighbour, and it scores the pairs in row blocks, so it holds O(K) pair
-scores per problem at a time, not O(K^2).
+Once a problem stops, its incumbent and its last iterate rounded (each task
+on its heaviest tier) are polished by single- and pair-move descent
+(`_local_search`), run in lockstep over a stack of problems, and the better
+result is re-allocated exactly, so the returned plan is always feasible.
+The descent scores every move in closed form from the current pool sums and
+re-scores exactly only the near-best ones: a pair pass costs O(K^2) time,
+and it scores the pairs in row blocks, so it holds O(K) pair scores per
+problem at a time.
 
 `_solve_batch` takes a stream of problems, such as every sweep point x
 realization x scheme of a worker's share of a sweep, and runs consecutive
-problems of one shape (users, RUs, DUs) through one price loop, whose layout,
-demands and initial prices are built for all of them in one pass.  Problem b
-holds row b of every stacked array ((term, problem, task, tier) for the
-per-task ones), and its pools are entries b P to b P + P - 1 of one stacked
-pool vector, so the gather, tier pick, scatter and price step serve them all,
-and the peak overloads, dual values and exact objectives reduce each row on
-its own.  The bookkeeping (objective cache, incumbent, stall clock, stability
-window, and a trace packed as 4 floats per iteration) stays per problem in
-plain Python.  A problem that stops (stable, stalled, or at `max_iters`)
-leaves the stack and drops its cache; the loop's prices never leave the
-loop.  When the last one stops, the loop finishes them all the same way
-(`_finish`): one lockstep polish, and every plan's total delay added up as
-arrays.  The loop yields compact plans (`_Plan`: tier codes, packed trace,
-counts, objective and total delay), so a sweep builds no `Allocation`,
-`DualState` or trace arrays; only `solve` turns its plan into a
-`SolveResult` (`_result`), whose duals are the plan's own clearing prices.
-No row reads another, so each problem gets the plan it gets alone; `solve`
-is the batch of one.
+problems of one shape (users, RUs, DUs) through one loop.  Problem b holds
+row b of every stacked array, and its pools are entries b P to b P + P - 1 of
+one stacked pool vector, so each gather, pick, step and scatter serves them
+all, while the dual values, line searches and exact objectives reduce each
+row on its own.  Incumbents, bounds and trace entries are arrays over the
+stack.  A problem that stops leaves the stack; when the last one stops, all
+are finished the same way (`_finish`): one lockstep polish, and every plan's
+total delay added up as arrays.  The loop yields compact plans (`_Plan`), so
+a sweep builds no `Allocation`, `DualState` or trace dict; only `solve`
+turns its plan into a `SolveResult` (`_result`), whose duals are the plan's
+own clearing prices.  No row reads another, so each problem gets the plan
+it gets alone; `solve` is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
@@ -98,14 +91,6 @@ _CODE_L, _CODE_H, _CODE_C = (TIER_INDEX[t] for t in TIERS)
 _RECHECK_BAND = 1e-9
 # First moves whose pair scores the polish holds at once.
 _PAIR_BLOCK_ROWS = 64
-
-# Fixed tuning of the price loop.
-_STEP_SCALE = 0.25  # price move per capacity of excess, relative to its initial value
-_SUBGRADIENT_CLIP = 1.0  # excess load is clipped at this many capacities
-_DUAL_FLOOR_SCALE = 1e-12  # price floor relative to the initial price
-_DECISION_HYSTERESIS = 1e-3  # relative margin by which a new tier must be cheaper
-_STALL_AFTER = 150  # iterations without a material improvement that stop a problem
-_STABILITY_WINDOW = 25  # identical consecutive decisions needed to converge
 
 # Most tasks one stacked price loop holds; a longer run of problems of one
 # shape goes through consecutive loops, which changes no result.  The stacked
@@ -142,12 +127,11 @@ class DualState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rule of the price loop: it converges once the decisions have
-    been identical for 25 iterations and the peak relative overload of the
-    recovered shares is below `epsilon`.  It stops unconverged after 150
-    iterations without a material improvement (a stall) or after
-    `max_iters`.  The rest of the loop is fixed: step 0.25/sqrt(t), clip 1
-    capacity, floor 1e-12, hysteresis 1e-3."""
+    """Stopping rule of the Frank-Wolfe loop: a problem converges once its
+    relaxed objective f is within `epsilon` of its best dual value, f -
+    best dual <= epsilon f, and stops unconverged after `max_iters`
+    iterations.  Nothing else in the loop is tunable: every step is an
+    exact line search."""
 
     epsilon: float = 1e-4
     max_iters: int = 2000
@@ -194,8 +178,6 @@ class _Pools:
     `member[k, tier, p]` is the square root of task k's demand on pool p
     when it runs on `tier`, the same numbers spread over the whole pool
     vector; it is built on first use.
-    It knows no scheme, so it sets no price: `_initial_prices` reads a
-    price loop's `_Stack`.
     """
 
     def __init__(self, tasks: TaskSet, topology: Topology):
@@ -327,43 +309,38 @@ def allocate_given_decision(decision: Decision, tasks: TaskSet, topology: Topolo
 
 
 def _shares(index: np.ndarray, root: np.ndarray, capacity: np.ndarray):
-    """Pool sums W of sqrt demands and the exact shares F_p sqrt(d) / W_p,
+    """Pool sums W of sqrt demands and the exact shares F_p (sqrt(d) / W_p),
     for term-major picked terms whose pool `index` names entries of the flat
     `capacity` and whose square-root demands are `root`.  Each pool lies in
-    one term plane, so each W_p adds its members in task order.  A term with
-    zero demand gets an infinite share, so that its delay d / share is 0."""
+    one term plane, so each W_p adds its members in task order.  A member's
+    fraction sqrt(d) / W_p is at most 1, so its share is at most F_p and
+    finite; F_p sqrt(d) would overflow first at extreme but finite inputs.
+    A term with zero demand gets an infinite share, so that its delay
+    d / share is 0."""
     loads = _pool_loads(index, root, capacity.size)
-    share = np.divide(capacity.ravel()[index] * root, loads[index], out=np.full(root.shape, math.inf), where=root > 0)
+    fraction = np.divide(root, loads[index], out=np.full(root.shape, math.inf), where=root > 0)
+    share = np.multiply(capacity.ravel()[index], fraction, out=fraction, where=root > 0)
     return loads, share
 
 
-def _initial_prices(stack: _Stack) -> np.ndarray:
-    """Prices that would make each pool of each row of a price loop's stack
-    exactly tight if every task used it on a tier the row's scheme allows.
-
-    A scheme has no capacity constraint, and so no price, for a pool that
-    none of its tiers draws on: that pool gets price 0, as does a pool no
-    task reads at all (an RU without users).  The loop steps each price by a
-    multiple of price/capacity and divides by the prices the allowed tiers
-    read, so both the step scale and the floor of every such price must be
-    finite and positive.  Of several problems, the first one that fails
-    names the failure.
-    """
-    # A pool's all-members sum is its load under an allowed uniform plan that
-    # uses it; the fronthaul sums under H and under C are the same.
-    all_members = stack.uniform.max(axis=0)
+def _check_prices(stack: _Stack, loads: np.ndarray) -> None:
+    """Refuse a problem whose starting prices are not usable: the
+    stationary prices (W / F)^2 of the pool sums W of the loop's first
+    iterate, which spreads each task evenly over its allowed tiers, must be
+    finite, and positive wherever an allowed tier reads them.  A pool that
+    none of a scheme's tiers draws on, or that no task reads at all (an RU
+    without users), is empty and priced 0.  Of several problems, the first
+    one that fails names the failure."""
     with np.errstate(over="ignore"):  # an overflow is reported below
-        prices = (all_members / stack.capacity) ** 2
-        step_scale = _STEP_SCALE * prices / stack.capacity
-    finite = np.isfinite(prices) & np.isfinite(step_scale)
-    floored = (_DUAL_FLOOR_SCALE * prices.ravel()[stack.index] > 0) | (stack.barred > 0)
-    if not (finite.all() and floored.all()):
+        prices = (loads / stack.capacity) ** 2
+    finite = np.isfinite(prices)
+    positive = (prices.ravel()[stack.index] > 0) | (stack.root == 0) | (stack.barred > 0)
+    if not (finite.all() and positive.all()):
         overflow = ~finite.all(axis=1)  # per problem
-        underflow = ~np.moveaxis(floored, 0, -2).reshape(overflow.size, -1).all(axis=1)
+        underflow = ~np.moveaxis(positive, 0, -2).reshape(overflow.size, -1).all(axis=1)
         if overflow[np.flatnonzero(overflow | underflow)[0]]:
             raise ValueError("initial prices overflow: a pool's capacity is too small for its demand")
         raise ValueError("initial prices underflow: a pool's capacity is too large for its demand")
-    return prices
 
 
 def _stationary_shares(duals: DualState, x, tasks: TaskSet, topology: Topology, terms) -> tuple[np.ndarray, ...]:
@@ -432,25 +409,6 @@ def _pool_loads(index: np.ndarray, shares: np.ndarray, num_pools: int) -> np.nda
     """Pool vector of summed shares, each share added to the pool `index`
     names for it, in task order."""
     return np.bincount(index.ravel(), weights=shares.ravel(), minlength=num_pools)
-
-
-def _price_step(prices, loads, t: int, s0, floors, capacity, clip_capacity) -> np.ndarray:
-    """One projected subgradient step on a pool vector of prices: price +=
-    (s0/sqrt(t)) * excess load, projected onto the floors.  Slack pools see
-    negative excess and drift down.
-
-    The excess is clipped at `clip_capacity`: shares recovered at a floored
-    price are enormous (share ~ 1/sqrt(price)), and an unbounded ascent
-    direction would overshoot the price scale by orders of magnitude.  The
-    clip never changes the sign or a zero subgradient.
-    """
-    step = 1.0 / math.sqrt(t)
-    return np.maximum(floors, prices + step * s0 * np.minimum(loads - capacity, clip_capacity))
-
-
-def _peak_overload(loads: np.ndarray, capacity: np.ndarray):
-    """max(load/capacity) - 1 over the pools of each pool vector (last axis)."""
-    return np.maximum.reduce(loads / capacity, axis=-1) - 1.0
 
 
 def _dual_value(cheapest: np.ndarray, prices: np.ndarray, capacity: np.ndarray):
@@ -610,14 +568,14 @@ def _recheck(at: np.ndarray, values: np.ndarray, incumbent: np.ndarray) -> list[
 
 class _Plan(NamedTuple):
     """One solved problem as `_solve_batch` yields it: the best plan's tier
-    codes, the trace packed as 4 floats (candidate, best, dual value,
-    violation) per iteration, the iteration count, whether the loop
-    converged (stopped on its stability rule), the plan's exact objective
-    and the total delay of its exact re-allocation, access included.
-    `_result` makes it a `SolveResult`."""
+    codes, the trace as one (iterations, 4) array of (candidate, best, dual
+    value, violation) rows, the iteration count, whether the loop converged
+    (its relaxed gap closed to epsilon), the plan's exact objective and the
+    total delay of its exact re-allocation, access included.  `_result`
+    makes it a `SolveResult`."""
 
     codes: np.ndarray
-    trace: array
+    trace: np.ndarray
     iterations: int
     converged: bool
     objective_s: float
@@ -639,8 +597,8 @@ def _result(plan: _Plan, problem) -> SolveResult:
     pools = _Pools(tasks, topology)
     pick = (slice(None), pools.rows, plan.codes)
     loads = _pool_loads(pools.index[pick], pools.root[pick], pools.capacity.size)
-    candidate, best, dual, violation = np.array(plan.trace).reshape(-1, 4).T.copy()
-    best_dual = max(plan.trace[2::4], default=0.0)
+    candidate, best, dual, violation = plan.trace.T.copy()
+    best_dual = dual.max() if dual.size else 0.0
     best_obj = plan.objective_s
     gap = max(0.0, (best_obj - best_dual) / best_obj) if best_obj > 0 else 0.0
     return SolveResult(
@@ -671,17 +629,20 @@ def solve(
 ) -> SolveResult:
     """Plan tier assignments and resource shares for one scenario.
 
-    Runs the dual price loop, exactly evaluates every candidate assignment it
-    produces (plus the uniform single-tier assignments as baselines), keeps
-    the best, polishes it by local descent over single and paired tier
-    changes, and re-allocates it exactly.  Deterministic: identical inputs and
-    config give identical outputs.  The converged flag reports whether the
-    loop settled (stable decisions and peak relative overload below epsilon)
-    before max_iters.  A loop that stalls for 150 iterations stops there
-    unconverged, as does one cut by max_iters.  Whatever stopped the loop,
-    the best plan it found is polished and returned with its own clearing
-    prices as the duals.  This is `_solve_batch` on a batch of one, whose
-    plan `_result` turns into the returned `SolveResult`.
+    Runs Frank-Wolfe on the convex relaxation, exactly evaluates the integer
+    assignment of every iteration's forward tiers (plus the uniform
+    single-tier assignments as baselines) and keeps the best; polishes it and
+    the rounded last iterate by local descent over single and paired tier
+    changes, keeps the better, and re-allocates it exactly.  Deterministic:
+    identical inputs and config give identical outputs.  `converged` means
+    the relaxed Frank-Wolfe gap closed: the relaxed objective came within
+    epsilon (relative) of the best dual value before max_iters.
+    `duality_gap` is the certificate of the returned integer plan, (objective
+    - best dual value) / objective; at desk scale the relaxation's own
+    integrality gap keeps it well above epsilon even when the loop
+    converged.  Whatever stopped the loop, the plan is returned with its own
+    clearing prices as the duals.  This is `_solve_batch` on a batch of one,
+    whose plan `_result` turns into the returned `SolveResult`.
     """
     problem = (topology, tasks, rates_bps, scheme)
     [(_, plan)] = _solve_batch([problem], config)
@@ -707,7 +668,7 @@ def _solve_batch(problems, config: SolverConfig | None = None):
     for position, problem in enumerate(problems):
         topology, tasks, rates, _ = problem
         if tasks.num_tasks == 0:
-            yield position, _Plan(np.zeros(0, dtype=np.int64), array("d"), 0, True, 0.0, 0.0)
+            yield position, _Plan(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 0, True, 0.0, 0.0)
             continue
         if tasks.num_tasks != topology.num_users:
             raise ValueError("tasks and topology disagree on the number of users")
@@ -734,17 +695,16 @@ class _Stack:
     are taken along axis 1.  The stack holds no raw demand: every marginal,
     share and cost is read from `root`.  `first[b, k]` = 3 (b K + k) is
     where task k of row b has its L tier in the raveled (B, K, 3) marginals
-    and in the columns of those views; its H and C tiers follow.  `tier`
-    holds the tier code of each raveled entry, as `uint8`, and `barred[b, 0]`
-    is row b's `_barred`.  `uniform`, the single-tier plans' pool sums
-    (3, B, P), 0 under a tier the row's scheme bars, which give each row's
-    initial prices and single-tier objectives, `paths`, the tasks' `_paths`,
-    and `local`, the pool index as `_layout` gives it (each row's pools as 0
-    to P - 1), are built with the stack for the start and the finish and are
-    not kept by `take`; the loop sets `s0` and `floors`."""
+    and in the columns of those views; its H and C tiers follow.
+    `barred[b, 0]` is row b's `_barred`.  `uniform`, the single-tier plans'
+    pool sums (3, B, P), 0 under a tier the row's scheme bars, which give
+    each row's single-tier objectives, `paths`, the tasks' `_paths`, and
+    `local`, the pool index as `_layout` gives it (each row's pools as 0 to
+    P - 1), are built with the stack for the start and the finish and are
+    not kept by `take`."""
 
-    __slots__ = ("index", "local", "root", "capacity", "starts", "barred", "uniform", "paths", "s0", "floors",
-                 "terms", "root_terms", "first", "tier", "clip", "bars")
+    __slots__ = ("index", "local", "root", "capacity", "starts", "barred", "uniform", "paths", "terms",
+                 "root_terms", "first", "bars")
 
     def __init__(self, problems):
         topologies, task_sets, _, schemes = zip(*problems)
@@ -760,8 +720,6 @@ class _Stack:
         self.uniform = np.where(np.moveaxis(self.barred > 0, -1, 0), 0.0, uniform.reshape(3, *self.capacity.shape))
         rows, num_tasks = self.root.shape[1:3]
         self.first = np.arange(0, 3 * rows * num_tasks, 3).reshape(rows, num_tasks)
-        self.tier = np.tile(np.arange(3, dtype=np.uint8), rows * num_tasks)
-        self.clip = _SUBGRADIENT_CLIP * self.capacity
         self._views()
 
     def _views(self):
@@ -774,180 +732,220 @@ class _Stack:
         shift = (keep - np.arange(keep.size)) * self.capacity.shape[1]  # each kept row's pools move down
         stack.index = self.index[:, keep] - shift[:, None, None]
         stack.root, stack.starts = self.root[:, keep], self.starts
-        stack.capacity, stack.s0, stack.floors, stack.clip, stack.barred = (
-            array[keep] for array in (self.capacity, self.s0, self.floors, self.clip, self.barred)
-        )
+        stack.capacity, stack.barred = self.capacity[keep], self.barred[keep]
         # Row b's entries start at 3 b K in any stack of this shape.
-        stack.first, stack.tier = self.first[: keep.size], self.tier[: 3 * keep.size * self.first.shape[1]]
+        stack.first = self.first[: keep.size]
         stack._views()
         return stack
 
+    def loads(self, weights: np.ndarray) -> np.ndarray:
+        """Pool sums (B, P) of the square-root demands weighted by each
+        row's tier weights (B, K, 3)."""
+        return _pool_loads(self.index, self.root * weights, self.capacity.size).reshape(self.capacity.shape)
 
-class _Run:
-    """One problem's bookkeeping in `_price_loop`, in plain Python: its
-    position in the stream, the objective cache, the best plan, the stall
-    clock, the stability window, and the trace, packed as 4 floats
-    (candidate, best, dual value, violation) per iteration.  `stop` records
-    how the problem stopped: its iteration count and whether it converged.
-    `uniform` holds the objective of each single-tier plan, in L, H, C
-    order."""
+    def picked_loads(self, picked: np.ndarray, sign=None) -> np.ndarray:
+        """Pool sums (B, P) of the square-root demands of the (task, tier)
+        entries `picked` (B, K) names, each times `sign` (B, K) if given."""
+        root = self.root_terms.take(picked, axis=1)
+        if sign is not None:
+            root = root * sign
+        loads = _pool_loads(self.terms.take(picked, axis=1), root, self.capacity.size)
+        return loads.reshape(self.capacity.shape)
 
-    __slots__ = ("index", "problem", "allowed", "cache", "best_obj", "best_codes", "since", "stable", "key",
-                 "trace", "iterations", "converged")
 
-    def __init__(self, index: int, problem, uniform: list[float]):
-        self.index, self.problem = index, problem
-        self.allowed = tuple(TIER_INDEX[t] for t in problem[3].allowed_tiers)
-        # The price loop revisits assignments: score each distinct one once.
-        # Keyed by the assignment's tier codes, one byte per task, which do
-        # not depend on the problem's row in the stack.  At most max_iters
-        # entries, dropped when the problem stops.
-        self.cache: dict[bytes, float] | None = {}
-        self.best_obj = math.inf
-        self.best_codes = None
-        self.since = self.stable = 0
-        self.key = None
-        self.trace = array("d")
-        for code in self.allowed:
-            if uniform[code] < self.best_obj:
-                self.best_obj, self.best_codes = uniform[code], np.full(problem[1].num_tasks, code, dtype=np.int64)
+def _uniform_weights(stack: "_Stack") -> np.ndarray:
+    """The first iterate (B, K, 3): each task's weight spread evenly over
+    its row's allowed tiers, so every pool an allowed tier draws on is
+    loaded."""
+    weights = np.where(stack.barred > 0, 0.0, 1.0)
+    return np.repeat(weights / weights.sum(axis=-1, keepdims=True), stack.first.shape[1], axis=1)
 
-    def stop(self, iterations: int, converged: bool = False):
-        self.iterations, self.converged, self.cache = iterations, converged, None
+
+def _line_step(loads: np.ndarray, change: np.ndarray, capacity: np.ndarray, limit) -> np.ndarray:
+    """The exact line search of each row (last axis) of f = sum_p W_p^2 /
+    F_p along the pool-sum direction `change`: the minimizer of
+    f(W + gamma dW), -sum W dW / F over sum dW^2 / F, clipped to [0, limit].
+    A row that does not move (dW = 0) steps 0."""
+    curvature = np.add.reduce(change * change / capacity, axis=-1)
+    slope = np.add.reduce(loads * change / capacity, axis=-1)
+    moves = curvature > 0
+    step = np.divide(-slope, curvature, out=np.zeros_like(slope), where=moves)
+    return np.minimum(np.maximum(step, 0.0), limit, out=step, where=moves)
+
+
+def _pair_steps(stack: "_Stack", marg: np.ndarray, weights: np.ndarray, forward: np.ndarray, away: np.ndarray):
+    """Each task's own exact pairwise step (B, K): the weight that minimizes
+    f = sum_p W_p^2 / F_p when only that task moves weight from its away
+    tier to its forward tier, at most all it holds there.  `forward` and
+    `away` name (task, tier) entries as `_Stack.first` does, `marg` (B, K,
+    3) are the marginals at the pool sums W and `weights` (B, K, 3) the
+    tier weights.  The move shifts W by the forward tier's square-root
+    demands minus the away tier's, so f changes by its slope, half the
+    difference of the two marginals, times the step, plus its curvature, sum
+    over the moved terms of their squared shift over F, times the step
+    squared; two tiers of a task share a pool only in one term plane (H and
+    C, on the RU's fronthaul)."""
+    marg, inverse = marg.reshape(-1), (1.0 / stack.capacity).ravel()
+    gain = marg.take(away) - marg.take(forward)  # >= 0: the forward tier is the cheapest
+    into, out_of = stack.terms.take(forward, axis=1), stack.terms.take(away, axis=1)
+    added, removed = stack.root_terms.take(forward, axis=1), stack.root_terms.take(away, axis=1)
+    curvature = np.add.reduce(np.where(
+        into == out_of, (added - removed) ** 2 * inverse[into], added * added * inverse[into] + removed * removed * inverse[out_of]
+    ), axis=0)
+    step = np.divide(gain, 2.0 * curvature, out=np.zeros_like(gain), where=curvature > 0)
+    return np.minimum(step, weights.reshape(-1).take(away))
+
+
+def _parallel_tangent(weights, loads, before, before_loads, capacity) -> np.ndarray:
+    """The iterate reached from `weights` (B, K, 3), with pool sums `loads`
+    (B, P), by the exact line search along the parallel tangent, the
+    direction from the iterate `before` (with pool sums `before_loads`) the
+    last step started from, as far as every weight stays non-negative.
+    Where steps zig-zag across a narrow valley of f, as they do between
+    tasks whose moves shift nearly the same pool sums, the tangent runs
+    along the valley (Shah, Buehler & Kempthorne 1964)."""
+    direction = weights - before
+    with np.errstate(divide="ignore", invalid="ignore"):
+        room = np.where(direction < 0, weights / -direction, math.inf)
+    limit = np.minimum.reduce(room.reshape(room.shape[0], -1), axis=-1)
+    limit[np.isinf(limit)] = 0.0  # no weight falls: the two iterates coincide
+    step = _line_step(loads, loads - before_loads, capacity, limit)
+    return np.maximum(weights + step[:, None, None] * direction, 0.0)
+
+
+def _overload(candidate: np.ndarray, loads: np.ndarray) -> np.ndarray:
+    """max_p W_p(s) / W_p(x) - 1 per row: the peak relative overload of the
+    shares the candidate s gets at the stationary prices (W(x) / F)^2 of
+    the iterate x, sqrt(d) F / W(x) each.  A pool the iterate leaves empty
+    is overloaded without bound if the candidate loads it."""
+    ratio = np.divide(candidate, loads, out=np.where(candidate > 0, np.inf, 0.0), where=loads > 0)
+    return np.maximum.reduce(ratio, axis=-1) - 1.0
 
 
 def _price_loop(chunk, config: SolverConfig):
-    """The price loop on (position, problem) pairs of problems of one shape,
-    stacked (`_Stack`), yielding (position, plan) pairs once every problem
-    has stopped (`_finish`).
+    """Frank-Wolfe on the relaxation of (position, problem) pairs of
+    problems of one shape, stacked (`_Stack`), yielding (position, plan)
+    pairs once every problem has stopped (`_finish`).
 
-    One gather of the prices gives every problem's marginals, one tier pick
-    and one scatter give every pool load, and one step moves every price;
-    the peak overloads, dual values and exact objectives are per-row
-    reductions of the loop's kernels.  No row reads another, so each
-    problem follows the iterates it would follow alone.  The bookkeeping is
-    per problem (`_Run`), and a problem that stops leaves the stack; it is
-    polished and re-allocated with all the others at the end.
+    Each problem's iterate is a (K, 3) array of tier weights, one simplex
+    per task over its allowed tiers, that starts at the uniform weights.
+    One gather of the pool sums' ratios W / F gives every problem's gradient
+    (its marginals); the row argmin of the allowed marginals is each task's
+    forward tier and, of the tiers a task still holds weight on, the one of
+    highest marginal its away tier.  Each task's pairwise move takes its
+    own exact step (`_pair_steps`), the row then steps along all of its
+    tasks' moves together on its exact line search (`_line_step`), and
+    from there along the parallel tangent (`_parallel_tangent`).  No row
+    reads another, so each problem follows the iterates it would follow
+    alone.  A problem stops, converged, once its relaxed objective is
+    within epsilon of its best dual value, or at max_iters, and leaves the
+    stack; it is polished and re-allocated with all the others at the end.
     """
     first = stack = _Stack([problem for _, problem in chunk])
-    # Prices, steps and floors are pool vectors, one row per problem, and
-    # never leave the loop.
-    prices = _initial_prices(stack)  # checked before any plan is scored
-    stack.s0, stack.floors = _STEP_SCALE * prices / stack.capacity, _DUAL_FLOOR_SCALE * prices
-    # Each allowed single-tier plan's objective, per row; a barred tier's
-    # sums are 0, so it costs 0 and is never read.
-    uniform = _cost(stack.uniform, stack.capacity).T.tolist()
-    runs = [_Run(position, problem, costs) for (position, problem), costs in zip(chunk, uniform)]
-    live = runs
-    width = stack.first.shape[1]  # bytes per row of tier codes
-    epsilon = config.epsilon
-    prev = None
+    rows, num_tasks = stack.first.shape
+    allowed = [tuple(TIER_INDEX[t] for t in problem[3].allowed_tiers) for _, problem in chunk]
+    weights = _uniform_weights(stack)
+    loads = stack.loads(weights)
+    _check_prices(stack, loads)  # before any plan is scored
+    # The best single-tier plan is the first incumbent, the first in L, H, C
+    # order of those that cost the least; a barred tier costs +inf.
+    uniform = _cost(stack.uniform, stack.capacity).T + stack.barred[:, 0]
+    best_codes = np.repeat(uniform.argmin(axis=1)[:, None], num_tasks, axis=1)
+    best_obj = uniform.min(axis=1)
+    best_dual = np.full(rows, -math.inf)
+    iterations, converged = np.full(rows, config.max_iters), np.zeros(rows, dtype=bool)
+    alive = np.arange(rows)  # each stacked row's row in `first`
+    log: list = []  # per iteration: (rows in `first`, (A, 4) trace entries)
+    rounded = best_codes.copy()  # each problem's last iterate, each task on its heaviest tier
+    before = None  # the previous iterate's weights and pool sums
 
-    # A price at its floor can make a share overflow to inf, and
-    # `_price_step` clips the excess it feeds.
-    with np.errstate(over="ignore"):
-        for t in range(1, config.max_iters + 1):
-            # One square root per pool price: every closed form below reads
-            # square roots of demands and prices, never their product.
-            task_roots = np.sqrt(prices).ravel().take(stack.index)
-            marg = _marginals(stack.root, task_roots)
-            allowed_marg = _allowed_marginals(marg, stack.barred) if stack.bars else marg
-            # Tier picks as (task, tier) pairs flattened task-major:
-            # entries of the raveled marginals and columns of `terms`.  A
-            # row of them is the row's assignment offset by `first`.
-            cheapest = stack.first + allowed_marg.argmin(axis=-1)
-            dual = _dual_value(allowed_marg.ravel().take(cheapest), prices, stack.capacity).tolist()
-            picked = cheapest
-            if prev is not None:
-                # A task only moves when the cheapest tier beats its
-                # current one by a clear relative margin; marginal
-                # near-ties otherwise make tasks flap between tiers
-                # forever as prices dither.
-                flat = marg.ravel()
-                margin = (1.0 - _DECISION_HYSTERESIS) * flat.take(prev)
-                picked = np.where(flat.take(picked) >= margin, prev, picked)
-            prev = picked
+    for t in range(1, config.max_iters + 1):
+        ratio = loads / stack.capacity  # square roots of the stationary prices
+        marg = _marginals(stack.root, ratio.ravel().take(stack.index))
+        allowed_marg = _allowed_marginals(marg, stack.barred) if stack.bars else marg
+        forward = allowed_marg.argmin(axis=-1)
+        picked = stack.first + forward
+        dual = _dual_value(allowed_marg.ravel().take(picked), ratio * ratio, stack.capacity)
+        relaxed = _cost(loads, stack.capacity)
 
-            roots = stack.root_terms.take(picked, axis=1)
-            shares = roots / task_roots.reshape(3, -1).take(picked, axis=1)
-            terms = stack.terms.take(picked, axis=1)
-            loads = _pool_loads(terms, shares, prices.size).reshape(prices.shape)
-            violation = _peak_overload(loads, stack.capacity).tolist()
+        # The forward vertex is an integer assignment: score it exactly.
+        candidate_loads = stack.picked_loads(picked)
+        candidate = _cost(candidate_loads, stack.capacity)
+        better = candidate < best_obj[alive]
+        best_obj[alive[better]] = candidate[better]
+        best_codes[alive[better]] = forward[better]
+        bound = best_dual[alive] = np.maximum(best_dual[alive], dual)
+        log.append((alive, np.stack((candidate, best_obj[alive], dual, _overload(candidate_loads, loads)), axis=1)))
+        done = relaxed - bound <= config.epsilon * relaxed
 
-            codes = stack.tier[picked]
-            blob = codes.tobytes()
-            exact = None
-            stopped = []  # rows that stop, in row order
-            for row, run in enumerate(live):
-                key = blob[row * width : (row + 1) * width]
-                value = run.cache.get(key)
-                if value is None:
-                    if exact is None:
-                        exact_loads = _pool_loads(terms, roots, prices.size).reshape(prices.shape)
-                        exact = _cost(exact_loads, stack.capacity).tolist()
-                    value = run.cache[key] = exact[row]
-                best = run.best_obj
-                if value < best:
-                    run.best_obj, run.best_codes = value, picked[row] - stack.first[row]
-                    # Only a materially better plan resets the stall
-                    # clock; float-noise improvements would defer the
-                    # pricing phase forever.
-                    run.since = 0 if value < best * (1.0 - 1e-9) else run.since + 1
-                else:
-                    run.since += 1
-                overload = violation[row]
-                run.trace.fromlist([value, run.best_obj, dual[row], overload])
-                stable = run.stable = run.stable + 1 if key == run.key else 1
-                run.key = key
-                if stable >= _STABILITY_WINDOW and overload < epsilon:
-                    run.stop(t, converged=True)
-                    stopped.append(row)
-                elif run.since >= _STALL_AFTER:
-                    # Exploration has stalled: the winner-take-all
-                    # iterates rarely settle on their own, because the
-                    # relaxed optimum splits marginal tasks across tiers.
-                    # That is a stop, not convergence.
-                    run.stop(t)
-                    stopped.append(row)
+        away = stack.first + np.where(weights > 0, marg, -math.inf).argmax(axis=-1)
+        step = _pair_steps(stack, marg, weights, picked, away)
+        change = stack.picked_loads(np.concatenate((picked, away), axis=1), np.concatenate((step, -step), axis=1))
+        gamma = _line_step(loads, change, stack.capacity, 1.0)
+        step *= gamma[:, None]
+        ahead = weights.copy()
+        ahead.reshape(-1)[picked] += step
+        ahead.reshape(-1)[away] -= step
+        if before is not None:
+            ahead = _parallel_tangent(ahead, loads + gamma[:, None] * change, *before, stack.capacity)
+        before, weights = (weights, loads), ahead
+        if done.any():
+            iterations[alive[done]], converged[alive[done]] = t, True
+            rounded[alive[done]] = before[0][done].argmax(axis=-1)
+            keep = np.flatnonzero(~done)
+            if not keep.size:
+                break
+            alive, weights, stack = alive[keep], weights[keep], stack.take(keep)
+            before = tuple(array[keep] for array in before)
+        loads = stack.loads(weights)
+    else:  # cut by max_iters
+        rounded[alive] = before[0].argmax(axis=-1)
 
-            prices = _price_step(prices, loads, t, stack.s0, stack.floors, stack.capacity, stack.clip)
-            if stopped:
-                # The last rows move into the stopped ones' places; a moved
-                # problem keeps its cache and key, which name no row.
-                order = list(range(len(live)))
-                for row in reversed(stopped):
-                    order[row] = order[-1]
-                    order.pop()
-                live = [live[row] for row in order]
-                if not live:
-                    break
-                stack = stack.take(np.array(order))
-                prices = prices[order]
-                prev = stack.first + codes[order]
-
-    for run in live:  # cut by max_iters
-        run.stop(config.max_iters)
-    yield from _finish(first, runs)
+    traces = _split_traces(log, rows)
+    yield from _finish(first, chunk, allowed, (best_codes, rounded), best_obj, traces, iterations, converged)
 
 
-def _finish(stack: _Stack, runs: list):
+def _split_traces(log, rows: int) -> list:
+    """Each row's trace, (iterations, 4), from the loop's per-iteration
+    entries of the rows then live."""
+    order = np.concatenate([alive for alive, _ in log])
+    entries = np.concatenate([values for _, values in log])
+    by_row = np.argsort(order, kind="stable")
+    return np.split(entries[by_row], np.cumsum(np.bincount(order, minlength=rows))[:-1])
+
+
+def _finish(stack: _Stack, chunk, allowed, starts, objective, traces, iterations, converged):
     """Finish every problem of a `_price_loop` the same way, whatever
-    stopped it, yielding (position, plan) pairs in row order: run b holds
-    row b of `stack`, the loop's first stack.  All problems are polished by
-    one lockstep `_local_search`, and their plans' total delays are added up
-    as arrays (`_exact_totals`)."""
+    stopped it, yielding (position, plan) pairs in row order: problem b of
+    `chunk` holds row b of `stack`, the loop's first stack.  `starts` holds
+    two (B, K) plans per problem, the incumbent (the best forward vertex or
+    single-tier plan, whose cost is `objective`) and the rounded last
+    iterate.  One lockstep `_local_search` polishes both where they differ,
+    each problem keeps the better result (the incumbent's on a tie), and
+    the plans' total delays are added up as arrays (`_exact_totals`)."""
+    incumbent, rounded = starts
+    differs = np.flatnonzero((rounded != incumbent).any(axis=1))
     member = _member(stack.local, stack.root, stack.capacity.shape[1])
-    codes, objective = _local_search(np.array([run.best_codes for run in runs]), [run.best_obj for run in runs],
-                                     [run.allowed for run in runs], member, stack.capacity)
-    rates = np.array([run.problem[2] for run in runs], dtype=np.float64)
+    loads = np.add.reduce(member[differs[:, None], np.arange(rounded.shape[1]), rounded[differs]], axis=1)
+    rows = np.concatenate((np.arange(len(chunk)), differs))
+    codes, objective = _local_search(np.concatenate((incumbent, rounded[differs])),
+                                     np.concatenate((objective, _cost(loads, stack.capacity[differs]))),
+                                     [allowed[row] for row in rows], member[rows], stack.capacity[rows])
+    tail = slice(len(chunk), None)
+    wins = objective[tail] < objective[differs]
+    codes[differs[wins]], objective[differs[wins]] = codes[tail][wins], objective[tail][wins]
+    codes, objective = codes[: len(chunk)], objective[: len(chunk)]
+    rates = np.array([problem[2] for _, problem in chunk], dtype=np.float64)
     totals = _exact_totals(stack, codes, rates).tolist()
-    for run, plan_codes, best, total in zip(runs, codes, objective.tolist(), totals):
-        yield run.index, _Plan(plan_codes, run.trace, run.iterations, run.converged, best, total)
+    for (position, _), plan_codes, trace, t, done, best, total in zip(
+        chunk, codes, traces, iterations.tolist(), converged.tolist(), objective.tolist(), totals
+    ):
+        yield position, _Plan(plan_codes, trace, t, done, best, total)
 
 
 def _exact_totals(stack: _Stack, codes: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """The total delay of each row's plan (B,), for (B, K) tier codes and
-    uplink rates, under the exact shares F_p sqrt(d) / W_p that `_shares`
+    uplink rates, under the exact shares F_p (sqrt(d) / W_p) that `_shares`
     gives, as for `allocate_given_decision`.  Each task's access,
     fronthaul, midhaul and compute legs are added in that order, as
     `latency._legs` gives them, and the tasks in task order, so each total

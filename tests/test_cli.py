@@ -396,15 +396,18 @@ def test_set_overrides_apply(capsys):
         assert "mecl_capacity_hz" in capsys.readouterr().err
     assert main(["--seed", "2", "--users", "3", "--set", "fc=1e-300"]) == 2
     assert "initial prices overflow" in capsys.readouterr().err
-    # Extreme but finite capacities: a floored price's share overflows
-    # harmlessly, and prices whose step scale overflows or whose floor
-    # underflows are refused up front.
+    # Extreme but finite capacities: the starting prices (W / F)^2 of the
+    # tasks spread evenly over their tiers are refused up front where they
+    # overflow, or underflow to 0 on a pool a task reads.
     assert main(["--seed", "2", "--users", "3", "--set", "fl=1e150"]) == 0
     capsys.readouterr()
     assert main(["--seed", "2", "--users", "3", "--set", "fl=1e200"]) == 2
     assert "initial prices underflow" in capsys.readouterr().err
-    assert main(["--seed", "2", "--users", "4", "--rus", "2", "--dus", "1", "--set", "fl=1e-100"]) == 2
-    assert "initial prices overflow" in capsys.readouterr().err
+    # An RU MEC pool of 1e-100 Hz prices finitely; its tier is so slow that
+    # no task runs on it.
+    assert main(["--seed", "2", "--users", "4", "--rus", "2", "--dus", "1", "--set", "fl=1e-100", "--scheme", "fog"]) == 0
+    tiers = [line.split()[3] for line in capsys.readouterr().out.splitlines() if line[:1].isdigit()]
+    assert len(tiers) == 4 and "L" not in tiers
     # cloud-du draws on no RU MEC pool, so it has no price for one and no RU
     # MEC capacity is too extreme for it: its curve is flat.  fog draws on
     # the RU MEC pools, and 1e-300 Hz makes their prices overflow.
@@ -414,6 +417,31 @@ def test_set_overrides_apply(capsys):
     assert len(rows) == 3 and rows[1].split(",")[2:] == rows[2].split(",")[2:]
     assert main(["--scheme", "fog", *args]) == 2
     assert "initial prices overflow" in capsys.readouterr().err
+
+
+def test_ranges_of_network_wide_values_are_errors(capsys):
+    # fc and spacing set one number for the whole network, so a LO,HI range
+    # for either exits 2 with a one-line diagnostic naming the key, not a
+    # traceback; a single value still plans.
+    for key, field in (("fc", "cloud_capacity_hz"), ("spacing", "ru_spacing_m")):
+        for value in ("1e12,2e12", "100,200"):
+            assert main(["--users", "3", "--rus", "2", "--dus", "1", "--set", f"{key}={value}"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: --set {key} expects one VALUE") and field in err and err.count("\n") == 1
+    assert main(["--users", "3", "--rus", "2", "--dus", "1", "--set", "fc=1e12", "--set", "spacing=300"]) == 0
+
+
+def test_a_finite_share_of_an_extreme_pool_plans(capsys):
+    # A midhaul of 5.87e242 Hz split over tiny demands: each share is at most
+    # the capacity, so it is finite, but capacity times sqrt(demand)
+    # overflowed before the division and the valid plan exited 2 (1 with the
+    # suite's RuntimeWarnings as errors).
+    argv = ["--seed", "238", "--users", "6", "--rus", "1", "--dus", "1", "--set", "fh=5.58e-14",
+            "--set", "bh=5.87e242", "--set", "rh=6.75e-214", "--scheme", "cloud"]
+    assert main(argv) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines() if line[:1].isdigit()]
+    assert len(rows) == 6 and {row[3] for row in rows} == {"C"}
+    assert all(0 < float(row[7]) <= 5.87e242 * 1e6 for row in rows)  # midhaul share in MHz
 
 
 def test_out_of_range_radio_and_geometry_are_errors(capsys):
