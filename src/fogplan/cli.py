@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scheme",
         default="all",
-        choices=["fog", "cloud", "cloud-du", "cloud-ru", "all"],
+        choices=[scheme.cli_name for scheme in Scheme] + ["all"],
         help="which tier restriction(s) to plan under",
     )
     parser.add_argument("--sweep", help="sweep one parameter: fl|fh|bl|bh|k=START:STOP:STEPS")
@@ -445,8 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="CSV output path (default: stdout)")
     parser.add_argument("--oracle-check", action="store_true", help="compare the solver against exhaustive search")
     parser.add_argument("--oracle-cap", type=int, default=oracle_mod.DEFAULT_ENUMERATION_CAP, help="enumeration cap")
-    parser.add_argument("--epsilon", type=float, default=1e-4, help="solver convergence threshold")
-    parser.add_argument("--max-iters", type=int, default=2000, help="solver iteration cap")
+    defaults = SolverConfig()
+    parser.add_argument("--epsilon", type=float, default=defaults.epsilon, help="solver convergence threshold")
+    parser.add_argument("--max-iters", type=int, default=defaults.max_iters, help="solver iteration cap")
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel worker processes for sweeps, each planning a contiguous share of the "
                         "realizations at every sweep point (with fewer realizations than workers, of one "

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phy import access_delay
 from .scenario import TIER_C, TIER_H, TIER_L, TIERS, TaskSet, Topology
 
 TIER_INDEX = {tier: idx for idx, tier in enumerate(TIERS)}
@@ -111,30 +110,48 @@ def _require(allocation_map: dict[int, float], name: str, k: int, tier: str) -> 
     return allocation_map[k]
 
 
-def _link_s(bits: float, bw: float, se: float) -> float:
-    """Seconds to send `bits` over `bw` Hz of a link of spectral efficiency
-    `se`, in Python floats, which give numpy's IEEE results without its
-    warnings: a rate that overflows to inf takes 0 s, and one that underflows
-    to 0 takes inf s (where Python's own division would raise)."""
-    rate = bw * se
-    return bits / rate if rate else math.inf
-
-
-def _legs(k: int, tier: str, bits: float, cycles: float, fronthaul_se: float, midhaul_se: float,
-          allocation: Allocation):
-    """Fronthaul, midhaul and compute seconds of task k on the given tier with
-    the given shares, for a task of `bits` and `cycles` whose RU and DU links
-    have the given spectral efficiencies, all Python floats."""
+def _tier_shares(k: int, tier: str, allocation: Allocation) -> tuple[float, float, float]:
+    """Compute, fronthaul and midhaul shares of task k on the given tier; an
+    infinite share marks a leg the tier does not use."""
     if tier == TIER_L:
-        return 0.0, 0.0, cycles / _require(allocation.mecl_speed, "mecl_speed", k, tier)
+        return _require(allocation.mecl_speed, "mecl_speed", k, tier), math.inf, math.inf
     if tier == TIER_H:
-        fronthaul_s = _link_s(bits, _require(allocation.fronthaul_bw, "fronthaul_bw", k, tier), fronthaul_se)
-        return fronthaul_s, 0.0, cycles / _require(allocation.mech_speed, "mech_speed", k, tier)
+        fronthaul = _require(allocation.fronthaul_bw, "fronthaul_bw", k, tier)
+        return _require(allocation.mech_speed, "mech_speed", k, tier), fronthaul, math.inf
     if tier == TIER_C:
-        fronthaul_s = _link_s(bits, _require(allocation.fronthaul_bw, "fronthaul_bw", k, tier), fronthaul_se)
-        midhaul_s = _link_s(bits, _require(allocation.midhaul_bw, "midhaul_bw", k, tier), midhaul_se)
-        return fronthaul_s, midhaul_s, cycles / _require(allocation.cloud_speed, "cloud_speed", k, tier)
+        fronthaul = _require(allocation.fronthaul_bw, "fronthaul_bw", k, tier)
+        midhaul = _require(allocation.midhaul_bw, "midhaul_bw", k, tier)
+        return _require(allocation.cloud_speed, "cloud_speed", k, tier), fronthaul, midhaul
     raise ValueError(f"unknown tier {tier!r} for task {k}")
+
+
+def _delay_legs(paths, rates, shares) -> np.ndarray:
+    """Access, fronthaul, midhaul and compute seconds of tasks, (4, ...):
+    the delay legs of `task_delay`, `total_delay` and the solver's plan
+    totals, written once.  `paths` holds the tasks' data bits, compute
+    cycles and the spectral efficiencies of their RU's fronthaul and DU's
+    midhaul link, `rates` their uplink rates and `shares` (3, ...) their
+    compute, fronthaul and midhaul shares, all float64 arrays.
+    An infinite share marks a leg the tier does not use, which takes 0 s.
+    The legs are IEEE quotients, reached without warnings: a link rate
+    (share times efficiency) that overflows takes 0 s, one that underflows
+    to 0 takes inf s, and an uplink rate <= 0 makes the access leg inf."""
+    bits, cycles, fronthaul_se, midhaul_se = paths
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.array((
+            np.where(rates <= 0, math.inf, bits / rates),
+            bits / (shares[1] * fronthaul_se),
+            bits / (shares[2] * midhaul_se),
+            cycles / shares[0],
+        ))
+
+
+def _totals(legs: np.ndarray) -> np.ndarray:
+    """Total delay over the tasks (last axis) of `_delay_legs`: each task's
+    legs added in access, fronthaul, midhaul, compute order, then the tasks
+    in task order, so a total has the same bits whatever else is stacked
+    with it."""
+    return np.cumsum(np.add.reduce(legs, axis=0), axis=-1)[..., -1]
 
 
 def task_delay(
@@ -146,21 +163,12 @@ def task_delay(
     access_rate_bps: float,
 ) -> DelayBreakdown:
     """Delay breakdown of task k on the given tier with the given shares."""
-    bits = float(tasks.data_bits[k])
-    ru = int(topology.user_to_ru[k])
-    du = int(topology.ru_to_du[ru])
-    access_s = access_delay(bits, access_rate_bps)
-    fronthaul_s, midhaul_s, compute_s = _legs(
-        k, tier, bits, float(tasks.compute_cycles[k]), float(topology.fronthaul_se[ru]), float(topology.midhaul_se[du]),
-        allocation,
-    )
-    return DelayBreakdown(
-        access_s=access_s,
-        fronthaul_s=fronthaul_s,
-        midhaul_s=midhaul_s,
-        compute_s=compute_s,
-        total_s=access_s + fronthaul_s + midhaul_s + compute_s,
-    )
+    ru = topology.user_to_ru[k]
+    paths = (tasks.data_bits[k], tasks.compute_cycles[k], topology.fronthaul_se[ru],
+             topology.midhaul_se[topology.ru_to_du[ru]])
+    shares = np.array(_tier_shares(k, tier, allocation))
+    legs = _delay_legs(paths, np.float64(access_rate_bps), shares).tolist()
+    return DelayBreakdown(*legs, total_s=legs[0] + legs[1] + legs[2] + legs[3])
 
 
 def check_feasibility(
@@ -224,14 +232,17 @@ def total_delay(
 ) -> float:
     """Sum of per-task path delays (the planning objective, access included);
     each task's delay is the `task_delay` total, added in task order."""
-    rates = np.asarray(rates_bps, dtype=np.float64).tolist()
-    bits, cycles = tasks.data_bits.tolist(), tasks.compute_cycles.tolist()
+    if len(decision) != tasks.num_tasks:
+        raise ValueError("decision and task set sizes differ")
+    if tasks.num_tasks != topology.num_users:
+        raise ValueError("tasks and topology disagree on the number of users")
+    rates = np.asarray(rates_bps, dtype=np.float64)
+    if rates.shape != (tasks.num_tasks,):
+        raise ValueError("rates must hold one entry per task")
+    if not tasks.num_tasks:
+        return 0.0
+    shares = np.array([_tier_shares(k, tier, allocation) for k, tier in enumerate(decision.tiers)]).T
     ru = topology.user_to_ru
-    fronthaul_se = topology.fronthaul_se[ru].tolist()
-    midhaul_se = topology.midhaul_se[topology.ru_to_du[ru]].tolist()
-    total = 0
-    for k, tier in enumerate(decision.tiers):
-        access_s = access_delay(bits[k], rates[k])
-        fronthaul_s, midhaul_s, compute_s = _legs(k, tier, bits[k], cycles[k], fronthaul_se[k], midhaul_se[k], allocation)
-        total += access_s + fronthaul_s + midhaul_s + compute_s
-    return float(total)
+    paths = (tasks.data_bits, tasks.compute_cycles, topology.fronthaul_se[ru],
+             topology.midhaul_se[topology.ru_to_du[ru]])
+    return float(_totals(_delay_legs(paths, rates, shares)))

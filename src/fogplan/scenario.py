@@ -38,14 +38,10 @@ class Scheme(enum.Enum):
     @classmethod
     def from_name(cls, name: str) -> "Scheme":
         key = name.strip().lower().replace("_", "-")
-        table = {
-            "fog": cls.FOG,
-            "cloud": cls.CLOUD,
-            "cloud-du": cls.CLOUD_DU,
-            "cloud-ru": cls.CLOUD_RU,
-        }
+        table = {scheme.cli_name: scheme for scheme in cls}
         if key not in table:
-            raise ValueError(f"unknown scheme '{name}' (expected fog, cloud, cloud-du or cloud-ru)")
+            *first, last = table
+            raise ValueError(f"unknown scheme '{name}' (expected {', '.join(first)} or {last})")
         return table[key]
 
     @property
@@ -234,6 +230,8 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
     """
     if spec.num_users <= 0 or spec.num_rus <= 0 or spec.num_dus <= 0:
         raise ValueError("num_users, num_rus and num_dus must all be strictly positive")
+    if spec.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {spec.seed}")
     for name in ("data_bits_range", "cycles_per_bit_range"):
         lo, hi = getattr(spec, name)
         if not (math.isfinite(lo) and math.isfinite(hi)):

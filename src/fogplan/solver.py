@@ -48,8 +48,9 @@ demands over the whole pool vector for the exact objective and the polish.
 
 Once a problem stops, its incumbent and its last iterate rounded (each task
 on its heaviest tier) are polished by single- and pair-move descent
-(`_local_search`), run in lockstep over a stack of problems, and the better
-result is re-allocated exactly, so the returned plan is always feasible.
+(`_local_search`), run in lockstep over the problems of one scheme, and the
+better result is re-allocated exactly, so the returned plan is always
+feasible.
 The descent scores every move in closed form from the current pool sums and
 re-scores exactly only the near-best ones: a pair pass costs O(K^2) time,
 and it scores the pairs in row blocks, so it holds O(K) pair scores per
@@ -63,12 +64,13 @@ one stacked pool vector, so each gather, pick, step and scatter serves them
 all, while the dual values, line searches and exact objectives reduce each
 row on its own.  Incumbents, bounds and trace entries are arrays over the
 stack.  A problem that stops leaves the stack; when the last one stops, all
-are finished the same way (`_finish`): one lockstep polish, and every plan's
-total delay added up as arrays.  The loop yields compact plans (`_Plan`), so
-a sweep builds no `Allocation`, `DualState` or trace dict; only `solve`
-turns its plan into a `SolveResult` (`_result`), whose duals are the plan's
-own clearing prices.  No row reads another, so each problem gets the plan
-it gets alone; `solve` is the batch of one.
+are finished the same way (`_finish`): one lockstep polish per scheme, and
+every plan's pool sums and total delay added up as arrays, with the delay
+legs `latency` writes for `total_delay`.  The loop yields compact plans
+(`_Plan`), so a sweep builds no `Allocation`, `DualState` or trace dict;
+only `solve` turns its plan into a `SolveResult` (`_result`), whose duals
+are the plan's own clearing prices.  No row reads another, so each problem
+gets the plan it gets alone; `solve` is the batch of one.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .latency import TIER_INDEX, Allocation, Decision, total_delay
+from .latency import TIER_INDEX, Allocation, Decision, _delay_legs, _totals, total_delay
 from .scenario import Scheme, TIERS, TaskSet, Topology
 
 _CODE_L, _CODE_H, _CODE_C = (TIER_INDEX[t] for t in TIERS)
@@ -94,9 +96,9 @@ _PAIR_BLOCK_ROWS = 64
 
 # Most tasks one stacked price loop holds; a longer run of problems of one
 # shape goes through consecutive loops, which changes no result.  The stacked
-# arrays and the live problems' bookkeeping grow with the loop: 400 streamed
-# K=100 problems peak at 46 MB RSS in loops of 40 and at 111 MB in one loop,
-# in the same time.
+# arrays and the finish's pool-spread demands grow with the loop: 400
+# streamed K=100 problems peak at 69 MB RSS in loops of 40 and at 305 MB in
+# one loop (30 MB after imports), in about the same time.
 _BATCH_TASKS = 4096
 
 
@@ -426,29 +428,28 @@ def _cost(loads: np.ndarray, capacity: np.ndarray):
     return np.add.reduce(loads**2 / capacity, axis=-1)
 
 
-def _local_search(codes: np.ndarray, objective, allowed, member: np.ndarray, capacity: np.ndarray):
+def _local_search(codes: np.ndarray, objective, tiers, member: np.ndarray, capacity: np.ndarray):
     """Deterministic best-improvement descent over tier changes, run in
-    lockstep on a stack of problems.
+    lockstep on a stack of problems of one scheme.
 
     `codes` (F, K) holds each problem's assignment, `objective` (F,) its
-    exact cost and `allowed[f]` the tier codes problem f may use, in L, H, C
+    exact cost and `tiers` the tier codes the scheme allows, in L, H, C
     order; `member` (F, K, 3, P) and `capacity` (F, P) are the problems'
     pools (`_member`).  Returns the descended codes and their exact costs as
     new arrays.  At each step every problem still descending takes its best
     single-task move; one with no improving single move takes its best
     coordinated two-task move (which captures exchange-type improvements
-    single moves cannot reach), and one with neither is done.  A problem
-    with one allowed tier has no move.
+    single moves cannot reach), and one with neither is done.  A scheme
+    with one tier has no move.
 
     The cost is sum_p W_p^2 / F_p over the pool sums W of sqrt demands, so a
     move that shifts them by d changes it by sum_p (2 W_p d_p + d_p^2) / F_p,
     and two moves together by the sum of their changes plus
     2 sum_p d1_p d2_p / F_p.  Every neighbour of every problem is scored
-    that way from the current pool sums, as one batched product; each task
-    has as many move slots as the widest scheme in the stack has other
-    tiers, and a slot a problem's scheme does not fill scores +inf.  Pairs
-    are scored _PAIR_BLOCK_ROWS first moves at a time, so the pair pass
-    holds O(K) scores per problem, not O(K^2).  Those scores round
+    that way from the current pool sums, as one batched product, each task
+    moving to each of the scheme's other tiers.  Pairs are scored
+    _PAIR_BLOCK_ROWS first moves at a time, so the pair pass holds O(K)
+    scores per problem, not O(K^2).  Those scores round
     differently from the exact objective, so in each problem the moves
     within _RECHECK_BAND of its best are re-scored exactly, and the first of
     them in enumeration order (task, then tier) with the least exact
@@ -458,31 +459,26 @@ def _local_search(codes: np.ndarray, objective, allowed, member: np.ndarray, cap
     reads another's numbers.
     """
     codes, objective = codes.copy(), np.array(objective, dtype=np.float64)
-    live = np.flatnonzero([len(tiers) > 1 for tiers in allowed])  # the problems still descending
-    if not live.size:
+    slots = len(tiers) - 1  # moves per task
+    if not slots:
         return codes, objective
-    slots = max(map(len, allowed)) - 1  # move slots per task
-    # others[f, c]: the tiers problem f allows other than c, in order, then
-    # c itself in the slots left over (a move that changes nothing, scored
-    # +inf); a code outside the scheme never occurs.
-    table = {tiers: [([t for t in tiers if t != c] + [c] * slots)[:slots] for c in range(3)] for tiers in set(allowed)}
-    others = np.array([table[tiers] for tiers in allowed], dtype=np.int64).reshape(len(allowed), 3, slots)
+    # others[c]: the scheme's tiers other than c, in order (c, a code of the
+    # scheme, is always one of them).
+    others = np.array([[t for t in tiers if t != c][:slots] for c in range(3)])
     tasks = np.arange(codes.shape[1])
     move_task = np.repeat(tasks, slots)
     m = move_task.size
     inv_cap = 1.0 / capacity
-    padded = any(len(tiers) <= slots for tiers in allowed)
-    problem, scale = live[:, None], inv_cap[live][:, :, None]
+    live = np.arange(codes.shape[0])  # the problems still descending
+    problem, scale = live[:, None], inv_cap[:, :, None]
     while live.size:
         current = codes[live]
-        move_code = others[problem, current].reshape(live.size, m)
+        move_code = others[current].reshape(live.size, m)
         held = member[problem, tasks, current]  # (A, K, P)
         load = np.add.reduce(held, axis=1)
         delta = member[problem, move_task, move_code]
         delta -= held[:, move_task]
         single = np.matmul(delta * (2.0 * load[:, None] + delta), scale)[..., 0]
-        if padded:
-            single[move_code == current[:, move_task]] = np.inf  # unfilled slots
 
         def improve(at, moves):
             """Re-score exactly each candidate: problem live[at] with its row
@@ -570,9 +566,11 @@ class _Plan(NamedTuple):
     """One solved problem as `_solve_batch` yields it: the best plan's tier
     codes, the trace as one (iterations, 4) array of (candidate, best, dual
     value, violation) rows, the iteration count, whether the loop converged
-    (its relaxed gap closed to epsilon), the plan's exact objective and the
-    total delay of its exact re-allocation, access included.  `_result`
-    makes it a `SolveResult`."""
+    (its relaxed gap closed to epsilon), the plan's exact objective, the
+    total delay of its exact re-allocation, access included, and its
+    clearing prices (W_p / F_p)^2 as one pool vector, from the pool sums W
+    of its picked square-root demands.  `_result` makes it a
+    `SolveResult`."""
 
     codes: np.ndarray
     trace: np.ndarray
@@ -580,6 +578,7 @@ class _Plan(NamedTuple):
     converged: bool
     objective_s: float
     total_delay_s: float
+    prices: np.ndarray
 
 
 def _result(plan: _Plan, problem) -> SolveResult:
@@ -587,16 +586,12 @@ def _result(plan: _Plan, problem) -> SolveResult:
     problem.  The allocation and total delay come from the public
     `allocate_given_decision` and `total_delay`, so that a tracer wrapping
     them sees them under `solve`; they give the plan's own shares and total
-    bit for bit.  The duals are the plan's clearing prices (W_p / F_p)^2,
-    from the pool sums W of its picked square-root demands: at them every
+    bit for bit.  The duals are the plan's clearing prices: at them every
     stationary share is the plan's exact share, and a pool the plan does not
     load is slack, so its multiplier is 0."""
     topology, tasks, rates_bps, _ = problem
     decision = Decision(tuple(TIERS[c] for c in plan.codes.tolist()))
     allocation = allocate_given_decision(decision, tasks, topology)
-    pools = _Pools(tasks, topology)
-    pick = (slice(None), pools.rows, plan.codes)
-    loads = _pool_loads(pools.index[pick], pools.root[pick], pools.capacity.size)
     candidate, best, dual, violation = plan.trace.T.copy()
     best_dual = dual.max() if dual.size else 0.0
     best_obj = plan.objective_s
@@ -604,7 +599,7 @@ def _result(plan: _Plan, problem) -> SolveResult:
     return SolveResult(
         decision=decision,
         allocation=allocation,
-        duals=_dual_state((loads / pools.capacity) ** 2, pools.starts),
+        duals=_dual_state(plan.prices, _family_starts(topology)),
         iterations=plan.iterations,
         converged=plan.converged,
         objective_s=best_obj,
@@ -668,7 +663,8 @@ def _solve_batch(problems, config: SolverConfig | None = None):
     for position, problem in enumerate(problems):
         topology, tasks, rates, _ = problem
         if tasks.num_tasks == 0:
-            yield position, _Plan(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 0, True, 0.0, 0.0)
+            prices = np.zeros(_family_starts(topology)[-1] + topology.num_dus)
+            yield position, _Plan(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 0, True, 0.0, 0.0, prices)
             continue
         if tasks.num_tasks != topology.num_users:
             raise ValueError("tasks and topology disagree on the number of users")
@@ -865,7 +861,12 @@ def _price_loop(chunk, config: SolverConfig):
         allowed_marg = _allowed_marginals(marg, stack.barred) if stack.bars else marg
         forward = allowed_marg.argmin(axis=-1)
         picked = stack.first + forward
-        dual = _dual_value(allowed_marg.ravel().take(picked), ratio * ratio, stack.capacity)
+        prices = ratio * ratio
+        # A price below the normal range keeps too few digits for pi F, so
+        # such a pool is priced as W (W / F), which equals pi F.
+        low = prices < np.finfo(np.float64).tiny
+        dual = _dual_value(allowed_marg.ravel().take(picked), np.where(low, ratio, prices),
+                           np.where(low, loads, stack.capacity))
         relaxed = _cost(loads, stack.capacity)
 
         # The forward vertex is an integer assignment: score it exactly.
@@ -917,56 +918,58 @@ def _split_traces(log, rows: int) -> list:
 def _finish(stack: _Stack, chunk, allowed, starts, objective, traces, iterations, converged):
     """Finish every problem of a `_price_loop` the same way, whatever
     stopped it, yielding (position, plan) pairs in row order: problem b of
-    `chunk` holds row b of `stack`, the loop's first stack.  `starts` holds
-    two (B, K) plans per problem, the incumbent (the best forward vertex or
-    single-tier plan, whose cost is `objective`) and the rounded last
-    iterate.  One lockstep `_local_search` polishes both where they differ,
-    each problem keeps the better result (the incumbent's on a tie), and
-    the plans' total delays are added up as arrays (`_exact_totals`)."""
+    `chunk` holds row b of `stack`, the loop's first stack, and may use the
+    tier codes `allowed[b]`.  `starts` holds two (B, K) plans per problem,
+    the incumbent (the best forward vertex or single-tier plan, whose cost
+    is `objective`) and the rounded last iterate.  One lockstep
+    `_local_search` per scheme polishes both where they differ, each
+    problem keeps the better result (the incumbent's on a tie), and the
+    plans' pool sums and total delays are added up as arrays
+    (`_exact_totals`); each plan carries its clearing prices (W / F)^2."""
     incumbent, rounded = starts
     differs = np.flatnonzero((rounded != incumbent).any(axis=1))
     member = _member(stack.local, stack.root, stack.capacity.shape[1])
     loads = np.add.reduce(member[differs[:, None], np.arange(rounded.shape[1]), rounded[differs]], axis=1)
     rows = np.concatenate((np.arange(len(chunk)), differs))
-    codes, objective = _local_search(np.concatenate((incumbent, rounded[differs])),
-                                     np.concatenate((objective, _cost(loads, stack.capacity[differs]))),
-                                     [allowed[row] for row in rows], member[rows], stack.capacity[rows])
+    codes = np.concatenate((incumbent, rounded[differs]))
+    objective = np.concatenate((objective, _cost(loads, stack.capacity[differs])))
+    for tiers in dict.fromkeys(allowed):  # each scheme's tier codes
+        at = np.flatnonzero([allowed[row] == tiers for row in rows.tolist()])
+        codes[at], objective[at] = _local_search(codes[at], objective[at], tiers, member[rows[at]],
+                                                 stack.capacity[rows[at]])
     tail = slice(len(chunk), None)
     wins = objective[tail] < objective[differs]
     codes[differs[wins]], objective[differs[wins]] = codes[tail][wins], objective[tail][wins]
     codes, objective = codes[: len(chunk)], objective[: len(chunk)]
     rates = np.array([problem[2] for _, problem in chunk], dtype=np.float64)
-    totals = _exact_totals(stack, codes, rates).tolist()
-    for (position, _), plan_codes, trace, t, done, best, total in zip(
-        chunk, codes, traces, iterations.tolist(), converged.tolist(), objective.tolist(), totals
+    loads = np.empty_like(stack.capacity)
+    totals = _exact_totals(stack, codes, rates, loads)
+    prices = (loads / stack.capacity) ** 2
+    for (position, _), plan_codes, trace, t, done, best, total, plan_prices in zip(
+        chunk, codes, traces, iterations.tolist(), converged.tolist(), objective.tolist(), totals.tolist(), prices
     ):
-        yield position, _Plan(plan_codes, trace, t, done, best, total)
+        yield position, _Plan(plan_codes, trace, t, done, best, total, plan_prices)
 
 
-def _exact_totals(stack: _Stack, codes: np.ndarray, rates: np.ndarray) -> np.ndarray:
+def _exact_totals(stack: _Stack, codes: np.ndarray, rates: np.ndarray, loads=None) -> np.ndarray:
     """The total delay of each row's plan (B,), for (B, K) tier codes and
     uplink rates, under the exact shares F_p (sqrt(d) / W_p) that `_shares`
-    gives, as for `allocate_given_decision`.  Each task's access,
-    fronthaul, midhaul and compute legs are added in that order, as
-    `latency._legs` gives them, and the tasks in task order, so each total
-    has the bits that `latency.total_delay` gives the same plan.  A share
-    that is not strictly positive and finite is refused, as `Allocation`
-    refuses it."""
+    gives, as for `allocate_given_decision`.  The delays are `latency`'s
+    legs and totals, so each total has the bits that `latency.total_delay`
+    gives the same plan.  A (B, P) array `loads`, if given, receives the
+    plans' pool sums W, which `_shares` adds up on the way.  A share that is
+    not strictly positive and finite is refused, as `Allocation` refuses
+    it."""
     rows, num_tasks = codes.shape
     pick = (slice(None), np.arange(rows)[:, None], np.arange(num_tasks), codes)  # each task's tier, (3, B, K)
     index, root = stack.index[pick], stack.root[pick]
-    _, shares = _shares(index, root, stack.capacity)
+    sums, shares = _shares(index, root, stack.capacity)
     bad = (root > 0) & ~((shares > 0) & (shares < math.inf))
     if bad.any():
         term, row, k = (axis[0] for axis in bad.nonzero())
         pool = stack.local[term, row, k, codes[row, k]]
         family = fields(Allocation)[np.searchsorted(stack.starts, pool, side="right") - 1].name
         raise ValueError(f"{family}[{k}] = {shares[term, row, k]} must be strictly positive and finite")
-    bits, cycles, fronthaul_se, midhaul_se = stack.paths
-    with np.errstate(divide="ignore", over="ignore"):
-        # An unused leg's infinite share makes it exactly 0, as `_legs` has it.
-        legs = np.where(rates <= 0, math.inf, bits / rates)  # `phy.access_delay`
-        legs += bits / (shares[1] * fronthaul_se)
-        legs += bits / (shares[2] * midhaul_se)
-        legs += cycles / shares[0]
-    return np.cumsum(legs, axis=-1)[..., -1]
+    if loads is not None:
+        loads[...] = sums.reshape(loads.shape)
+    return _totals(_delay_legs(stack.paths, rates, shares))

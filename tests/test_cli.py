@@ -1,9 +1,11 @@
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fogplan
@@ -11,6 +13,7 @@ from fogplan import (
     ScenarioSpec,
     Scheme,
     SolverConfig,
+    check_feasibility,
     generate_channels,
     generate_scenario,
     solve,
@@ -21,6 +24,7 @@ from fogplan.cli import (
     SWEEP_CSV_COLUMNS,
     SweepSpec,
     _sweep_shares,
+    build_parser,
     channel_seed,
     compare_oracle,
     format_csv,
@@ -325,6 +329,24 @@ def test_missing_users_is_an_error(capsys):
     assert "--users" in capsys.readouterr().err
 
 
+def test_negative_seed_is_an_error_naming_the_seed(capsys):
+    # A single plan draws its scenario from --seed itself, which must not be
+    # negative; sweeps and oracle checks mask their realization seeds to 64
+    # bits and accept it.
+    assert main(["--users", "3", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed must be non-negative, got -1\n"
+    argv = ["--users", "3", "--rus", "2", "--dus", "1", "--seed", "-1", "--scheme", "cloud"]
+    assert main(argv + ["--sweep", "fl=1e9:2e9:2"]) == 0
+    assert main(argv + ["--oracle-check"]) == 0
+
+
+def test_parser_defaults_are_the_solver_defaults():
+    args = build_parser().parse_args([])
+    assert SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters) == SolverConfig()
+    assert build_parser()._option_string_actions["--scheme"].choices == ["fog", "cloud", "cloud-du", "cloud-ru", "all"]
+
+
 def test_bad_sweep_flag_is_an_error(tmp_path, capsys):
     assert main(["--sweep", "fl=1e9", "--users", "2"]) == 2
     assert "START:STOP:STEPS" in capsys.readouterr().err
@@ -491,6 +513,58 @@ def test_extreme_inputs_plan_inside_the_scheme_or_exit_2(capsys):
         assert code == 0, (entry, scheme)
         tiers = [line.split()[3] for line in out.splitlines() if line and line[0].isdigit()]
         assert len(tiers) == 3 and set(tiers) <= set(Scheme.from_name(scheme).allowed_tiers), (entry, scheme)
+
+
+# The --set keys and their magnitudes for the contract fuzz: 10^U(+-300)
+# reaches the ends of the float range, 10^U(+-30) the region where plans
+# mostly succeed.
+FUZZ_SET_KEYS = ("fl", "fh", "bl", "bh", "fc", "uplink", "rl", "rh", "spacing")
+FUZZ_CASES = 200
+
+
+def _fuzz_argv(rng: random.Random, case: int) -> list[str]:
+    rus = rng.randint(1, 5)
+    argv = ["--seed", str(rng.randrange(10**6)), "--users", str(rng.randint(1, 12)), "--rus", str(rus),
+            "--dus", str(rng.randint(1, rus)), "--scheme", list(Scheme)[case % len(Scheme)].cli_name]
+    for key in rng.sample(FUZZ_SET_KEYS, rng.randint(1, 3)):
+        span = rng.choice((300, 30))
+        values = sorted(10 ** rng.uniform(-span, span) for _ in range(rng.choice((1, 1, 2))))
+        argv += ["--set", f"{key}={','.join(f'{v:.6g}' for v in values)}"]
+    return argv
+
+
+def test_seeded_contract_fuzz_through_main(monkeypatch, capsys):
+    # Single plans at seeded random sizes and extreme --set values under all
+    # four schemes: each run exits 2 with a one-line diagnostic, or exits 0
+    # with every task on a tier of its scheme, a feasible allocation, no
+    # dual value above the plan's objective, no nan in the report, and the
+    # same bytes when rerun.  The suite makes any RuntimeWarning an error.
+    solved = []
+
+    def recording_solve(topology, tasks, rates, scheme, config=None):
+        result = solve(topology, tasks, rates, scheme, config)
+        solved.append((topology, tasks, scheme, result))
+        return result
+
+    monkeypatch.setattr(fogplan.cli, "solve", recording_solve)
+    rng = random.Random(20)
+    planned = 0
+    for case in range(FUZZ_CASES):
+        argv = _fuzz_argv(rng, case)
+        solved.clear()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+            continue
+        assert code == 0 and not err and "nan" not in out, argv
+        [(topology, tasks, scheme, result)] = solved
+        assert set(result.decision.tiers) <= set(scheme.allowed_tiers), argv
+        assert check_feasibility(topology, tasks, result.decision, result.allocation) == [], argv
+        assert np.all(result.trace["dual_value_s"] <= result.objective_s * (1 + 1e-12)), argv
+        assert main(argv) == 0 and capsys.readouterr().out == out, argv
+        planned += 1
+    assert FUZZ_CASES // 4 <= planned < FUZZ_CASES  # both outcomes occur
 
 
 def test_sweepspec_validation():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fogplan import Allocation, Decision, check_feasibility, task_delay, total_delay
+from fogplan import Allocation, Decision, allocate_given_decision, check_feasibility, task_delay, total_delay
+from fogplan.phy import access_delay
 
 
 def test_h_tier_example(make_topology, make_tasks):
@@ -90,6 +91,45 @@ def test_link_legs_at_extreme_rates_are_ieee_without_warnings(make_topology, mak
     assert task_delay(topo, tasks, 0, "H", alloc, access_rate_bps=1e7).fronthaul_s == 0.0
 
 
+def _reference_legs(topo, tasks, k, tier, alloc, rate):
+    """Task k's access, fronthaul, midhaul and compute seconds in Python
+    floats, leg by leg: the reference the array kernel must match bit for
+    bit.  A link rate that underflows to 0 takes inf s."""
+    bits, cycles = float(tasks.data_bits[k]), float(tasks.compute_cycles[k])
+    ru = int(topo.user_to_ru[k])
+    du = int(topo.ru_to_du[ru])
+
+    def link(shares, se):
+        rate = shares[k] * float(se)
+        return bits / rate if rate else math.inf
+
+    fronthaul = link(alloc.fronthaul_bw, topo.fronthaul_se[ru]) if tier != "L" else 0.0
+    midhaul = link(alloc.midhaul_bw, topo.midhaul_se[du]) if tier == "C" else 0.0
+    speed = {"L": alloc.mecl_speed, "H": alloc.mech_speed, "C": alloc.cloud_speed}[tier][k]
+    return access_delay(bits, float(rate)), fronthaul, midhaul, cycles / speed
+
+
+def test_delay_legs_match_a_python_float_reference(random_instance):
+    # Every leg of every task and every total, over random plans with their
+    # exact shares and some zero rates, equal the Python-float reference
+    # bit for bit: legs added in order per task, tasks in task order.
+    rng = np.random.default_rng(11)
+    for seed in range(20):
+        scenario, rates = random_instance(seed=seed, num_users=8, num_rus=4, num_dus=2)
+        topo, tasks = scenario.topology, scenario.tasks
+        rates = np.where(rng.random(8) < 0.1, 0.0, rates)
+        decision = Decision(tuple(rng.choice(["L", "H", "C"], size=8)))
+        alloc = allocate_given_decision(decision, tasks, topo)
+        total = 0.0
+        for k, tier in enumerate(decision.tiers):
+            legs = _reference_legs(topo, tasks, k, tier, alloc, rates[k])
+            out = task_delay(topo, tasks, k, tier, alloc, rates[k])
+            assert (out.access_s, out.fronthaul_s, out.midhaul_s, out.compute_s) == legs
+            assert out.total_s == legs[0] + legs[1] + legs[2] + legs[3]
+            total += out.total_s
+        assert total_delay(topo, tasks, decision, alloc, rates) == total
+
+
 def test_zero_rate_marks_infeasible(make_topology, make_tasks):
     topo = make_topology()
     tasks = make_tasks(1e7, 1.0)
@@ -167,6 +207,24 @@ def test_total_delay_is_additive(make_topology, make_tasks):
         [1e7],
     )
     assert solo == pytest.approx(one, rel=1e-12)
+
+
+def test_total_delay_refuses_inputs_of_other_sizes(make_topology, make_tasks):
+    # A decision, rates or topology that does not cover the task set
+    # exactly is refused, not summed over the tasks it happens to cover or
+    # broadcast.
+    topo = make_topology(num_users=3)
+    tasks = make_tasks([1e7, 2e7, 3e7], [1.0, 1.0, 1.0])
+    alloc = Allocation(mecl_speed={0: 1e9, 1: 1e9, 2: 1e9})
+    decision = Decision(("L", "L", "L"))
+    assert total_delay(topo, tasks, decision, alloc, [1e7] * 3) == pytest.approx(6.06, rel=1e-12)
+    with pytest.raises(ValueError, match="decision and task set sizes differ"):
+        total_delay(topo, tasks, Decision(("L",)), alloc, [1e7] * 3)
+    with pytest.raises(ValueError, match="tasks and topology disagree on the number of users"):
+        total_delay(make_topology(num_users=4), tasks, decision, alloc, [1e7] * 3)
+    for rates in ([1e7] * 2, [1e7] * 4, [1e7], np.full((3, 1), 1e7)):
+        with pytest.raises(ValueError, match="rates must hold one entry per task"):
+            total_delay(topo, tasks, decision, alloc, rates)
 
 
 def test_more_resource_never_hurts(make_topology, make_tasks):

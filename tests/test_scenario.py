@@ -76,6 +76,17 @@ def test_generator_rejects_bad_specs(bad):
         generate_scenario(ScenarioSpec(**kwargs))
 
 
+def test_negative_seed_is_refused_by_name(monkeypatch):
+    # Refused before any draw, with a message that names the seed rather
+    # than numpy's "expected non-negative integer".
+    def no_draw(seed):
+        raise AssertionError("drew before checking the seed")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        generate_scenario(ScenarioSpec(num_users=4, seed=-1))
+
+
 def test_ranged_capacities_draw_per_node():
     spec = ScenarioSpec(num_users=4, seed=5, mecl_capacity_hz=(1e9, 5e9), mech_capacity_hz=(1e10, 5e10))
     topo = generate_scenario(spec).topology

@@ -983,7 +983,7 @@ def _assert_polish_matches_reference(pools, rng):
         start = rng.choice(allowed, size=n).astype(np.int64)
         objective = pools.objective(start)
         member, capacity = pools.member[None], pools.capacity[None]
-        (codes,), (value,) = _local_search(start[None], [objective], [allowed], member, capacity)
+        (codes,), (value,) = _local_search(start[None], [objective], allowed, member, capacity)
         ref_codes, ref_value = _reference_local_search(start, objective, allowed, pools.objective)
         assert np.array_equal(codes, ref_codes)
         assert value == ref_value
@@ -1021,10 +1021,10 @@ def test_polish_matches_exact_reference_on_tied_tasks(make_topology, make_tasks)
 
 @pytest.mark.parametrize("num_users, num_rus, num_dus, rows", [(6, 4, 2, 32), (8, 4, 2, 36), (40, 10, 4, 8)])
 def test_stacked_polish_matches_reference_row_by_row(random_instance, num_users, num_rus, num_dus, rows):
-    # The finish polishes all problems of a price loop as one lockstep
-    # descent, whatever their schemes: each row must take exactly the moves
-    # of the exact-rescoring reference on its own problem, a cloud row has
-    # no move, and rows that stop descending early do not disturb the rest.
+    # The finish polishes the problems of a price loop as one lockstep
+    # descent per scheme: each row must take exactly the moves of the
+    # exact-rescoring reference on its own problem, a cloud row has no move,
+    # and rows that stop descending early do not disturb the rest.
     rng = np.random.default_rng(num_users + rows)
     schemes = [list(Scheme)[row % len(Scheme)] for row in range(rows)]
     problems = []
@@ -1038,7 +1038,11 @@ def test_stacked_polish_matches_reference_row_by_row(random_instance, num_users,
     start = np.array([rng.choice(tiers, size=num_users) for tiers in allowed], dtype=np.int64)
     pools = [_Pools(tasks, topo) for topo, tasks, _, _ in problems]
     objective = [p.objective(codes) for p, codes in zip(pools, start)]
-    codes, values = _local_search(start, objective, allowed, member, stack.capacity)
+    codes, values = start.copy(), np.array(objective)
+    for scheme in dict.fromkeys(schemes):
+        rows_of = np.flatnonzero([s == scheme for s in schemes])
+        codes[rows_of], values[rows_of] = _local_search(start[rows_of], values[rows_of], allowed[rows_of[0]],
+                                                        member[rows_of], stack.capacity[rows_of])
     assert codes.shape == start.shape and values.shape == (rows,)
     moved = 0
     for row, (p, tiers) in enumerate(zip(pools, allowed)):
@@ -1328,6 +1332,36 @@ def test_extreme_ru_capacity_is_certified_by_the_gap_rule(monkeypatch, mecl_capa
     assert res.best_dual_value_s <= res.objective_s * (1 + 1e-12)  # equal but for rounding: the relaxation is tight
     assert res.converged and res.duality_gap <= 1e-3
     assert check_feasibility(topo, tasks, res.decision, res.allocation) == []
+
+
+def test_a_price_below_the_normal_range_keeps_weak_duality():
+    # An RU MEC pool of 2.3e165 Hz prices its demand near 1e-322, below the
+    # normal float range, where a price keeps a digit or two: that price
+    # times the capacity would lift the dual value 1.4% above the plan it
+    # bounds, so such a pool is priced as W (W / F).
+    from fogplan.cli import _realize
+
+    spec = ScenarioSpec(num_users=3, num_rus=1, num_dus=1, seed=365106, uplink_bandwidth_hz=5.46038e-157,
+                        mecl_capacity_hz=2.28775e165, fronthaul_se=6.48101e108)
+    scenario, rates = _realize(spec, DEFAULT_NUM_ANTENNAS)
+    res = solve(scenario.topology, scenario.tasks, rates, Scheme.CLOUD_RU)
+    assert 0 < res.trace["dual_value_s"].max() == res.best_dual_value_s <= res.objective_s
+
+
+def test_solve_builds_its_pools_once(random_instance, monkeypatch):
+    # The finish hands `_result` each plan's clearing prices, so `solve`
+    # builds `_Pools` only inside the public `allocate_given_decision`.
+    built = []
+
+    class CountingPools(solver._Pools):
+        def __init__(self, tasks, topology):
+            built.append(tasks)
+            super().__init__(tasks, topology)
+
+    monkeypatch.setattr(solver, "_Pools", CountingPools)
+    scenario, rates = random_instance(seed=4, num_users=8, num_rus=4, num_dus=2)
+    solve(scenario.topology, scenario.tasks, rates, Scheme.FOG)
+    assert len(built) == 1
 
 
 # --- configuration and containers -------------------------------------------
