@@ -137,7 +137,7 @@ def _delay_legs(paths, rates, shares) -> np.ndarray:
     (share times efficiency) that overflows takes 0 s, one that underflows
     to 0 takes inf s, and an uplink rate <= 0 makes the access leg inf."""
     bits, cycles, fronthaul_se, midhaul_se = paths
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return np.array((
             np.where(rates <= 0, math.inf, bits / rates),
             bits / (shares[1] * fronthaul_se),

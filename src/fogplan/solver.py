@@ -942,24 +942,22 @@ def _finish(stack: _Stack, chunk, allowed, starts, objective, traces, iterations
     codes[differs[wins]], objective[differs[wins]] = codes[tail][wins], objective[tail][wins]
     codes, objective = codes[: len(chunk)], objective[: len(chunk)]
     rates = np.array([problem[2] for _, problem in chunk], dtype=np.float64)
-    loads = np.empty_like(stack.capacity)
-    totals = _exact_totals(stack, codes, rates, loads)
-    prices = (loads / stack.capacity) ** 2
+    sums, totals = _exact_totals(stack, codes, rates)
+    prices = (sums.reshape(stack.capacity.shape) / stack.capacity) ** 2
     for (position, _), plan_codes, trace, t, done, best, total, plan_prices in zip(
         chunk, codes, traces, iterations.tolist(), converged.tolist(), objective.tolist(), totals.tolist(), prices
     ):
         yield position, _Plan(plan_codes, trace, t, done, best, total, plan_prices)
 
 
-def _exact_totals(stack: _Stack, codes: np.ndarray, rates: np.ndarray, loads=None) -> np.ndarray:
-    """The total delay of each row's plan (B,), for (B, K) tier codes and
-    uplink rates, under the exact shares F_p (sqrt(d) / W_p) that `_shares`
-    gives, as for `allocate_given_decision`.  The delays are `latency`'s
-    legs and totals, so each total has the bits that `latency.total_delay`
-    gives the same plan.  A (B, P) array `loads`, if given, receives the
-    plans' pool sums W, which `_shares` adds up on the way.  A share that is
-    not strictly positive and finite is refused, as `Allocation` refuses
-    it."""
+def _exact_totals(stack: _Stack, codes: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pool sums W and the total delay (B,) of each row's plan, for
+    (B, K) tier codes and uplink rates, under the exact shares F_p
+    (sqrt(d) / W_p) that `_shares` gives, as for `allocate_given_decision`.
+    The sums come flat, (B P,), as `_shares` adds them up; the delays are
+    `latency`'s legs and totals, so each total has the bits that
+    `latency.total_delay` gives the same plan.  A share that is not strictly positive and finite is
+    refused, as `Allocation` refuses it."""
     rows, num_tasks = codes.shape
     pick = (slice(None), np.arange(rows)[:, None], np.arange(num_tasks), codes)  # each task's tier, (3, B, K)
     index, root = stack.index[pick], stack.root[pick]
@@ -970,6 +968,4 @@ def _exact_totals(stack: _Stack, codes: np.ndarray, rates: np.ndarray, loads=Non
         pool = stack.local[term, row, k, codes[row, k]]
         family = fields(Allocation)[np.searchsorted(stack.starts, pool, side="right") - 1].name
         raise ValueError(f"{family}[{k}] = {shares[term, row, k]} must be strictly positive and finite")
-    if loads is not None:
-        loads[...] = sums.reshape(loads.shape)
-    return _totals(_delay_legs(stack.paths, rates, shares))
+    return sums, _totals(_delay_legs(stack.paths, rates, shares))

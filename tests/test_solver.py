@@ -1101,7 +1101,7 @@ def test_plan_totals_match_the_public_total_delay(random_instance):
         rates[seed % 8, seed % num_users] = 0.0
         stack = solver._Stack([(topo, tasks, rates[0], Scheme.FOG)] * 8)
         codes = rng.integers(0, 3, size=(8, num_users))
-        totals = solver._exact_totals(stack, codes, rates)
+        _, totals = solver._exact_totals(stack, codes, rates)
         for row in range(8):
             decision = Decision(tuple(TIERS[c] for c in codes[row]))
             want = total_delay(topo, tasks, decision, allocate_given_decision(decision, tasks, topo), rates[row])
@@ -1127,7 +1127,8 @@ def test_shares_of_an_extreme_pool_stay_finite_and_bit_equal():
     assert exact == res.allocation and all(0 < v <= 5.87e242 for v in exact.midhaul_bw.values())
     assert res.total_delay_s == total_delay(topo, tasks, res.decision, exact, rates)
     codes = np.array([res.decision.codes])
-    assert solver._exact_totals(solver._Stack([(topo, tasks, rates, Scheme.CLOUD)]), codes, rates[None])[0] == res.total_delay_s
+    _, totals = solver._exact_totals(solver._Stack([(topo, tasks, rates, Scheme.CLOUD)]), codes, rates[None])
+    assert totals[0] == res.total_delay_s
 
 
 def test_plan_totals_refuse_a_share_allocation_refuses(random_instance, monkeypatch, capsys):
