@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -164,42 +163,115 @@ class SolveResult:
     trace: dict[str, np.ndarray]
 
 
-class _Pools:
-    """The capacity pools of one problem and the tasks' demands on them.
+class _Stack:
+    """The capacity pools of problems of one shape and the tasks' demands on
+    them, one row per problem: row b's pools are entries b P to b P + P - 1
+    of one pool vector.  This is the one builder of the pool layout
+    (`_layout`, `_paths`, `_roots`).
 
-    Within one capacity pool the optimal split of capacity F over demands w is
-    proportional to sqrt(w), which gives the pool cost (sum sqrt(w))^2 / F.
+    Within one capacity pool the optimal split of capacity F over demands d
+    is proportional to sqrt(d), which gives the pool cost (sum sqrt(d))^2 /
+    F.  Each row's pools are in one order: per-RU MEC, per-DU MEC, cloud,
+    per-RU fronthaul, per-DU midhaul; `capacity` (B, P) holds them and
+    `starts` the index of each family's first pool.  Each task and tier
+    draws on at most three pools, its compute, fronthaul and midhaul terms:
+    `index[term, b, k, tier]` is that pool in the stacked pool vector,
+    `local` the same pool as `_layout` gives it (0 to P - 1), and `root` the
+    square root of the demand on it (0 for a term the tier does not use).
+    They are term-major, (3, B, K, 3), so that the marginals add three
+    contiguous term planes (see the module docstring); `terms` and
+    `root_terms` are the (3, B K 3) views of `index` and `root`, from which
+    the picks are taken along axis 1.  The stack holds no raw demand: every
+    marginal, share and cost is read from `root`.  `first[b, k]` = 3 (b K +
+    k) is where task k of row b has its L tier in the raveled (B, K, 3)
+    marginals and in the columns of those views; its H and C tiers follow,
+    so `first + codes` picks an integer assignment.  `barred[b, 0]` is row
+    b's `_barred`.  `paths`, the tasks' `_paths`, and `local` are built
+    with the stack for the finish and are not kept by `take`."""
 
-    Pool vectors are in one order: per-RU MEC, per-DU MEC, cloud, per-RU
-    fronthaul, per-DU midhaul.  `capacity` holds each pool's capacity in that
-    order.  Each task and tier draws on at most three pools, its compute,
-    fronthaul and midhaul terms, and the arrays that name them are term-major
-    like the price loop's (`_layout`): `index[term, k, tier]` is that pool
-    and `root[term, k, tier]` the square root of the demand on it (0 for a
-    term the tier does not use), from which every closed form is read.
-    `member[k, tier, p]` is the square root of task k's demand on pool p
-    when it runs on `tier`, the same numbers spread over the whole pool
-    vector; it is built on first use.
-    """
+    __slots__ = ("index", "local", "root", "capacity", "starts", "barred", "paths", "terms", "root_terms", "first",
+                 "bars")
+
+    def __init__(self, problems):
+        topologies, task_sets, _, schemes = zip(*problems)
+        self.capacity, self.starts, self.local = _layout(topologies)
+        self.index = self.local + np.arange(0, self.capacity.size, self.capacity.shape[1])[:, None, None]
+        self.paths = _paths(topologies, task_sets)
+        self.root = _roots(self.paths)
+        barred = {scheme: _barred(scheme) for scheme in set(schemes)}
+        self.barred = np.array([barred[scheme] for scheme in schemes])[:, None, :]
+        rows, num_tasks = self.root.shape[1:3]
+        self.first = np.arange(0, 3 * rows * num_tasks, 3).reshape(rows, num_tasks)
+        self._views()
+
+    def _views(self):
+        self.terms, self.root_terms = self.index.reshape(3, -1), self.root.reshape(3, -1)
+        self.bars = bool(self.barred.any())
+
+    def take(self, keep: np.ndarray) -> "_Stack":
+        """The stack of the given rows, in that order."""
+        stack = object.__new__(_Stack)
+        shift = (keep - np.arange(keep.size)) * self.capacity.shape[1]  # each kept row's pools move down
+        stack.index = self.index[:, keep] - shift[:, None, None]
+        stack.root, stack.starts = self.root[:, keep], self.starts
+        stack.capacity, stack.barred = self.capacity[keep], self.barred[keep]
+        # Row b's entries start at 3 b K in any stack of this shape.
+        stack.first = self.first[: keep.size]
+        stack._views()
+        return stack
+
+    def loads(self, weights: np.ndarray) -> np.ndarray:
+        """Pool sums (B, P) of the square-root demands weighted by each
+        row's tier weights (B, K, 3)."""
+        return _pool_loads(self.index, self.root * weights, self.capacity.size).reshape(self.capacity.shape)
+
+    def picked_loads(self, picked: np.ndarray, sign=None) -> np.ndarray:
+        """Pool sums (..., B, P) of the square-root demands of the (task,
+        tier) entries each row of `picked` (..., B, K) names, each times
+        `sign` (..., B, K) if given.  Each leading index is a plan of its
+        own, added up in its own copy of the pool vector."""
+        root = self.root_terms.take(picked, axis=1)
+        if sign is not None:
+            root = root * sign
+        index, plans, size = self.terms.take(picked, axis=1), picked.shape[:-2], self.capacity.size
+        if plans:
+            index = index + size * np.arange(math.prod(plans)).reshape(plans + (1, 1))
+            size *= math.prod(plans)
+        return _pool_loads(index, root, size).reshape(picked.shape[:-1] + (-1,))
+
+    def costs(self, codes: np.ndarray) -> np.ndarray:
+        """The exact offload cost (..., B) of each row's integer assignment,
+        tier codes (..., B, K): `_cost` of its picked square-root demands'
+        pool sums.  Every integer plan is scored here."""
+        return _cost(self.picked_loads(self.first + codes), self.capacity)
+
+    def allocate(self, codes: np.ndarray):
+        """Each row's integer assignment, tier codes (B, K), allocated
+        exactly: the pool of each task's compute, fronthaul and midhaul term
+        as `local` names it (3, B, K), the terms' square-root demands, the
+        pool sums W (B P,) and the shares F_p (sqrt(d) / W_p) (`_shares`)."""
+        picked = self.first + codes
+        root = self.root_terms.take(picked, axis=1)
+        sums, shares = _shares(self.terms.take(picked, axis=1), root, self.capacity)
+        return self.local.reshape(3, -1).take(picked, axis=1), root, sums, shares
+
+
+class _Pools(_Stack):
+    """One problem as a `_Stack` of one row, every tier priced.  Its plan
+    is one (K,) array of tier codes, so `first` (K,) and `capacity` (P,)
+    drop the row axis: `costs` scores such a plan, `allocate` gives (3, K)
+    arrays, and `objective` is the scorer perfbench's tracer counts by
+    subclassing this class under this name in `fogplan.oracle`."""
+
+    __slots__ = ()
 
     def __init__(self, tasks: TaskSet, topology: Topology):
-        (self.capacity,), self.starts, index = _layout([topology])
-        self.index = index[:, 0]
-        self.root = _roots(_paths([topology], [tasks]))[:, 0]
-        self.rows = np.arange(self.index.shape[1])
-
-    @cached_property
-    def member(self) -> np.ndarray:
-        return _member(self.index[:, None], self.root[:, None], self.capacity.size)[0]
-
-    def loads(self, codes: np.ndarray) -> np.ndarray:
-        """Pool sums of sqrt demands under an integer assignment, added in
-        task order, so they equal the `_pool_loads` scatter bit for bit."""
-        return np.add.reduce(self.member[self.rows, codes], axis=0)
+        super().__init__([(topology, tasks, None, Scheme.FOG)])
+        self.first, self.capacity = self.first[0], self.capacity[0]
 
     def objective(self, codes: np.ndarray) -> float:
         """Minimal offload cost (access excluded) for an integer assignment."""
-        return float(_cost(self.loads(codes), self.capacity))
+        return float(self.costs(codes))
 
 
 def _layout(topologies):
@@ -298,10 +370,9 @@ def allocate_given_decision(decision: Decision, tasks: TaskSet, topology: Topolo
     if len(decision) != tasks.num_tasks:
         raise ValueError("decision and task set sizes differ")
     pools = _Pools(tasks, topology)
-    # The (pool, sqrt demand) of each term of each task's tier, (3, K): each
-    # map lies in one term plane, so each map fills in task order.
-    index, root = pools.index[:, pools.rows, decision.codes], pools.root[:, pools.rows, decision.codes]
-    _, share = _shares(index, root, pools.capacity)
+    # The (pool, sqrt demand, share) of each term of each task's tier, (3, K):
+    # each map lies in one term plane, so each map fills in task order.
+    index, root, _, share = pools.allocate(decision.codes)
     term, k = np.nonzero(root)
     family = np.searchsorted(pools.starts, index[term, k], side="right") - 1
     maps: tuple[dict, ...] = ({}, {}, {}, {}, {})
@@ -347,21 +418,22 @@ def _check_prices(stack: _Stack, loads: np.ndarray) -> None:
 
 def _stationary_shares(duals: DualState, x, tasks: TaskSet, topology: Topology, terms) -> tuple[np.ndarray, ...]:
     """Share = weight times sqrt(demand) / sqrt(price) for each (tier, term)
-    of `_Pools.index` in `terms`, zero wherever the tier weight is zero; only
-    those shares' prices must be strictly positive."""
+    of the pool layout in `terms`, zero wherever the tier weight is zero;
+    only those shares' prices must be strictly positive."""
     x = np.asarray(x, dtype=np.float64)
     pools = _Pools(tasks, topology)
-    prices = _price_vector(duals, topology)[pools.index]
+    index, root = pools.index[:, 0], pools.root[:, 0]
+    prices = _price_vector(duals, topology)[index]
     shares = []
     for tier, term in terms:
         weight, price = x[:, tier], prices[term, :, tier]
         mask = weight > 0
         if np.any(price[mask] <= 0):
-            pool = pools.index[term, 0, tier]
+            pool = index[term, 0, tier]
             family = fields(DualState)[np.searchsorted(pools.starts, pool, side="right") - 1].name
             raise ValueError(f"{family} must be strictly positive wherever the matching tier weight is")
         share = np.zeros_like(weight)
-        share[mask] = weight[mask] * (pools.root[term, mask, tier] / np.sqrt(price[mask]))
+        share[mask] = weight[mask] * (root[term, mask, tier] / np.sqrt(price[mask]))
         shares.append(share)
     return tuple(shares)
 
@@ -680,75 +752,6 @@ def _solve_batch(problems, config: SolverConfig | None = None):
         yield from _price_loop(chunk, config)
 
 
-class _Stack:
-    """The arrays of the problems still in a `_price_loop`, one row per
-    problem: row b's pools are entries b P to b P + P - 1 of one pool vector.
-
-    The pool index and the square roots of the demands (`_roots`) are
-    term-major, (3, B, K, 3) for (term, problem, task, tier), so that the
-    marginals add three contiguous term planes (see the module docstring);
-    `terms` and `root_terms` are their (3, B K 3) views, from which the picks
-    are taken along axis 1.  The stack holds no raw demand: every marginal,
-    share and cost is read from `root`.  `first[b, k]` = 3 (b K + k) is
-    where task k of row b has its L tier in the raveled (B, K, 3) marginals
-    and in the columns of those views; its H and C tiers follow.
-    `barred[b, 0]` is row b's `_barred`.  `uniform`, the single-tier plans'
-    pool sums (3, B, P), 0 under a tier the row's scheme bars, which give
-    each row's single-tier objectives, `paths`, the tasks' `_paths`, and
-    `local`, the pool index as `_layout` gives it (each row's pools as 0 to
-    P - 1), are built with the stack for the start and the finish and are
-    not kept by `take`."""
-
-    __slots__ = ("index", "local", "root", "capacity", "starts", "barred", "uniform", "paths", "terms",
-                 "root_terms", "first", "bars")
-
-    def __init__(self, problems):
-        topologies, task_sets, _, schemes = zip(*problems)
-        self.capacity, self.starts, self.local = _layout(topologies)
-        self.index = self.local + np.arange(0, self.capacity.size, self.capacity.shape[1])[:, None, None]
-        self.paths = _paths(topologies, task_sets)
-        self.root = _roots(self.paths)
-        barred = {scheme: _barred(scheme) for scheme in set(schemes)}
-        self.barred = np.array([barred[scheme] for scheme in schemes])[:, None, :]
-        # Each tier's terms add up, in task order, in its own copy of the pools.
-        tier_pools = (self.index + self.capacity.size * np.arange(3)).ravel()
-        uniform = np.bincount(tier_pools, weights=self.root.ravel(), minlength=3 * self.capacity.size)
-        self.uniform = np.where(np.moveaxis(self.barred > 0, -1, 0), 0.0, uniform.reshape(3, *self.capacity.shape))
-        rows, num_tasks = self.root.shape[1:3]
-        self.first = np.arange(0, 3 * rows * num_tasks, 3).reshape(rows, num_tasks)
-        self._views()
-
-    def _views(self):
-        self.terms, self.root_terms = self.index.reshape(3, -1), self.root.reshape(3, -1)
-        self.bars = bool(self.barred.any())
-
-    def take(self, keep: np.ndarray) -> "_Stack":
-        """The stack of the given rows, in that order."""
-        stack = object.__new__(_Stack)
-        shift = (keep - np.arange(keep.size)) * self.capacity.shape[1]  # each kept row's pools move down
-        stack.index = self.index[:, keep] - shift[:, None, None]
-        stack.root, stack.starts = self.root[:, keep], self.starts
-        stack.capacity, stack.barred = self.capacity[keep], self.barred[keep]
-        # Row b's entries start at 3 b K in any stack of this shape.
-        stack.first = self.first[: keep.size]
-        stack._views()
-        return stack
-
-    def loads(self, weights: np.ndarray) -> np.ndarray:
-        """Pool sums (B, P) of the square-root demands weighted by each
-        row's tier weights (B, K, 3)."""
-        return _pool_loads(self.index, self.root * weights, self.capacity.size).reshape(self.capacity.shape)
-
-    def picked_loads(self, picked: np.ndarray, sign=None) -> np.ndarray:
-        """Pool sums (B, P) of the square-root demands of the (task, tier)
-        entries `picked` (B, K) names, each times `sign` (B, K) if given."""
-        root = self.root_terms.take(picked, axis=1)
-        if sign is not None:
-            root = root * sign
-        loads = _pool_loads(self.terms.take(picked, axis=1), root, self.capacity.size)
-        return loads.reshape(self.capacity.shape)
-
-
 def _uniform_weights(stack: "_Stack") -> np.ndarray:
     """The first iterate (B, K, 3): each task's weight spread evenly over
     its row's allowed tiers, so every pool an allowed tier draws on is
@@ -844,10 +847,14 @@ def _price_loop(chunk, config: SolverConfig):
     loads = stack.loads(weights)
     _check_prices(stack, loads)  # before any plan is scored
     # The best single-tier plan is the first incumbent, the first in L, H, C
-    # order of those that cost the least; a barred tier costs +inf.
-    uniform = _cost(stack.uniform, stack.capacity).T + stack.barred[:, 0]
-    best_codes = np.repeat(uniform.argmin(axis=1)[:, None], num_tasks, axis=1)
-    best_obj = uniform.min(axis=1)
+    # order of those that cost the least.  A barred tier costs +inf and its
+    # plan is not scored, since its pools may hold any capacity: each row
+    # scores its first allowed tier in its place.
+    barred = stack.barred[:, 0].T  # (3, B)
+    tiers = np.where(barred > 0, barred.argmin(axis=0), np.arange(3)[:, None])
+    single = (stack.costs(tiers[..., None]) + barred).T
+    best_codes = np.repeat(single.argmin(axis=1)[:, None], num_tasks, axis=1)
+    best_obj = single.min(axis=1)
     best_dual = np.full(rows, -math.inf)
     iterations, converged = np.full(rows, config.max_iters), np.zeros(rows, dtype=bool)
     alive = np.arange(rows)  # each stacked row's row in `first`
@@ -928,11 +935,10 @@ def _finish(stack: _Stack, chunk, allowed, starts, objective, traces, iterations
     (`_exact_totals`); each plan carries its clearing prices (W / F)^2."""
     incumbent, rounded = starts
     differs = np.flatnonzero((rounded != incumbent).any(axis=1))
-    member = _member(stack.local, stack.root, stack.capacity.shape[1])
-    loads = np.add.reduce(member[differs[:, None], np.arange(rounded.shape[1]), rounded[differs]], axis=1)
     rows = np.concatenate((np.arange(len(chunk)), differs))
     codes = np.concatenate((incumbent, rounded[differs]))
-    objective = np.concatenate((objective, _cost(loads, stack.capacity[differs])))
+    objective = np.concatenate((objective, stack.costs(rounded)[differs]))
+    member = _member(stack.local, stack.root, stack.capacity.shape[1])
     for tiers in dict.fromkeys(allowed):  # each scheme's tier codes
         at = np.flatnonzero([allowed[row] == tiers for row in rows.tolist()])
         codes[at], objective[at] = _local_search(codes[at], objective[at], tiers, member[rows[at]],
@@ -958,14 +964,11 @@ def _exact_totals(stack: _Stack, codes: np.ndarray, rates: np.ndarray) -> tuple[
     `latency`'s legs and totals, so each total has the bits that
     `latency.total_delay` gives the same plan.  A share that is not strictly positive and finite is
     refused, as `Allocation` refuses it."""
-    rows, num_tasks = codes.shape
-    pick = (slice(None), np.arange(rows)[:, None], np.arange(num_tasks), codes)  # each task's tier, (3, B, K)
-    index, root = stack.index[pick], stack.root[pick]
-    sums, shares = _shares(index, root, stack.capacity)
+    local, root, sums, shares = stack.allocate(codes)
     bad = (root > 0) & ~((shares > 0) & (shares < math.inf))
     if bad.any():
         term, row, k = (axis[0] for axis in bad.nonzero())
-        pool = stack.local[term, row, k, codes[row, k]]
+        pool = local[term, row, k]
         family = fields(Allocation)[np.searchsorted(stack.starts, pool, side="right") - 1].name
         raise ValueError(f"{family}[{k}] = {shares[term, row, k]} must be strictly positive and finite")
     return sums, _totals(_delay_legs(stack.paths, rates, shares))

@@ -29,7 +29,6 @@ from fogplan.solver import (
     _allowed_marginals,
     _barred,
     _dual_state,
-    _dual_value,
     _layout,
     _line_step,
     _local_search,
@@ -49,7 +48,7 @@ def _duals(mu=1.0, lam=1.0, rho=1.0, nu=1.0, xi=1.0, n_ru=1, n_du=1):
 
 
 def _term_shares(a, b, c, alpha, beta, gamma):
-    """Per-task shares laid out like `_Pools.index`: (term, K, tier) with the
+    """Per-task shares laid out like `_Pools.index[:, 0]`: (term, K, tier) with the
     terms compute, fronthaul, midhaul."""
     L, H, C = (TIER_INDEX[t] for t in TIERS)
     shares = np.zeros((3, np.size(a), 3))
@@ -89,13 +88,14 @@ def _marginal_prices(duals, tasks, topo):
     """Per-task price of each tier at the given prices, (K, 3) in L, H, C
     order, through the loop's gather and marginal kernel."""
     pools = _Pools(tasks, topo)
-    return _marginals(pools.root, np.sqrt(_price_vector(duals, topo))[pools.index])
+    return _marginals(pools.root[:, 0], np.sqrt(_price_vector(duals, topo))[pools.index[:, 0]])
 
 
 def _dual_value_at(duals, tasks, topo, scheme):
-    """The loop's dual value at the given prices."""
+    """The Lagrangian dual value at the given prices: the cheapest allowed
+    marginals summed over tasks minus the priced capacities, sum pi F."""
     cheapest = _allowed_marginals(_marginal_prices(duals, tasks, topo), _barred(scheme)).min(axis=1)
-    return _dual_value(cheapest, _price_vector(duals, topo), _Pools(tasks, topo).capacity)
+    return cheapest.sum() - _price_vector(duals, topo) @ _Pools(tasks, topo).capacity
 
 
 # --- closed-form primal recovery -------------------------------------------
@@ -644,7 +644,7 @@ def test_stacked_layout_matches_single_problem_kernels(random_instance):
             single = _marginal_prices(_dual_state(row_prices[row], pools.starts), tasks, topo)
             assert np.array_equal(marg[row], single)
             assert np.array_equal(cheapest[row], _allowed_marginals(single, _barred(scheme)).min(axis=1))
-            assert np.array_equal(loads[row], pools.loads(codes[row]))
+            assert np.array_equal(loads[row], pools.picked_loads(pools.first + codes[row]))
             assert np.array_equal(loads[row], np.add.reduce(member[row, np.arange(8), codes[row]], axis=0))
             alone = solver._Stack([problems[r]])
             assert np.array_equal(weighted[row], alone.loads(weights[r][None])[0])
@@ -776,12 +776,13 @@ def test_drawing_tiers_follow_the_pool_layout(random_instance):
         scenario, _ = random_instance(seed=seed, num_users=num_users, num_rus=num_rus, num_dus=num_dus)
         topo, tasks = scenario.topology, scenario.tasks
         pools = _Pools(tasks, topo)
+        member = _member(pools.index, pools.root, pools.capacity.size)[0]
         assert pools.capacity.tobytes() == np.hstack([getattr(topo, name) for name in families]).tobytes()
         bounds = pools.starts.tolist() + [pools.capacity.size]
         spans = {name: (start, stop) for name, start, stop in zip(families, bounds, bounds[1:])}
         for parameter, tiers in _DRAWING_TIERS.items():
             start, stop = spans[SWEEP_PARAMETERS[parameter]]
-            draws = {tier for tier in TIERS if pools.member[:, TIER_INDEX[tier], start:stop].any()}
+            draws = {tier for tier in TIERS if member[:, TIER_INDEX[tier], start:stop].any()}
             assert tiers == draws, parameter
 
 
@@ -830,9 +831,10 @@ def test_pools_no_allowed_tier_draws_on_are_priced_zero(random_instance):
         scenario, rates = random_instance(seed=seed, num_users=8, num_rus=4, num_dus=2)
         problems = [(scenario.topology, scenario.tasks, rates, scheme) for scheme in unread]
         pools = _Pools(scenario.tasks, scenario.topology)
+        member = _member(pools.index, pools.root, pools.capacity.size)[0]
         for problem, prices in zip(problems, _starting_prices(problems)):
             scheme = problem[3]
-            read = pools.member[:, [TIER_INDEX[t] for t in scheme.allowed_tiers]].any(axis=(0, 1))
+            read = member[:, [TIER_INDEX[t] for t in scheme.allowed_tiers]].any(axis=(0, 1))
             assert (prices[read] > 0).all() and (prices[~read] == 0).all(), (seed, scheme)
             for family in unread[scheme]:
                 assert np.all(getattr(_dual_state(prices, pools.starts), family) == 0), (seed, scheme, family)
@@ -908,7 +910,7 @@ def test_returned_duals_price_the_returned_plan(random_instance):
     unloaded = 0
     for (topo, tasks, _, _), _, res in _stops(random_instance):
         pools = _Pools(tasks, topo)
-        w = pools.loads(res.decision.codes)
+        w = pools.picked_loads(pools.first + res.decision.codes)
         prices = _price_vector(res.duals, topo)
         assert prices.tobytes() == ((w / pools.capacity) ** 2).tobytes()
         assert (prices[w == 0] == 0).all() and (prices[w > 0] > 0).all()
@@ -977,12 +979,12 @@ def _reference_local_search(codes, objective, allowed_codes, evaluate):
 
 
 def _assert_polish_matches_reference(pools, rng):
-    n = pools.rows.size
+    n = pools.first.size
+    member, capacity = _member(pools.index, pools.root, pools.capacity.size), pools.capacity[None]
     for scheme in Scheme:
         allowed = tuple(TIER_INDEX[t] for t in scheme.allowed_tiers)
         start = rng.choice(allowed, size=n).astype(np.int64)
         objective = pools.objective(start)
-        member, capacity = pools.member[None], pools.capacity[None]
         (codes,), (value,) = _local_search(start[None], [objective], allowed, member, capacity)
         ref_codes, ref_value = _reference_local_search(start, objective, allowed, pools.objective)
         assert np.array_equal(codes, ref_codes)
@@ -1163,6 +1165,9 @@ def test_pair_move_delta_identity(random_instance):
          topo.fronthaul_capacity_hz, topo.midhaul_capacity_hz)
     )
 
+    def loads(codes):
+        return pools.picked_loads(pools.first + codes)
+
     def moved(codes, *moves):
         out = codes.copy()
         for k, code in moves:
@@ -1181,9 +1186,9 @@ def test_pair_move_delta_identity(random_instance):
     for (k1, from1, to1), (k2, from2, to2), shared in cases:
         codes = rng.choice([L, H, C], size=6).astype(np.int64)
         codes[k1], codes[k2] = from1, from2
-        w = pools.loads(codes)
-        d1 = pools.loads(moved(codes, (k1, to1))) - w
-        d2 = pools.loads(moved(codes, (k2, to2))) - w
+        w = loads(codes)
+        d1 = loads(moved(codes, (k1, to1))) - w
+        d2 = loads(moved(codes, (k2, to2))) - w
         delta1 = (2 * w * d1 + d1 * d1) @ inv_cap
         delta2 = (2 * w * d2 + d2 * d2) @ inv_cap
         cross = 2 * (d1 * d2) @ inv_cap
