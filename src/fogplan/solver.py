@@ -8,8 +8,9 @@ W_p(x)^2 / F_p over tier weights x, one simplex per task over its allowed
 tiers, where W_p sums the pool's weighted square-root demands.  Its gradient
 is `_marginals`, each tier's sum of 2 sqrt(d) sqrt(pi) over its pools at the
 stationary prices pi = (W / F)^2.  The Lagrangian dual value at those prices
-(`_dual_value`) is a valid lower bound, and f minus it is the Frank-Wolfe
-gap, so every iterate certifies itself.
+is a valid lower bound; there sum_p pi_p F_p = f, so it is the cheapest
+allowed marginals summed minus f, and f minus it is the Frank-Wolfe gap:
+every iterate certifies itself.
 
 The loop (`_price_loop`) starts each task spread evenly over its allowed
 tiers.  Per iteration, each task's forward tier is its cheapest allowed one
@@ -27,24 +28,27 @@ single-tier plans is the incumbent.  `converged` speaks of the relaxation,
 `duality_gap` of the returned integer plan.
 
 The pools are one vector everywhere, in the order per-RU MEC, per-DU MEC,
-cloud, per-RU fronthaul, per-DU midhaul, and `_layout` builds that layout for
-one problem (`_Pools`) or for a stack of problems of one shape.  Each task and
-tier draws on at most three pools (compute, fronthaul, midhaul), so the loop
-works on a pool-index array and the matching square-root demands, stored
-term-major as (term, task, tier): one gather of W / F gives every marginal,
-and one scatter the pool sums of any weights or picked tiers.  Every closed
-form reads sqrt(d): the pool cost (sum sqrt(d))^2 / F, the exact share
-F (sqrt(d) / W), and at prices pi the stationary share and the marginal, so
-no expression forms d pi or d / pi, which overflow at extreme but finite
-inputs where their square roots do not.  Raw demands appear only as the
-numerators of the delay legs (`_paths`).  Term-major, the three terms of a
+cloud, per-RU fronthaul, per-DU midhaul, laid out by one builder, `_Stack`,
+for a stack of problems of one shape (one problem is a row, `_Pools`).  Each
+task and tier draws on at most three pools (compute, fronthaul, midhaul), so
+the loop works on a pool-index array and the matching square-root demands,
+stored term-major as (term, task, tier): one gather of W / F gives every
+marginal, and one scatter the pool sums of any weights or picked tiers, by
+which every integer plan is scored (`_Stack.costs`) and allocated
+(`_Stack.allocate`).  Every closed form reads sqrt(d): the pool cost
+(sum sqrt(d))^2 / F, the exact share F (sqrt(d) / W), and at prices pi the
+stationary share and the marginal, so no expression forms d pi or d / pi,
+which overflow at extreme but finite inputs where their square roots do
+not; so too every quadratic form is a (b / F), as W (W / F) for W^2 / F.
+Raw demands appear only as the numerators of the delay legs (`_paths`).
+Term-major, the three terms of a
 marginal are three contiguous planes added element by element (in the same
 order, so to the same bits), and since every pool lies in one term plane,
 the scatter adds each pool's members in task order.  `DualState` splits a
 pool vector of prices into its five families only at the public boundary.
 A pool none of a scheme's tiers draws on gets no weight, so its sum and
-price stay 0.  `_Pools.member[k, tier, p]` spreads the same square-root
-demands over the whole pool vector for the exact objective and the polish.
+price stay 0.  The polish alone spreads the same square-root demands over
+the whole pool vector (`_member`).
 
 Once a problem stops, its incumbent and its last iterate rounded (each task
 on its heaviest tier) are polished by single- and pair-move descent
@@ -164,30 +168,21 @@ class SolveResult:
 
 
 class _Stack:
-    """The capacity pools of problems of one shape and the tasks' demands on
-    them, one row per problem: row b's pools are entries b P to b P + P - 1
-    of one pool vector.  This is the one builder of the pool layout
-    (`_layout`, `_paths`, `_roots`).
+    """The pool layout of problems of one shape, one row per problem, and
+    its one builder: row b's pools are entries b P to b P + P - 1 of one
+    pool vector, each row's in the module docstring's order.
 
-    Within one capacity pool the optimal split of capacity F over demands d
-    is proportional to sqrt(d), which gives the pool cost (sum sqrt(d))^2 /
-    F.  Each row's pools are in one order: per-RU MEC, per-DU MEC, cloud,
-    per-RU fronthaul, per-DU midhaul; `capacity` (B, P) holds them and
-    `starts` the index of each family's first pool.  Each task and tier
-    draws on at most three pools, its compute, fronthaul and midhaul terms:
-    `index[term, b, k, tier]` is that pool in the stacked pool vector,
-    `local` the same pool as `_layout` gives it (0 to P - 1), and `root` the
-    square root of the demand on it (0 for a term the tier does not use).
-    They are term-major, (3, B, K, 3), so that the marginals add three
-    contiguous term planes (see the module docstring); `terms` and
-    `root_terms` are the (3, B K 3) views of `index` and `root`, from which
-    the picks are taken along axis 1.  The stack holds no raw demand: every
-    marginal, share and cost is read from `root`.  `first[b, k]` = 3 (b K +
-    k) is where task k of row b has its L tier in the raveled (B, K, 3)
-    marginals and in the columns of those views; its H and C tiers follow,
-    so `first + codes` picks an integer assignment.  `barred[b, 0]` is row
-    b's `_barred`.  `paths`, the tasks' `_paths`, and `local` are built
-    with the stack for the finish and are not kept by `take`."""
+    `capacity` (B, P) holds the capacities and `starts` each family's first
+    pool.  Term-major, (3, B, K, 3) for (term, problem, task, tier), `index`
+    names each term's pool in the stacked vector, `local` the same pool as
+    `_layout` gives it (0 to P - 1), and `root` the square root of the
+    demand on it (0 for a term the tier does not use); `terms` and
+    `root_terms` are their (3, B K 3) views, picked along axis 1.
+    `first[b, k]` = 3 (b K + k) is where task k of row b has its L tier in
+    the raveled (B, K, 3) marginals and in those views, so `first + codes`
+    picks an integer assignment.  `barred[b, 0]` is row b's `_barred`.
+    `paths`, the tasks' `_paths`, and `local` serve the finish and
+    `allocate`, and are not kept by `take`."""
 
     __slots__ = ("index", "local", "root", "capacity", "starts", "barred", "paths", "terms", "root_terms", "first",
                  "bars")
@@ -241,15 +236,13 @@ class _Stack:
 
     def costs(self, codes: np.ndarray) -> np.ndarray:
         """The exact offload cost (..., B) of each row's integer assignment,
-        tier codes (..., B, K): `_cost` of its picked square-root demands'
-        pool sums.  Every integer plan is scored here."""
+        tier codes (..., B, K): `_cost` of its `picked_loads`."""
         return _cost(self.picked_loads(self.first + codes), self.capacity)
 
     def allocate(self, codes: np.ndarray):
         """Each row's integer assignment, tier codes (B, K), allocated
-        exactly: the pool of each task's compute, fronthaul and midhaul term
-        as `local` names it (3, B, K), the terms' square-root demands, the
-        pool sums W (B P,) and the shares F_p (sqrt(d) / W_p) (`_shares`)."""
+        exactly: each task's terms' pools as `local` names them (3, B, K),
+        their square-root demands, and `_shares`' pool sums and shares."""
         picked = self.first + codes
         root = self.root_terms.take(picked, axis=1)
         sums, shares = _shares(self.terms.take(picked, axis=1), root, self.capacity)
@@ -262,8 +255,6 @@ class _Pools(_Stack):
     drop the row axis: `costs` scores such a plan, `allocate` gives (3, K)
     arrays, and `objective` is the scorer perfbench's tracer counts by
     subclassing this class under this name in `fogplan.oracle`."""
-
-    __slots__ = ()
 
     def __init__(self, tasks: TaskSet, topology: Topology):
         super().__init__([(topology, tasks, None, Scheme.FOG)])
@@ -416,24 +407,40 @@ def _check_prices(stack: _Stack, loads: np.ndarray) -> None:
         raise ValueError("initial prices underflow: a pool's capacity is too large for its demand")
 
 
+def _single_tier_costs(stack: _Stack) -> np.ndarray:
+    """The exact cost (B, 3) of each row's single-tier plans.  A barred
+    tier costs +inf unscored (its pools may hold any capacity): the row's
+    first allowed tier is scored in its place.  A problem whose allowed
+    plans' costs sum to an overflow is refused.  Every tier drawing on a
+    pool draws the same demand, so no weights of the scheme load a pool
+    beyond some single-tier plan: the sum bounds every cost the loop reads."""
+    barred = stack.barred[:, 0].T  # (3, B)
+    tiers = np.where(barred > 0, barred.argmin(axis=0), np.arange(3)[:, None])
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        costs = stack.costs(tiers[..., None])
+        bound = np.add.reduce(np.where(barred > 0, 0.0, costs), axis=0)
+    if not np.isfinite(bound).all():
+        raise ValueError("single-tier plan costs overflow: a pool's capacity is too small for its demand")
+    return (costs + barred).T
+
+
 def _stationary_shares(duals: DualState, x, tasks: TaskSet, topology: Topology, terms) -> tuple[np.ndarray, ...]:
     """Share = weight times sqrt(demand) / sqrt(price) for each (tier, term)
     of the pool layout in `terms`, zero wherever the tier weight is zero;
     only those shares' prices must be strictly positive."""
     x = np.asarray(x, dtype=np.float64)
     pools = _Pools(tasks, topology)
-    index, root = pools.index[:, 0], pools.root[:, 0]
-    prices = _price_vector(duals, topology)[index]
+    prices = _price_vector(duals, topology)[pools.index[:, 0]]
     shares = []
     for tier, term in terms:
         weight, price = x[:, tier], prices[term, :, tier]
         mask = weight > 0
         if np.any(price[mask] <= 0):
-            pool = index[term, 0, tier]
+            pool = pools.index[term, 0, 0, tier]
             family = fields(DualState)[np.searchsorted(pools.starts, pool, side="right") - 1].name
             raise ValueError(f"{family} must be strictly positive wherever the matching tier weight is")
         share = np.zeros_like(weight)
-        share[mask] = weight[mask] * (root[term, mask, tier] / np.sqrt(price[mask]))
+        share[mask] = weight[mask] * (pools.root[term, 0, mask, tier] / np.sqrt(price[mask]))
         shares.append(share)
     return tuple(shares)
 
@@ -485,19 +492,11 @@ def _pool_loads(index: np.ndarray, shares: np.ndarray, num_pools: int) -> np.nda
     return np.bincount(index.ravel(), weights=shares.ravel(), minlength=num_pools)
 
 
-def _dual_value(cheapest: np.ndarray, prices: np.ndarray, capacity: np.ndarray):
-    """Cheapest allowed marginals summed over tasks minus the priced
-    capacities, per problem: each task's cheapest allowed marginal (..., K),
-    pool vectors (..., P).  Each row's priced capacity is its own
-    (1, P) @ (P, 1) product, so no row's value depends on another row."""
-    priced = np.matmul(prices[..., None, :], capacity[..., :, None])[..., 0, 0]
-    return np.add.reduce(cheapest, axis=-1) - priced
-
-
 def _cost(loads: np.ndarray, capacity: np.ndarray):
     """sum_p W_p^2 / F_p over the pools of each vector of pool sums W of sqrt
-    demands (last axis): the exact offload cost of an integer assignment."""
-    return np.add.reduce(loads**2 / capacity, axis=-1)
+    demands (last axis): the exact offload cost of an integer assignment.
+    Each term is W_p (W_p / F_p), finite wherever the cost is: W_p^2 is not."""
+    return np.add.reduce(loads * (loads / capacity), axis=-1)
 
 
 def _local_search(codes: np.ndarray, objective, tiers, member: np.ndarray, capacity: np.ndarray):
@@ -518,7 +517,7 @@ def _local_search(codes: np.ndarray, objective, tiers, member: np.ndarray, capac
     move that shifts them by d changes it by sum_p (2 W_p d_p + d_p^2) / F_p,
     and two moves together by the sum of their changes plus
     2 sum_p d1_p d2_p / F_p.  Every neighbour of every problem is scored
-    that way from the current pool sums, as one batched product, each task
+    that way from the current pool sums, as one batched reduction, each task
     moving to each of the scheme's other tiers.  Pairs are scored
     _PAIR_BLOCK_ROWS first moves at a time, so the pair pass holds O(K)
     scores per problem, not O(K^2).  Those scores round
@@ -540,9 +539,8 @@ def _local_search(codes: np.ndarray, objective, tiers, member: np.ndarray, capac
     tasks = np.arange(codes.shape[1])
     move_task = np.repeat(tasks, slots)
     m = move_task.size
-    inv_cap = 1.0 / capacity
     live = np.arange(codes.shape[0])  # the problems still descending
-    problem, scale = live[:, None], inv_cap[:, :, None]
+    problem, cap = live[:, None], capacity[:, None]
     while live.size:
         current = codes[live]
         move_code = others[current].reshape(live.size, m)
@@ -550,7 +548,7 @@ def _local_search(codes: np.ndarray, objective, tiers, member: np.ndarray, capac
         load = np.add.reduce(held, axis=1)
         delta = member[problem, move_task, move_code]
         delta -= held[:, move_task]
-        single = np.matmul(delta * (2.0 * load[:, None] + delta), scale)[..., 0]
+        single = np.add.reduce(delta * ((2.0 * load[:, None] + delta) / cap), axis=-1)
 
         def improve(at, moves):
             """Re-score exactly each candidate: problem live[at] with its row
@@ -576,7 +574,7 @@ def _local_search(codes: np.ndarray, objective, tiers, member: np.ndarray, capac
             rest = rest.nonzero()[0]
             # The pair pass of the problems with no improving single move.
             base, turned = single[rest], delta[rest]
-            scaled = turned * scale[rest].transpose(0, 2, 1)
+            scaled = turned / cap[rest]
             turned = turned.transpose(0, 2, 1)
 
             def pair_blocks():
@@ -592,7 +590,7 @@ def _local_search(codes: np.ndarray, objective, tiers, member: np.ndarray, capac
                 moved = np.concatenate((moved, improve(rest[at], np.stack(np.divmod(index, m), axis=1))))
             if moved.size < live.size:  # some problems are done
                 live = np.sort(moved)
-                problem, scale = live[:, None], inv_cap[live][:, :, None]
+                problem, cap = live[:, None], capacity[live][:, None]
     return codes, objective
 
 
@@ -765,8 +763,9 @@ def _line_step(loads: np.ndarray, change: np.ndarray, capacity: np.ndarray, limi
     F_p along the pool-sum direction `change`: the minimizer of
     f(W + gamma dW), -sum W dW / F over sum dW^2 / F, clipped to [0, limit].
     A row that does not move (dW = 0) steps 0."""
-    curvature = np.add.reduce(change * change / capacity, axis=-1)
-    slope = np.add.reduce(loads * change / capacity, axis=-1)
+    scaled = change / capacity
+    curvature = np.add.reduce(change * scaled, axis=-1)
+    slope = np.add.reduce(loads * scaled, axis=-1)
     moves = curvature > 0
     step = np.divide(-slope, curvature, out=np.zeros_like(slope), where=moves)
     return np.minimum(np.maximum(step, 0.0), limit, out=step, where=moves)
@@ -784,12 +783,14 @@ def _pair_steps(stack: "_Stack", marg: np.ndarray, weights: np.ndarray, forward:
     over the moved terms of their squared shift over F, times the step
     squared; two tiers of a task share a pool only in one term plane (H and
     C, on the RU's fronthaul)."""
-    marg, inverse = marg.reshape(-1), (1.0 / stack.capacity).ravel()
+    marg, capacity = marg.reshape(-1), stack.capacity.ravel()
     gain = marg.take(away) - marg.take(forward)  # >= 0: the forward tier is the cheapest
     into, out_of = stack.terms.take(forward, axis=1), stack.terms.take(away, axis=1)
     added, removed = stack.root_terms.take(forward, axis=1), stack.root_terms.take(away, axis=1)
+    shift = added - removed
     curvature = np.add.reduce(np.where(
-        into == out_of, (added - removed) ** 2 * inverse[into], added * added * inverse[into] + removed * removed * inverse[out_of]
+        into == out_of, shift * (shift / capacity[into]),
+        added * (added / capacity[into]) + removed * (removed / capacity[out_of])
     ), axis=0)
     step = np.divide(gain, 2.0 * curvature, out=np.zeros_like(gain), where=curvature > 0)
     return np.minimum(step, weights.reshape(-1).take(away))
@@ -816,8 +817,10 @@ def _overload(candidate: np.ndarray, loads: np.ndarray) -> np.ndarray:
     """max_p W_p(s) / W_p(x) - 1 per row: the peak relative overload of the
     shares the candidate s gets at the stationary prices (W(x) / F)^2 of
     the iterate x, sqrt(d) F / W(x) each.  A pool the iterate leaves empty
-    is overloaded without bound if the candidate loads it."""
-    ratio = np.divide(candidate, loads, out=np.where(candidate > 0, np.inf, 0.0), where=loads > 0)
+    is overloaded without bound if the candidate loads it, as is one whose
+    ratio overflows."""
+    with np.errstate(over="ignore"):
+        ratio = np.divide(candidate, loads, out=np.where(candidate > 0, np.inf, 0.0), where=loads > 0)
     return np.maximum.reduce(ratio, axis=-1) - 1.0
 
 
@@ -847,12 +850,8 @@ def _price_loop(chunk, config: SolverConfig):
     loads = stack.loads(weights)
     _check_prices(stack, loads)  # before any plan is scored
     # The best single-tier plan is the first incumbent, the first in L, H, C
-    # order of those that cost the least.  A barred tier costs +inf and its
-    # plan is not scored, since its pools may hold any capacity: each row
-    # scores its first allowed tier in its place.
-    barred = stack.barred[:, 0].T  # (3, B)
-    tiers = np.where(barred > 0, barred.argmin(axis=0), np.arange(3)[:, None])
-    single = (stack.costs(tiers[..., None]) + barred).T
+    # order of those that cost the least.
+    single = _single_tier_costs(stack)
     best_codes = np.repeat(single.argmin(axis=1)[:, None], num_tasks, axis=1)
     best_obj = single.min(axis=1)
     best_dual = np.full(rows, -math.inf)
@@ -868,13 +867,10 @@ def _price_loop(chunk, config: SolverConfig):
         allowed_marg = _allowed_marginals(marg, stack.barred) if stack.bars else marg
         forward = allowed_marg.argmin(axis=-1)
         picked = stack.first + forward
-        prices = ratio * ratio
-        # A price below the normal range keeps too few digits for pi F, so
-        # such a pool is priced as W (W / F), which equals pi F.
-        low = prices < np.finfo(np.float64).tiny
-        dual = _dual_value(allowed_marg.ravel().take(picked), np.where(low, ratio, prices),
-                           np.where(low, loads, stack.capacity))
+        # At the stationary prices pi = (W / F)^2, sum_p pi_p F_p = f: the
+        # dual value is the cheapest allowed marginals summed minus f.
         relaxed = _cost(loads, stack.capacity)
+        dual = np.add.reduce(allowed_marg.ravel().take(picked), axis=-1) - relaxed
 
         # The forward vertex is an integer assignment: score it exactly.
         candidate_loads = stack.picked_loads(picked)
@@ -962,8 +958,8 @@ def _exact_totals(stack: _Stack, codes: np.ndarray, rates: np.ndarray) -> tuple[
     (sqrt(d) / W_p) that `_shares` gives, as for `allocate_given_decision`.
     The sums come flat, (B P,), as `_shares` adds them up; the delays are
     `latency`'s legs and totals, so each total has the bits that
-    `latency.total_delay` gives the same plan.  A share that is not strictly positive and finite is
-    refused, as `Allocation` refuses it."""
+    `latency.total_delay` gives the same plan.  A share that is not
+    strictly positive and finite is refused, as `Allocation` refuses it."""
     local, root, sums, shares = stack.allocate(codes)
     bad = (root > 0) & ~((shares > 0) & (shares < math.inf))
     if bad.any():

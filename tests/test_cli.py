@@ -490,29 +490,46 @@ def test_out_of_range_radio_and_geometry_are_errors(capsys):
 # --dus 1) that once overflowed: a barred tier's single-tier cost (fl, fh at
 # 1e-300), a delay leg's share times spectral efficiency (rl, rh at 1e300),
 # or an allowed tier's demand times price, which made the barred L tier the
-# cheapest (rl, rh at 1e-200 and below).
+# cheapest (rl, rh at 1e-200 and below).  At --seed 0, rl or rh at 1e-300
+# made a single-tier plan's squared pool sum overflow, under every scheme,
+# and the barred L tier the first incumbent.  With ten users, rh at 1e-300
+# and bh at 10 plans; the iterate's pool sums fall far enough below the
+# forward vertex's that their ratio lies beyond the float range.  At bh=3
+# the cloud plan's cost itself overflows, which is refused.
+ONE_SEED = ("--seed", "1", "--users", "3", "--rus", "2", "--dus", "1")
+ZERO_SEED = ("--seed", "0", "--users", "3", "--rus", "2", "--dus", "1")
+TEN_USERS = ("--seed", "0", "--users", "10")
+SCHEMES = ("fog", "cloud-ru", "cloud-du", "cloud")
 EXTREME_CASES = (
-    [("fl=1e-300", scheme) for scheme in ("cloud-du", "cloud")]
-    + [("fh=1e-300", scheme) for scheme in ("cloud-ru", "cloud")]
-    + [(f"{key}=1e300", scheme) for key in ("rl", "rh") for scheme in ("fog", "cloud-ru", "cloud-du", "cloud")]
-    + [(f"rl={value}", scheme) for value in ("1e-200", "1e-300") for scheme in ("cloud-du", "cloud")]
-    + [(f"rh={value}", "cloud") for value in ("1e-200", "1e-300")]
+    [(ONE_SEED, ("fl=1e-300",), scheme) for scheme in ("cloud-du", "cloud")]
+    + [(ONE_SEED, ("fh=1e-300",), scheme) for scheme in ("cloud-ru", "cloud")]
+    + [(ONE_SEED, (f"{key}=1e300",), scheme) for key in ("rl", "rh") for scheme in SCHEMES]
+    + [(ONE_SEED, (f"rl={value}",), scheme) for value in ("1e-200", "1e-300") for scheme in ("cloud-du", "cloud")]
+    + [(ONE_SEED, (f"rh={value}",), "cloud") for value in ("1e-200", "1e-300")]
+    + [(ZERO_SEED, (f"{key}=1e-300",), scheme) for key in ("rl", "rh") for scheme in SCHEMES]
+    + [(TEN_USERS, ("rh=1e-300", "bh=10"), scheme) for scheme in SCHEMES]
+    + [(TEN_USERS, ("rh=1e-300", "bh=3"), "cloud")]
 )
 
 
 def test_extreme_inputs_plan_inside_the_scheme_or_exit_2(capsys):
     # Each case plans every task on a tier its scheme offers, or exits 2 with
     # a one-line diagnostic; the suite makes any RuntimeWarning an error.
-    assert len(EXTREME_CASES) == 18
-    for entry, scheme in EXTREME_CASES:
-        code = main(["--seed", "1", "--users", "3", "--rus", "2", "--dus", "1", "--set", entry, "--scheme", scheme])
+    assert len(EXTREME_CASES) == 31
+    refused = []
+    for plan, entries, scheme in EXTREME_CASES:
+        argv = [*plan, *(arg for entry in entries for arg in ("--set", entry)), "--scheme", scheme]
+        code = main(argv)
         out, err = capsys.readouterr()
         if code == 2:
-            assert err.startswith("error: ") and err.count("\n") == 1, (entry, scheme)
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+            refused.append(err)
             continue
-        assert code == 0, (entry, scheme)
+        assert code == 0, argv
         tiers = [line.split()[3] for line in out.splitlines() if line and line[0].isdigit()]
-        assert len(tiers) == 3 and set(tiers) <= set(Scheme.from_name(scheme).allowed_tiers), (entry, scheme)
+        users = int(plan[plan.index("--users") + 1])
+        assert len(tiers) == users and set(tiers) <= set(Scheme.from_name(scheme).allowed_tiers), argv
+    assert refused[-1] == "error: single-tier plan costs overflow: a pool's capacity is too small for its demand\n"
 
 
 # The --set keys and their magnitudes for the contract fuzz: 10^U(+-300)
