@@ -787,10 +787,9 @@ def _pair_steps(stack: "_Stack", marg: np.ndarray, weights: np.ndarray, forward:
     gain = marg.take(away) - marg.take(forward)  # >= 0: the forward tier is the cheapest
     into, out_of = stack.terms.take(forward, axis=1), stack.terms.take(away, axis=1)
     added, removed = stack.root_terms.take(forward, axis=1), stack.root_terms.take(away, axis=1)
-    shift = added - removed
+    shift, inward, outward = added - removed, capacity.take(into), capacity.take(out_of)
     curvature = np.add.reduce(np.where(
-        into == out_of, shift * (shift / capacity[into]),
-        added * (added / capacity[into]) + removed * (removed / capacity[out_of])
+        into == out_of, shift * (shift / inward), added * (added / inward) + removed * (removed / outward)
     ), axis=0)
     step = np.divide(gain, 2.0 * curvature, out=np.zeros_like(gain), where=curvature > 0)
     return np.minimum(step, weights.reshape(-1).take(away))
