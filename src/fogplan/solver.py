@@ -47,18 +47,16 @@ order, so to the same bits), and since every pool lies in one term plane,
 the scatter adds each pool's members in task order.  `DualState` splits a
 pool vector of prices into its five families only at the public boundary.
 A pool none of a scheme's tiers draws on gets no weight, so its sum and
-price stay 0.  The polish alone spreads the same square-root demands over
-the whole pool vector (`_member`).
+price stay 0.
 
 Once a problem stops, its incumbent and its last iterate rounded (each task
 on its heaviest tier) are polished by single- and pair-move descent
 (`_local_search`), run in lockstep over the problems of one scheme, and the
 better result is re-allocated exactly, so the returned plan is always
-feasible.
-The descent scores every move in closed form from the current pool sums and
-re-scores exactly only the near-best ones: a pair pass costs O(K^2) time,
-and it scores the pairs in row blocks, so it holds O(K) pair scores per
-problem at a time.
+feasible.  The descent scores each single move in closed form from its own
+pool entries and each pair from the two moves' pool shifts, and re-scores
+exactly, by the same pick and scatter, only the near-best ones: a pair pass
+costs O(K^2) time and holds O(K) pair scores per problem at a time.
 
 `_solve_batch` takes a stream of problems, such as every sweep point x
 realization x scheme of a worker's share of a sweep, and runs consecutive
@@ -99,9 +97,9 @@ _PAIR_BLOCK_ROWS = 64
 
 # Most tasks one stacked price loop holds; a longer run of problems of one
 # shape goes through consecutive loops, which changes no result.  The stacked
-# arrays and the finish's pool-spread demands grow with the loop: 400
-# streamed K=100 problems peak at 69 MB RSS in loops of 40 and at 305 MB in
-# one loop (30 MB after imports), in about the same time.
+# arrays and the polish's pair shifts grow with the loop: 400 streamed K=100
+# problems peak at 57 MB RSS in loops of 40 and at 212 MB in one loop (30 MB
+# after imports), in about the same time.
 _BATCH_TASKS = 4096
 
 
@@ -182,7 +180,7 @@ class _Stack:
     the raveled (B, K, 3) marginals and in those views, so `first + codes`
     picks an integer assignment.  `barred[b, 0]` is row b's `_barred`.
     `paths`, the tasks' `_paths`, and `local` serve the finish and
-    `allocate`, and are not kept by `take`."""
+    `allocate`; a `take` of other rows keeps neither."""
 
     __slots__ = ("index", "local", "root", "capacity", "starts", "barred", "paths", "terms", "root_terms", "first",
                  "bars")
@@ -195,23 +193,23 @@ class _Stack:
         self.root = _roots(self.paths)
         barred = {scheme: _barred(scheme) for scheme in set(schemes)}
         self.barred = np.array([barred[scheme] for scheme in schemes])[:, None, :]
-        rows, num_tasks = self.root.shape[1:3]
-        self.first = np.arange(0, 3 * rows * num_tasks, 3).reshape(rows, num_tasks)
         self._views()
 
     def _views(self):
         self.terms, self.root_terms = self.index.reshape(3, -1), self.root.reshape(3, -1)
+        self.first = np.arange(0, self.root_terms.shape[1], 3).reshape(self.root.shape[1:3])
         self.bars = bool(self.barred.any())
 
     def take(self, keep: np.ndarray) -> "_Stack":
-        """The stack of the given rows, in that order."""
+        """The stack of the given rows, in that order: itself, for all its
+        rows in order."""
+        if keep.size == self.capacity.shape[0] and (keep == np.arange(keep.size)).all():
+            return self
         stack = object.__new__(_Stack)
         shift = (keep - np.arange(keep.size)) * self.capacity.shape[1]  # each kept row's pools move down
         stack.index = self.index[:, keep] - shift[:, None, None]
         stack.root, stack.starts = self.root[:, keep], self.starts
         stack.capacity, stack.barred = self.capacity[keep], self.barred[keep]
-        # Row b's entries start at 3 b K in any stack of this shape.
-        stack.first = self.first[: keep.size]
         stack._views()
         return stack
 
@@ -321,16 +319,6 @@ def _roots(paths) -> np.ndarray:
     root[1, ..., _CODE_H] = root[1, ..., _CODE_C] = np.sqrt(bits / fronthaul_se)
     root[2, ..., _CODE_C] = np.sqrt(bits / midhaul_se)
     return root
-
-
-def _member(index: np.ndarray, root: np.ndarray, num_pools: int) -> np.ndarray:
-    """(B, K, 3, P) square roots of each task's demands spread over its
-    problem's pool vector, from term-major (3, B, K, 3) pool indices that
-    name each problem's own pools (0 to P - 1) and their sqrt demands."""
-    rows, num_tasks = index.shape[1:3]
-    member = np.zeros((rows, num_tasks, 3, num_pools))
-    member[np.arange(rows)[:, None, None], np.arange(num_tasks)[:, None], np.arange(3), index] = root
-    return member
 
 
 def _price_vector(duals: DualState, topology: Topology) -> np.ndarray:
@@ -499,99 +487,112 @@ def _cost(loads: np.ndarray, capacity: np.ndarray):
     return np.add.reduce(loads * (loads / capacity), axis=-1)
 
 
-def _local_search(codes: np.ndarray, objective, tiers, member: np.ndarray, capacity: np.ndarray):
+def _local_search(codes: np.ndarray, objective, tiers, stack: _Stack):
     """Deterministic best-improvement descent over tier changes, run in
-    lockstep on a stack of problems of one scheme.
+    lockstep on a stack of problems of one scheme, one row each.
 
     `codes` (F, K) holds each problem's assignment, `objective` (F,) its
     exact cost and `tiers` the tier codes the scheme allows, in L, H, C
-    order; `member` (F, K, 3, P) and `capacity` (F, P) are the problems'
-    pools (`_member`).  Returns the descended codes and their exact costs as
-    new arrays.  At each step every problem still descending takes its best
-    single-task move; one with no improving single move takes its best
-    coordinated two-task move (which captures exchange-type improvements
-    single moves cannot reach), and one with neither is done.  A scheme
-    with one tier has no move.
-
-    The cost is sum_p W_p^2 / F_p over the pool sums W of sqrt demands, so a
-    move that shifts them by d changes it by sum_p (2 W_p d_p + d_p^2) / F_p,
-    and two moves together by the sum of their changes plus
-    2 sum_p d1_p d2_p / F_p.  Every neighbour of every problem is scored
-    that way from the current pool sums, as one batched reduction, each task
-    moving to each of the scheme's other tiers.  Pairs are scored
-    _PAIR_BLOCK_ROWS first moves at a time, so the pair pass holds O(K)
-    scores per problem, not O(K^2).  Those scores round
-    differently from the exact objective, so in each problem the moves
-    within _RECHECK_BAND of its best are re-scored exactly, and the first of
-    them in enumeration order (task, then tier) with the least exact
-    objective is taken if that is strictly below the incumbent's: each
-    problem takes the moves that exact re-scoring of every neighbour would
-    take, and its returned objective is always an exact value.  No problem
-    reads another's numbers.
-    """
+    order.  Returns the descended codes and their exact costs as new arrays.
+    At each step every problem still descending takes its best single-task
+    move, else its best coordinated two-task move (which captures exchange
+    improvements single moves cannot reach), else it is done; a scheme with
+    one tier has no move.  Every neighbour, each task moving to each other
+    tier, is scored in closed form from the current pool sums: a single
+    move from its own pool entries (`_move_changes`), a pair from the two
+    moves' pool shifts (`_pair_blocks`).  Those scores round differently
+    from the exact objective, so each problem re-scores the moves within
+    _RECHECK_BAND of its best exactly, by the stack's pick and scatter, and
+    takes the first in enumeration order (task, then tier) of least exact
+    objective if that is strictly below the incumbent's: the moves exact
+    re-scoring of every neighbour would take.  Its returned objective is
+    always an exact value, and no problem reads another's numbers."""
     codes, objective = codes.copy(), np.array(objective, dtype=np.float64)
     slots = len(tiers) - 1  # moves per task
     if not slots:
         return codes, objective
-    # others[c]: the scheme's tiers other than c, in order (c, a code of the
-    # scheme, is always one of them).
+    # others[c]: the scheme's tiers other than c (a code of the scheme), in order.
     others = np.array([[t for t in tiers if t != c][:slots] for c in range(3)])
-    tasks = np.arange(codes.shape[1])
-    move_task = np.repeat(tasks, slots)
+    move_task = np.repeat(np.arange(codes.shape[1]), slots)
     m = move_task.size
-    live = np.arange(codes.shape[0])  # the problems still descending
-    problem, cap = live[:, None], capacity[:, None]
+    live = np.arange(codes.shape[0])  # the problems still descending, the rows of `stack`
+    loads = stack.picked_loads(stack.first + codes)
     while live.size:
         current = codes[live]
         move_code = others[current].reshape(live.size, m)
-        held = member[problem, tasks, current]  # (A, K, P)
-        load = np.add.reduce(held, axis=1)
-        delta = member[problem, move_task, move_code]
-        delta -= held[:, move_task]
-        single = np.add.reduce(delta * ((2.0 * load[:, None] + delta) / cap), axis=-1)
+        ahead, away = stack.first[:, move_task] + move_code, (stack.first + current)[:, move_task]
+        single = _move_changes(stack, loads, ahead, away)
 
         def improve(at, moves):
-            """Re-score exactly each candidate: problem live[at] with its row
-            of `moves` (move indices) applied.  Each problem with candidates
-            takes the one exact re-scoring picks (`_recheck`); returns the
-            problems (indices into `codes`) that moved."""
+            """Re-score exactly problem live[at] with its row of `moves` (move
+            indices) applied; take `_recheck`'s picks and their pool sums and
+            return the positions in `live` of the problems that moved."""
             trial = current[at]
             trial[np.arange(at.size)[:, None], move_task[moves]] = move_code[at[:, None], moves]
-            rows = live[at]
-            values = _cost(np.add.reduce(member[rows[:, None], tasks, trial], axis=1), capacity[rows])
-            picked = _recheck(at, values, objective[rows])
-            rows = rows[picked]
-            codes[rows], objective[rows] = trial[picked], values[picked]
+            scored = stack.take(at)
+            trial_loads = scored.picked_loads(scored.first + trial)
+            values = _cost(trial_loads, scored.capacity)
+            picked = _recheck(at, values, objective[live[at]])
+            rows = at[picked]
+            codes[live[rows]], objective[live[rows]], loads[rows] = trial[picked], values[picked], trial_loads[picked]
             return rows
 
         at, index = _near_best([(0, single)], objective[live])
-        moved = at[:0]
-        if at.size:
-            moved = improve(at, index[:, None])
+        moved = improve(at, index[:, None]) if at.size else at
         if moved.size < live.size:
             rest = np.ones(live.size, dtype=bool)
-            rest[np.searchsorted(live, moved)] = False
+            rest[moved] = False
             rest = rest.nonzero()[0]
-            # The pair pass of the problems with no improving single move.
-            base, turned = single[rest], delta[rest]
-            scaled = turned / cap[rest]
-            turned = turned.transpose(0, 2, 1)
-
-            def pair_blocks():
-                for start in range(0, m, _PAIR_BLOCK_ROWS):
-                    rows = slice(start, start + _PAIR_BLOCK_ROWS)
-                    block = base[:, rows, None] + base[:, None, :]
-                    block += 2.0 * (scaled[:, rows] @ turned)
-                    np.copyto(block, np.inf, where=move_task[rows, None] >= move_task)  # each pair once, k1 < k2
-                    yield start * m, block.reshape(rest.size, -1)
-
-            at, index = _near_best(pair_blocks(), objective[live[rest]])
+            # The pair pass of the problems with no improving single move,
+            # from each move's pool shifts: one scatter of its two entries.
+            pairs = stack.take(rest)
+            ahead, away = pairs.first[:, move_task] + move_code[rest], (pairs.first + current[rest])[:, move_task]
+            at, index = _near_best(_pair_blocks(pairs, single[rest], ahead, away, move_task), objective[live[rest]])
             if at.size:
                 moved = np.concatenate((moved, improve(rest[at], np.stack(np.divmod(index, m), axis=1))))
             if moved.size < live.size:  # some problems are done
-                live = np.sort(moved)
-                problem, cap = live[:, None], capacity[live][:, None]
+                moved.sort()
+                live, loads = live[moved], loads[moved]
+                stack = stack.take(moved) if moved.size else stack
     return codes, objective
+
+
+def _move_changes(stack: _Stack, loads: np.ndarray, ahead: np.ndarray, away: np.ndarray) -> np.ndarray:
+    """The change in f = sum_p W_p^2 / F_p at pool sums `loads` (B, P) of
+    each move (B, N) of a task from (task, tier) entry `away` to `ahead`
+    (named as by `_Stack.first`), from its own pool entries: b (2 W + b) / F
+    on each pool it shifts by b, +sqrt(d) ahead and -sqrt(d) away per term,
+    or their sum where both lie in one pool (H and C, on the RU's fronthaul)."""
+    into, out_of = stack.terms.take(ahead, axis=1), stack.terms.take(away, axis=1)
+    added, removed = stack.root_terms.take(ahead, axis=1), stack.root_terms.take(away, axis=1)
+    twice, capacity = 2.0 * loads.ravel(), stack.capacity.ravel()
+    inward, outward, room, shift = twice.take(into), twice.take(out_of), capacity.take(into), added - removed
+    return np.add.reduce(np.where(
+        into == out_of, shift * ((inward + shift) / room),
+        added * ((inward + added) / room) - removed * ((outward - removed) / capacity.take(out_of))
+    ), axis=0)
+
+
+def _pair_blocks(stack: _Stack, single: np.ndarray, ahead: np.ndarray, away: np.ndarray, move_task: np.ndarray):
+    """The change in f of each pair of moves of two tasks, k1 < k2 (+inf
+    elsewhere), as (offset, (B, rows x N) block) pairs of _PAIR_BLOCK_ROWS
+    first moves each, for `_near_best`: the moves' `single` changes (B, N)
+    plus 2 sum_p d1_p d2_p / F_p over their pool shifts d, each a scatter of
+    the move's entries `ahead` and `away` signed +1 and -1.  Two buffers
+    serve every block, which fresh ones would page in anew each time."""
+    rows, m = single.shape
+    shift = stack.picked_loads(np.stack((ahead, away), axis=-1).transpose(1, 0, 2), np.array([1.0, -1.0]))  # (N, B, P)
+    scaled, turned = (shift / stack.capacity).transpose(1, 0, 2), shift.transpose(1, 2, 0)
+    space = np.empty((2, rows * min(m, _PAIR_BLOCK_ROWS) * m))
+    for start in range(0, m, _PAIR_BLOCK_ROWS):
+        block_rows, size = slice(start, start + _PAIR_BLOCK_ROWS), min(_PAIR_BLOCK_ROWS, m - start)
+        block, product = space[:, : rows * size * m].reshape(2, rows, size, m)
+        np.add(single[:, block_rows, None], single[:, None, :], out=block)
+        np.matmul(scaled[:, block_rows], turned, out=product)
+        product *= 2.0
+        block += product
+        np.copyto(block, np.inf, where=move_task[block_rows, None] >= move_task)
+        yield start * m, block.reshape(rows, -1)
 
 
 def _near_best(blocks, objective: np.ndarray):
@@ -933,11 +934,9 @@ def _finish(stack: _Stack, chunk, allowed, starts, objective, traces, iterations
     rows = np.concatenate((np.arange(len(chunk)), differs))
     codes = np.concatenate((incumbent, rounded[differs]))
     objective = np.concatenate((objective, stack.costs(rounded)[differs]))
-    member = _member(stack.local, stack.root, stack.capacity.shape[1])
     for tiers in dict.fromkeys(allowed):  # each scheme's tier codes
         at = np.flatnonzero([allowed[row] == tiers for row in rows.tolist()])
-        codes[at], objective[at] = _local_search(codes[at], objective[at], tiers, member[rows[at]],
-                                                 stack.capacity[rows[at]])
+        codes[at], objective[at] = _local_search(codes[at], objective[at], tiers, stack.take(rows[at]))
     tail = slice(len(chunk), None)
     wins = objective[tail] < objective[differs]
     codes[differs[wins]], objective[differs[wins]] = codes[tail][wins], objective[tail][wins]

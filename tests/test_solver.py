@@ -33,14 +33,26 @@ from fogplan.solver import (
     _line_step,
     _local_search,
     _marginals,
-    _member,
+    _move_changes,
     _overload,
+    _pair_blocks,
     _pair_steps,
     _pool_loads,
     _Pools,
     _price_vector,
     _uniform_weights,
 )
+
+
+def _member(index: np.ndarray, root: np.ndarray, num_pools: int) -> np.ndarray:
+    """(B, K, 3, P) square roots of each task's demands spread over its
+    problem's pool vector, from term-major (3, B, K, 3) pool indices that
+    name each problem's own pools (0 to P - 1) and their sqrt demands: the
+    tests' dense membership reference for the solver's sparse layout."""
+    rows, num_tasks = index.shape[1:3]
+    member = np.zeros((rows, num_tasks, 3, num_pools))
+    member[np.arange(rows)[:, None, None], np.arange(num_tasks)[:, None], np.arange(3), index] = root
+    return member
 
 
 def _duals(mu=1.0, lam=1.0, rho=1.0, nu=1.0, xi=1.0, n_ru=1, n_du=1):
@@ -978,14 +990,14 @@ def _reference_local_search(codes, objective, allowed_codes, evaluate):
         objective = best_obj
 
 
-def _assert_polish_matches_reference(pools, rng):
+def _assert_polish_matches_reference(tasks, topology, rng):
+    pools, stack = _Pools(tasks, topology), solver._Stack([(topology, tasks, None, Scheme.FOG)])
     n = pools.first.size
-    member, capacity = _member(pools.index, pools.root, pools.capacity.size), pools.capacity[None]
     for scheme in Scheme:
         allowed = tuple(TIER_INDEX[t] for t in scheme.allowed_tiers)
         start = rng.choice(allowed, size=n).astype(np.int64)
         objective = pools.objective(start)
-        (codes,), (value,) = _local_search(start[None], [objective], allowed, member, capacity)
+        (codes,), (value,) = _local_search(start[None], [objective], allowed, stack)
         ref_codes, ref_value = _reference_local_search(start, objective, allowed, pools.objective)
         assert np.array_equal(codes, ref_codes)
         assert value == ref_value
@@ -1005,7 +1017,7 @@ def test_polish_matches_exact_reference(random_instance, num_users, num_rus, num
     rng = np.random.default_rng(num_users)
     for seed in seeds:
         scenario, _ = random_instance(seed=seed, num_users=num_users, num_rus=num_rus, num_dus=num_dus, **spec_kw)
-        _assert_polish_matches_reference(_Pools(scenario.tasks, scenario.topology), rng)
+        _assert_polish_matches_reference(scenario.tasks, scenario.topology, rng)
 
 
 def test_polish_matches_exact_reference_on_tied_tasks(make_topology, make_tasks):
@@ -1016,9 +1028,8 @@ def test_polish_matches_exact_reference_on_tied_tasks(make_topology, make_tasks)
                          fronthaul_capacity_hz=5e7, midhaul_capacity_hz=5e7)
     tasks = make_tasks([1e7, 1e7, 2e7, 2e7, 1e7, 1e7, 3e7, 3e7], [5.0, 5.0, 1.0, 1.0, 5.0, 5.0, 0.5, 0.5])
     rng = np.random.default_rng(0)
-    pools = _Pools(tasks, topo)
     for _ in range(10):
-        _assert_polish_matches_reference(pools, rng)
+        _assert_polish_matches_reference(tasks, topo, rng)
 
 
 @pytest.mark.parametrize("num_users, num_rus, num_dus, rows", [(6, 4, 2, 32), (8, 4, 2, 36), (40, 10, 4, 8)])
@@ -1035,7 +1046,6 @@ def test_stacked_polish_matches_reference_row_by_row(random_instance, num_users,
         scenario, rates = random_instance(seed=row, num_users=num_users, num_rus=num_rus, num_dus=num_dus, **spec_kw)
         problems.append((scenario.topology, scenario.tasks, rates, scheme))
     stack = solver._Stack(problems)
-    member = _member(stack.local, stack.root, stack.capacity.shape[1])
     allowed = [tuple(TIER_INDEX[t] for t in scheme.allowed_tiers) for scheme in schemes]
     start = np.array([rng.choice(tiers, size=num_users) for tiers in allowed], dtype=np.int64)
     pools = [_Pools(tasks, topo) for topo, tasks, _, _ in problems]
@@ -1044,7 +1054,7 @@ def test_stacked_polish_matches_reference_row_by_row(random_instance, num_users,
     for scheme in dict.fromkeys(schemes):
         rows_of = np.flatnonzero([s == scheme for s in schemes])
         codes[rows_of], values[rows_of] = _local_search(start[rows_of], values[rows_of], allowed[rows_of[0]],
-                                                        member[rows_of], stack.capacity[rows_of])
+                                                        stack.take(rows_of))
     assert codes.shape == start.shape and values.shape == (rows,)
     moved = 0
     for row, (p, tiers) in enumerate(zip(pools, allowed)):
@@ -1055,6 +1065,80 @@ def test_stacked_polish_matches_reference_row_by_row(random_instance, num_users,
             assert np.array_equal(codes[row], start[row]) and values[row] == objective[row]
         moved += not np.array_equal(codes[row], start[row])
     assert moved >= rows // 2  # most rows descend, over different numbers of steps
+
+
+def test_stack_take_of_repeated_reordered_rows(random_instance):
+    # The finish polishes two starts of one problem as two rows of one
+    # stack: a take of repeated, reordered rows must give each row the pool
+    # sums and exact costs of that row of the whole stack, bit for bit, and
+    # a take of every row in order is the stack itself.
+    rng = np.random.default_rng(5)
+    problems = []
+    for row, scheme in enumerate((Scheme.FOG, Scheme.CLOUD_RU, Scheme.CLOUD_DU)):
+        scenario, rates = random_instance(seed=70 + row, num_users=8, num_rus=4, num_dus=2)
+        problems.append((scenario.topology, scenario.tasks, rates, scheme))
+    stack = solver._Stack(problems)
+    codes = np.array([rng.choice([TIER_INDEX[t] for t in p[3].allowed_tiers], size=8) for p in problems])
+    keep = np.array([1, 1, 0, 2, 2])
+    taken = stack.take(keep)
+    whole_loads, whole_costs = stack.picked_loads(stack.first + codes), stack.costs(codes)
+    loads = taken.picked_loads(taken.first + codes[keep])
+    assert loads.shape == (keep.size, stack.capacity.shape[1])
+    assert loads.tobytes() == whole_loads[keep].tobytes()
+    assert taken.costs(codes[keep]).tobytes() == whole_costs[keep].tobytes()
+    assert stack.take(np.arange(3)) is stack
+
+
+def _moves(stack, codes, tiers):
+    """Every move of the polish at tier codes (B, K) under a scheme's tier
+    codes, in its order (task, then tier): each move's task (N,), new codes
+    (B, N) and (task, tier) entries ahead and away (B, N) each."""
+    others = np.array([[t for t in tiers if t != c][: len(tiers) - 1] for c in range(3)])
+    move_task = np.repeat(np.arange(codes.shape[1]), len(tiers) - 1)
+    move_code = others[codes].reshape(codes.shape[0], -1)
+    return move_task, move_code, stack.first[:, move_task] + move_code, (stack.first + codes)[:, move_task]
+
+
+@pytest.mark.parametrize("num_users, num_rus, num_dus", [(8, 4, 2), (40, 10, 4), (200, 10, 4)])
+def test_polish_move_scores_match_the_exact_scorer(random_instance, num_users, num_rus, num_dus):
+    # The polish scores a single move from its own pool entries and a pair
+    # from the two moves' pool shifts; both must equal the change of the
+    # exact plan cost, costs(after) - costs(before), to 1e-12 of the
+    # objective, for random plans under every scheme with moves, H <-> C
+    # moves (which leave and join the RU's one fronthaul pool) included.
+    rng = np.random.default_rng(num_users)
+    shared = 0
+    for scheme in (Scheme.FOG, Scheme.CLOUD_RU, Scheme.CLOUD_DU):  # a one-tier scheme has no move
+        tiers = tuple(TIER_INDEX[t] for t in scheme.allowed_tiers)
+        problems = []
+        for row in range(2):
+            scenario, rates = random_instance(seed=40 + row, num_users=num_users, num_rus=num_rus, num_dus=num_dus)
+            problems.append((scenario.topology, scenario.tasks, rates, scheme))
+        stack = solver._Stack(problems)
+        codes = rng.choice(tiers, size=(2, num_users))
+        before = stack.costs(codes)
+        move_task, move_code, ahead, away = _moves(stack, codes, tiers)
+        single = _move_changes(stack, stack.picked_loads(stack.first + codes), ahead, away)
+        after = np.repeat(codes[None], move_task.size, axis=0)  # one plan per move: (N, B, K)
+        after[np.arange(move_task.size), :, move_task] = move_code.T
+        exact = (stack.costs(after) - before).T
+        assert np.all(np.abs(single - exact) <= 1e-12 * before[:, None]), scheme
+        shared += np.count_nonzero((codes[:, move_task] != TIER_INDEX["L"]) & (move_code != TIER_INDEX["L"]))
+        # The first block of pair scores, sampled: k1 < k2 scored, the rest +inf.
+        offset, block = next(_pair_blocks(stack, single, ahead, away, move_task))
+        m = move_task.size
+        assert offset == 0 and block.shape == (2, min(m, solver._PAIR_BLOCK_ROWS) * m)
+        sample = rng.choice(block.shape[1], size=min(block.shape[1], 300), replace=False)
+        first, second = np.divmod(sample, m)
+        counted = move_task[first] < move_task[second]
+        assert np.all(np.isinf(block[:, sample[~counted]]))
+        first, second = first[counted], second[counted]
+        after = np.repeat(codes[None], first.size, axis=0)
+        after[np.arange(first.size), :, move_task[first]] = move_code[:, first].T
+        after[np.arange(first.size), :, move_task[second]] = move_code[:, second].T
+        exact = (stack.costs(after) - before).T
+        assert np.all(np.abs(block[:, sample[counted]] - exact) <= 1e-12 * before[:, None]), scheme
+    assert shared > 0  # H <-> C moves were scored
 
 
 def test_finish_keeps_the_better_of_the_two_polished_starts(random_instance):
