@@ -41,10 +41,10 @@ stationary share and the marginal, so no expression forms d pi or d / pi,
 which overflow at extreme but finite inputs where their square roots do
 not; so too every quadratic form is a (b / F), as W (W / F) for W^2 / F.
 Raw demands appear only as the numerators of the delay legs (`_paths`).
-Term-major, the three terms of a
-marginal are three contiguous planes added element by element (in the same
-order, so to the same bits), and since every pool lies in one term plane,
-the scatter adds each pool's members in task order.  `DualState` splits a
+Term-major, the three terms of a marginal are three contiguous planes added
+element by element (in the same order, so to the same bits), and since
+every pool lies in one term plane, the scatter adds each pool's members in
+task order.  `DualState` splits a
 pool vector of prices into its five families only at the public boundary.
 A pool none of a scheme's tiers draws on gets no weight, so its sum and
 price stay 0.
@@ -180,7 +180,7 @@ class _Stack:
     the raveled (B, K, 3) marginals and in those views, so `first + codes`
     picks an integer assignment.  `barred[b, 0]` is row b's `_barred`.
     `paths`, the tasks' `_paths`, and `local` serve the finish and
-    `allocate`; a `take` of other rows keeps neither."""
+    `allocate`; a `take` keeps neither."""
 
     __slots__ = ("index", "local", "root", "capacity", "starts", "barred", "paths", "terms", "root_terms", "first",
                  "bars")
@@ -201,17 +201,22 @@ class _Stack:
         self.bars = bool(self.barred.any())
 
     def take(self, keep: np.ndarray) -> "_Stack":
-        """The stack of the given rows, in that order: itself, for all its
-        rows in order."""
-        if keep.size == self.capacity.shape[0] and (keep == np.arange(keep.size)).all():
-            return self
+        """The stack of the given rows, in that order."""
         stack = object.__new__(_Stack)
         shift = (keep - np.arange(keep.size)) * self.capacity.shape[1]  # each kept row's pools move down
-        stack.index = self.index[:, keep] - shift[:, None, None]
-        stack.root, stack.starts = self.root[:, keep], self.starts
-        stack.capacity, stack.barred = self.capacity[keep], self.barred[keep]
+        stack.index = self.index.take(keep, axis=1) - shift[:, None, None]
+        stack.root, stack.starts = self.root.take(keep, axis=1), self.starts
+        stack.capacity, stack.barred = self.capacity.take(keep, axis=0), self.barred.take(keep, axis=0)
         stack._views()
         return stack
+
+    def moves(self, ahead: np.ndarray, away: np.ndarray):
+        """The pool entries of moves of a task from (task, tier) entry `away`
+        to `ahead`, named as by `first`: the pools it joins (3, ...), the one
+        it leaves on plane 0 (on planes 1 and 2 every tier reads the task's
+        own RU and DU pools), and the square-root demands added and removed."""
+        return (self.terms.take(ahead, axis=1), self.terms[0].take(away), self.root_terms.take(ahead, axis=1),
+                self.root_terms.take(away, axis=1))
 
     def loads(self, weights: np.ndarray) -> np.ndarray:
         """Pool sums (B, P) of the square-root demands weighted by each
@@ -540,37 +545,32 @@ def _local_search(codes: np.ndarray, objective, tiers, stack: _Stack):
         at, index = _near_best([(0, single)], objective[live])
         moved = improve(at, index[:, None]) if at.size else at
         if moved.size < live.size:
-            rest = np.ones(live.size, dtype=bool)
-            rest[moved] = False
-            rest = rest.nonzero()[0]
+            rest = np.flatnonzero(np.bincount(moved, minlength=live.size) == 0)
             # The pair pass of the problems with no improving single move,
             # from each move's pool shifts: one scatter of its two entries.
-            pairs = stack.take(rest)
+            pairs = stack.take(rest) if rest.size < live.size else stack
             ahead, away = pairs.first[:, move_task] + move_code[rest], (pairs.first + current[rest])[:, move_task]
             at, index = _near_best(_pair_blocks(pairs, single[rest], ahead, away, move_task), objective[live[rest]])
             if at.size:
                 moved = np.concatenate((moved, improve(rest[at], np.stack(np.divmod(index, m), axis=1))))
             if moved.size < live.size:  # some problems are done
                 moved.sort()
-                live, loads = live[moved], loads[moved]
-                stack = stack.take(moved) if moved.size else stack
+                live, loads, stack = live[moved], loads[moved], stack.take(moved) if moved.size else stack
     return codes, objective
 
 
 def _move_changes(stack: _Stack, loads: np.ndarray, ahead: np.ndarray, away: np.ndarray) -> np.ndarray:
     """The change in f = sum_p W_p^2 / F_p at pool sums `loads` (B, P) of
-    each move (B, N) of a task from (task, tier) entry `away` to `ahead`
-    (named as by `_Stack.first`), from its own pool entries: b (2 W + b) / F
-    on each pool it shifts by b, +sqrt(d) ahead and -sqrt(d) away per term,
-    or their sum where both lie in one pool (H and C, on the RU's fronthaul)."""
-    into, out_of = stack.terms.take(ahead, axis=1), stack.terms.take(away, axis=1)
-    added, removed = stack.root_terms.take(ahead, axis=1), stack.root_terms.take(away, axis=1)
+    each move (B, N) of a task from (task, tier) entry `away` to another
+    tier's `ahead`, from its pool entries (`_Stack.moves`): b (2 W + b) / F
+    on each pool it shifts by b, two on plane 0 and one on each of 1 and 2."""
+    into, left, added, removed = stack.moves(ahead, away)
     twice, capacity = 2.0 * loads.ravel(), stack.capacity.ravel()
-    inward, outward, room, shift = twice.take(into), twice.take(out_of), capacity.take(into), added - removed
-    return np.add.reduce(np.where(
-        into == out_of, shift * ((inward + shift) / room),
-        added * ((inward + added) / room) - removed * ((outward - removed) / capacity.take(out_of))
-    ), axis=0)
+    inward, room, shift = twice.take(into), capacity.take(into), added[1:] - removed[1:]
+    change = added[0] * ((inward[0] + added[0]) / room[0])
+    change -= removed[0] * ((twice.take(left) - removed[0]) / capacity.take(left))
+    shared = shift * ((inward[1:] + shift) / room[1:])
+    return change + shared[0] + shared[1]
 
 
 def _pair_blocks(stack: _Stack, single: np.ndarray, ahead: np.ndarray, away: np.ndarray, move_task: np.ndarray):
@@ -578,8 +578,9 @@ def _pair_blocks(stack: _Stack, single: np.ndarray, ahead: np.ndarray, away: np.
     elsewhere), as (offset, (B, rows x N) block) pairs of _PAIR_BLOCK_ROWS
     first moves each, for `_near_best`: the moves' `single` changes (B, N)
     plus 2 sum_p d1_p d2_p / F_p over their pool shifts d, each a scatter of
-    the move's entries `ahead` and `away` signed +1 and -1.  Two buffers
-    serve every block, which fresh ones would page in anew each time."""
+    the move's entries `ahead` and `away` signed +1 and -1.  All blocks
+    share two buffers, so each holds only until the generator advances and
+    `_near_best` copies what it keeps."""
     rows, m = single.shape
     shift = stack.picked_loads(np.stack((ahead, away), axis=-1).transpose(1, 0, 2), np.array([1.0, -1.0]))  # (N, B, P)
     scaled, turned = (shift / stack.capacity).transpose(1, 0, 2), shift.transpose(1, 2, 0)
@@ -782,16 +783,15 @@ def _pair_steps(stack: "_Stack", marg: np.ndarray, weights: np.ndarray, forward:
     demands minus the away tier's, so f changes by its slope, half the
     difference of the two marginals, times the step, plus its curvature, sum
     over the moved terms of their squared shift over F, times the step
-    squared; two tiers of a task share a pool only in one term plane (H and
-    C, on the RU's fronthaul)."""
+    squared.  Planes 1 and 2 shift one pool each (`_Stack.moves`), and so
+    does plane 0 where the forward tier is the away tier itself."""
     marg, capacity = marg.reshape(-1), stack.capacity.ravel()
     gain = marg.take(away) - marg.take(forward)  # >= 0: the forward tier is the cheapest
-    into, out_of = stack.terms.take(forward, axis=1), stack.terms.take(away, axis=1)
-    added, removed = stack.root_terms.take(forward, axis=1), stack.root_terms.take(away, axis=1)
-    shift, inward, outward = added - removed, capacity.take(into), capacity.take(out_of)
-    curvature = np.add.reduce(np.where(
-        into == out_of, shift * (shift / inward), added * (added / inward) + removed * (removed / outward)
-    ), axis=0)
+    into, left, added, removed = stack.moves(forward, away)
+    shift, inward = added - removed, capacity.take(into)
+    shared = shift * (shift / inward)
+    apart = added[0] * (added[0] / inward[0]) + removed[0] * (removed[0] / capacity.take(left))
+    curvature = np.where(into[0] == left, shared[0], apart) + shared[1] + shared[2]
     step = np.divide(gain, 2.0 * curvature, out=np.zeros_like(gain), where=curvature > 0)
     return np.minimum(step, weights.reshape(-1).take(away))
 
