@@ -98,7 +98,7 @@ _PAIR_BLOCK_ROWS = 64
 # Most tasks one stacked price loop holds; a longer run of problems of one
 # shape goes through consecutive loops, which changes no result.  The stacked
 # arrays and the polish's pair shifts grow with the loop: 400 streamed K=100
-# problems peak at 57 MB RSS in loops of 40 and at 212 MB in one loop (30 MB
+# problems peak at 56 MB RSS in loops of 40 and at 174 MB in one loop (30 MB
 # after imports), in about the same time.
 _BATCH_TASKS = 4096
 

@@ -1070,8 +1070,7 @@ def test_stacked_polish_matches_reference_row_by_row(random_instance, num_users,
 def test_stack_take_of_repeated_reordered_rows(random_instance):
     # The finish polishes two starts of one problem as two rows of one
     # stack: a take of repeated, reordered rows must give each row the pool
-    # sums and exact costs of that row of the whole stack, bit for bit, and
-    # a take of every row in order is the stack itself.
+    # sums and exact costs of that row of the whole stack, bit for bit.
     rng = np.random.default_rng(5)
     problems = []
     for row, scheme in enumerate((Scheme.FOG, Scheme.CLOUD_RU, Scheme.CLOUD_DU)):
