@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle as oracle_mod
-from .latency import task_delay
+from .latency import _FAMILIES, _drawing_tiers, task_delay
 from .phy import DEFAULT_NUM_ANTENNAS, generate_channels, uplink_rates
-from .scenario import TIER_C, TIER_H, TIER_L, Scenario, ScenarioSpec, Scheme, generate_scenario, load_scenario, save_scenario
+from .scenario import Scenario, ScenarioSpec, Scheme, generate_scenario, load_scenario, save_scenario
 from .solver import SolveResult, SolverConfig, _solve_batch, solve
 
 SWEEP_PARAMETERS = {
@@ -123,10 +123,10 @@ def _realize(spec: ScenarioSpec, num_antennas: int) -> tuple[Scenario, np.ndarra
     return scenario, _rates(scenario, spec.seed, num_antennas)
 
 
-# The tiers whose plans draw on the capacity each capacity sweep sets: RU MEC
-# serves the L tier, DU MEC the H tier, RU fronthaul the H and C tiers and DU
-# midhaul the C tier.
-_DRAWING_TIERS = {"fl": {TIER_L}, "fh": {TIER_H}, "bl": {TIER_H, TIER_C}, "bh": {TIER_C}}
+# The tiers whose plans draw on the capacity each capacity sweep sets: those
+# with a leg on its family in `latency`'s model table.
+_DRAWING_TIERS = {parameter: _drawing_tiers(family) for parameter, field in SWEEP_PARAMETERS.items()
+                  for family in _FAMILIES if family.capacity == field}
 
 
 def _sweep_share(args) -> dict[tuple[int, int, int], float]:

@@ -1,15 +1,18 @@
 """Delay model and feasibility checking.
 
-Evaluates the end-to-end delay of any (tier decision, resource allocation)
-pair and validates the capacity constraints: per-RU MEC compute (C3), per-DU
-MEC compute (C4), cloud compute (C5), per-RU fronthaul bandwidth (C6) and
-per-DU midhaul bandwidth (C7).  Reported delays always use the full path
-formulas, including the radio access term.
+The three-tier model is stated once, here: the capacity families with their
+constraints C3-C7 (`_FAMILIES`) and the family each tier's legs draw on
+(`_TIER_LEGS`), which the solver's pool layout and the CLI's sweep read as
+well.  Evaluates the end-to-end delay of any (tier decision, resource
+allocation) pair, always with the full path formulas, radio access
+included, and validates the capacity constraints.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,11 +60,11 @@ def _positive_entries(name: str, entries: dict) -> dict:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Per-task resource shares, keyed by task index.
-
-    Only tasks that use a resource appear in the corresponding map: MEC-RU
-    tasks hold a `mecl_speed`, MEC-DU tasks a `mech_speed` plus a fronthaul
-    share, cloud tasks a `cloud_speed` plus fronthaul and midhaul shares.
+    """Per-task resource shares, keyed by task index: one map per capacity
+    family of `_FAMILIES`.  A task appears in a map only where `_TIER_LEGS`
+    gives its tier a leg on that family: MEC-RU tasks hold a `mecl_speed`,
+    MEC-DU tasks a `mech_speed` plus a fronthaul share, cloud tasks a
+    `cloud_speed` plus fronthaul and midhaul shares.
     """
 
     mecl_speed: dict[int, float] = field(default_factory=dict)
@@ -71,8 +74,44 @@ class Allocation:
     midhaul_bw: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("mecl_speed", "mech_speed", "cloud_speed", "fronthaul_bw", "midhaul_bw"):
-            object.__setattr__(self, name, _positive_entries(name, getattr(self, name)))
+        for family in _FAMILIES:
+            object.__setattr__(self, family.share, _positive_entries(family.share, getattr(self, family.share)))
+
+
+# The three-tier model, stated once.  The capacity families, in the order of
+# the solver's pool vector, each with the `Allocation` map of its shares, the
+# constraint on each of its pools, the `Topology` field of their capacities
+# and the `Topology` map from a user to the node of its pool (its RU or DU;
+# None: one pool for the whole network).
+_Family = namedtuple("_Family", "share constraint capacity node")
+_MECL = _Family("mecl_speed", "C3", "mecl_capacity_hz", "user_to_ru")
+_MECH = _Family("mech_speed", "C4", "mech_capacity_hz", "user_du")
+_CLOUD = _Family("cloud_speed", "C5", "cloud_capacity_hz", None)
+_FRONTHAUL = _Family("fronthaul_bw", "C6", "fronthaul_capacity_hz", "user_to_ru")
+_MIDHAUL = _Family("midhaul_bw", "C7", "midhaul_capacity_hz", "user_du")
+_FAMILIES = (_MECL, _MECH, _CLOUD, _FRONTHAUL, _MIDHAUL)
+# The family each tier's compute, fronthaul and midhaul leg draws on, None
+# for a leg the tier does not use: L computes at its RU, H at its DU over the
+# fronthaul, C in the cloud over the fronthaul and the midhaul.
+_TIER_LEGS = {
+    TIER_L: (_MECL, None, None),
+    TIER_H: (_MECH, _FRONTHAUL, None),
+    TIER_C: (_CLOUD, _FRONTHAUL, _MIDHAUL),
+}
+
+
+def _drawing_tiers(family: _Family) -> set[str]:
+    """The tiers with a leg on the family."""
+    return {tier for tier, legs in _TIER_LEGS.items() if family in legs}
+
+
+def _family_pools(topologies, family: _Family) -> tuple[np.ndarray, np.ndarray]:
+    """The family's capacities, (B, pools), and each user's pool among them,
+    (B, K), in each of B topologies of one shape."""
+    capacity = np.array([getattr(t, family.capacity) for t in topologies]).reshape(len(topologies), -1)
+    if family.node is None:
+        return capacity, np.zeros((len(topologies), topologies[0].num_users), dtype=np.int64)
+    return capacity, np.array([getattr(t, family.node) for t in topologies])
 
 
 @dataclass(frozen=True)
@@ -104,25 +143,24 @@ class Violation:
         )
 
 
-def _require(allocation_map: dict[int, float], name: str, k: int, tier: str) -> float:
-    if k not in allocation_map:
-        raise ValueError(f"allocation is missing {name} for task {k} (tier {tier})")
-    return allocation_map[k]
+def _require(allocation: Allocation, family: _Family, k: int, tier: str) -> float:
+    try:
+        return getattr(allocation, family.share)[k]
+    except KeyError:
+        raise ValueError(f"allocation is missing {family.share} for task {k} (tier {tier})") from None
 
 
 def _tier_shares(k: int, tier: str, allocation: Allocation) -> tuple[float, float, float]:
     """Compute, fronthaul and midhaul shares of task k on the given tier; an
-    infinite share marks a leg the tier does not use."""
-    if tier == TIER_L:
-        return _require(allocation.mecl_speed, "mecl_speed", k, tier), math.inf, math.inf
-    if tier == TIER_H:
-        fronthaul = _require(allocation.fronthaul_bw, "fronthaul_bw", k, tier)
-        return _require(allocation.mech_speed, "mech_speed", k, tier), fronthaul, math.inf
-    if tier == TIER_C:
-        fronthaul = _require(allocation.fronthaul_bw, "fronthaul_bw", k, tier)
-        midhaul = _require(allocation.midhaul_bw, "midhaul_bw", k, tier)
-        return _require(allocation.cloud_speed, "cloud_speed", k, tier), fronthaul, midhaul
-    raise ValueError(f"unknown tier {tier!r} for task {k}")
+    infinite share marks a leg the tier does not use.  Of several missing
+    shares, the fronthaul share is named first, then the midhaul share."""
+    try:
+        compute, fronthaul, midhaul = _TIER_LEGS[tier]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown tier {tier!r} for task {k}") from None
+    fronthaul = math.inf if fronthaul is None else _require(allocation, fronthaul, k, tier)
+    midhaul = math.inf if midhaul is None else _require(allocation, midhaul, k, tier)
+    return _require(allocation, compute, k, tier), fronthaul, midhaul
 
 
 def _delay_legs(paths, rates, shares) -> np.ndarray:
@@ -154,6 +192,14 @@ def _totals(legs: np.ndarray) -> np.ndarray:
     return np.cumsum(np.add.reduce(legs, axis=0), axis=-1)[..., -1]
 
 
+def _paths(topology: Topology, tasks: TaskSet):
+    """Each task's data bits, compute cycles and the spectral efficiencies of
+    its RU's fronthaul and its DU's midhaul link, (K,) each: the numerators
+    and link factors of its delay legs."""
+    return (tasks.data_bits, tasks.compute_cycles, topology.fronthaul_se[topology.user_to_ru],
+            topology.midhaul_se[topology.user_du])
+
+
 def task_delay(
     topology: Topology,
     tasks: TaskSet,
@@ -163,9 +209,7 @@ def task_delay(
     access_rate_bps: float,
 ) -> DelayBreakdown:
     """Delay breakdown of task k on the given tier with the given shares."""
-    ru = topology.user_to_ru[k]
-    paths = (tasks.data_bits[k], tasks.compute_cycles[k], topology.fronthaul_se[ru],
-             topology.midhaul_se[topology.ru_to_du[ru]])
+    paths = [leg[k] for leg in _paths(topology, tasks)]
     shares = np.array(_tier_shares(k, tier, allocation))
     legs = _delay_legs(paths, np.float64(access_rate_bps), shares).tolist()
     return DelayBreakdown(*legs, total_s=legs[0] + legs[1] + legs[2] + legs[3])
@@ -186,40 +230,18 @@ def check_feasibility(
         raise ValueError("decision and task set sizes differ")
     if tasks.num_tasks != topology.num_users:
         raise ValueError("tasks and topology disagree on the number of users")
-    mecl_load = np.zeros(topology.num_rus)
-    mech_load = np.zeros(topology.num_dus)
-    cloud_load = 0.0
-    fronthaul_load = np.zeros(topology.num_rus)
-    midhaul_load = np.zeros(topology.num_dus)
-
-    for k, tier in enumerate(decision.tiers):
-        ru = int(topology.user_to_ru[k])
-        du = int(topology.ru_to_du[ru])
-        if tier == TIER_L:
-            mecl_load[ru] += allocation.mecl_speed.get(k, 0.0)
-        elif tier == TIER_H:
-            mech_load[du] += allocation.mech_speed.get(k, 0.0)
-            fronthaul_load[ru] += allocation.fronthaul_bw.get(k, 0.0)
-        else:
-            cloud_load += allocation.cloud_speed.get(k, 0.0)
-            fronthaul_load[ru] += allocation.fronthaul_bw.get(k, 0.0)
-            midhaul_load[du] += allocation.midhaul_bw.get(k, 0.0)
-
     violations: list[Violation] = []
-
-    def check(constraint, resource, index, used, capacity):
-        if used > capacity * (1.0 + CAPACITY_REL_TOL):
-            violations.append(Violation(constraint, resource, index, float(used), float(capacity)))
-
-    for i in range(topology.num_rus):
-        check("C3", "mecl_capacity_hz", i, mecl_load[i], topology.mecl_capacity_hz[i])
-    for j in range(topology.num_dus):
-        check("C4", "mech_capacity_hz", j, mech_load[j], topology.mech_capacity_hz[j])
-    check("C5", "cloud_capacity_hz", None, cloud_load, topology.cloud_capacity_hz)
-    for i in range(topology.num_rus):
-        check("C6", "fronthaul_capacity_hz", i, fronthaul_load[i], topology.fronthaul_capacity_hz[i])
-    for j in range(topology.num_dus):
-        check("C7", "midhaul_capacity_hz", j, midhaul_load[j], topology.midhaul_capacity_hz[j])
+    for family in _FAMILIES:
+        drawing, shares = _drawing_tiers(family), getattr(allocation, family.share)
+        (capacity,), (pool,) = _family_pools([topology], family)
+        used = [0.0] * capacity.size
+        for k, (tier, i) in enumerate(zip(decision.tiers, pool.tolist())):
+            if tier in drawing:
+                used[i] += shares.get(k, 0.0)
+        for i, (load, room) in enumerate(zip(used, capacity.tolist())):
+            if load > room * (1.0 + CAPACITY_REL_TOL):
+                violations.append(Violation(family.constraint, family.capacity, None if family.node is None else i,
+                                            load, room))
     return violations
 
 
@@ -241,8 +263,6 @@ def total_delay(
         raise ValueError("rates must hold one entry per task")
     if not tasks.num_tasks:
         return 0.0
-    shares = np.array([_tier_shares(k, tier, allocation) for k, tier in enumerate(decision.tiers)]).T
-    ru = topology.user_to_ru
-    paths = (tasks.data_bits, tasks.compute_cycles, topology.fronthaul_se[ru],
-             topology.midhaul_se[topology.ru_to_du[ru]])
-    return float(_totals(_delay_legs(paths, rates, shares)))
+    rows = itertools.chain.from_iterable(_tier_shares(k, tier, allocation) for k, tier in enumerate(decision.tiers))
+    shares = np.fromiter(rows, np.float64, 3 * tasks.num_tasks).reshape(-1, 3).T
+    return float(_totals(_delay_legs(_paths(topology, tasks), rates, shares)))

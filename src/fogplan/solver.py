@@ -27,27 +27,26 @@ integer assignment, scored exactly; the best of those and of the
 single-tier plans is the incumbent.  `converged` speaks of the relaxation,
 `duality_gap` of the returned integer plan.
 
-The pools are one vector everywhere, in the order per-RU MEC, per-DU MEC,
-cloud, per-RU fronthaul, per-DU midhaul, laid out by one builder, `_Stack`,
-for a stack of problems of one shape (one problem is a row, `_Pools`).  Each
-task and tier draws on at most three pools (compute, fronthaul, midhaul), so
-the loop works on a pool-index array and the matching square-root demands,
-stored term-major as (term, task, tier): one gather of W / F gives every
-marginal, and one scatter the pool sums of any weights or picked tiers, by
-which every integer plan is scored (`_Stack.costs`) and allocated
-(`_Stack.allocate`).  Every closed form reads sqrt(d): the pool cost
-(sum sqrt(d))^2 / F, the exact share F (sqrt(d) / W), and at prices pi the
-stationary share and the marginal, so no expression forms d pi or d / pi,
-which overflow at extreme but finite inputs where their square roots do
-not; so too every quadratic form is a (b / F), as W (W / F) for W^2 / F.
-Raw demands appear only as the numerators of the delay legs (`_paths`).
-Term-major, the three terms of a marginal are three contiguous planes added
-element by element (in the same order, so to the same bits), and since
-every pool lies in one term plane, the scatter adds each pool's members in
-task order.  `DualState` splits a
-pool vector of prices into its five families only at the public boundary.
-A pool none of a scheme's tiers draws on gets no weight, so its sum and
-price stay 0.
+The pools are one vector everywhere, the capacity families of `latency`'s
+model table in order, laid out by one builder, `_Stack`, for a stack of
+problems of one shape; one problem is a one-row stack, `_Pools`.  Each task
+and tier draws on at most three pools, one per leg the table gives the tier
+(compute, fronthaul, midhaul), so the loop works on a pool-index array and
+the matching square-root demands, stored term-major as (term, task, tier):
+one gather of W / F gives every marginal, and one scatter the pool sums of
+any weights or picked tiers, by which every integer plan is scored
+(`_Stack.costs`) and allocated (`_Stack.allocate`).  Every closed form reads
+sqrt(d): the pool cost (sum sqrt(d))^2 / F, the exact share F (sqrt(d) / W),
+and at prices pi the stationary share and the marginal, so no expression
+forms d pi or d / pi, which overflow at extreme but finite inputs where
+their square roots do not; so too every quadratic form is a (b / F), as
+W (W / F) for W^2 / F.  Raw demands appear only as the numerators of the
+delay legs (`_paths`).  Term-major, the three terms of a marginal are three
+contiguous planes added element by element (in the same order, so to the
+same bits), and since every pool lies in one term plane, the scatter adds
+each pool's members in task order.  `DualState` splits a pool vector of
+prices into its five families only at the public boundary.  A pool none of a
+scheme's tiers draws on gets no weight, so its sum and price stay 0.
 
 Once a problem stops, its incumbent and its last iterate rounded (each task
 on its heaviest tier) are polished by single- and pair-move descent
@@ -77,16 +76,24 @@ gets the plan it gets alone; `solve` is the batch of one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .latency import TIER_INDEX, Allocation, Decision, _delay_legs, _totals, total_delay
+from .latency import _FAMILIES, _TIER_LEGS, TIER_INDEX, Allocation, Decision, _delay_legs, _family_pools, _paths
+from .latency import _totals, total_delay
 from .scenario import Scheme, TIERS, TaskSet, Topology
 
 _CODE_L, _CODE_H, _CODE_C = (TIER_INDEX[t] for t in TIERS)
+# Each tier's compute, fronthaul and midhaul family, (term, tier), as its
+# position in `latency._FAMILIES` (-1: no such leg).  In the layout an unused
+# term reads its plane's one family, so every pool lies in one term plane.
+_LEGS = np.array([[-1 if f is None else _FAMILIES.index(f) for f in _TIER_LEGS[tier]] for tier in TIERS]).T
+_USED = _LEGS >= 0
+_LEG_FAMILIES = np.where(_USED, _LEGS, _LEGS.max(axis=1, keepdims=True))
 
 # Relative width of the band of closed-form move scores that the polish
 # re-scores exactly.  Their rounding error is near 1e-15 of the objective, so
@@ -179,7 +186,7 @@ class _Stack:
     `first[b, k]` = 3 (b K + k) is where task k of row b has its L tier in
     the raveled (B, K, 3) marginals and in those views, so `first + codes`
     picks an integer assignment.  `barred[b, 0]` is row b's `_barred`.
-    `paths`, the tasks' `_paths`, and `local` serve the finish and
+    `paths`, the tasks' `_paths` (B, K), and `local` serve the finish and
     `allocate`; a `take` keeps neither."""
 
     __slots__ = ("index", "local", "root", "capacity", "starts", "barred", "paths", "terms", "root_terms", "first",
@@ -189,7 +196,7 @@ class _Stack:
         topologies, task_sets, _, schemes = zip(*problems)
         self.capacity, self.starts, self.local = _layout(topologies)
         self.index = self.local + np.arange(0, self.capacity.size, self.capacity.shape[1])[:, None, None]
-        self.paths = _paths(topologies, task_sets)
+        self.paths = tuple(np.array(leg) for leg in zip(*map(_paths, topologies, task_sets)))
         self.root = _roots(self.paths)
         barred = {scheme: _barred(scheme) for scheme in set(schemes)}
         self.barred = np.array([barred[scheme] for scheme in schemes])[:, None, :]
@@ -253,77 +260,46 @@ class _Stack:
 
 
 class _Pools(_Stack):
-    """One problem as a `_Stack` of one row, every tier priced.  Its plan
-    is one (K,) array of tier codes, so `first` (K,) and `capacity` (P,)
-    drop the row axis: `costs` scores such a plan, `allocate` gives (3, K)
-    arrays, and `objective` is the scorer perfbench's tracer counts by
-    subclassing this class under this name in `fogplan.oracle`."""
+    """One problem as a `_Stack` of one row, every tier priced.
+    `objective`, the scorer perfbench's tracer counts by subclassing this
+    class under this name in `fogplan.oracle`, scores a (K,) plan of tier
+    codes on the row, as `costs` does."""
 
     def __init__(self, tasks: TaskSet, topology: Topology):
         super().__init__([(topology, tasks, None, Scheme.FOG)])
-        self.first, self.capacity = self.first[0], self.capacity[0]
 
     def objective(self, codes: np.ndarray) -> float:
         """Minimal offload cost (access excluded) for an integer assignment."""
-        return float(self.costs(codes))
+        return float(_cost(self.picked_loads(self.first[0] + codes), self.capacity[0]))
 
 
 def _layout(topologies):
     """The pool vectors of topologies of one shape, stacked: capacities
     (B, P), the index of each family's first pool, and the pool index of each
-    (term, problem, task, tier), term-major (3, B, K, 3), which names each
-    problem's own pools, 0 to P - 1.  Unused fronthaul and midhaul terms
-    point at the task's own RU and DU pools, so every pool lies in one term
-    plane."""
-    capacity = np.array([
-        np.concatenate((t.mecl_capacity_hz, t.mech_capacity_hz, (t.cloud_capacity_hz,), t.fronthaul_capacity_hz,
-                        t.midhaul_capacity_hz))
-        for t in topologies
-    ])
+    (term, problem, task, tier), term-major (3, B, K, 3), 0 to P - 1: the
+    task's pool in the family `_LEG_FAMILIES` names for the term and tier."""
+    capacity, users = zip(*(_family_pools(topologies, family) for family in _FAMILIES))
     starts = _family_starts(topologies[0])
-    mecl, mech, cloud, fh, mh = starts.tolist()
-    ru = np.array([t.user_to_ru for t in topologies], dtype=np.int64)
-    du = np.array([t.user_du for t in topologies], dtype=np.int64)
-    index = np.empty((3,) + ru.shape + (3,), dtype=np.int64)
-    index[0, ..., _CODE_L] = ru + mecl
-    index[0, ..., _CODE_H] = du + mech
-    index[0, ..., _CODE_C] = cloud
-    index[1] = (ru + fh)[..., None]
-    index[2] = (du + mh)[..., None]
-    return capacity, starts, index
+    pools = np.array(users) + starts[:, None, None]  # (family, B, K)
+    index = np.ascontiguousarray(pools[_LEG_FAMILIES].transpose(0, 2, 3, 1))
+    return np.concatenate(capacity, axis=1), starts, index
 
 
 def _family_starts(topology: Topology) -> np.ndarray:
     """The index of each pool family's first pool in a pool vector of the
-    topology's shape: per-RU MEC, per-DU MEC, cloud, per-RU fronthaul,
-    per-DU midhaul."""
-    rus, dus = topology.num_rus, topology.num_dus
-    return np.array((0, rus, rus + dus, rus + dus + 1, 2 * rus + dus + 1))
-
-
-def _paths(topologies, task_sets):
-    """Each task's data bits, compute cycles and the spectral efficiencies of
-    its RU's fronthaul and its DU's midhaul link, (B, K) each: the
-    numerators and link factors of its delay legs."""
-    return (
-        np.array([tasks.data_bits for tasks in task_sets]),
-        np.array([tasks.compute_cycles for tasks in task_sets]),
-        np.array([t.fronthaul_se[t.user_to_ru] for t in topologies]),
-        np.array([t.midhaul_se[t.user_du] for t in topologies]),
-    )
+    topology's shape, families in `latency._FAMILIES` order."""
+    sizes = [getattr(topology, family.capacity).size if family.node else 1 for family in _FAMILIES[:-1]]
+    return np.array(list(itertools.accumulate(sizes, initial=0)))
 
 
 def _roots(paths) -> np.ndarray:
     """Square roots of the demands, laid out like `_layout`'s index,
     (3, B, K, 3), from the tasks' `_paths`: compute cycles, then fronthaul
     and midhaul Hz-seconds (bits over spectral efficiency); 0 for a term the
-    tier does not use."""
+    tier does not use (`_USED`)."""
     bits, cycles, fronthaul_se, midhaul_se = paths
-    root = np.zeros((3,) + bits.shape + (3,))
-    root[0] = np.sqrt(cycles)[..., None]
-    root[1, ..., _CODE_H] = root[1, ..., _CODE_C] = np.sqrt(bits / fronthaul_se)
-    root[2, ..., _CODE_C] = np.sqrt(bits / midhaul_se)
-    return root
+    demand = np.sqrt((cycles, bits / fronthaul_se, bits / midhaul_se))
+    return np.where(_USED[:, None, None, :], demand[..., None], 0.0)
 
 
 def _price_vector(duals: DualState, topology: Topology) -> np.ndarray:
@@ -354,15 +330,16 @@ def allocate_given_decision(decision: Decision, tasks: TaskSet, topology: Topolo
     if len(decision) != tasks.num_tasks:
         raise ValueError("decision and task set sizes differ")
     pools = _Pools(tasks, topology)
-    # The (pool, sqrt demand, share) of each term of each task's tier, (3, K):
-    # each map lies in one term plane, so each map fills in task order.
+    # The (pool, sqrt demand, share) of each term of each task's tier, (3, 1,
+    # K), read on the one row: each map lies in one term plane, so each map
+    # fills in task order.
     index, root, _, share = pools.allocate(decision.codes)
-    term, k = np.nonzero(root)
-    family = np.searchsorted(pools.starts, index[term, k], side="right") - 1
-    maps: tuple[dict, ...] = ({}, {}, {}, {}, {})
-    for task, f, value in zip(k.tolist(), family.tolist(), share[term, k].tolist()):
+    term, _, k = np.nonzero(root)
+    family = np.searchsorted(pools.starts, index[term, 0, k], side="right") - 1
+    maps: list[dict] = [{} for _ in _FAMILIES]
+    for task, f, value in zip(k.tolist(), family.tolist(), share[term, 0, k].tolist()):
         maps[f][task] = value
-    return Allocation(*maps)
+    return Allocation(**{f.share: shares for f, shares in zip(_FAMILIES, maps)})
 
 
 def _shares(index: np.ndarray, root: np.ndarray, capacity: np.ndarray):
@@ -735,7 +712,7 @@ def _solve_batch(problems, config: SolverConfig | None = None):
     for position, problem in enumerate(problems):
         topology, tasks, rates, _ = problem
         if tasks.num_tasks == 0:
-            prices = np.zeros(_family_starts(topology)[-1] + topology.num_dus)
+            prices = np.zeros(_layout([topology])[0].size)
             yield position, _Plan(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 0, True, 0.0, 0.0, prices)
             continue
         if tasks.num_tasks != topology.num_users:
@@ -963,6 +940,6 @@ def _exact_totals(stack: _Stack, codes: np.ndarray, rates: np.ndarray) -> tuple[
     if bad.any():
         term, row, k = (axis[0] for axis in bad.nonzero())
         pool = local[term, row, k]
-        family = fields(Allocation)[np.searchsorted(stack.starts, pool, side="right") - 1].name
+        family = _FAMILIES[np.searchsorted(stack.starts, pool, side="right") - 1].share
         raise ValueError(f"{family}[{k}] = {shares[term, row, k]} must be strictly positive and finite")
     return sums, _totals(_delay_legs(stack.paths, rates, shares))

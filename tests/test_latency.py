@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fogplan import Allocation, Decision, allocate_given_decision, check_feasibility, task_delay, total_delay
+from fogplan import Allocation, Decision, Scheme, allocate_given_decision, check_feasibility, task_delay, total_delay
 from fogplan.phy import access_delay
 
 
@@ -172,6 +172,44 @@ def test_each_constraint_individually_violated(make_topology, make_tasks, constr
         assert v.index == 0  # the RU
     elif constraint == "C5":
         assert v.index is None
+
+
+# The paper's three-tier model, written out apart from `latency`'s table:
+# each tier's legs as (Allocation map, constraint, node of the leg's pool),
+# the node being the task's RU, its DU or (None) the one cloud.
+PAPER_LEGS = {
+    "L": (("mecl_speed", "C3", "ru"),),
+    "H": (("mech_speed", "C4", "du"), ("fronthaul_bw", "C6", "ru")),
+    "C": (("cloud_speed", "C5", None), ("fronthaul_bw", "C6", "ru"), ("midhaul_bw", "C7", "du")),
+}
+
+
+@pytest.mark.parametrize("num_users, num_rus, num_dus", [(8, 4, 2), (40, 10, 4)])
+def test_model_matches_the_paper(random_instance, num_users, num_rus, num_dus):
+    # Random plans under every scheme: the exact allocation holds a share in
+    # just the maps the paper gives each task's tier and passes
+    # check_feasibility, and scaling any one share by 1 + 1e-6 breaks just
+    # that leg's constraint, at the node of its pool.
+    rng = np.random.default_rng(num_users)
+    for seed in range(3):
+        scenario, _ = random_instance(seed=seed, num_users=num_users, num_rus=num_rus, num_dus=num_dus)
+        topo, tasks = scenario.topology, scenario.tasks
+        nodes = {"ru": topo.user_to_ru.tolist(), "du": topo.ru_to_du[topo.user_to_ru].tolist()}
+        for scheme in Scheme:
+            tiers = scheme.allowed_tiers
+            decision = Decision(tuple(tiers[i] for i in rng.integers(len(tiers), size=num_users)))
+            allocation = allocate_given_decision(decision, tasks, topo)
+            assert check_feasibility(topo, tasks, decision, allocation) == []
+            maps = {name: getattr(allocation, name) for name in allocation.__dataclass_fields__}
+            legs = [(k, leg) for k, tier in enumerate(decision.tiers) for leg in PAPER_LEGS[tier]]
+            assert {name: set(shares) for name, shares in maps.items()} == {
+                name: {k for k, (leg, _, _) in legs if leg == name} for name in maps
+            }, scheme
+            for k, (name, constraint, node) in legs:
+                grown = Allocation(**{**maps, name: {**maps[name], k: maps[name][k] * (1 + 1e-6)}})
+                violations = check_feasibility(topo, tasks, decision, grown)
+                index = None if node is None else nodes[node][k]
+                assert [(v.constraint, v.index) for v in violations] == [(constraint, index)], (scheme, k, name)
 
 
 def test_violation_names_the_ru(make_topology, make_tasks):

@@ -107,7 +107,7 @@ def _dual_value_at(duals, tasks, topo, scheme):
     """The Lagrangian dual value at the given prices: the cheapest allowed
     marginals summed over tasks minus the priced capacities, sum pi F."""
     cheapest = _allowed_marginals(_marginal_prices(duals, tasks, topo), _barred(scheme)).min(axis=1)
-    return cheapest.sum() - _price_vector(duals, topo) @ _Pools(tasks, topo).capacity
+    return cheapest.sum() - _price_vector(duals, topo) @ _Pools(tasks, topo).capacity[0]
 
 
 # --- closed-form primal recovery -------------------------------------------
@@ -656,7 +656,7 @@ def test_stacked_layout_matches_single_problem_kernels(random_instance):
             single = _marginal_prices(_dual_state(row_prices[row], pools.starts), tasks, topo)
             assert np.array_equal(marg[row], single)
             assert np.array_equal(cheapest[row], _allowed_marginals(single, _barred(scheme)).min(axis=1))
-            assert np.array_equal(loads[row], pools.picked_loads(pools.first + codes[row]))
+            assert np.array_equal(loads[row], pools.picked_loads(pools.first + codes[row])[0])
             assert np.array_equal(loads[row], np.add.reduce(member[row, np.arange(8), codes[row]], axis=0))
             alone = solver._Stack([problems[r]])
             assert np.array_equal(weighted[row], alone.loads(weights[r][None])[0])
@@ -922,7 +922,7 @@ def test_returned_duals_price_the_returned_plan(random_instance):
     unloaded = 0
     for (topo, tasks, _, _), _, res in _stops(random_instance):
         pools = _Pools(tasks, topo)
-        w = pools.picked_loads(pools.first + res.decision.codes)
+        w = pools.picked_loads(pools.first + res.decision.codes)[0]
         prices = _price_vector(res.duals, topo)
         assert prices.tobytes() == ((w / pools.capacity) ** 2).tobytes()
         assert (prices[w == 0] == 0).all() and (prices[w > 0] > 0).all()
@@ -1085,6 +1085,22 @@ def test_stack_take_of_repeated_reordered_rows(random_instance):
     assert loads.shape == (keep.size, stack.capacity.shape[1])
     assert loads.tobytes() == whole_loads[keep].tobytes()
     assert taken.costs(codes[keep]).tobytes() == whole_costs[keep].tobytes()
+
+
+def test_pools_is_a_one_row_stack(random_instance):
+    # One problem is a `_Stack` of one row: a take of its row twice scores
+    # two plans in one call, and a block of plans scores along a leading
+    # plan axis, each cost bit for bit the one `objective` gives.
+    rng = np.random.default_rng(11)
+    scenario, _ = random_instance(seed=12, num_users=8, num_rus=4, num_dus=2)
+    pools = _Pools(scenario.tasks, scenario.topology)
+    assert pools.first.shape == (1, 8) and pools.capacity.shape[0] == 1
+    codes = rng.integers(0, 3, size=(5, 8))
+    want = np.array([pools.objective(plan) for plan in codes])
+    twice = pools.take(np.array([0, 0]))
+    for pair in (codes[:2], codes[2:4], codes[[4, 4]]):
+        assert twice.costs(pair).tobytes() == np.array([pools.objective(plan) for plan in pair]).tobytes()
+    assert pools.costs(codes[:, None]).tobytes() == want[:, None].tobytes()
 
 
 def _moves(stack, codes, tiers):
