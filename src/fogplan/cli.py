@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle as oracle_mod
-from .latency import _FAMILIES, _drawing_tiers, task_delay
+from .latency import _FAMILIES, _FAMILY_TIERS, task_delay
 from .phy import DEFAULT_NUM_ANTENNAS, generate_channels, uplink_rates
-from .scenario import Scenario, ScenarioSpec, Scheme, generate_scenario, load_scenario, save_scenario
+from .scenario import Scenario, ScenarioSpec, Scheme, _with_capacity, generate_scenario, load_scenario, save_scenario
 from .solver import SolveResult, SolverConfig, _solve_batch, solve
 
 SWEEP_PARAMETERS = {
@@ -91,7 +92,7 @@ class SweepSpec:
         grid = np.linspace(self.start, self.stop, self.steps)
         if self.parameter == "k":
             ints = np.rint(grid)
-            if np.any(ints < 1):
+            if (ints < 1).any():
                 raise ValueError("user counts in a sweep must be at least 1")
             return [float(v) for v in ints]
         return [float(v) for v in grid]
@@ -125,7 +126,7 @@ def _realize(spec: ScenarioSpec, num_antennas: int) -> tuple[Scenario, np.ndarra
 
 # The tiers whose plans draw on the capacity each capacity sweep sets: those
 # with a leg on its family in `latency`'s model table.
-_DRAWING_TIERS = {parameter: _drawing_tiers(family) for parameter, field in SWEEP_PARAMETERS.items()
+_DRAWING_TIERS = {parameter: _FAMILY_TIERS[family] for parameter, field in SWEEP_PARAMETERS.items()
                   for family in _FAMILIES if family.capacity == field}
 
 
@@ -139,7 +140,8 @@ def _sweep_share(args) -> dict[tuple[int, int, int], float]:
     sweep point changes one capacity field, which `generate_scenario` fills
     without a random draw, so each realization's scenario, channels and rates
     are drawn once, at the share's first point, and only the swept field is
-    set at the others.  Under a scheme none of whose tiers draws on the swept
+    set at the others (`scenario._with_capacity`, which checks that field
+    alone).  Under a scheme none of whose tiers draws on the swept
     capacity (`_DRAWING_TIERS`), no plan reads it (the solver does not even
     price it), so the scheme is planned at the first point only and that
     total holds at every point.  A `k` sweep draws every point and plans
@@ -161,8 +163,7 @@ def _sweep_share(args) -> dict[tuple[int, int, int], float]:
                 scenario, rates = drawn[r]
                 topology = scenario.topology
                 if p != first and drawing is not None:
-                    size = getattr(topology, field).size
-                    topology = dataclasses.replace(topology, **{field: np.full(size, values[p])})
+                    topology = _with_capacity(topology, field, np.full(getattr(topology, field).size, values[p]))
                 for s in every if p == first else varying:
                     cells.append((p, r, s))
                     yield topology, scenario.tasks, rates, schemes[s]
@@ -251,13 +252,20 @@ def run_sweep(
         outcomes = [_sweep_share(shares[0])]
     totals = {cell: total for outcome in outcomes for cell, total in outcome.items()}
 
+    feasible = {(p, s): [v for v in (totals[p, r, s] for r in range(sweep.realizations)) if math.isfinite(v)]
+                for p in range(len(values)) for s in range(len(schemes))}
+    # Each cell's sample deviation, np.std of its feasible totals; the cells
+    # of one count are one call.
+    spread = {}
+    for n in {len(cell) for cell in feasible.values()} - {0, 1}:
+        keys = [key for key, cell in feasible.items() if len(cell) == n]
+        spread.update(zip(keys, np.std([feasible[key] for key in keys], axis=1, ddof=1).tolist()))
     rows = []
     for p, value in enumerate(values):
         for s, scheme in enumerate(schemes):
-            feasible = [v for v in (totals[p, r, s] for r in range(sweep.realizations)) if math.isfinite(v)]
-            n = len(feasible)
-            mean = sum(feasible) / n if n else math.inf
-            stderr = float(np.std(feasible, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+            n = len(feasible[p, s])
+            mean = sum(feasible[p, s]) / n if n else math.inf
+            stderr = spread[p, s] / math.sqrt(n) if n > 1 else 0.0
             rows.append(
                 {
                     "sweep_param": sweep.parameter,
@@ -481,9 +489,14 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads its arguments with, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     schemes = _schemes_from_flag(args.scheme)
 
     try:

@@ -100,18 +100,9 @@ _TIER_LEGS = {
 }
 
 
-def _drawing_tiers(family: _Family) -> set[str]:
-    """The tiers with a leg on the family."""
-    return {tier for tier, legs in _TIER_LEGS.items() if family in legs}
-
-
-def _family_pools(topologies, family: _Family) -> tuple[np.ndarray, np.ndarray]:
-    """The family's capacities, (B, pools), and each user's pool among them,
-    (B, K), in each of B topologies of one shape."""
-    capacity = np.array([getattr(t, family.capacity) for t in topologies]).reshape(len(topologies), -1)
-    if family.node is None:
-        return capacity, np.zeros((len(topologies), topologies[0].num_users), dtype=np.int64)
-    return capacity, np.array([getattr(t, family.node) for t in topologies])
+# The tiers with a leg on each family, and the node maps of the families.
+_FAMILY_TIERS = {family: frozenset(tier for tier, legs in _TIER_LEGS.items() if family in legs) for family in _FAMILIES}
+_NODES = tuple(dict.fromkeys(family.node for family in _FAMILIES if family.node))
 
 
 @dataclass(frozen=True)
@@ -231,14 +222,19 @@ def check_feasibility(
     if tasks.num_tasks != topology.num_users:
         raise ValueError("tasks and topology disagree on the number of users")
     violations: list[Violation] = []
+    # Each user's pool under each node map, and the one pool of a family
+    # without a node.
+    pools = {node: getattr(topology, node).tolist() for node in _NODES}
+    pools[None] = [0] * tasks.num_tasks
     for family in _FAMILIES:
-        drawing, shares = _drawing_tiers(family), getattr(allocation, family.share)
-        (capacity,), (pool,) = _family_pools([topology], family)
-        used = [0.0] * capacity.size
-        for k, (tier, i) in enumerate(zip(decision.tiers, pool.tolist())):
+        drawing, shares = _FAMILY_TIERS[family], getattr(allocation, family.share)
+        capacity = getattr(topology, family.capacity)
+        capacity = [capacity] if family.node is None else capacity.tolist()
+        used = [0.0] * len(capacity)
+        for k, (tier, i) in enumerate(zip(decision.tiers, pools[family.node])):
             if tier in drawing:
                 used[i] += shares.get(k, 0.0)
-        for i, (load, room) in enumerate(zip(used, capacity.tolist())):
+        for i, (load, room) in enumerate(zip(used, capacity)):
             if load > room * (1.0 + CAPACITY_REL_TOL):
                 violations.append(Violation(family.constraint, family.capacity, None if family.node is None else i,
                                             load, room))

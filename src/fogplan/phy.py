@@ -3,7 +3,9 @@
 Channels are Rayleigh-faded complex vectors with log-distance path loss
 (pluggable behind `generate_channels`).  Spectrum is orthogonal between
 adjacent RUs, so interference is intra-RU only and every computation here
-involves a single RU's users at a time.
+involves a single RU's users at a time.  `uplink_rates` batches the RUs of
+one cell size (users served): their MMSE combiners are one stacked solve
+and their SINRs one stacked product, each RU's numbers those it gets alone.
 """
 
 from __future__ import annotations
@@ -192,17 +194,70 @@ def access_delay(data_bits: float, rate_bps: float) -> float:
     return float(data_bits) / float(rate_bps)
 
 
+def _cell_sinrs(channels: ChannelSet, rus: np.ndarray, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Combiners (G, n, M) and SINRs (G, n) of the users (G, n) of G RUs
+    that serve n users each, row g holding RU `rus[g]`'s users in index
+    order.  The combiners are one stacked solve and the gains one stacked
+    product, so each RU's entries are those `mmse_beamformer` and `_sinrs`
+    give it alone.  Raises `LinAlgError` if any RU's covariance is
+    singular."""
+    h = channels.h[users]
+    columns = h.transpose(0, 2, 1)
+    noise = channels.noise_power_w[rus] if channels.noise_power_w.size > 1 else channels.noise_power_w.repeat(rus.size)
+    cov = noise[:, None, None] * np.eye(channels.num_antennas, dtype=np.complex128) + channels.tx_power_w * (
+        columns @ h.conj())
+    u = np.linalg.solve(cov, columns).transpose(0, 2, 1)
+    gain = channels.tx_power_w * np.abs(u.conj() @ columns) ** 2
+    own = np.eye(users.shape[1], dtype=bool)
+    interference = np.where(own, 0.0, gain).sum(axis=2)
+    power = (u.real**2 + u.imag**2).sum(axis=2) * noise[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return u, gain[:, own] / (interference + power)
+
+
+def _sinr_error(ru: int, band: float) -> ValueError:
+    return ValueError(f"RU {ru}: the SINR at uplink bandwidth {band:g} Hz is not finite (the signal and noise powers "
+                      "underflow or overflow)")
+
+
+def _first_failure(topology: Topology, channels: ChannelSet, rus) -> tuple[int, ValueError]:
+    """The first of the RUs whose combiners cannot be solved or are not
+    finite, or whose SINRs are not finite, and its error, taking the RUs
+    one by one (`mmse_beamformer`, `_sinrs`)."""
+    for ru in rus:
+        try:
+            bf = mmse_beamformer(channels, ru)
+            if not np.isfinite(_sinrs(channels, ru, bf.u, bf.users)).all():
+                raise _sinr_error(ru, topology.uplink_bandwidth_hz[ru])
+        except ValueError as exc:
+            return ru, exc
+    raise AssertionError("no RU failed")
+
+
 def uplink_rates(topology: Topology, channels: ChannelSet) -> np.ndarray:
-    """Per-user achievable rate under MMSE combining, in user index order."""
+    """Per-user achievable rate under MMSE combining, in user index order.
+    The RUs that serve the same number of users are combined together
+    (`_cell_sinrs`).  Of several RUs that fail, the lowest is reported,
+    with the error it gives alone."""
     if not np.array_equal(topology.user_to_ru, channels.user_to_ru):
         raise ValueError("topology and channels disagree on user-to-RU assignment")
-    rates = np.zeros(channels.num_users)
-    for ru in np.flatnonzero(np.bincount(channels.user_to_ru)):
-        bf = mmse_beamformer(channels, int(ru))
-        band = topology.uplink_bandwidth_hz[int(ru)]
-        sinrs = _sinrs(channels, int(ru), bf.u, bf.users)
-        if not np.isfinite(sinrs).all():
-            raise ValueError(f"RU {ru}: the SINR at uplink bandwidth {band:g} Hz is not finite (the signal and noise "
-                             "powers underflow or overflow)")
-        rates[bf.users] = [uplink_rate(band, s) for s in sinrs.tolist()]
-    return rates
+    sinrs = np.zeros(channels.num_users)
+    served = np.bincount(channels.user_to_ru)
+    order = np.argsort(channels.user_to_ru, kind="stable")  # RU by RU, each RU's users in index order
+    offset = np.cumsum(served) - served
+    failures = []
+    for n in sorted(set(served.tolist()) - {0}):
+        rus = np.flatnonzero(served == n)
+        users = order[offset[rus, None] + np.arange(n)]
+        try:
+            u, cell = _cell_sinrs(channels, rus, users)
+        except np.linalg.LinAlgError:  # numpy does not say which RU's covariance is singular
+            failures.append(_first_failure(topology, channels, rus.tolist()))
+            continue
+        if not (np.isfinite(cell).all() and np.isfinite(u).all()):
+            finite = np.isfinite(cell).all(axis=1) & np.isfinite(u).all(axis=(1, 2))
+            failures.append(_first_failure(topology, channels, rus[~finite].tolist()))
+        sinrs[users] = cell
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return topology.uplink_bandwidth_hz[channels.user_to_ru] * np.log2(1.0 + sinrs)

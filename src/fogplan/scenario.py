@@ -53,7 +53,7 @@ def _int_array(name: str, values, length: int) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size != length:
         raise ValueError(f"{name} must be a flat array of length {length}, got shape {arr.shape}")
-    if arr.size and not np.all(np.equal(np.mod(arr, 1), 0)):
+    if arr.size and arr.dtype.kind not in "iu" and not np.equal(np.mod(arr, 1), 0).all():
         raise ValueError(f"{name} must contain integers")
     return arr.astype(np.int64)
 
@@ -62,10 +62,12 @@ def _positive_array(name: str, values, length: int) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size != length:
         raise ValueError(f"{name} must be a flat array of length {length}, got shape {arr.shape}")
-    if arr.size and not np.all(arr > 0):
+    # The least entry is positive only if every entry is (NaN included: it
+    # is the least); then the greatest is finite only if every entry is.
+    if arr.size and not arr.min() > 0:
         bad = int(np.flatnonzero(~(arr > 0))[0])
         raise ValueError(f"{name}[{bad}] = {arr[bad]} must be strictly positive")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not arr.max() < math.inf:
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -100,13 +102,13 @@ class Topology:
         object.__setattr__(self, "num_users", int(self.num_users))
 
         ru_to_du = _int_array("ru_to_du", self.ru_to_du, self.num_rus)
-        if np.any(ru_to_du < 0) or np.any(ru_to_du >= self.num_dus):
+        if (ru_to_du < 0).any() or (ru_to_du >= self.num_dus).any():
             bad = int(np.flatnonzero((ru_to_du < 0) | (ru_to_du >= self.num_dus))[0])
             raise ValueError(
                 f"ru_to_du[{bad}] = {ru_to_du[bad]} is out of range for num_dus = {self.num_dus}"
             )
         user_to_ru = _int_array("user_to_ru", self.user_to_ru, self.num_users)
-        if self.num_users and (np.any(user_to_ru < 0) or np.any(user_to_ru >= self.num_rus)):
+        if self.num_users and ((user_to_ru < 0).any() or (user_to_ru >= self.num_rus).any()):
             bad = int(np.flatnonzero((user_to_ru < 0) | (user_to_ru >= self.num_rus))[0])
             raise ValueError(
                 f"user_to_ru[{bad}] = {user_to_ru[bad]} is out of range for num_rus = {self.num_rus}"
@@ -129,6 +131,16 @@ class Topology:
     def user_du(self) -> np.ndarray:
         """DU index serving each user (through its RU)."""
         return self.ru_to_du[self.user_to_ru]
+
+
+def _with_capacity(topology: Topology, name: str, values) -> Topology:
+    """The topology with the per-node capacity field `name` set to `values`,
+    equal to `dataclasses.replace(topology, name=values)` field for field:
+    the other fields are already valid, so only the new one is checked."""
+    copy = object.__new__(Topology)
+    copy.__dict__.update(topology.__dict__)
+    object.__setattr__(copy, name, _positive_array(name, values, getattr(topology, name).size))
+    return copy
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .latency import _FAMILIES, _TIER_LEGS, TIER_INDEX, Allocation, Decision, _delay_legs, _family_pools, _paths
+from .latency import _FAMILIES, _NODES, _TIER_LEGS, TIER_INDEX, Allocation, Decision, _delay_legs, _paths
 from .latency import _totals, total_delay
 from .scenario import Scheme, TIERS, TaskSet, Topology
 
@@ -193,11 +193,21 @@ class _Stack:
                  "bars")
 
     def __init__(self, problems):
-        topologies, task_sets, _, schemes = zip(*problems)
+        # Problems that share their topology and tasks, as a sweep's schemes
+        # do, share their layout: it is laid out once and repeated.
+        shared, rows = {}, []
+        for topology, tasks, _, _ in problems:
+            rows.append(shared.setdefault((id(topology), id(tasks)), (len(shared), topology, tasks))[0])
+        _, topologies, task_sets = zip(*shared.values())
         self.capacity, self.starts, self.local = _layout(topologies)
-        self.index = self.local + np.arange(0, self.capacity.size, self.capacity.shape[1])[:, None, None]
         self.paths = tuple(np.array(leg) for leg in zip(*map(_paths, topologies, task_sets)))
         self.root = _roots(self.paths)
+        if len(shared) < len(rows):
+            self.capacity, self.local, self.root = (array.take(rows, axis=axis) for array, axis in
+                                                    ((self.capacity, 0), (self.local, 1), (self.root, 1)))
+            self.paths = tuple(leg.take(rows, axis=0) for leg in self.paths)
+        self.index = self.local + np.arange(0, self.capacity.size, self.capacity.shape[1])[:, None, None]
+        schemes = [scheme for _, _, _, scheme in problems]
         barred = {scheme: _barred(scheme) for scheme in set(schemes)}
         self.barred = np.array([barred[scheme] for scheme in schemes])[:, None, :]
         self._views()
@@ -210,8 +220,8 @@ class _Stack:
     def take(self, keep: np.ndarray) -> "_Stack":
         """The stack of the given rows, in that order."""
         stack = object.__new__(_Stack)
-        shift = (keep - np.arange(keep.size)) * self.capacity.shape[1]  # each kept row's pools move down
-        stack.index = self.index.take(keep, axis=1) - shift[:, None, None]
+        stack.index = self.index.take(keep, axis=1)
+        stack.index -= ((keep - np.arange(keep.size)) * self.capacity.shape[1])[:, None, None]  # each kept row's pools move down
         stack.root, stack.starts = self.root.take(keep, axis=1), self.starts
         stack.capacity, stack.barred = self.capacity.take(keep, axis=0), self.barred.take(keep, axis=0)
         stack._views()
@@ -230,15 +240,22 @@ class _Stack:
         row's tier weights (B, K, 3)."""
         return _pool_loads(self.index, self.root * weights, self.capacity.size).reshape(self.capacity.shape)
 
-    def picked_loads(self, picked: np.ndarray, sign=None) -> np.ndarray:
+    def picked_loads(self, picked: np.ndarray, sign=None, rows=None) -> np.ndarray:
         """Pool sums (..., B, P) of the square-root demands of the (task,
         tier) entries each row of `picked` (..., B, K) names, each times
         `sign` (..., B, K) if given.  Each leading index is a plan of its
-        own, added up in its own copy of the pool vector."""
+        own, added up in its own copy of the pool vector.  With `rows` (A,),
+        the rows of `picked` (..., A, K) name entries of those rows of the
+        stack, repeats allowed, and the sums (..., A, P) are those of
+        `take(rows)`."""
         root = self.root_terms.take(picked, axis=1)
         if sign is not None:
             root = root * sign
         index, plans, size = self.terms.take(picked, axis=1), picked.shape[:-2], self.capacity.size
+        if rows is not None:  # row rows[a]'s pools become the a-th block of P
+            width = self.capacity.shape[1]
+            index += ((np.arange(rows.size) - rows) * width)[:, None]
+            size = rows.size * width
         if plans:
             index = index + size * np.arange(math.prod(plans)).reshape(plans + (1, 1))
             size *= math.prod(plans)
@@ -277,10 +294,14 @@ def _layout(topologies):
     """The pool vectors of topologies of one shape, stacked: capacities
     (B, P), the index of each family's first pool, and the pool index of each
     (term, problem, task, tier), term-major (3, B, K, 3), 0 to P - 1: the
-    task's pool in the family `_LEG_FAMILIES` names for the term and tier."""
-    capacity, users = zip(*(_family_pools(topologies, family) for family in _FAMILIES))
-    starts = _family_starts(topologies[0])
-    pools = np.array(users) + starts[:, None, None]  # (family, B, K)
+    task's pool in the family `_LEG_FAMILIES` names for the term and tier,
+    one gather of each family's pool of each user."""
+    rows, users = len(topologies), topologies[0].num_users
+    capacity = [np.array([getattr(t, family.capacity) for t in topologies]).reshape(rows, -1) for family in _FAMILIES]
+    starts = np.cumsum([0] + [family.shape[1] for family in capacity[:-1]])
+    nodes = {node: np.array([getattr(t, node) for t in topologies]) for node in _NODES}
+    nodes[None] = np.zeros((rows, users), dtype=np.int64)
+    pools = np.array([nodes[family.node] for family in _FAMILIES]) + starts[:, None, None]  # (family, B, K)
     index = np.ascontiguousarray(pools[_LEG_FAMILIES].transpose(0, 2, 3, 1))
     return np.concatenate(capacity, axis=1), starts, index
 
@@ -432,14 +453,34 @@ def primal_bandwidth_from_duals(
     return _stationary_shares(duals, x, tasks, topology, ((_CODE_H, 1), (_CODE_C, 2), (_CODE_C, 1)))
 
 
-def _marginals(root: np.ndarray, root_prices: np.ndarray) -> np.ndarray:
+def _marginals(twice_root: np.ndarray, root_prices: np.ndarray) -> np.ndarray:
     """Per-task tier prices, (..., K, 3) in L, H, C order, from term-major
-    square roots of demands and of prices (3, ..., K, 3): 2 sqrt(demand)
-    sqrt(price) summed over the compute, fronthaul and midhaul terms, in that
-    order.  The terms are the leading axis, so the sum adds three contiguous
-    blocks element by element instead of reducing a length-3 innermost
-    axis."""
-    return np.add.reduce(2.0 * root * root_prices, axis=0)
+    doubled square roots of demands, 2 sqrt(demand), and square roots of
+    prices (3, ..., K, 3): 2 sqrt(demand) sqrt(price) summed over the
+    compute, fronthaul and midhaul terms, in that order.  The terms are the
+    leading axis, so the sum adds three contiguous blocks element by element
+    instead of reducing a length-3 innermost axis."""
+    return np.add.reduce(twice_root * root_prices, axis=0)
+
+
+def _first_min(values: np.ndarray) -> np.ndarray:
+    """`values.argmin(axis=-1)` over a last axis of the three tiers, the
+    first minimum, by two comparisons of the tiers' planes: an argmin
+    reduces each task's three entries on its own.  The values must not be
+    NaN."""
+    a, b, c = values[..., 0], values[..., 1], values[..., 2]
+    tier = np.less(b, a).astype(np.intp)
+    tier[c < np.minimum(a, b)] = 2
+    return tier
+
+
+def _first_max(values: np.ndarray) -> np.ndarray:
+    """`values.argmax(axis=-1)` over a last axis of the three tiers, the
+    first maximum, as `_first_min` finds the first minimum."""
+    a, b, c = values[..., 0], values[..., 1], values[..., 2]
+    tier = np.greater(b, a).astype(np.intp)
+    tier[c > np.maximum(a, b)] = 2
+    return tier
 
 
 def _barred(scheme: Scheme) -> np.ndarray:
@@ -511,9 +552,8 @@ def _local_search(codes: np.ndarray, objective, tiers, stack: _Stack):
             return the positions in `live` of the problems that moved."""
             trial = current[at]
             trial[np.arange(at.size)[:, None], move_task[moves]] = move_code[at[:, None], moves]
-            scored = stack.take(at)
-            trial_loads = scored.picked_loads(scored.first + trial)
-            values = _cost(trial_loads, scored.capacity)
+            trial_loads = stack.picked_loads(stack.first[at] + trial, rows=at)
+            values = _cost(trial_loads, stack.capacity[at])
             picked = _recheck(at, values, objective[live[at]])
             rows = at[picked]
             codes[live[rows]], objective[live[rows]], loads[rows] = trial[picked], values[picked], trial_loads[picked]
@@ -525,9 +565,8 @@ def _local_search(codes: np.ndarray, objective, tiers, stack: _Stack):
             rest = np.flatnonzero(np.bincount(moved, minlength=live.size) == 0)
             # The pair pass of the problems with no improving single move,
             # from each move's pool shifts: one scatter of its two entries.
-            pairs = stack.take(rest) if rest.size < live.size else stack
-            ahead, away = pairs.first[:, move_task] + move_code[rest], (pairs.first + current[rest])[:, move_task]
-            at, index = _near_best(_pair_blocks(pairs, single[rest], ahead, away, move_task), objective[live[rest]])
+            blocks = _pair_blocks(stack, single[rest], ahead[rest], away[rest], move_task, rest)
+            at, index = _near_best(blocks, objective[live[rest]])
             if at.size:
                 moved = np.concatenate((moved, improve(rest[at], np.stack(np.divmod(index, m), axis=1))))
             if moved.size < live.size:  # some problems are done
@@ -550,17 +589,21 @@ def _move_changes(stack: _Stack, loads: np.ndarray, ahead: np.ndarray, away: np.
     return change + shared[0] + shared[1]
 
 
-def _pair_blocks(stack: _Stack, single: np.ndarray, ahead: np.ndarray, away: np.ndarray, move_task: np.ndarray):
+def _pair_blocks(stack: _Stack, single: np.ndarray, ahead: np.ndarray, away: np.ndarray, move_task: np.ndarray,
+                 problems=None):
     """The change in f of each pair of moves of two tasks, k1 < k2 (+inf
     elsewhere), as (offset, (B, rows x N) block) pairs of _PAIR_BLOCK_ROWS
     first moves each, for `_near_best`: the moves' `single` changes (B, N)
     plus 2 sum_p d1_p d2_p / F_p over their pool shifts d, each a scatter of
-    the move's entries `ahead` and `away` signed +1 and -1.  All blocks
-    share two buffers, so each holds only until the generator advances and
+    the move's entries `ahead` and `away` signed +1 and -1.  With
+    `problems`, the B rows are those rows of the stack.  All blocks share
+    two buffers, so each holds only until the generator advances and
     `_near_best` copies what it keeps."""
     rows, m = single.shape
-    shift = stack.picked_loads(np.stack((ahead, away), axis=-1).transpose(1, 0, 2), np.array([1.0, -1.0]))  # (N, B, P)
-    scaled, turned = (shift / stack.capacity).transpose(1, 0, 2), shift.transpose(1, 2, 0)
+    moves = np.stack((ahead, away), axis=-1).transpose(1, 0, 2)
+    shift = stack.picked_loads(moves, np.array([1.0, -1.0]), problems)  # (N, B, P)
+    capacity = stack.capacity if problems is None else stack.capacity[problems]
+    scaled, turned = (shift / capacity).transpose(1, 0, 2), shift.transpose(1, 2, 0)
     space = np.empty((2, rows * min(m, _PAIR_BLOCK_ROWS) * m))
     for start in range(0, m, _PAIR_BLOCK_ROWS):
         block_rows, size = slice(start, start + _PAIR_BLOCK_ROWS), min(_PAIR_BLOCK_ROWS, m - start)
@@ -689,11 +732,11 @@ def solve(
     whose plan `_result` turns into the returned `SolveResult`.
     """
     problem = (topology, tasks, rates_bps, scheme)
-    [(_, plan)] = _solve_batch([problem], config)
+    [(_, plan)] = _solve_batch([problem], config, trace=True)
     return _result(plan, problem)
 
 
-def _solve_batch(problems, config: SolverConfig | None = None):
+def _solve_batch(problems, config: SolverConfig | None = None, trace: bool = False):
     """`solve` on each (topology, tasks, rates_bps, scheme) problem of an
     iterable, yielding (position, `_Plan`) pairs.
 
@@ -703,30 +746,34 @@ def _solve_batch(problems, config: SolverConfig | None = None):
     when its last problem stops; an empty task set needs no loop, is yielded
     at once and does not split a run.  No problem reads another's numbers,
     so each plan is the one `solve` gives for that problem alone.  A plan
-    carries its total delay but no `Allocation`, `DualState` or trace
-    arrays: `_result` builds those for one plan.
+    carries its total delay but no `Allocation` or `DualState`, and its
+    trace only with `trace`: `_result` builds a `SolveResult` from a traced
+    plan.
     """
     config = config or SolverConfig()
     chunk: list = []  # (position, problem) pairs of the next loop
     shape = size = None
+    checked = None  # the last (topology, tasks, rates) checked, which a sweep's schemes share
     for position, problem in enumerate(problems):
         topology, tasks, rates, _ = problem
-        if tasks.num_tasks == 0:
+        if checked is None or not (topology is checked[0] and tasks is checked[1] and rates is checked[2]):
+            num_tasks = tasks.num_tasks
+            if num_tasks and num_tasks != topology.num_users:
+                raise ValueError("tasks and topology disagree on the number of users")
+            if num_tasks and np.shape(rates) != (num_tasks,):
+                raise ValueError("rates must hold one entry per task")
+            checked, key = problem, (num_tasks, topology.num_rus, topology.num_dus)
+        if not num_tasks:
             prices = np.zeros(_layout([topology])[0].size)
             yield position, _Plan(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 0, True, 0.0, 0.0, prices)
             continue
-        if tasks.num_tasks != topology.num_users:
-            raise ValueError("tasks and topology disagree on the number of users")
-        if np.shape(rates) != (tasks.num_tasks,):
-            raise ValueError("rates must hold one entry per task")
-        key = (tasks.num_tasks, topology.num_rus, topology.num_dus)
         if key != shape or len(chunk) == size:
             if chunk:
-                yield from _price_loop(chunk, config)
-            chunk, shape, size = [], key, max(1, _BATCH_TASKS // tasks.num_tasks)
+                yield from _price_loop(chunk, config, trace=trace)
+            chunk, shape, size = [], key, max(1, _BATCH_TASKS // num_tasks)
         chunk.append((position, problem))
     if chunk:
-        yield from _price_loop(chunk, config)
+        yield from _price_loop(chunk, config, trace=trace)
 
 
 def _uniform_weights(stack: "_Stack") -> np.ndarray:
@@ -746,30 +793,36 @@ def _line_step(loads: np.ndarray, change: np.ndarray, capacity: np.ndarray, limi
     curvature = np.add.reduce(change * scaled, axis=-1)
     slope = np.add.reduce(loads * scaled, axis=-1)
     moves = curvature > 0
-    step = np.divide(-slope, curvature, out=np.zeros_like(slope), where=moves)
+    step = np.divide(-slope, curvature, out=np.zeros(slope.shape), where=moves)
     return np.minimum(np.maximum(step, 0.0), limit, out=step, where=moves)
 
 
-def _pair_steps(stack: "_Stack", marg: np.ndarray, weights: np.ndarray, forward: np.ndarray, away: np.ndarray):
+def _pair_steps(stack: "_Stack", marg: np.ndarray, weights: np.ndarray, moves: np.ndarray, index: np.ndarray,
+                root: np.ndarray):
     """Each task's own exact pairwise step (B, K): the weight that minimizes
     f = sum_p W_p^2 / F_p when only that task moves weight from its away
-    tier to its forward tier, at most all it holds there.  `forward` and
-    `away` name (task, tier) entries as `_Stack.first` does, `marg` (B, K,
-    3) are the marginals at the pool sums W and `weights` (B, K, 3) the
-    tier weights.  The move shifts W by the forward tier's square-root
-    demands minus the away tier's, so f changes by its slope, half the
-    difference of the two marginals, times the step, plus its curvature, sum
-    over the moved terms of their squared shift over F, times the step
-    squared.  Planes 1 and 2 shift one pool each (`_Stack.moves`), and so
-    does plane 0 where the forward tier is the away tier itself."""
+    tier to its forward tier, at most all it holds there.  `moves` (B, 2 K)
+    names each task's forward, then each task's away (task, tier) entry, as
+    `_Stack.first` does, and `index` and `root` (3, B, 2 K) are their pool
+    entries, picked from `_Stack.terms` and `root_terms`; `marg` (B, K, 3)
+    are the marginals at the pool sums W and `weights` (B, K, 3) the tier
+    weights.  The move shifts W by the forward tier's square-root demands
+    minus the away tier's, so f changes by its slope, half the difference
+    of the two marginals, times the step, plus its curvature, sum over the
+    moved terms of their squared shift over F, times the step squared.
+    Planes 1 and 2 shift one pool each (on them every tier reads the task's
+    own RU and DU pools), and so does plane 0 where the forward tier is the
+    away tier itself."""
+    k = moves.shape[1] // 2
+    forward, away = moves[:, :k], moves[:, k:]
     marg, capacity = marg.reshape(-1), stack.capacity.ravel()
     gain = marg.take(away) - marg.take(forward)  # >= 0: the forward tier is the cheapest
-    into, left, added, removed = stack.moves(forward, away)
+    into, left, added, removed = index[:, :, :k], index[0, :, k:], root[:, :, :k], root[:, :, k:]
     shift, inward = added - removed, capacity.take(into)
     shared = shift * (shift / inward)
     apart = added[0] * (added[0] / inward[0]) + removed[0] * (removed[0] / capacity.take(left))
     curvature = np.where(into[0] == left, shared[0], apart) + shared[1] + shared[2]
-    step = np.divide(gain, 2.0 * curvature, out=np.zeros_like(gain), where=curvature > 0)
+    step = np.divide(gain, 2.0 * curvature, out=np.zeros(gain.shape), where=curvature > 0)
     return np.minimum(step, weights.reshape(-1).take(away))
 
 
@@ -782,9 +835,10 @@ def _parallel_tangent(weights, loads, before, before_loads, capacity) -> np.ndar
     tasks whose moves shift nearly the same pool sums, the tangent runs
     along the valley (Shah, Buehler & Kempthorne 1964)."""
     direction = weights - before
-    with np.errstate(divide="ignore", invalid="ignore"):
-        room = np.where(direction < 0, weights / -direction, math.inf)
-    limit = np.minimum.reduce(room.reshape(room.shape[0], -1), axis=-1)
+    # The least weight / -direction over the falling weights, as minus the
+    # greatest weight / direction: IEEE division is odd in its divisor.
+    fall = np.divide(weights, direction, out=np.full(weights.shape, -math.inf), where=direction < 0)
+    limit = -np.maximum.reduce(fall.reshape(fall.shape[0], -1), axis=-1)
     limit[np.isinf(limit)] = 0.0  # no weight falls: the two iterates coincide
     step = _line_step(loads, loads - before_loads, capacity, limit)
     return np.maximum(weights + step[:, None, None] * direction, 0.0)
@@ -801,7 +855,7 @@ def _overload(candidate: np.ndarray, loads: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(ratio, axis=-1) - 1.0
 
 
-def _price_loop(chunk, config: SolverConfig):
+def _price_loop(chunk, config: SolverConfig, trace: bool = False):
     """Frank-Wolfe on the relaxation of (position, problem) pairs of
     problems of one shape, stacked (`_Stack`), yielding (position, plan)
     pairs once every problem has stopped (`_finish`).
@@ -811,79 +865,102 @@ def _price_loop(chunk, config: SolverConfig):
     One gather of the pool sums' ratios W / F gives every problem's gradient
     (its marginals); the row argmin of the allowed marginals is each task's
     forward tier and, of the tiers a task still holds weight on, the one of
-    highest marginal its away tier.  Each task's pairwise move takes its
-    own exact step (`_pair_steps`), the row then steps along all of its
-    tasks' moves together on its exact line search (`_line_step`), and
-    from there along the parallel tangent (`_parallel_tangent`).  No row
-    reads another, so each problem follows the iterates it would follow
-    alone.  A problem stops, converged, once its relaxed objective is
-    within epsilon of its best dual value, or at max_iters, and leaves the
-    stack; it is polished and re-allocated with all the others at the end.
+    highest marginal its away tier.  The pool entries of both are picked
+    once per iteration and serve the forward vertex's exact score, each
+    task's own exact pairwise step (`_pair_steps`) and the pool-sum
+    direction of the row's exact line search along all of its tasks' moves
+    together (`_line_step`); from there the row steps along the parallel
+    tangent (`_parallel_tangent`).  No row reads another, so each problem
+    follows the iterates it would follow alone.  A problem stops, converged,
+    once its relaxed objective is within epsilon of its best dual value, or
+    at max_iters, and leaves the stack; it is polished and re-allocated with
+    all the others at the end.  Only with `trace` are the per-iteration
+    entries of `_Plan.trace` recorded.
     """
     first = stack = _Stack([problem for _, problem in chunk])
     rows, num_tasks = stack.first.shape
-    allowed = [tuple(TIER_INDEX[t] for t in problem[3].allowed_tiers) for _, problem in chunk]
+    tiers = {scheme: tuple(TIER_INDEX[t] for t in scheme.allowed_tiers) for scheme in {p[3] for _, p in chunk}}
+    allowed = [tiers[problem[3]] for _, problem in chunk]
     weights = _uniform_weights(stack)
     loads = stack.loads(weights)
     _check_prices(stack, loads)  # before any plan is scored
     # The best single-tier plan is the first incumbent, the first in L, H, C
     # order of those that cost the least.
     single = _single_tier_costs(stack)
-    best_codes = np.repeat(single.argmin(axis=1)[:, None], num_tasks, axis=1)
-    best_obj = single.min(axis=1)
-    best_dual = np.full(rows, -math.inf)
+    incumbent = np.repeat(single.argmin(axis=1)[:, None], num_tasks, axis=1)
+    best = single.min(axis=1)
+    bound = np.full(rows, -math.inf)  # each live row's best dual value so far
+    # Of the loop's own arrays, the live rows': the doubled square-root
+    # demands of the marginals, the barred tiers per task, and each task's
+    # L entry twice, for its forward and its away move.
+    twice = 2.0 * stack.root
+    barred = np.repeat(stack.barred, num_tasks, axis=1) if stack.bars else None
+    pairs = np.concatenate((stack.first, stack.first), axis=1)
+    # Per row of `first`, filled as rows stop.
+    best_codes, rounded = np.empty_like(incumbent), np.empty_like(incumbent)
+    objective = np.empty(rows)
     iterations, converged = np.full(rows, config.max_iters), np.zeros(rows, dtype=bool)
     alive = np.arange(rows)  # each stacked row's row in `first`
-    log: list = []  # per iteration: (rows in `first`, (A, 4) trace entries)
-    rounded = best_codes.copy()  # each problem's last iterate, each task on its heaviest tier
+    log = [] if trace else None  # per iteration: (rows in `first`, (A, 4) trace entries)
     before = None  # the previous iterate's weights and pool sums
 
     for t in range(1, config.max_iters + 1):
         ratio = loads / stack.capacity  # square roots of the stationary prices
-        marg = _marginals(stack.root, ratio.ravel().take(stack.index))
-        allowed_marg = _allowed_marginals(marg, stack.barred) if stack.bars else marg
-        forward = allowed_marg.argmin(axis=-1)
-        picked = stack.first + forward
+        marg = _marginals(twice, ratio.ravel().take(stack.index))
+        allowed_marg = marg if barred is None else _allowed_marginals(marg, barred)
+        forward = _first_min(allowed_marg)
+        moves = np.concatenate((forward, _first_max(np.where(weights > 0, marg, -math.inf))), axis=1)
+        moves += pairs  # each task's forward, then each task's away (task, tier) entry
+        picked = moves[:, :num_tasks]
+        index, root = stack.terms.take(moves, axis=1), stack.root_terms.take(moves, axis=1)
         # At the stationary prices pi = (W / F)^2, sum_p pi_p F_p = f: the
         # dual value is the cheapest allowed marginals summed minus f.
         relaxed = _cost(loads, stack.capacity)
         dual = np.add.reduce(allowed_marg.ravel().take(picked), axis=-1) - relaxed
 
         # The forward vertex is an integer assignment: score it exactly.
-        candidate_loads = stack.picked_loads(picked)
+        candidate_loads = _pool_loads(index[:, :, :num_tasks], root[:, :, :num_tasks], stack.capacity.size)
+        candidate_loads = candidate_loads.reshape(stack.capacity.shape)
         candidate = _cost(candidate_loads, stack.capacity)
-        better = candidate < best_obj[alive]
-        best_obj[alive[better]] = candidate[better]
-        best_codes[alive[better]] = forward[better]
-        bound = best_dual[alive] = np.maximum(best_dual[alive], dual)
-        log.append((alive, np.stack((candidate, best_obj[alive], dual, _overload(candidate_loads, loads)), axis=1)))
+        better = candidate < best
+        best[better] = candidate[better]
+        incumbent[better] = forward[better]
+        np.maximum(bound, dual, out=bound)
+        if log is not None:
+            log.append((alive, np.stack((candidate, best, dual, _overload(candidate_loads, loads)), axis=1)))
         done = relaxed - bound <= config.epsilon * relaxed
 
-        away = stack.first + np.where(weights > 0, marg, -math.inf).argmax(axis=-1)
-        step = _pair_steps(stack, marg, weights, picked, away)
-        change = stack.picked_loads(np.concatenate((picked, away), axis=1), np.concatenate((step, -step), axis=1))
+        step = _pair_steps(stack, marg, weights, moves, index, root)
+        change = _pool_loads(index, root * np.concatenate((step, -step), axis=1), stack.capacity.size)
+        change = change.reshape(stack.capacity.shape)
         gamma = _line_step(loads, change, stack.capacity, 1.0)
         step *= gamma[:, None]
         ahead = weights.copy()
         ahead.reshape(-1)[picked] += step
-        ahead.reshape(-1)[away] -= step
+        ahead.reshape(-1)[moves[:, num_tasks:]] -= step
         if before is not None:
             ahead = _parallel_tangent(ahead, loads + gamma[:, None] * change, *before, stack.capacity)
         before, weights = (weights, loads), ahead
         if done.any():
-            iterations[alive[done]], converged[alive[done]] = t, True
-            rounded[alive[done]] = before[0][done].argmax(axis=-1)
+            ended = alive[done]
+            iterations[ended], converged[ended] = t, True
+            rounded[ended] = before[0][done].argmax(axis=-1)
+            best_codes[ended], objective[ended] = incumbent[done], best[done]
             keep = np.flatnonzero(~done)
             if not keep.size:
                 break
             alive, weights, stack = alive[keep], weights[keep], stack.take(keep)
             before = tuple(array[keep] for array in before)
+            incumbent, best, bound = incumbent[keep], best[keep], bound[keep]
+            twice, pairs = twice.take(keep, axis=1), pairs[: keep.size]
+            barred = None if barred is None else barred[keep]
         loads = stack.loads(weights)
     else:  # cut by max_iters
         rounded[alive] = before[0].argmax(axis=-1)
+        best_codes[alive], objective[alive] = incumbent, best
 
-    traces = _split_traces(log, rows)
-    yield from _finish(first, chunk, allowed, (best_codes, rounded), best_obj, traces, iterations, converged)
+    traces = _split_traces(log, rows) if log is not None else [None] * rows
+    yield from _finish(first, chunk, allowed, (best_codes, rounded), objective, traces, iterations, converged)
 
 
 def _split_traces(log, rows: int) -> list:
@@ -911,8 +988,10 @@ def _finish(stack: _Stack, chunk, allowed, starts, objective, traces, iterations
     rows = np.concatenate((np.arange(len(chunk)), differs))
     codes = np.concatenate((incumbent, rounded[differs]))
     objective = np.concatenate((objective, stack.costs(rounded)[differs]))
-    for tiers in dict.fromkeys(allowed):  # each scheme's tier codes
-        at = np.flatnonzero([allowed[row] == tiers for row in rows.tolist()])
+    number = {tiers: i for i, tiers in enumerate(dict.fromkeys(allowed))}  # each scheme's tier codes
+    scheme = np.array([number[tiers] for tiers in allowed])[rows]
+    for tiers, i in number.items():
+        at = np.flatnonzero(scheme == i)
         codes[at], objective[at] = _local_search(codes[at], objective[at], tiers, stack.take(rows[at]))
     tail = slice(len(chunk), None)
     wins = objective[tail] < objective[differs]

@@ -168,7 +168,7 @@ def test_equal_decisions_give_the_solver_total_bit_for_bit(random_instance):
         scenario, rates = random_instance(seed=seed, num_users=3 + seed // 50, num_rus=2, num_dus=2)
         problems += [(scenario.topology, scenario.tasks, rates, scheme) for scheme in Scheme]
     matched = 0
-    for position, plan in solver._solve_batch(problems):
+    for position, plan in solver._solve_batch(problems, trace=True):
         result = solver._result(plan, problems[position])
         truth = enumerate_optimal(*problems[position])
         if result.decision == truth.decision:

@@ -100,7 +100,7 @@ def _marginal_prices(duals, tasks, topo):
     """Per-task price of each tier at the given prices, (K, 3) in L, H, C
     order, through the loop's gather and marginal kernel."""
     pools = _Pools(tasks, topo)
-    return _marginals(pools.root[:, 0], np.sqrt(_price_vector(duals, topo))[pools.index[:, 0]])
+    return _marginals(2.0 * pools.root[:, 0], np.sqrt(_price_vector(duals, topo))[pools.index[:, 0]])
 
 
 def _dual_value_at(duals, tasks, topo, scheme):
@@ -297,12 +297,13 @@ def test_pairwise_steps_match_dense_line_search(random_instance):
     rng = np.random.default_rng(31)
     _, stack, weights, member = _fw_point(random_instance, rng)
     loads = stack.loads(weights)
-    marg = _marginals(stack.root, (loads / stack.capacity).ravel().take(stack.index))
+    marg = _marginals(2.0 * stack.root, (loads / stack.capacity).ravel().take(stack.index))
     allowed = _allowed_marginals(marg, stack.barred)
     forward = stack.first + allowed.argmin(axis=-1)
     away = stack.first + np.where(weights > 0, marg, -np.inf).argmax(axis=-1)
-    steps = _pair_steps(stack, marg, weights, forward, away)
-    change = stack.picked_loads(np.concatenate((forward, away), axis=1), np.concatenate((steps, -steps), axis=1))
+    moves = np.concatenate((forward, away), axis=1)
+    steps = _pair_steps(stack, marg, weights, moves, stack.terms.take(moves, axis=1), stack.root_terms.take(moves, axis=1))
+    change = stack.picked_loads(moves, np.concatenate((steps, -steps), axis=1))
     rows = _line_step(loads, change, stack.capacity, 1.0)
     interior = clipped = 0
     for row in range(weights.shape[0]):
@@ -641,7 +642,7 @@ def test_stacked_layout_matches_single_problem_kernels(random_instance):
         assert np.array_equal(stack.capacity, capacity[rows])
         weighted = stack.loads(weights[rows])
         row_prices = prices[rows]
-        marg = solver._marginals(stack.root, np.sqrt(row_prices).ravel().take(stack.index))
+        marg = solver._marginals(2.0 * stack.root, np.sqrt(row_prices).ravel().take(stack.index))
         allowed = _allowed_marginals(marg, stack.barred)
         cheapest = allowed.ravel().take(stack.first + allowed.argmin(axis=-1))
         codes = np.array([rng.choice([TIER_INDEX[t] for t in problems[r][3].allowed_tiers], size=8) for r in rows])
@@ -682,7 +683,8 @@ def test_batch_matches_single_solves(random_instance, make_topology, monkeypatch
 
     chunks = []
     price_loop = solver._price_loop
-    monkeypatch.setattr(solver, "_price_loop", lambda chunk, cfg: chunks.append(len(chunk)) or price_loop(chunk, cfg))
+    monkeypatch.setattr(solver, "_price_loop",
+                        lambda chunk, cfg, **kw: chunks.append(len(chunk)) or price_loop(chunk, cfg, **kw))
     # 24 tasks per loop makes chunks of three K=8 or four K=6 problems, so
     # chunk boundaries fall inside the batch and inside a seed's schemes.
     for config, batch_tasks in ((SolverConfig(), None), (SolverConfig(max_iters=8), None), (SolverConfig(), 24)):
@@ -690,7 +692,7 @@ def test_batch_matches_single_solves(random_instance, make_topology, monkeypatch
         chunks.clear()
         if batch_tasks:
             monkeypatch.setattr(solver, "_BATCH_TASKS", batch_tasks)
-        pairs = list(solver._solve_batch(iter(problems), config))
+        pairs = list(solver._solve_batch(iter(problems), config, trace=True))
         assert chunks == ([3, 3, 3, 3, 3, 1, 4, 1] if batch_tasks else [16, 5])
         assert sorted(position for position, _ in pairs) == list(range(len(problems)))
         plans = [plan for _, plan in sorted(pairs, key=lambda pair: pair[0])]
@@ -1403,7 +1405,7 @@ def test_trace_duals_stay_below_the_plans_across_a_stacked_batch(random_instance
         scenario, rates = random_instance(seed=100 + seed, num_users=8, num_rus=4, num_dus=2)
         problems += [(scenario.topology, scenario.tasks, rates, scheme) for scheme in Scheme]
     entries = 0
-    for position, plan in solver._solve_batch(problems):
+    for position, plan in solver._solve_batch(problems, trace=True):
         res = solver._result(plan, problems[position])
         dual = res.trace["dual_value_s"]
         for name in ("candidate_objective_s", "best_objective_s"):
