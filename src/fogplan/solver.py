@@ -63,8 +63,9 @@ problems of one shape (users, RUs, DUs) through one loop.  Problem b holds
 row b of every stacked array, and its pools are entries b P to b P + P - 1 of
 one stacked pool vector, so each gather, pick, step and scatter serves them
 all, while the dual values, line searches and exact objectives reduce each
-row on its own.  Incumbents, bounds and trace entries are arrays over the
-stack.  A problem that stops leaves the stack; when the last one stops, all
+row on its own.  Incumbents and bounds are arrays over the stack, and the
+trace entries are recorded only where asked for, as `solve` asks for its
+batch of one.  A problem that stops leaves the stack; when the last one stops, all
 are finished the same way (`_finish`): one lockstep polish per scheme, and
 every plan's pool sums and total delay added up as arrays, with the delay
 legs `latency` writes for `total_delay`.  The loop yields compact plans
@@ -463,26 +464,6 @@ def _marginals(twice_root: np.ndarray, root_prices: np.ndarray) -> np.ndarray:
     return np.add.reduce(twice_root * root_prices, axis=0)
 
 
-def _first_min(values: np.ndarray) -> np.ndarray:
-    """`values.argmin(axis=-1)` over a last axis of the three tiers, the
-    first minimum, by two comparisons of the tiers' planes: an argmin
-    reduces each task's three entries on its own.  The values must not be
-    NaN."""
-    a, b, c = values[..., 0], values[..., 1], values[..., 2]
-    tier = np.less(b, a).astype(np.intp)
-    tier[c < np.minimum(a, b)] = 2
-    return tier
-
-
-def _first_max(values: np.ndarray) -> np.ndarray:
-    """`values.argmax(axis=-1)` over a last axis of the three tiers, the
-    first maximum, as `_first_min` finds the first minimum."""
-    a, b, c = values[..., 0], values[..., 1], values[..., 2]
-    tier = np.greater(b, a).astype(np.intp)
-    tier[c > np.maximum(a, b)] = 2
-    return tier
-
-
 def _barred(scheme: Scheme) -> np.ndarray:
     """+inf for each tier code the scheme does not offer, 0 for the others."""
     return np.array([0.0 if tier in scheme.allowed_tiers else np.inf for tier in TIERS])
@@ -657,7 +638,8 @@ def _recheck(at: np.ndarray, values: np.ndarray, incumbent: np.ndarray) -> list[
 class _Plan(NamedTuple):
     """One solved problem as `_solve_batch` yields it: the best plan's tier
     codes, the trace as one (iterations, 4) array of (candidate, best, dual
-    value, violation) rows, the iteration count, whether the loop converged
+    value, violation) rows (None where the loop recorded none), the
+    iteration count, whether the loop converged
     (its relaxed gap closed to epsilon), the plan's exact objective, the
     total delay of its exact re-allocation, access included, and its
     clearing prices (W_p / F_p)^2 as one pool vector, from the pool sums W
@@ -665,7 +647,7 @@ class _Plan(NamedTuple):
     `SolveResult`."""
 
     codes: np.ndarray
-    trace: np.ndarray
+    trace: np.ndarray | None
     iterations: int
     converged: bool
     objective_s: float
@@ -908,8 +890,8 @@ def _price_loop(chunk, config: SolverConfig, trace: bool = False):
         ratio = loads / stack.capacity  # square roots of the stationary prices
         marg = _marginals(twice, ratio.ravel().take(stack.index))
         allowed_marg = marg if barred is None else _allowed_marginals(marg, barred)
-        forward = _first_min(allowed_marg)
-        moves = np.concatenate((forward, _first_max(np.where(weights > 0, marg, -math.inf))), axis=1)
+        forward = allowed_marg.argmin(axis=-1)
+        moves = np.concatenate((forward, np.where(weights > 0, marg, -math.inf).argmax(axis=-1)), axis=1)
         moves += pairs  # each task's forward, then each task's away (task, tier) entry
         picked = moves[:, :num_tasks]
         index, root = stack.terms.take(moves, axis=1), stack.root_terms.take(moves, axis=1)

@@ -199,6 +199,56 @@ def test_sweep_rows_equal_single_solve_replay():
                 assert row["mean_total_delay_s"] == sum(totals[scheme]) / sweep.realizations
 
 
+def test_capacity_points_and_sweep_plans_match_the_public_path():
+    # A capacity sweep sets each later point's capacity on the first point's
+    # topology through `scenario._with_capacity`, which checks that field
+    # alone: the topology must equal `dataclasses.replace`'s in every field,
+    # value and dtype, and refuse a bad capacity with the same message.  The
+    # sweep's batches record no trace, yet each plan must carry the tier
+    # codes, objective, total delay, iteration count and convergence of
+    # `solve`, whose traced batch of one must give the trace a traced batch
+    # of all the problems gives it.
+    from fogplan import solver
+    from fogplan.latency import TIER_INDEX
+    from fogplan.scenario import _with_capacity
+
+    scenario = generate_scenario(ScenarioSpec(num_users=8, num_rus=4, num_dus=2, seed=4))
+    topo, tasks = scenario.topology, scenario.tasks
+    for name in ("mecl_capacity_hz", "mech_capacity_hz", "fronthaul_capacity_hz", "midhaul_capacity_hz"):
+        size = getattr(topo, name).size
+        for value in (np.full(size, 3.5e9), [7e8] * size, np.arange(1, size + 1)):
+            got, want = _with_capacity(topo, name, value), dataclasses.replace(topo, **{name: value})
+            for field in dataclasses.fields(topo):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert type(a) is type(b), (name, field.name)
+                if isinstance(a, np.ndarray):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (name, field.name)
+                else:
+                    assert a == b, (name, field.name)
+        for bad in (np.zeros(size), np.full(size, np.inf), np.full(size, np.nan), np.full(size + 1, 1e9)):
+            with pytest.raises(ValueError) as got:
+                _with_capacity(topo, name, bad)
+            with pytest.raises(ValueError) as want:
+                dataclasses.replace(topo, **{name: bad})
+            assert str(got.value) == str(want.value)
+
+    channels = generate_channels(topo, scenario.ru_positions_m, scenario.user_positions_m, seed=channel_seed(4))
+    rates = uplink_rates(topo, channels)
+    problems = [(_with_capacity(topo, "mecl_capacity_hz", np.full(4, value)), tasks, rates, scheme)
+                for value in (1e9, 3e9) for scheme in Scheme]
+    traced = dict(solver._solve_batch(problems, trace=True))
+    for position, plan in solver._solve_batch(problems):
+        result = solve(*problems[position])
+        assert plan.trace is None
+        assert plan.codes.tolist() == [TIER_INDEX[tier] for tier in result.decision.tiers]
+        assert (plan.objective_s, plan.total_delay_s) == (result.objective_s, result.total_delay_s)
+        assert (plan.iterations, plan.converged) == (result.iterations, result.converged)
+        assert all(values.size == result.iterations for values in result.trace.values())
+        expected = solver._result(traced[position], problems[position]).trace
+        for key, values in result.trace.items():
+            assert values.tobytes() == expected[key].tobytes(), (position, key)
+
+
 def test_sweep_plans_flat_curves_once(monkeypatch):
     # Of P points x R realizations x 4 schemes, an `fl` or `fh` sweep plans
     # the two schemes whose tiers draw on the swept capacity at every point

@@ -18,7 +18,7 @@ from fogplan import (
     uplink_rate,
     uplink_rates,
 )
-from fogplan.phy import dbm_to_watt, path_loss
+from fogplan.phy import _sinrs, dbm_to_watt, path_loss
 
 
 def _channels(h, user_to_ru=None, tx_power_w=1.0, noise_power_w=1.0):
@@ -172,6 +172,61 @@ def test_non_finite_sinrs_are_refused():
     for u, noise in (([[1e-200, 0.0]], 1.0), ([[1.0, 0.0]], 1e-320)):  # NaN, then inf
         with pytest.raises(ValueError, match="SINR of user 0 is (nan|inf)"):
             sinr(_channels(h, noise_power_w=noise), Beamformer(users=[0], u=u), 0)
+
+
+def _per_ru_rates(topo, ch):
+    """The rates RU by RU, through `mmse_beamformer`, `_sinrs` and
+    `uplink_rate`: what the stacked solve of each cell size must give."""
+    rates = np.zeros(ch.num_users)
+    for ru in np.flatnonzero(np.bincount(ch.user_to_ru)).tolist():
+        bf = mmse_beamformer(ch, ru)
+        sinrs = _sinrs(ch, ru, bf.u, bf.users)
+        rates[bf.users] = [uplink_rate(topo.uplink_bandwidth_hz[ru], s) for s in sinrs.tolist()]
+    return rates
+
+
+def test_batched_uplink_rates_equal_the_per_ru_reference(make_topology):
+    # `uplink_rates` solves the combiners of all RUs that serve the same
+    # number of users as one stack; each rate must be the per-RU
+    # computation's bit for bit.  Users per RU, one pattern per antenna
+    # count: mixed cell sizes, RUs without users, one-user RUs and RUs with
+    # more users than antennas; the noise is per RU or one network value.
+    rng = np.random.default_rng(21)
+    patterns = (((3, 0, 1, 2, 5), 2), ((1, 1, 1, 0, 1), 1), ((4, 4, 0, 2, 2), 4), ((12, 0, 0, 1, 12), 10))
+    for trial in range(12):
+        served, antennas = patterns[trial % len(patterns)]
+        user_to_ru = rng.permutation(np.repeat(np.arange(5), served))
+        num_users = user_to_ru.size
+        topo = make_topology(num_users=num_users, num_rus=5, user_to_ru=user_to_ru,
+                             uplink_bandwidth_hz=rng.uniform(5e6, 2e7, size=5))
+        gain = path_loss(rng.uniform(20.0, 400.0, size=(num_users, 1)))
+        h = np.sqrt(gain / 2) * (rng.standard_normal((num_users, antennas)) + 1j * rng.standard_normal((num_users, antennas)))
+        noise = dbm_to_watt(-174.0) * (topo.uplink_bandwidth_hz if trial % 2 else topo.uplink_bandwidth_hz[:1])
+        ch = ChannelSet(h=h, user_to_ru=user_to_ru, tx_power_w=dbm_to_watt(35.0), noise_power_w=noise,
+                        num_antennas=antennas)
+        rates = uplink_rates(topo, ch)
+        assert rates.tobytes() == _per_ru_rates(topo, ch).tobytes(), trial
+        assert np.all(rates > 0)
+    for seed in range(6):  # generated desk scenarios
+        scenario = generate_scenario(ScenarioSpec(num_users=8, num_rus=4, num_dus=2, seed=seed))
+        ch = generate_channels(scenario.topology, scenario.ru_positions_m, scenario.user_positions_m, seed=seed)
+        assert uplink_rates(scenario.topology, ch).tobytes() == _per_ru_rates(scenario.topology, ch).tobytes()
+
+
+def test_the_lowest_failing_ru_is_refused(make_topology):
+    # The RUs are solved cell size by cell size, but of several RUs whose
+    # SINRs are not finite the refusal names the lowest, as a loop over the
+    # RUs would: RU 1 (two users) and RU 2 (one user) at an uplink bandwidth
+    # of 1e300 Hz, RU 0 (two users) at 10 MHz.
+    rng = np.random.default_rng(5)
+    user_to_ru = np.array([1, 0, 2, 1, 0])
+    for bands, named in (((1e7, 1e300, 1e300), 1), ((1e7, 1e7, 1e300), 2), ((1e300, 1e7, 1e300), 0)):
+        topo = make_topology(num_users=5, num_rus=3, user_to_ru=user_to_ru, uplink_bandwidth_hz=np.array(bands))
+        h = 1e-4 * (rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)))
+        ch = ChannelSet(h=h, user_to_ru=user_to_ru, tx_power_w=dbm_to_watt(35.0),
+                        noise_power_w=dbm_to_watt(-174.0) * topo.uplink_bandwidth_hz, num_antennas=4)
+        with pytest.raises(ValueError, match=rf"^RU {named}: the SINR at uplink bandwidth 1e\+300 Hz is not finite"):
+            uplink_rates(topo, ch)
 
 
 def test_uplink_rate_values():
