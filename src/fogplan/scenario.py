@@ -62,12 +62,12 @@ def _positive_array(name: str, values, length: int) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size != length:
         raise ValueError(f"{name} must be a flat array of length {length}, got shape {arr.shape}")
-    # The least entry is positive only if every entry is (NaN included: it
-    # is the least); then the greatest is finite only if every entry is.
-    if arr.size and not arr.min() > 0:
+    # The least entry is positive only if every entry is (a NaN entry makes
+    # the least NaN); then the greatest is finite only if every entry is.
+    if arr.size and not np.minimum.reduce(arr) > 0:
         bad = int(np.flatnonzero(~(arr > 0))[0])
         raise ValueError(f"{name}[{bad}] = {arr[bad]} must be strictly positive")
-    if arr.size and not arr.max() < math.inf:
+    if arr.size and not np.maximum.reduce(arr) < math.inf:
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -102,13 +102,13 @@ class Topology:
         object.__setattr__(self, "num_users", int(self.num_users))
 
         ru_to_du = _int_array("ru_to_du", self.ru_to_du, self.num_rus)
-        if (ru_to_du < 0).any() or (ru_to_du >= self.num_dus).any():
+        if np.minimum.reduce(ru_to_du) < 0 or np.maximum.reduce(ru_to_du) >= self.num_dus:
             bad = int(np.flatnonzero((ru_to_du < 0) | (ru_to_du >= self.num_dus))[0])
             raise ValueError(
                 f"ru_to_du[{bad}] = {ru_to_du[bad]} is out of range for num_dus = {self.num_dus}"
             )
         user_to_ru = _int_array("user_to_ru", self.user_to_ru, self.num_users)
-        if self.num_users and ((user_to_ru < 0).any() or (user_to_ru >= self.num_rus).any()):
+        if self.num_users and (np.minimum.reduce(user_to_ru) < 0 or np.maximum.reduce(user_to_ru) >= self.num_rus):
             bad = int(np.flatnonzero((user_to_ru < 0) | (user_to_ru >= self.num_rus))[0])
             raise ValueError(
                 f"user_to_ru[{bad}] = {user_to_ru[bad]} is out of range for num_rus = {self.num_rus}"
@@ -267,15 +267,16 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
     n_ru, n_du, n_user = spec.num_rus, spec.num_dus, spec.num_users
 
     idx = np.arange(n_ru)
-    ru_pos = np.column_stack((idx % cols, idx // cols)).astype(np.float64) * spec.ru_spacing_m
+    ru_pos = np.stack((idx % cols, idx // cols), axis=1).astype(np.float64) * spec.ru_spacing_m
     ru_to_du = (idx * n_du) // n_ru
 
     home_ru = rng.integers(0, n_ru, size=n_user)
     radius = spec.ru_spacing_m / 2.0
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=n_user))
     theta = rng.uniform(0.0, 2.0 * math.pi, size=n_user)
-    user_pos = ru_pos[home_ru] + np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-    dists = np.linalg.norm(user_pos[:, None, :] - ru_pos[None, :, :], axis=2)
+    user_pos = ru_pos[home_ru] + np.stack((r * np.cos(theta), r * np.sin(theta)), axis=1)
+    offsets = user_pos[:, None, :] - ru_pos[None, :, :]
+    dists = np.sqrt(np.add.reduce(offsets * offsets, axis=2))  # np.linalg.norm's sum for real offsets
     user_to_ru = np.argmin(dists, axis=1)
 
     uplink = _draw(rng, "uplink_bandwidth_hz", spec.uplink_bandwidth_hz, n_ru)

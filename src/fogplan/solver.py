@@ -63,9 +63,9 @@ problems of one shape (users, RUs, DUs) through one loop.  Problem b holds
 row b of every stacked array, and its pools are entries b P to b P + P - 1 of
 one stacked pool vector, so each gather, pick, step and scatter serves them
 all, while the dual values, line searches and exact objectives reduce each
-row on its own.  Incumbents and bounds are arrays over the stack, and the
-trace entries are recorded only where asked for, as `solve` asks for its
-batch of one.  A problem that stops leaves the stack; when the last one stops, all
+row on its own.  Incumbents and bounds are arrays over the stack; trace
+entries are recorded only where asked for, as `solve` asks for its batch of
+one.  A problem that stops leaves the stack; when the last one stops, all
 are finished the same way (`_finish`): one lockstep polish per scheme, and
 every plan's pool sums and total delay added up as arrays, with the delay
 legs `latency` writes for `total_delay`.  The loop yields compact plans
@@ -95,6 +95,9 @@ _CODE_L, _CODE_H, _CODE_C = (TIER_INDEX[t] for t in TIERS)
 _LEGS = np.array([[-1 if f is None else _FAMILIES.index(f) for f in _TIER_LEGS[tier]] for tier in TIERS]).T
 _USED = _LEGS >= 0
 _LEG_FAMILIES = np.where(_USED, _LEGS, _LEGS.max(axis=1, keepdims=True))
+# The node map each (term, tier) family reads, as its row in `_layout`'s
+# node rows: `latency._NODES` in order, then zeros for a network-wide pool.
+_LEG_NODES = np.array([_NODES.index(f.node) if f.node else len(_NODES) for f in _FAMILIES])[_LEG_FAMILIES]
 
 # Relative width of the band of closed-form move scores that the polish
 # re-scores exactly.  Their rounding error is near 1e-15 of the objective, so
@@ -222,7 +225,8 @@ class _Stack:
         """The stack of the given rows, in that order."""
         stack = object.__new__(_Stack)
         stack.index = self.index.take(keep, axis=1)
-        stack.index -= ((keep - np.arange(keep.size)) * self.capacity.shape[1])[:, None, None]  # each kept row's pools move down
+        # Each kept row's pools move down to its new place in the vector.
+        stack.index -= ((keep - np.arange(keep.size)) * self.capacity.shape[1])[:, None, None]
         stack.root, stack.starts = self.root.take(keep, axis=1), self.starts
         stack.capacity, stack.barred = self.capacity.take(keep, axis=0), self.barred.take(keep, axis=0)
         stack._views()
@@ -296,15 +300,16 @@ def _layout(topologies):
     (B, P), the index of each family's first pool, and the pool index of each
     (term, problem, task, tier), term-major (3, B, K, 3), 0 to P - 1: the
     task's pool in the family `_LEG_FAMILIES` names for the term and tier,
-    one gather of each family's pool of each user."""
+    one gather of the users' nodes (`_LEG_NODES`) plus that family's start."""
     rows, users = len(topologies), topologies[0].num_users
-    capacity = [np.array([getattr(t, family.capacity) for t in topologies]).reshape(rows, -1) for family in _FAMILIES]
-    starts = np.cumsum([0] + [family.shape[1] for family in capacity[:-1]])
-    nodes = {node: np.array([getattr(t, node) for t in topologies]) for node in _NODES}
-    nodes[None] = np.zeros((rows, users), dtype=np.int64)
-    pools = np.array([nodes[family.node] for family in _FAMILIES]) + starts[:, None, None]  # (family, B, K)
-    index = np.ascontiguousarray(pools[_LEG_FAMILIES].transpose(0, 2, 3, 1))
-    return np.concatenate(capacity, axis=1), starts, index
+    starts = _family_starts(topologies[0])
+    capacity = np.concatenate([getattr(t, family.capacity) if family.node else (getattr(t, family.capacity),)
+                               for t in topologies for family in _FAMILIES]).reshape(rows, -1)
+    nodes = np.zeros((len(_NODES) + 1, rows, users), dtype=np.int64)
+    nodes[:-1] = [[getattr(t, node) for t in topologies] for node in _NODES]
+    index = np.empty((3, rows, users, 3), dtype=np.int64)
+    np.add(nodes[_LEG_NODES].transpose(0, 2, 3, 1), starts[_LEG_FAMILIES][:, None, None, :], out=index)
+    return capacity, starts, index
 
 
 def _family_starts(topology: Topology) -> np.ndarray:
@@ -522,19 +527,19 @@ def _local_search(codes: np.ndarray, objective, tiers, stack: _Stack):
     live = np.arange(codes.shape[0])  # the problems still descending, the rows of `stack`
     loads = stack.picked_loads(stack.first + codes)
     while live.size:
-        current = codes[live]
-        move_code = others[current].reshape(live.size, m)
-        ahead, away = stack.first[:, move_task] + move_code, (stack.first + current)[:, move_task]
+        current = codes.take(live, axis=0)
+        move_code = others.take(current, axis=0).reshape(live.size, m)
+        ahead, away = stack.first.take(move_task, axis=1) + move_code, (stack.first + current).take(move_task, axis=1)
         single = _move_changes(stack, loads, ahead, away)
 
         def improve(at, moves):
             """Re-score exactly problem live[at] with its row of `moves` (move
             indices) applied; take `_recheck`'s picks and their pool sums and
             return the positions in `live` of the problems that moved."""
-            trial = current[at]
+            trial = current.take(at, axis=0)
             trial[np.arange(at.size)[:, None], move_task[moves]] = move_code[at[:, None], moves]
-            trial_loads = stack.picked_loads(stack.first[at] + trial, rows=at)
-            values = _cost(trial_loads, stack.capacity[at])
+            trial_loads = stack.picked_loads(stack.first.take(at, axis=0) + trial, rows=at)
+            values = _cost(trial_loads, stack.capacity.take(at, axis=0))
             picked = _recheck(at, values, objective[live[at]])
             rows = at[picked]
             codes[live[rows]], objective[live[rows]], loads[rows] = trial[picked], values[picked], trial_loads[picked]
@@ -543,16 +548,17 @@ def _local_search(codes: np.ndarray, objective, tiers, stack: _Stack):
         at, index = _near_best([(0, single)], objective[live])
         moved = improve(at, index[:, None]) if at.size else at
         if moved.size < live.size:
-            rest = np.flatnonzero(np.bincount(moved, minlength=live.size) == 0)
+            rest = (np.bincount(moved, minlength=live.size) == 0).nonzero()[0]
             # The pair pass of the problems with no improving single move,
             # from each move's pool shifts: one scatter of its two entries.
-            blocks = _pair_blocks(stack, single[rest], ahead[rest], away[rest], move_task, rest)
+            blocks = _pair_blocks(stack, single.take(rest, axis=0), ahead.take(rest, axis=0), away.take(rest, axis=0),
+                                  move_task, rest)
             at, index = _near_best(blocks, objective[live[rest]])
             if at.size:
                 moved = np.concatenate((moved, improve(rest[at], np.stack(np.divmod(index, m), axis=1))))
             if moved.size < live.size:  # some problems are done
                 moved.sort()
-                live, loads, stack = live[moved], loads[moved], stack.take(moved) if moved.size else stack
+                live, loads, stack = live[moved], loads.take(moved, axis=0), stack.take(moved) if moved.size else stack
     return codes, objective
 
 
@@ -583,7 +589,7 @@ def _pair_blocks(stack: _Stack, single: np.ndarray, ahead: np.ndarray, away: np.
     rows, m = single.shape
     moves = np.stack((ahead, away), axis=-1).transpose(1, 0, 2)
     shift = stack.picked_loads(moves, np.array([1.0, -1.0]), problems)  # (N, B, P)
-    capacity = stack.capacity if problems is None else stack.capacity[problems]
+    capacity = stack.capacity if problems is None else stack.capacity.take(problems, axis=0)
     scaled, turned = (shift / capacity).transpose(1, 0, 2), shift.transpose(1, 2, 0)
     space = np.empty((2, rows * min(m, _PAIR_BLOCK_ROWS) * m))
     for start in range(0, m, _PAIR_BLOCK_ROWS):
@@ -639,12 +645,11 @@ class _Plan(NamedTuple):
     """One solved problem as `_solve_batch` yields it: the best plan's tier
     codes, the trace as one (iterations, 4) array of (candidate, best, dual
     value, violation) rows (None where the loop recorded none), the
-    iteration count, whether the loop converged
-    (its relaxed gap closed to epsilon), the plan's exact objective, the
-    total delay of its exact re-allocation, access included, and its
-    clearing prices (W_p / F_p)^2 as one pool vector, from the pool sums W
-    of its picked square-root demands.  `_result` makes it a
-    `SolveResult`."""
+    iteration count, whether the loop converged (its relaxed gap closed to
+    epsilon), the plan's exact objective, the total delay of its exact
+    re-allocation, access included, and its clearing prices (W_p / F_p)^2
+    as one pool vector, from the pool sums W of its picked square-root
+    demands.  `_result` makes it a `SolveResult` from a traced plan."""
 
     codes: np.ndarray
     trace: np.ndarray | None
@@ -779,31 +784,32 @@ def _line_step(loads: np.ndarray, change: np.ndarray, capacity: np.ndarray, limi
     return np.minimum(np.maximum(step, 0.0), limit, out=step, where=moves)
 
 
-def _pair_steps(stack: "_Stack", marg: np.ndarray, weights: np.ndarray, moves: np.ndarray, index: np.ndarray,
-                root: np.ndarray):
+def _pair_steps(stack: "_Stack", marg: np.ndarray, cheapest: np.ndarray, weights: np.ndarray, moves: np.ndarray,
+                index: np.ndarray, root: np.ndarray):
     """Each task's own exact pairwise step (B, K): the weight that minimizes
     f = sum_p W_p^2 / F_p when only that task moves weight from its away
     tier to its forward tier, at most all it holds there.  `moves` (B, 2 K)
     names each task's forward, then each task's away (task, tier) entry, as
     `_Stack.first` does, and `index` and `root` (3, B, 2 K) are their pool
     entries, picked from `_Stack.terms` and `root_terms`; `marg` (B, K, 3)
-    are the marginals at the pool sums W and `weights` (B, K, 3) the tier
-    weights.  The move shifts W by the forward tier's square-root demands
-    minus the away tier's, so f changes by its slope, half the difference
-    of the two marginals, times the step, plus its curvature, sum over the
-    moved terms of their squared shift over F, times the step squared.
-    Planes 1 and 2 shift one pool each (on them every tier reads the task's
-    own RU and DU pools), and so does plane 0 where the forward tier is the
-    away tier itself."""
+    are the marginals at the pool sums W, `cheapest` (B, K) those of the
+    forward entries and `weights` (B, K, 3) the tier weights.  The move
+    shifts W by the forward tier's square-root demands minus the away
+    tier's, so f changes by its slope, half the difference of the two
+    marginals, times the step, plus its curvature, sum over the moved terms
+    of their squared shift over F, times the step squared.  On plane 0 each
+    tier draws on a pool of its own family, so the move adds to one pool and
+    takes from another; planes 1 and 2 shift one pool each (on them every
+    tier reads the task's own RU and DU pools).  A task whose forward tier
+    is its away tier gains 0 and steps 0."""
     k = moves.shape[1] // 2
-    forward, away = moves[:, :k], moves[:, k:]
-    marg, capacity = marg.reshape(-1), stack.capacity.ravel()
-    gain = marg.take(away) - marg.take(forward)  # >= 0: the forward tier is the cheapest
-    into, left, added, removed = index[:, :, :k], index[0, :, k:], root[:, :, :k], root[:, :, k:]
-    shift, inward = added - removed, capacity.take(into)
-    shared = shift * (shift / inward)
-    apart = added[0] * (added[0] / inward[0]) + removed[0] * (removed[0] / capacity.take(left))
-    curvature = np.where(into[0] == left, shared[0], apart) + shared[1] + shared[2]
+    away = moves[:, k:]
+    gain = marg.reshape(-1).take(away) - cheapest  # >= 0: the forward tier is the cheapest
+    room = stack.capacity.ravel().take(index)
+    shift = root[1:, :, :k] - root[1:, :, k:]
+    shared = shift * (shift / room[1:, :, :k])
+    apart = root[0] * (root[0] / room[0])  # the forward then the away tier's plane-0 terms
+    curvature = apart[:, :k] + apart[:, k:] + shared[0] + shared[1]
     step = np.divide(gain, 2.0 * curvature, out=np.zeros(gain.shape), where=curvature > 0)
     return np.minimum(step, weights.reshape(-1).take(away))
 
@@ -818,9 +824,12 @@ def _parallel_tangent(weights, loads, before, before_loads, capacity) -> np.ndar
     along the valley (Shah, Buehler & Kempthorne 1964)."""
     direction = weights - before
     # The least weight / -direction over the falling weights, as minus the
-    # greatest weight / direction: IEEE division is odd in its divisor.
-    fall = np.divide(weights, direction, out=np.full(weights.shape, -math.inf), where=direction < 0)
-    limit = -np.maximum.reduce(fall.reshape(fall.shape[0], -1), axis=-1)
+    # greatest weight / direction: IEEE division is odd in its divisor.  Each
+    # row's quotients fill one column of a (3 K, B) buffer, so the max runs
+    # down the columns; it is exact, so the order does not matter.
+    fall = np.full(weights.shape[::-1], -math.inf)
+    np.divide(weights, direction, out=fall.T, where=direction < 0)
+    limit = -np.maximum.reduce(fall.reshape(-1, weights.shape[0]), axis=0)
     limit[np.isinf(limit)] = 0.0  # no weight falls: the two iterates coincide
     step = _line_step(loads, loads - before_loads, capacity, limit)
     return np.maximum(weights + step[:, None, None] * direction, 0.0)
@@ -898,44 +907,45 @@ def _price_loop(chunk, config: SolverConfig, trace: bool = False):
         # At the stationary prices pi = (W / F)^2, sum_p pi_p F_p = f: the
         # dual value is the cheapest allowed marginals summed minus f.
         relaxed = _cost(loads, stack.capacity)
-        dual = np.add.reduce(allowed_marg.ravel().take(picked), axis=-1) - relaxed
+        cheapest = allowed_marg.ravel().take(picked)
+        dual = np.add.reduce(cheapest, axis=-1) - relaxed
 
         # The forward vertex is an integer assignment: score it exactly.
         candidate_loads = _pool_loads(index[:, :, :num_tasks], root[:, :, :num_tasks], stack.capacity.size)
         candidate_loads = candidate_loads.reshape(stack.capacity.shape)
         candidate = _cost(candidate_loads, stack.capacity)
         better = candidate < best
-        best[better] = candidate[better]
-        incumbent[better] = forward[better]
+        np.copyto(best, candidate, where=better)
+        np.copyto(incumbent, forward, where=better[:, None])
         np.maximum(bound, dual, out=bound)
         if log is not None:
             log.append((alive, np.stack((candidate, best, dual, _overload(candidate_loads, loads)), axis=1)))
         done = relaxed - bound <= config.epsilon * relaxed
 
-        step = _pair_steps(stack, marg, weights, moves, index, root)
-        change = _pool_loads(index, root * np.concatenate((step, -step), axis=1), stack.capacity.size)
-        change = change.reshape(stack.capacity.shape)
+        step = _pair_steps(stack, marg, cheapest, weights, moves, index, root)
+        signed = np.concatenate((step, -step), axis=1)  # on each task's forward, then its away entry
+        change = _pool_loads(index, root * signed, stack.capacity.size).reshape(stack.capacity.shape)
         gamma = _line_step(loads, change, stack.capacity, 1.0)
-        step *= gamma[:, None]
-        ahead = weights.copy()
-        ahead.reshape(-1)[picked] += step
-        ahead.reshape(-1)[moves[:, num_tasks:]] -= step
+        # Each entry takes its own task's step or none: a task whose forward
+        # entry is its away entry steps 0.
+        signed *= gamma[:, None]
+        ahead = weights + _pool_loads(moves, signed, weights.size).reshape(weights.shape)
         if before is not None:
             ahead = _parallel_tangent(ahead, loads + gamma[:, None] * change, *before, stack.capacity)
         before, weights = (weights, loads), ahead
         if done.any():
-            ended = alive[done]
+            stop, keep = done.nonzero()[0], (~done).nonzero()[0]
+            ended = alive[stop]
             iterations[ended], converged[ended] = t, True
-            rounded[ended] = before[0][done].argmax(axis=-1)
-            best_codes[ended], objective[ended] = incumbent[done], best[done]
-            keep = np.flatnonzero(~done)
+            rounded[ended] = before[0].take(stop, axis=0).argmax(axis=-1)
+            best_codes[ended], objective[ended] = incumbent.take(stop, axis=0), best[stop]
             if not keep.size:
                 break
-            alive, weights, stack = alive[keep], weights[keep], stack.take(keep)
-            before = tuple(array[keep] for array in before)
-            incumbent, best, bound = incumbent[keep], best[keep], bound[keep]
+            alive, weights, stack = alive[keep], weights.take(keep, axis=0), stack.take(keep)
+            before = tuple(array.take(keep, axis=0) for array in before)
+            incumbent, best, bound = incumbent.take(keep, axis=0), best[keep], bound[keep]
             twice, pairs = twice.take(keep, axis=1), pairs[: keep.size]
-            barred = None if barred is None else barred[keep]
+            barred = None if barred is None else barred.take(keep, axis=0)
         loads = stack.loads(weights)
     else:  # cut by max_iters
         rounded[alive] = before[0].argmax(axis=-1)

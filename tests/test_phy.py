@@ -200,7 +200,8 @@ def test_batched_uplink_rates_equal_the_per_ru_reference(make_topology):
         topo = make_topology(num_users=num_users, num_rus=5, user_to_ru=user_to_ru,
                              uplink_bandwidth_hz=rng.uniform(5e6, 2e7, size=5))
         gain = path_loss(rng.uniform(20.0, 400.0, size=(num_users, 1)))
-        h = np.sqrt(gain / 2) * (rng.standard_normal((num_users, antennas)) + 1j * rng.standard_normal((num_users, antennas)))
+        fading = rng.standard_normal((num_users, antennas)) + 1j * rng.standard_normal((num_users, antennas))
+        h = np.sqrt(gain / 2) * fading
         noise = dbm_to_watt(-174.0) * (topo.uplink_bandwidth_hz if trial % 2 else topo.uplink_bandwidth_hz[:1])
         ch = ChannelSet(h=h, user_to_ru=user_to_ru, tx_power_w=dbm_to_watt(35.0), noise_power_w=noise,
                         num_antennas=antennas)

@@ -302,7 +302,9 @@ def test_pairwise_steps_match_dense_line_search(random_instance):
     forward = stack.first + allowed.argmin(axis=-1)
     away = stack.first + np.where(weights > 0, marg, -np.inf).argmax(axis=-1)
     moves = np.concatenate((forward, away), axis=1)
-    steps = _pair_steps(stack, marg, weights, moves, stack.terms.take(moves, axis=1), stack.root_terms.take(moves, axis=1))
+    cheapest = allowed.ravel().take(forward)
+    steps = _pair_steps(stack, marg, cheapest, weights, moves, stack.terms.take(moves, axis=1),
+                        stack.root_terms.take(moves, axis=1))
     change = stack.picked_loads(moves, np.concatenate((steps, -steps), axis=1))
     rows = _line_step(loads, change, stack.capacity, 1.0)
     interior = clipped = 0
