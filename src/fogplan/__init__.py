@@ -19,7 +19,6 @@ from .phy import (
     generate_channels,
     mmse_beamformer,
     sinr,
-    uplink_rate,
     uplink_rates,
 )
 from .scenario import (
@@ -77,6 +76,5 @@ __all__ = [
     "solve",
     "task_delay",
     "total_delay",
-    "uplink_rate",
     "uplink_rates",
 ]

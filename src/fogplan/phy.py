@@ -3,9 +3,12 @@
 Channels are Rayleigh-faded complex vectors with log-distance path loss
 (pluggable behind `generate_channels`).  Spectrum is orthogonal between
 adjacent RUs, so interference is intra-RU only and every computation here
-involves a single RU's users at a time.  `uplink_rates` batches the RUs of
-one cell size (users served): their MMSE combiners are one stacked solve
-and their SINRs one stacked product, each RU's numbers those it gets alone.
+involves a single RU's users at a time.  One MMSE combiner kernel and one
+SINR kernel work on stacks of RUs: `uplink_rates` stacks the RUs of one
+cell size (users served), so their combiners are one stacked solve and
+their SINRs one stacked product, each RU's numbers those it gets alone;
+the public per-RU `mmse_beamformer` and the one-vector `sinr` are the
+kernels on a stack of one.
 """
 
 from __future__ import annotations
@@ -134,55 +137,62 @@ def generate_channels(
     )
 
 
-def mmse_beamformer(channels: ChannelSet, ru: int) -> Beamformer:
-    """Minimum-MSE receive vectors for every user of one RU:
-    u_k = (sigma^2 I + p_t sum_l h_l h_l^H)^{-1} h_k over that RU's users.
+def _noise(channels: ChannelSet, rus) -> np.ndarray:
+    """The receiver noise power of each of the RUs `rus`."""
+    return np.array([channels.noise_at(ru) for ru in rus])
 
-    The received-signal covariance carries the transmit power; without it the
-    solve maximizes SINR only for unit transmit power.
-    """
+
+def _combiners(channels: ChannelSet, h: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Minimum-MSE receive vectors (G, n, M) of G RUs that serve n users
+    each, from the users' channels h (G, n, M) and each RU's noise power
+    sigma^2 (G,): u_k = (sigma^2 I + p_t sum_l h_l h_l^H)^{-1} h_k over the
+    RU's users, one stacked solve.  The received-signal covariance carries
+    the transmit power; without it the solve maximizes SINR only for unit
+    transmit power.  Raises `LinAlgError` if any RU's covariance is
+    singular."""
+    columns = h.transpose(0, 2, 1)
+    cov = noise[:, None, None] * np.eye(channels.num_antennas, dtype=np.complex128) + channels.tx_power_w * (
+        columns @ h.conj())
+    return np.linalg.solve(cov, columns).transpose(0, 2, 1)
+
+
+def _sinrs(channels: ChannelSet, u: np.ndarray, h: np.ndarray, noise: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Post-combining SINRs (G, r) of the receive vectors u (G, r, M) of G
+    RUs, each against all its RU's users, whose channels are h (G, n, M);
+    `own` (r, n) marks in row r the user that vector r combines for.  The
+    interference is the row of gains p |u^H h_l|^2 with the own column
+    masked out, summed; the noise is ||u||^2 sigma^2.  At an extreme noise
+    power or path loss these can underflow to 0, which makes the SINR NaN or
+    inf; both callers refuse that."""
+    gain = channels.tx_power_w * np.abs(u.conj() @ h.transpose(0, 2, 1)) ** 2
+    interference = np.where(own, 0.0, gain).sum(axis=2)
+    power = (u.real**2 + u.imag**2).sum(axis=2) * noise[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return gain[:, own] / (interference + power)
+
+
+def mmse_beamformer(channels: ChannelSet, ru: int) -> Beamformer:
+    """Minimum-MSE receive vectors for every user of one RU: `_combiners`
+    on a stack of that one RU."""
     users = channels.users_of_ru(ru)
     if users.size == 0:
         raise ValueError(f"RU {ru} serves no users")
-    H = channels.h[users]
-    m = channels.num_antennas
-    cov = channels.noise_at(ru) * np.eye(m, dtype=np.complex128) + channels.tx_power_w * (H.T @ H.conj())
-    u = np.linalg.solve(cov, H.T).T
-    return Beamformer(users=users, u=u)
-
-
-def _sinrs(channels: ChannelSet, ru: int, u: np.ndarray, users: np.ndarray) -> np.ndarray:
-    """Post-combining SINR of each receive vector of one RU: row r of `u`
-    combines for user `users[r]`, which the RU must serve, against all of that
-    RU's users.  The interference is the row of gains p |u^H h_l|^2 with the
-    user's own column masked out, summed; the noise is ||u||^2 sigma^2.  At
-    an extreme noise power or path loss these can underflow to 0, which makes
-    the SINR NaN or inf; both callers refuse that."""
-    cell = channels.users_of_ru(ru)
-    gain = channels.tx_power_w * np.abs(u.conj() @ channels.h[cell].T) ** 2
-    own = cell[None, :] == users[:, None]
-    interference = np.where(own, 0.0, gain).sum(axis=1)
-    noise = (u.real**2 + u.imag**2).sum(axis=1) * channels.noise_at(ru)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return gain[own] / (interference + noise)
+    return Beamformer(users=users, u=_combiners(channels, channels.h[users][None], _noise(channels, [ru]))[0])
 
 
 def sinr(channels: ChannelSet, beamformer: Beamformer, user: int) -> float:
-    """Post-combining SINR of one user against its RU's co-scheduled users."""
+    """Post-combining SINR of one user against its RU's co-scheduled users:
+    `_sinrs` on a stack of one RU and of the user's one receive vector."""
     u = beamformer.vector_for(user)
     if not np.any(u):
         raise ValueError(f"beamformer for user {user} is zero")
-    value = float(_sinrs(channels, int(channels.user_to_ru[user]), u[None, :], np.array([user]))[0])
+    ru = int(channels.user_to_ru[user])
+    cell = channels.users_of_ru(ru)
+    h = channels.h[cell][None]
+    value = float(_sinrs(channels, u[None, None], h, _noise(channels, [ru]), cell[None] == user)[0, 0])
     if not math.isfinite(value):
         raise ValueError(f"SINR of user {user} is {value} (the signal and noise powers underflow or overflow)")
     return value
-
-
-def uplink_rate(bandwidth_hz: float, sinr_value: float) -> float:
-    """Achievable uplink rate in bits/s."""
-    if sinr_value < 0:
-        raise ValueError("SINR must be non-negative")
-    return float(bandwidth_hz * np.log2(1.0 + sinr_value))
 
 
 def access_delay(data_bits: float, rate_bps: float) -> float:
@@ -194,70 +204,42 @@ def access_delay(data_bits: float, rate_bps: float) -> float:
     return float(data_bits) / float(rate_bps)
 
 
-def _cell_sinrs(channels: ChannelSet, rus: np.ndarray, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Combiners (G, n, M) and SINRs (G, n) of the users (G, n) of G RUs
-    that serve n users each, row g holding RU `rus[g]`'s users in index
-    order.  The combiners are one stacked solve and the gains one stacked
-    product, so each RU's entries are those `mmse_beamformer` and `_sinrs`
-    give it alone.  Raises `LinAlgError` if any RU's covariance is
-    singular."""
-    h = channels.h[users]
-    columns = h.transpose(0, 2, 1)
-    noise = channels.noise_power_w[rus] if channels.noise_power_w.size > 1 else channels.noise_power_w.repeat(rus.size)
-    cov = noise[:, None, None] * np.eye(channels.num_antennas, dtype=np.complex128) + channels.tx_power_w * (
-        columns @ h.conj())
-    u = np.linalg.solve(cov, columns).transpose(0, 2, 1)
-    gain = channels.tx_power_w * np.abs(u.conj() @ columns) ** 2
-    own = np.eye(users.shape[1], dtype=bool)
-    interference = np.where(own, 0.0, gain).sum(axis=2)
-    power = (u.real**2 + u.imag**2).sum(axis=2) * noise[:, None]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return u, gain[:, own] / (interference + power)
-
-
-def _sinr_error(ru: int, band: float) -> ValueError:
-    return ValueError(f"RU {ru}: the SINR at uplink bandwidth {band:g} Hz is not finite (the signal and noise powers "
-                      "underflow or overflow)")
-
-
-def _first_failure(topology: Topology, channels: ChannelSet, rus) -> tuple[int, ValueError]:
-    """The first of the RUs whose combiners cannot be solved or are not
-    finite, or whose SINRs are not finite, and its error, taking the RUs
-    one by one (`mmse_beamformer`, `_sinrs`)."""
-    for ru in rus:
-        try:
-            bf = mmse_beamformer(channels, ru)
-            if not np.isfinite(_sinrs(channels, ru, bf.u, bf.users)).all():
-                raise _sinr_error(ru, topology.uplink_bandwidth_hz[ru])
-        except ValueError as exc:
-            return ru, exc
+def _refuse_first_failure(topology: Topology, channels: ChannelSet, served: np.ndarray):
+    """Raise the error of the first served RU, in index order, whose
+    combiners cannot be solved or are not finite, or whose SINRs are not
+    finite, taking the RUs one by one through the same kernels."""
+    for ru in np.flatnonzero(served).tolist():
+        bf = mmse_beamformer(channels, ru)
+        own = np.eye(bf.users.size, dtype=bool)
+        if not np.isfinite(_sinrs(channels, bf.u[None], channels.h[bf.users][None], _noise(channels, [ru]), own)).all():
+            raise ValueError(f"RU {ru}: the SINR at uplink bandwidth {topology.uplink_bandwidth_hz[ru]:g} Hz is not "
+                             "finite (the signal and noise powers underflow or overflow)")
     raise AssertionError("no RU failed")
 
 
 def uplink_rates(topology: Topology, channels: ChannelSet) -> np.ndarray:
-    """Per-user achievable rate under MMSE combining, in user index order.
-    The RUs that serve the same number of users are combined together
-    (`_cell_sinrs`).  Of several RUs that fail, the lowest is reported,
-    with the error it gives alone."""
+    """Per-user achievable rate B log2(1 + SINR) in bits/s under MMSE
+    combining, in user index order.  The RUs that serve the same number of
+    users are one stack of `_combiners` and `_sinrs`.  If a stack fails, the
+    first RU that fails alone is refused, with the error it gives alone."""
     if not np.array_equal(topology.user_to_ru, channels.user_to_ru):
         raise ValueError("topology and channels disagree on user-to-RU assignment")
     sinrs = np.zeros(channels.num_users)
     served = np.bincount(channels.user_to_ru)
     order = np.argsort(channels.user_to_ru, kind="stable")  # RU by RU, each RU's users in index order
     offset = np.cumsum(served) - served
-    failures = []
     for n in sorted(set(served.tolist()) - {0}):
         rus = np.flatnonzero(served == n)
         users = order[offset[rus, None] + np.arange(n)]
+        h = channels.h[users]
+        noise = _noise(channels, rus)
         try:
-            u, cell = _cell_sinrs(channels, rus, users)
+            u = _combiners(channels, h, noise)
+            cell = _sinrs(channels, u, h, noise, np.eye(n, dtype=bool))
+            failed = not (np.isfinite(cell).all() and np.isfinite(u).all())
         except np.linalg.LinAlgError:  # numpy does not say which RU's covariance is singular
-            failures.append(_first_failure(topology, channels, rus.tolist()))
-            continue
-        if not (np.isfinite(cell).all() and np.isfinite(u).all()):
-            finite = np.isfinite(cell).all(axis=1) & np.isfinite(u).all(axis=(1, 2))
-            failures.append(_first_failure(topology, channels, rus[~finite].tolist()))
+            failed = True
+        if failed:
+            _refuse_first_failure(topology, channels, served)
         sinrs[users] = cell
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
     return topology.uplink_bandwidth_hz[channels.user_to_ru] * np.log2(1.0 + sinrs)

@@ -64,15 +64,16 @@ row b of every stacked array, and its pools are entries b P to b P + P - 1 of
 one stacked pool vector, so each gather, pick, step and scatter serves them
 all, while the dual values, line searches and exact objectives reduce each
 row on its own.  Incumbents and bounds are arrays over the stack; trace
-entries are recorded only where asked for, as `solve` asks for its batch of
-one.  A problem that stops leaves the stack; when the last one stops, all
-are finished the same way (`_finish`): one lockstep polish per scheme, and
-every plan's pool sums and total delay added up as arrays, with the delay
-legs `latency` writes for `total_delay`.  The loop yields compact plans
-(`_Plan`), so a sweep builds no `Allocation`, `DualState` or trace dict;
-only `solve` turns its plan into a `SolveResult` (`_result`), whose duals
-are the plan's own clearing prices.  No row reads another, so each problem
-gets the plan it gets alone; `solve` is the batch of one.
+entries, each iteration's best exact objective and dual value, are recorded
+only where asked for, as `solve` asks for its batch of one.  A problem that
+stops leaves the stack; when the last one stops, all are finished the same
+way (`_finish`): one lockstep polish per scheme, and every plan's pool sums
+and total delay added up as arrays, with the delay legs `latency` writes for
+`total_delay`.  The loop yields compact plans (`_Plan`), so a sweep builds no
+`Allocation`, `DualState` or trace dict; only `solve` turns its plan into a
+`SolveResult` (`_result`), whose duals are the plan's own clearing prices.
+No row reads another, so each problem gets the plan it gets alone; `solve` is
+the batch of one.
 """
 
 from __future__ import annotations
@@ -161,8 +162,9 @@ class SolverConfig:
 class SolveResult:
     """Plan plus diagnostics.  `objective_s` is the transport+compute cost the
     loop optimizes (access excluded); `total_delay_s` adds the radio access
-    terms back in.  `trace` holds per-iteration arrays: dual_value_s,
-    candidate_objective_s, best_objective_s, max_violation."""
+    terms back in.  `trace` holds per-iteration arrays: dual_value_s, the
+    dual value at the iterate, and best_objective_s, the exact cost of the
+    best integer plan found so far."""
 
     decision: Decision
     allocation: Allocation
@@ -292,7 +294,7 @@ class _Pools(_Stack):
 
     def objective(self, codes: np.ndarray) -> float:
         """Minimal offload cost (access excluded) for an integer assignment."""
-        return float(_cost(self.picked_loads(self.first[0] + codes), self.capacity[0]))
+        return float(self.costs(codes)[0])
 
 
 def _layout(topologies):
@@ -643,13 +645,13 @@ def _recheck(at: np.ndarray, values: np.ndarray, incumbent: np.ndarray) -> list[
 
 class _Plan(NamedTuple):
     """One solved problem as `_solve_batch` yields it: the best plan's tier
-    codes, the trace as one (iterations, 4) array of (candidate, best, dual
-    value, violation) rows (None where the loop recorded none), the
-    iteration count, whether the loop converged (its relaxed gap closed to
-    epsilon), the plan's exact objective, the total delay of its exact
-    re-allocation, access included, and its clearing prices (W_p / F_p)^2
-    as one pool vector, from the pool sums W of its picked square-root
-    demands.  `_result` makes it a `SolveResult` from a traced plan."""
+    codes, the trace as one (iterations, 2) array of (best objective, dual
+    value) rows (None where the loop recorded none), the iteration count,
+    whether the loop converged (its relaxed gap closed to epsilon), the
+    plan's exact objective, the total delay of its exact re-allocation,
+    access included, and its clearing prices (W_p / F_p)^2 as one pool
+    vector, from the pool sums W of its picked square-root demands.
+    `_result` makes it a `SolveResult` from a traced plan."""
 
     codes: np.ndarray
     trace: np.ndarray | None
@@ -671,7 +673,7 @@ def _result(plan: _Plan, problem) -> SolveResult:
     topology, tasks, rates_bps, _ = problem
     decision = Decision(tuple(TIERS[c] for c in plan.codes.tolist()))
     allocation = allocate_given_decision(decision, tasks, topology)
-    candidate, best, dual, violation = plan.trace.T.copy()
+    best, dual = plan.trace.T.copy()
     best_dual = dual.max() if dual.size else 0.0
     best_obj = plan.objective_s
     gap = max(0.0, (best_obj - best_dual) / best_obj) if best_obj > 0 else 0.0
@@ -685,12 +687,7 @@ def _result(plan: _Plan, problem) -> SolveResult:
         total_delay_s=total_delay(topology, tasks, decision, allocation, rates_bps),
         best_dual_value_s=float(best_dual),
         duality_gap=float(gap),
-        trace={
-            "dual_value_s": dual,
-            "candidate_objective_s": candidate,
-            "best_objective_s": best,
-            "max_violation": violation,
-        },
+        trace={"dual_value_s": dual, "best_objective_s": best},
     )
 
 
@@ -752,7 +749,7 @@ def _solve_batch(problems, config: SolverConfig | None = None, trace: bool = Fal
             checked, key = problem, (num_tasks, topology.num_rus, topology.num_dus)
         if not num_tasks:
             prices = np.zeros(_layout([topology])[0].size)
-            yield position, _Plan(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 0, True, 0.0, 0.0, prices)
+            yield position, _Plan(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), 0, True, 0.0, 0.0, prices)
             continue
         if key != shape or len(chunk) == size:
             if chunk:
@@ -835,17 +832,6 @@ def _parallel_tangent(weights, loads, before, before_loads, capacity) -> np.ndar
     return np.maximum(weights + step[:, None, None] * direction, 0.0)
 
 
-def _overload(candidate: np.ndarray, loads: np.ndarray) -> np.ndarray:
-    """max_p W_p(s) / W_p(x) - 1 per row: the peak relative overload of the
-    shares the candidate s gets at the stationary prices (W(x) / F)^2 of
-    the iterate x, sqrt(d) F / W(x) each.  A pool the iterate leaves empty
-    is overloaded without bound if the candidate loads it, as is one whose
-    ratio overflows."""
-    with np.errstate(over="ignore"):
-        ratio = np.divide(candidate, loads, out=np.where(candidate > 0, np.inf, 0.0), where=loads > 0)
-    return np.maximum.reduce(ratio, axis=-1) - 1.0
-
-
 def _price_loop(chunk, config: SolverConfig, trace: bool = False):
     """Frank-Wolfe on the relaxation of (position, problem) pairs of
     problems of one shape, stacked (`_Stack`), yielding (position, plan)
@@ -892,7 +878,7 @@ def _price_loop(chunk, config: SolverConfig, trace: bool = False):
     objective = np.empty(rows)
     iterations, converged = np.full(rows, config.max_iters), np.zeros(rows, dtype=bool)
     alive = np.arange(rows)  # each stacked row's row in `first`
-    log = [] if trace else None  # per iteration: (rows in `first`, (A, 4) trace entries)
+    log = [] if trace else None  # per iteration: (rows in `first`, (A, 2) trace entries)
     before = None  # the previous iterate's weights and pool sums
 
     for t in range(1, config.max_iters + 1):
@@ -912,14 +898,13 @@ def _price_loop(chunk, config: SolverConfig, trace: bool = False):
 
         # The forward vertex is an integer assignment: score it exactly.
         candidate_loads = _pool_loads(index[:, :, :num_tasks], root[:, :, :num_tasks], stack.capacity.size)
-        candidate_loads = candidate_loads.reshape(stack.capacity.shape)
-        candidate = _cost(candidate_loads, stack.capacity)
+        candidate = _cost(candidate_loads.reshape(stack.capacity.shape), stack.capacity)
         better = candidate < best
         np.copyto(best, candidate, where=better)
         np.copyto(incumbent, forward, where=better[:, None])
         np.maximum(bound, dual, out=bound)
         if log is not None:
-            log.append((alive, np.stack((candidate, best, dual, _overload(candidate_loads, loads)), axis=1)))
+            log.append((alive, np.stack((best, dual), axis=1)))
         done = relaxed - bound <= config.epsilon * relaxed
 
         step = _pair_steps(stack, marg, cheapest, weights, moves, index, root)
@@ -956,7 +941,7 @@ def _price_loop(chunk, config: SolverConfig, trace: bool = False):
 
 
 def _split_traces(log, rows: int) -> list:
-    """Each row's trace, (iterations, 4), from the loop's per-iteration
+    """Each row's trace, (iterations, 2), from the loop's per-iteration
     entries of the rows then live."""
     order = np.concatenate([alive for alive, _ in log])
     entries = np.concatenate([values for _, values in log])

@@ -32,6 +32,8 @@ from fogplan.cli import (
     realization_seed,
     run_sweep,
 )
+from fogplan.latency import TIER_INDEX
+from fogplan.solver import _Pools
 
 
 def test_run_single_is_deterministic(capsys):
@@ -600,12 +602,31 @@ def _fuzz_argv(rng: random.Random, case: int) -> list[str]:
     return argv
 
 
+def _neighbours(codes: np.ndarray, tiers: list[int]) -> np.ndarray:
+    """Every plan (N, K) that one task's tier change, or a change of two
+    tasks' tiers, makes of the tier codes `codes` (K,), over the tier codes
+    `tiers`."""
+    singles = [(k, tier) for k in range(codes.size) for tier in tiers if tier != codes[k]]
+    plans = []
+    for i, (k, tier) in enumerate(singles):
+        plan = codes.copy()
+        plan[k] = tier
+        plans.append(plan)
+        for other, other_tier in singles[i + 1:]:
+            if other != k:
+                pair = plan.copy()
+                pair[other] = other_tier
+                plans.append(pair)
+    return np.array(plans, dtype=np.int64).reshape(-1, codes.size)
+
+
 def test_seeded_contract_fuzz_through_main(monkeypatch, capsys):
     # Single plans at seeded random sizes and extreme --set values under all
     # four schemes: each run exits 2 with a one-line diagnostic, or exits 0
     # with every task on a tier of its scheme, a feasible allocation, no
-    # dual value above the plan's objective, no nan in the report, and the
-    # same bytes when rerun.  The suite makes any RuntimeWarning an error.
+    # dual value above the plan's objective, no nan in the report, the same
+    # bytes when rerun, and a local optimum: no single or pair tier change
+    # lowers the exact cost.  The suite makes any RuntimeWarning an error.
     solved = []
 
     def recording_solve(topology, tasks, rates, scheme, config=None):
@@ -630,6 +651,12 @@ def test_seeded_contract_fuzz_through_main(monkeypatch, capsys):
         assert check_feasibility(topology, tasks, result.decision, result.allocation) == [], argv
         assert np.all(result.trace["dual_value_s"] <= result.objective_s * (1 + 1e-12)), argv
         assert main(argv) == 0 and capsys.readouterr().out == out, argv
+        codes = np.array(result.decision.codes)
+        moves = _neighbours(codes, [TIER_INDEX[tier] for tier in scheme.allowed_tiers])
+        if moves.size:
+            pools = _Pools(tasks, topology)
+            with np.errstate(over="ignore"):  # a move may cost more than a float holds
+                assert not (pools.costs(moves[:, None]) < pools.costs(codes[None])).any(), argv
         planned += 1
     assert FUZZ_CASES // 4 <= planned < FUZZ_CASES  # both outcomes occur
 

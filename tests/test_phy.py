@@ -15,10 +15,9 @@ from fogplan import (
     generate_scenario,
     mmse_beamformer,
     sinr,
-    uplink_rate,
     uplink_rates,
 )
-from fogplan.phy import _sinrs, dbm_to_watt, path_loss
+from fogplan.phy import dbm_to_watt, path_loss
 
 
 def _channels(h, user_to_ru=None, tx_power_w=1.0, noise_power_w=1.0):
@@ -175,13 +174,24 @@ def test_non_finite_sinrs_are_refused():
 
 
 def _per_ru_rates(topo, ch):
-    """The rates RU by RU, through `mmse_beamformer`, `_sinrs` and
-    `uplink_rate`: what the stacked solve of each cell size must give."""
+    """The rates RU by RU, written out for one RU at a time: its MMSE
+    combiners u_k = (sigma^2 I + p_t sum_l h_l h_l^H)^{-1} h_k, each
+    user's SINR against the RU's other users, and the Shannon rate B
+    log2(1 + SINR) of each.  This is what the stacked kernels must give
+    each RU, bit for bit; `mmse_beamformer` must give its combiners."""
     rates = np.zeros(ch.num_users)
     for ru in np.flatnonzero(np.bincount(ch.user_to_ru)).tolist():
-        bf = mmse_beamformer(ch, ru)
-        sinrs = _sinrs(ch, ru, bf.u, bf.users)
-        rates[bf.users] = [uplink_rate(topo.uplink_bandwidth_hz[ru], s) for s in sinrs.tolist()]
+        users = ch.users_of_ru(ru)
+        H = ch.h[users]
+        cov = ch.noise_at(ru) * np.eye(ch.num_antennas, dtype=complex) + ch.tx_power_w * (H.T @ H.conj())
+        u = np.linalg.solve(cov, H.T).T
+        assert mmse_beamformer(ch, ru).u.tobytes() == u.tobytes(), ru
+        gain = ch.tx_power_w * np.abs(u.conj() @ H.T) ** 2
+        own = np.eye(users.size, dtype=bool)
+        interference = np.where(own, 0.0, gain).sum(axis=1)
+        noise = (u.real**2 + u.imag**2).sum(axis=1) * ch.noise_at(ru)
+        sinrs = gain[own] / (interference + noise)
+        rates[users] = [float(topo.uplink_bandwidth_hz[ru] * np.log2(1.0 + s)) for s in sinrs.tolist()]
     return rates
 
 
@@ -230,21 +240,17 @@ def test_the_lowest_failing_ru_is_refused(make_topology):
             uplink_rates(topo, ch)
 
 
-def test_uplink_rate_values():
-    assert uplink_rate(10e6, 7.0) == pytest.approx(30e6)
-    assert uplink_rate(10e6, 0.0) == 0.0
-    assert uplink_rate(1.0, 1.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        uplink_rate(1e6, -0.5)
-
-
 def test_rate_monotonicity():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        b = rng.uniform(1e5, 1e8)
-        s1, s2 = sorted(rng.uniform(0, 1e4, size=2))
-        assert uplink_rate(b, s2) >= uplink_rate(b, s1)
-        assert uplink_rate(2 * b, s2) > uplink_rate(b, s2)
+    # At fixed channels, so at fixed SINRs, the rate is linear in the uplink
+    # bandwidth: doubling every RU's bandwidth doubles every rate.
+    for seed in range(5):
+        scenario = generate_scenario(ScenarioSpec(num_users=8, num_rus=4, num_dus=2, seed=seed))
+        topo = scenario.topology
+        ch = generate_channels(topo, scenario.ru_positions_m, scenario.user_positions_m, seed=seed)
+        doubled = dataclasses.replace(topo, uplink_bandwidth_hz=2 * topo.uplink_bandwidth_hz)
+        rates = uplink_rates(topo, ch)
+        assert np.all(rates > 0)
+        assert np.array_equal(uplink_rates(doubled, ch), 2 * rates), seed
 
 
 def test_access_delay_cases():
@@ -267,7 +273,7 @@ def test_uplink_rates_match_per_user_computation():
                 signal = p * abs(np.vdot(u, ch.h[k])) ** 2
                 interference = sum(p * abs(np.vdot(u, ch.h[l])) ** 2 for l in bf.users if l != k)
                 noise = np.vdot(u, u).real * ch.noise_at(int(ru))
-                expected = uplink_rate(topo.uplink_bandwidth_hz[ru], signal / (interference + noise))
+                expected = topo.uplink_bandwidth_hz[ru] * math.log2(1 + signal / (interference + noise))
                 assert rates[k] == pytest.approx(expected, rel=1e-12), (num_users, num_rus, k)
         assert np.all(rates > 0)
 

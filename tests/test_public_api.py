@@ -28,7 +28,7 @@ def test_exported_names_resolve():
     assert set(fogplan.__all__) <= set(namespace)
     removed = {
         fogplan.solver: ("RelaxedPoint", "dual_update", "extract_decision", "marginal_costs"),
-        fogplan.phy: ("mmse_beamformers",),
+        fogplan.phy: ("mmse_beamformers", "uplink_rate"),
         fogplan.oracle: ("objective_of",),
     }
     for module, names in removed.items():

@@ -34,7 +34,6 @@ from fogplan.solver import (
     _local_search,
     _marginals,
     _move_changes,
-    _overload,
     _pair_blocks,
     _pair_steps,
     _pool_loads,
@@ -368,28 +367,14 @@ def test_parallel_tangent_keeps_weights_feasible_and_descends(random_instance):
         assert f <= _relaxed(weights[row] + want * direction, member[row], stack.capacity[row]) * (1 + 1e-12)
 
 
-def test_overload_is_the_candidates_stationary_share_overload(random_instance):
-    # The trace's violation is the peak overload of the shares the forward
-    # vertex gets at the iterate's stationary prices (W / F)^2: the ratio of
-    # the candidate's pool sums to the iterate's.
-    rng = np.random.default_rng(2)
-    problems, stack, weights, _ = _fw_point(random_instance, rng, rows=4)
-    loads = stack.loads(weights)
-    codes = np.array([rng.choice(np.flatnonzero(stack.barred[row, 0] == 0), size=8) for row in range(4)])
-    got = _overload(stack.picked_loads(stack.first + codes), loads)
-    for row, (topo, tasks, _, _) in enumerate(problems):
-        duals = _dual_state((loads[row] / stack.capacity[row]) ** 2, stack.starts)
-        peak = _peak_overload(*_recovered_loads(duals, np.eye(3)[codes[row]], tasks, topo))
-        assert got[row] == pytest.approx(peak, rel=1e-12, abs=1e-12)
-
-
 def test_exported_kernels_reproduce_the_loop_trace(random_instance):
     # The loop's first iterate spreads each task evenly over its allowed
     # tiers; its trace entry is the loop's kernels evaluated at that
-    # iterate's stationary prices (W / F)^2.  The exported kernels, on the
-    # shares `primal_*` recover for the cheapest allowed tiers there, must
-    # give it: the candidate bit for bit, the dual value and violation to
-    # rounding (the loop reads W / F, not the square root of its square).
+    # iterate's stationary prices (W / F)^2.  The exported kernels must give
+    # it: the dual value to rounding (the loop reads W / F, not the square
+    # root of its square), and the best objective bit for bit, the cheaper
+    # of the cheapest allowed tiers there and the cheapest allowed
+    # single-tier plan, each scored by `offload_objective`.
     config = SolverConfig(max_iters=1)
     checked = 0
     for num_users, num_rus, num_dus, seeds in ((6, 4, 2, range(4)), (8, 4, 2, range(4)), (40, 10, 4, range(2))):
@@ -398,18 +383,18 @@ def test_exported_kernels_reproduce_the_loop_trace(random_instance):
             topo, tasks = scenario.topology, scenario.tasks
             for scheme in Scheme:
                 res = solve(topo, tasks, rates, scheme, config)
-                assert res.iterations == 1 == res.trace["max_violation"].size
+                assert res.iterations == 1 == res.trace["best_objective_s"].size
+                assert set(res.trace) == {"dual_value_s", "best_objective_s"}
                 assert res.converged == (scheme is Scheme.CLOUD)  # one tier: the relaxation is the plan
                 [prices] = _starting_prices([(topo, tasks, rates, scheme)])
                 duals = _dual_state(prices, _Pools(tasks, topo).starts)
                 picks = _allowed_marginals(_marginal_prices(duals, tasks, topo), _barred(scheme)).argmin(axis=1)
-                x = np.eye(3)[picks]
                 dual = _dual_value_at(duals, tasks, topo, scheme)
                 assert res.trace["dual_value_s"][0] == pytest.approx(dual, rel=1e-12)
-                violation = _peak_overload(*_recovered_loads(duals, x, tasks, topo))
-                assert res.trace["max_violation"][0] == pytest.approx(violation, rel=1e-12, abs=1e-12)
                 candidate = offload_objective(Decision(tuple(TIERS[c] for c in picks)), tasks, topo)
-                assert candidate == res.trace["candidate_objective_s"][0]
+                single = min(offload_objective(Decision((tier,) * len(picks)), tasks, topo)
+                             for tier in scheme.allowed_tiers)
+                assert res.trace["best_objective_s"][0] == min(candidate, single)
                 checked += 1
     assert checked >= 30
 
@@ -1400,8 +1385,8 @@ def test_dual_values_stay_below_independent_relaxed_optimum(random_instance, mon
 def test_trace_duals_stay_below_the_plans_across_a_stacked_batch(random_instance):
     # Weak duality on every trace entry of a stacked batch of 60 desk
     # problems (15 instances x 4 schemes): each dual value lies below the
-    # candidate scored at that iteration, the best objective so far, and the
-    # returned plan's objective.
+    # best objective so far, which is at most the candidate scored at that
+    # iteration, and below the returned plan's objective.
     problems = []
     for seed in range(15):
         scenario, rates = random_instance(seed=100 + seed, num_users=8, num_rus=4, num_dus=2)
@@ -1410,9 +1395,8 @@ def test_trace_duals_stay_below_the_plans_across_a_stacked_batch(random_instance
     for position, plan in solver._solve_batch(problems, trace=True):
         res = solver._result(plan, problems[position])
         dual = res.trace["dual_value_s"]
-        for name in ("candidate_objective_s", "best_objective_s"):
-            values = res.trace[name]
-            assert np.all(dual <= values + 1e-9 * np.abs(values)), (position, name)
+        best = res.trace["best_objective_s"]
+        assert np.all(dual <= best + 1e-9 * np.abs(best)), position
         assert res.best_dual_value_s == dual.max() <= res.objective_s * (1 + 1e-12), position
         assert check_feasibility(*problems[position][:2], res.decision, res.allocation) == []
         entries += dual.size
@@ -1503,13 +1487,3 @@ def test_initial_duals_make_full_load_tight(make_topology, make_tasks):
     a, b, c = primal_speeds_from_duals(init, x, tasks, topo)
     assert a.sum() == pytest.approx(4.0)
     assert b.sum() == pytest.approx(topo.mech_capacity_hz[0]) and c.sum() == pytest.approx(topo.cloud_capacity_hz)
-
-
-def test_max_relative_violation_sign():
-    # The trace's violation is positive where the candidate loads a pool
-    # beyond the iterate, negative where it loads every pool less, and
-    # unbounded where it loads a pool the iterate leaves empty.
-    iterate = np.array([[0.0, 1.0, 2.0]])
-    assert _overload(np.array([[0.0, 1.5, 1.0]]), iterate)[0] == pytest.approx(0.5)
-    assert _overload(np.array([[0.0, 0.5, 1.0]]), iterate)[0] == -0.5
-    assert _overload(np.array([[1.0, 1.0, 1.0]]), iterate)[0] == np.inf
